@@ -47,9 +47,12 @@ class ExperimentConfig:
     @staticmethod
     def from_dict(raw: dict) -> "ExperimentConfig":
         cfg = ExperimentConfig()
+        if not isinstance(raw, dict):
+            raise ConfigError("(top level)", "must be an object")
+        for key in ("system", "net", "codes", "perturbation", "tolerances"):
+            if not isinstance(raw.get(key, {}), dict):
+                raise ConfigError(key, "must be an object")
         system = raw.get("system", {})
-        if not isinstance(system, dict):
-            raise ConfigError("system", "must be an object")
         cfg.system_kind = system.get("kind", cfg.system_kind)
         if cfg.system_kind not in zoo.ZOO_KINDS:
             raise ConfigError("system.kind", f"unknown kind {cfg.system_kind!r}")
@@ -96,27 +99,34 @@ class ExperimentConfig:
         }
 
 
-def build_system(cfg: ExperimentConfig) -> zoo.ActionSystem:
+def build_system(cfg: ExperimentConfig, path: str = "system.params") -> zoo.ActionSystem:
     kind, p = cfg.system_kind, cfg.system_params
+
+    def number(key, default, convert=float):
+        try:
+            return convert(p.get(key, default))
+        except (TypeError, ValueError):
+            raise ConfigError(f"{path}.{key}", f"must be a number, not {p[key]!r}") from None
+
     if kind == "cyclic_hyperbolic":
-        return zoo.make_cyclic_hyperbolic(float(p.get("multiplier", 2.0)))
+        return zoo.make_cyclic_hyperbolic(number("multiplier", 2.0))
     if kind == "covered_cyclic":
-        base = zoo.make_cyclic_hyperbolic(float(p.get("multiplier", 2.0)))
-        return zoo.make_covered_cyclic(base, int(p.get("degree", 3)))
+        base = zoo.make_cyclic_hyperbolic(number("multiplier", 2.0))
+        return zoo.make_covered_cyclic(base, number("degree", 3, int))
     if kind == "schottky":
         mats = p.get("matrices")
         if mats is None:
-            mats = zoo.default_schottky_matrices(float(p.get("multiplier", 3.0)))
+            mats = zoo.default_schottky_matrices(number("multiplier", 3.0))
         return zoo.make_schottky(mats)
     if kind == "free_boundary":
-        return zoo.make_free_boundary(int(p.get("rank", 2)), float(p.get("a", 2.0)))
+        return zoo.make_free_boundary(number("rank", 2, int), number("a", 2.0))
     if kind == "zn_projective":
         diagonals = p.get("diagonals", [[9.0, 1.0, 3.0], [9.0, 3.0, 1.0]])
         return zoo.make_zn_projective(diagonals)
     if kind == "product":
         sub = dict(p.get("component", {"kind": "free_boundary", "params": {}}))
         sub_cfg = ExperimentConfig.from_dict({"system": sub})
-        comp = build_system(sub_cfg)
+        comp = build_system(sub_cfg, f"{path}.component.params")
         return zoo.make_product(comp, comp, bool(p.get("with_swap", False)))
     raise ConfigError("system.kind", f"unknown kind {kind!r}")
 

@@ -515,13 +515,13 @@ def fellow_travel_distance(rayA: Ray, rayB: Ray, cap: int = 64) -> Optional[int]
     of the full paths.  None when a needed word metric exceeds the cap.
     """
     A, B = _path_vertices(rayA), _path_vertices(rayB)
-    horizon = min(
-        max(groups.word_length(w) for w in A), max(groups.word_length(w) for w in B)
-    )
+    len_a = [groups.word_length(w) for w in A]
+    len_b = [groups.word_length(w) for w in B]
+    horizon = min(max(len_a), max(len_b))
     for n in range(horizon + 2):
         ok = True
-        for S, T in ((A, B), (B, A)):
-            req = [w for w in S if groups.word_length(w) <= horizon - n]
+        for S, lens, T in ((A, len_a, B), (B, len_b, A)):
+            req = [w for w, k in zip(S, lens) if k <= horizon - n]
             verdict = _directed_ok(req, T, n, cap)
             if verdict is None:
                 return None
@@ -539,10 +539,12 @@ def _tail_close(rayA: Ray, rayB: Ray, n: int, cap: int = 64) -> bool:
     window boundary are exempt, again discounting truncation ends."""
     A = list(rayA.words[len(rayA.words) // 2 :])
     B = list(rayB.words[len(rayB.words) // 2 :])
-    lo = max(min(groups.word_length(w) for w in S) for S in (A, B))
-    hi = min(max(groups.word_length(w) for w in S) for S in (A, B))
-    req_a = [w for w in A if lo + n <= groups.word_length(w) <= hi - n]
-    req_b = [w for w in B if lo + n <= groups.word_length(w) <= hi - n]
+    len_a = [groups.word_length(w) for w in A]
+    len_b = [groups.word_length(w) for w in B]
+    lo = max(min(len_a), min(len_b))
+    hi = min(max(len_a), max(len_b))
+    req_a = [w for w, k in zip(A, len_a) if lo + n <= k <= hi - n]
+    req_b = [w for w, k in zip(B, len_b) if lo + n <= k <= hi - n]
     if not req_a or not req_b:
         return False
     return bool(_directed_ok(req_a, B, n, cap)) and bool(_directed_ok(req_b, A, n, cap))

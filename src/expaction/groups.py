@@ -1,14 +1,21 @@
 """Words over symmetric generating sets, word metrics, boundary prefixes.
 
-Supported presentation kinds:
+Supported presentation kinds, each with its word metric ``d(u, v) =
+|u^-1 v|``:
 
-* ``free``: reduced letter sequences, exact word metric;
-* ``free_abelian``: exponent vectors, L1 word metric;
-* ``cyclic``: a single exponent;
+* ``free``: reduced letter sequences; ``d(u, v) = |u| + |v| - 2*cpl(u, v)``,
+  where ``cpl`` is the length of the common prefix of the two sequences;
+* ``free_abelian``: exponent vectors; ``d(u, v) = sum_i |u_i - v_i|``;
+* ``cyclic``: a single exponent; ``d(u, v) = |v - u|``;
 * ``product_swap``: pairs of component words with an optional swap bit
-  (the swap conjugates by exchanging the factors);
+  (the swap conjugates by exchanging the factors); for ``u = (u1, u2, b)``
+  and ``v = (v1, v2, c)``, ``d(u, v) = d(u1, v1) + d(u2, v2) + [b != c]``
+  whatever ``b`` is;
 * ``generic``: free reduction for storage, breadth-first word metric up to a
   cap (Unknown beyond it).
+
+The closed forms are exact for words in canonical form (reduced letter
+sequences), which every ``Word`` is.
 
 Letters serialize as strings: "a" is a generator, "A" its inverse.
 """
@@ -115,6 +122,15 @@ class Alphabet:
         return gens
 
 
+def _common_prefix_len(a: Sequence, b: Sequence) -> int:
+    n = 0
+    for x, y in zip(a, b):
+        if x != y:
+            break
+        n += 1
+    return n
+
+
 def _reduce_letters(letters: Iterable[tuple]) -> tuple:
     out = []
     for idx, sign in letters:
@@ -198,17 +214,43 @@ def word_length(u: Word) -> int:
     raise ValueError(kind)
 
 
-def word_metric(u: Word, v: Word, cap: int = 12) -> Optional[int]:
-    """Exact word metric for exact kinds; BFS up to `cap` for generic words.
+def _distance(u: Word, v: Word) -> int:
+    """|u^-1 v| from the canonical data of u and v, building no Word.
 
-    Returns None (Unknown) when the BFS cap is exceeded.
+    Free reduction stands in for the metric of a generic component, as it
+    does in ``word_length`` of a product word.
+    """
+    kind = u.alphabet.kind
+    if kind in (FREE, GENERIC):
+        return len(u.data) + len(v.data) - 2 * _common_prefix_len(u.data, v.data)
+    if kind == FREE_ABELIAN:
+        return sum(abs(a - b) for a, b in zip(u.data, v.data))
+    if kind == CYCLIC:
+        return abs(v.data - u.data)
+    if kind == PRODUCT_SWAP:
+        # u^-1 v pairs u1 with v1 and u2 with v2 whether or not u swaps
+        u1, u2, b = u.data
+        v1, v2, c = v.data
+        return _distance(u1, v1) + _distance(u2, v2) + (b != c)
+    raise ValueError(kind)
+
+
+def word_metric(u: Word, v: Word, cap: int = 12) -> Optional[int]:
+    """Word metric d(u, v) = |u^-1 v|.
+
+    Exact kinds use the closed forms of the module docstring, exact for
+    reduced canonical data: ``|u| + |v| - 2*cpl(u, v)`` (free),
+    ``sum |u_i - v_i|`` (free abelian), ``|v - u|`` (cyclic), and the sum over
+    the paired components plus ``[b != c]`` (product with swap).  Generic
+    words use a breadth-first search up to `cap` and return None (Unknown)
+    when the cap is exceeded.
     """
     _check_same_alphabet(u, v)
     if cap < 0:
         raise ValueError("cap must be nonnegative")
-    w = multiply(inverse(u), v)
     if u.alphabet.kind in _EXACT_KINDS:
-        return word_length(w)
+        return _distance(u, v)
+    w = multiply(inverse(u), v)
     if w.is_identity():
         return 0
     gens = u.alphabet.symmetric_generators()
@@ -300,12 +342,7 @@ class BoundaryWord:
 
 
 def _common_prefix_words(u: Word, v: Word) -> Word:
-    out = []
-    for a, b in zip(u.data, v.data):
-        if a != b:
-            break
-        out.append(a)
-    return Word(u.alphabet, tuple(out))
+    return Word(u.alphabet, u.data[: _common_prefix_len(u.data, v.data)])
 
 
 def boundary_prefix(ray: Sequence[Word], depth: int) -> BoundaryWord:

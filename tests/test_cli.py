@@ -1,5 +1,7 @@
 import json
 
+import pytest
+
 from expaction import cli
 
 
@@ -70,6 +72,24 @@ def test_malformed_config_schema_diagnostic(tmp_path, capsys):
     assert code == 2
     err = capsys.readouterr().err
     assert "lambda_target" in err
+
+
+@pytest.mark.parametrize(
+    "payload, field",
+    [
+        ({"system": {"kind": "schottky", "params": {"multiplier": "x"}}}, "system.params.multiplier"),
+        ({"codes": "abc"}, "codes"),
+        ([FB_CONFIG], "top level"),
+    ],
+    ids=["non-numeric-param", "section-not-an-object", "top-level-list"],
+)
+def test_bad_config_field_exits_2_naming_the_field(tmp_path, capsys, payload, field):
+    # an exception escaping main would print a traceback and exit 1
+    cfg = write_config(tmp_path, "bad.json", payload)
+    assert run(["certify-shyp", "--config", cfg, "--out", tmp_path / "o"]) == 2
+    err = capsys.readouterr().err
+    assert field in err
+    assert not (tmp_path / "o").exists()
 
 
 def test_unparseable_config(tmp_path, capsys):
