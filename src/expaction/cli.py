@@ -14,6 +14,8 @@ import sys
 from dataclasses import dataclass, field
 from pathlib import Path
 
+import numpy as np
+
 from . import coding, expansion, stability, zoo
 from .geometry import Circle, CoveredCircle
 
@@ -26,6 +28,13 @@ class ConfigError(ValueError):
     def __init__(self, path: str, message: str):
         self.path = path
         super().__init__(f"config field {path!r}: {message}")
+
+
+def _number(path: str, value, convert=float):
+    try:
+        return convert(value)
+    except (TypeError, ValueError, OverflowError):
+        raise ConfigError(path, f"must be a number, not {value!r}") from None
 
 
 @dataclass
@@ -58,26 +67,32 @@ class ExperimentConfig:
             raise ConfigError("system.kind", f"unknown kind {cfg.system_kind!r}")
         cfg.system_params = dict(system.get("params", {}))
         if "lambda_target" in raw:
-            cfg.lambda_target = float(raw["lambda_target"])
+            cfg.lambda_target = _number("lambda_target", raw["lambda_target"])
             if not cfg.lambda_target > 1.0:
                 raise ConfigError("lambda_target", "must exceed 1")
         net = raw.get("net", {})
         if "depth" in net:
-            cfg.net_depth = int(net["depth"])
+            cfg.net_depth = _number("net.depth", net["depth"], int)
             if cfg.net_depth < 1:
                 raise ConfigError("net.depth", "must be >= 1")
-        cfg.seed = int(net.get("seed", raw.get("seed", cfg.seed)))
+        if "seed" in net:
+            cfg.seed = _number("net.seed", net["seed"], int)
+        elif "seed" in raw:
+            cfg.seed = _number("seed", raw["seed"], int)
         codes = raw.get("codes", {})
-        cfg.code_depth = int(codes.get("depth", cfg.code_depth))
-        cfg.code_cap = int(codes.get("cap", cfg.code_cap))
+        cfg.code_depth = _number("codes.depth", codes.get("depth", cfg.code_depth), int)
+        cfg.code_cap = _number("codes.cap", codes.get("cap", cfg.code_cap), int)
         if cfg.code_cap < 1:
             raise ConfigError("codes.cap", "must be >= 1")
-        cfg.n_max = int(raw.get("n_max", cfg.n_max))
-        cfg.max_chain = int(raw.get("max_chain", cfg.max_chain))
-        cfg.prefix_depth = int(raw.get("prefix_depth", cfg.prefix_depth))
+        cfg.n_max = _number("n_max", raw.get("n_max", cfg.n_max), int)
+        cfg.max_chain = _number("max_chain", raw.get("max_chain", cfg.max_chain), int)
+        cfg.prefix_depth = _number("prefix_depth", raw.get("prefix_depth", cfg.prefix_depth), int)
         cfg.perturbation = dict(raw.get("perturbation", {}))
         tolerances = raw.get("tolerances", {})
-        cfg.tol = float(tolerances.get("tol", raw.get("tol", cfg.tol)))
+        if "tol" in tolerances:
+            cfg.tol = _number("tolerances.tol", tolerances["tol"])
+        elif "tol" in raw:
+            cfg.tol = _number("tol", raw["tol"])
         if not cfg.tol > 0:
             raise ConfigError("tolerances.tol", "must be positive")
         cfg.out_dir = str(raw.get("out_dir", cfg.out_dir))
@@ -103,10 +118,7 @@ def build_system(cfg: ExperimentConfig, path: str = "system.params") -> zoo.Acti
     kind, p = cfg.system_kind, cfg.system_params
 
     def number(key, default, convert=float):
-        try:
-            return convert(p.get(key, default))
-        except (TypeError, ValueError):
-            raise ConfigError(f"{path}.{key}", f"must be a number, not {p[key]!r}") from None
+        return _number(f"{path}.{key}", p.get(key, default), convert)
 
     if kind == "cyclic_hyperbolic":
         return zoo.make_cyclic_hyperbolic(number("multiplier", 2.0))
@@ -117,6 +129,13 @@ def build_system(cfg: ExperimentConfig, path: str = "system.params") -> zoo.Acti
         mats = p.get("matrices")
         if mats is None:
             mats = zoo.default_schottky_matrices(number("multiplier", 3.0))
+        else:
+            try:
+                shape = np.asarray(mats, dtype=float).shape
+            except (TypeError, ValueError):
+                shape = ()
+            if len(shape) != 3 or shape[1:] != (2, 2):
+                raise ConfigError(f"{path}.matrices", "must be a list of numeric 2x2 matrices")
         return zoo.make_schottky(mats)
     if kind == "free_boundary":
         return zoo.make_free_boundary(number("rank", 2, int), number("a", 2.0))
@@ -134,12 +153,16 @@ def build_system(cfg: ExperimentConfig, path: str = "system.params") -> zoo.Acti
 def build_perturbation(cfg: ExperimentConfig, system: zoo.ActionSystem):
     p = cfg.perturbation
     family = p.get("family", "matrix_jitter")
+
+    def number(key, default, convert=float):
+        return _number(f"perturbation.{key}", p.get(key, default), convert)
+
     if family == "matrix_jitter":
         return zoo.perturb(
             system,
             zoo.MatrixJitter(
-                magnitude=float(p.get("magnitude", 0.0)),
-                seed=int(p.get("seed", cfg.seed)),
+                magnitude=number("magnitude", 0.0),
+                seed=number("seed", cfg.seed, int),
                 diagonal_only=bool(p.get("diagonal_only", False)),
             ),
         )
@@ -147,13 +170,13 @@ def build_perturbation(cfg: ExperimentConfig, system: zoo.ActionSystem):
         return zoo.perturb(
             system,
             zoo.BumpCompose(
-                center=float(p.get("center", 0.7)),
-                width=float(p.get("width", 0.5)),
-                height=float(p.get("height", 0.0)),
+                center=number("center", 0.7),
+                width=number("width", 0.5),
+                height=number("height", 0.0),
             ),
         )
     if family == "translation_conjugate":
-        return zoo.translation_conjugate(system, float(p.get("t", 0.0)))
+        return zoo.translation_conjugate(system, number("t", 0.0))
     raise ConfigError("perturbation.family", f"unknown family {family!r}")
 
 
@@ -392,13 +415,13 @@ def cmd_coding_map(cfg: ExperimentConfig, out: Path) -> int:
 
 def cmd_stability(cfg: ExperimentConfig, out: Path) -> int:
     system = build_system(cfg)
+    maps = build_perturbation(cfg, system)  # a bad field fails before the datum is built
     datum = expansion.build_expansion_datum(system, cfg.lambda_target, cfg.net_depth)
     cert = coding.shyp_certificate(
         system, datum, depth=min(cfg.code_depth, 12), cap=cfg.code_cap, n_max=cfg.n_max
     )
     n_const = cert.fellow_constant if cert.fellow_constant else cert.chain_constant
     n_const = max(1, n_const or 1)
-    maps = build_perturbation(cfg, system)
     ps = stability.make_perturbed(system, datum, maps, n_const)
     try:
         ps.require_admissible()

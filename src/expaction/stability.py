@@ -18,6 +18,7 @@ from typing import Callable, Mapping, Optional, Sequence
 from . import groups
 from .coding import CodingError, _greedy_entry, expansivity_witness
 from .expansion import (
+    SAFETY,
     ActionView,
     CoverEntry,
     ExpansionDatum,
@@ -236,11 +237,17 @@ class ConjugacyTable:
     displacement: float
     residuals: dict = field(default_factory=dict)  # generator -> equivariance residual
     failures: list = field(default_factory=list)
+    # phi keyed by net point; the first entry of a repeated point wins
+    by_point: dict = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        self.by_point = {}
+        for e in self.entries:
+            self.by_point.setdefault(e.x, e.phi)
 
     def phi_of(self, x: Point) -> Optional[Point]:
-        for e in self.entries:
-            if e.x == x:
-                return e.phi
+        if x in self.by_point:
+            return self.by_point[x]
         return self.extra.get(x)
 
     def image_net(self) -> list:
@@ -277,23 +284,22 @@ def conjugacy_map(
             entries.append(TableEntry(x, phi, diag.iterations, diag.stop_bound))
         except (ConvergenceError, CodingError) as err:  # per-point granularity
             failures.append((x, str(err)))
-    extra = {}
-    if with_images:
-        for s in base.generators():
-            for x in net:
-                y = base.apply(s, x)
-                if y in extra or any(e.x == y for e in entries):
-                    continue
-                try:
-                    phi, _ = conjugacy_point(ps, y, tol, max_depth)
-                    extra[y] = phi
-                except (ConvergenceError, CodingError) as err:
-                    failures.append((y, str(err)))
     space = base.space
     displacement = max(
         (space.raw_distance(e.x.value, e.phi.value) for e in entries), default=0.0
     )
-    table = ConjugacyTable(entries, extra, displacement, failures=failures)
+    table = ConjugacyTable(entries, {}, displacement, failures=failures)
+    if with_images:
+        for s in base.generators():
+            for x in net:
+                y = base.apply(s, x)
+                if table.phi_of(y) is not None:
+                    continue
+                try:
+                    phi, _ = conjugacy_point(ps, y, tol, max_depth)
+                    table.extra[y] = phi
+                except (ConvergenceError, CodingError) as err:
+                    failures.append((y, str(err)))
     if not failures:
         check_equivariance(table, ps)
     return table
@@ -402,7 +408,7 @@ def check_continuity_modulus(
     (delta0 - delta)/lip**(k+1) must have phi-images within
     2*delta0*(lip+eps)/(lam-eps)**k (delta0 is the pre-safety Lebesgue bound)."""
     datum, space = ps.datum, ps.base.space
-    delta0 = datum.delta / 0.9
+    delta0 = datum.delta / SAFETY
     eps = ps.epsilon
     rows = []
     for k in ks:
@@ -463,7 +469,7 @@ def perturbed_datum(
     # the realized Lipschitz distance is a valid (and sharper) stand-in for
     # the admissibility threshold; an unperturbed action keeps its constants
     eps = max(ps.realized.values())
-    delta_new = 0.9 * min(leb, 0.8 * datum.delta / 0.9)
+    delta_new = SAFETY * min(leb, 0.8 * datum.delta / SAFETY)
     return ExpansionDatum(
         tuple(new_entries),
         delta_new,

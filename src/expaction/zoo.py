@@ -659,21 +659,20 @@ def make_schottky(matrices: Sequence | None = None) -> ActionSystem:
                     )
 
     chars = [(i, s) for i in range(rank) for s in (1, -1)]
-
-    def attracting(letter: Letter) -> float:
-        return maps[letter].fixed_angles()[0]
+    attracting = [(ch, maps[ch].fixed_angles()[0]) for ch in chars]
 
     def net_fn(depth: int) -> list:
-        words = [[ch] for ch in chars]
+        # one level per word length: (first letter, angle) of every reduced
+        # word in lexicographic order; a word's angle is its first letter
+        # applied to the angle of its tail, the word of the level below
+        level = attracting
         for _ in range(depth - 1):
-            words = [w + [ch] for w in words for ch in chars if ch != (w[-1][0], -w[-1][1])]
-        pts = []
-        for w in words:
-            theta = attracting(w[-1])
-            for letter in reversed(w[:-1]):
-                theta = maps[letter].apply_angle(theta)
-            pts.append(space.point(theta))
-        return pts
+            longer = []
+            for ch in chars:
+                inv, step = (ch[0], -ch[1]), maps[ch].apply_angle
+                longer.extend((ch, step(theta)) for first, theta in level if first != inv)
+            level = longer
+        return [space.point(theta) for _, theta in level]
 
     return _construction_check(ActionSystem(
         name=f"schottky(rank={rank})",

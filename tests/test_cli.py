@@ -74,19 +74,57 @@ def test_malformed_config_schema_diagnostic(tmp_path, capsys):
     assert "lambda_target" in err
 
 
+def _schottky(**params):
+    return {"system": {"kind": "schottky", "params": params}}
+
+
+def _perturbed(family, **params):
+    return {**SCHOTTKY_CONFIG, "perturbation": {"family": family, **params}}
+
+
+BAD_FIELDS = [
+    # (id, payload, field named in the error, command)
+    ("non-numeric-param", _schottky(multiplier="x"), "system.params.multiplier", "certify-shyp"),
+    ("section-not-an-object", {"codes": "abc"}, "codes", "certify-shyp"),
+    ("top-level-list", [FB_CONFIG], "top level", "certify-shyp"),
+    ("lambda_target", {"lambda_target": "fast"}, "lambda_target", "certify-shyp"),
+    ("net.depth", {"net": {"depth": "deep"}}, "net.depth", "certify-shyp"),
+    ("net.seed", {"net": {"seed": "s"}}, "net.seed", "certify-shyp"),
+    ("seed", {"seed": [7]}, "'seed'", "certify-shyp"),
+    ("codes.depth", {"codes": {"depth": "x"}}, "codes.depth", "certify-shyp"),
+    ("codes.depth-infinite", {"codes": {"depth": float("inf")}}, "codes.depth", "certify-shyp"),
+    ("codes.cap", {"codes": {"cap": None}}, "codes.cap", "certify-shyp"),
+    ("n_max", {"n_max": "eight"}, "n_max", "certify-shyp"),
+    ("max_chain", {"max_chain": {}}, "max_chain", "certify-shyp"),
+    ("prefix_depth", {"prefix_depth": "x"}, "prefix_depth", "coding-map"),
+    ("tolerances.tol", {"tolerances": {"tol": "tiny"}}, "tolerances.tol", "certify-shyp"),
+    ("tol", {"tol": "tiny"}, "'tol'", "certify-shyp"),
+    ("schottky-matrices", _schottky(matrices=[[["a", 0], [0, 1]]]),
+     "system.params.matrices", "certify-shyp"),
+    ("schottky-matrices-ragged", _schottky(matrices=[[[2, 0], [0]]]),
+     "system.params.matrices", "certify-shyp"),
+    ("perturbation.magnitude", _perturbed("matrix_jitter", magnitude="big"),
+     "perturbation.magnitude", "stability"),
+    ("perturbation.seed", _perturbed("matrix_jitter", seed="s"), "perturbation.seed", "stability"),
+    ("perturbation.center", _perturbed("bump_compose", center="c"),
+     "perturbation.center", "stability"),
+    ("perturbation.width", _perturbed("bump_compose", width=[1]),
+     "perturbation.width", "stability"),
+    ("perturbation.height", _perturbed("bump_compose", height="h"),
+     "perturbation.height", "stability"),
+    ("perturbation.t", _perturbed("translation_conjugate", t="t"), "perturbation.t", "stability"),
+]
+
+
 @pytest.mark.parametrize(
-    "payload, field",
-    [
-        ({"system": {"kind": "schottky", "params": {"multiplier": "x"}}}, "system.params.multiplier"),
-        ({"codes": "abc"}, "codes"),
-        ([FB_CONFIG], "top level"),
-    ],
-    ids=["non-numeric-param", "section-not-an-object", "top-level-list"],
+    "payload, field, command",
+    [case[1:] for case in BAD_FIELDS],
+    ids=[case[0] for case in BAD_FIELDS],
 )
-def test_bad_config_field_exits_2_naming_the_field(tmp_path, capsys, payload, field):
+def test_bad_config_field_exits_2_naming_the_field(tmp_path, capsys, payload, field, command):
     # an exception escaping main would print a traceback and exit 1
     cfg = write_config(tmp_path, "bad.json", payload)
-    assert run(["certify-shyp", "--config", cfg, "--out", tmp_path / "o"]) == 2
+    assert run([command, "--config", cfg, "--out", tmp_path / "o"]) == 2
     err = capsys.readouterr().err
     assert field in err
     assert not (tmp_path / "o").exists()

@@ -195,6 +195,18 @@ def test_injectivity_flags_collapsed_table(schottky_system, schottky_datum):
     assert "separated" in rep.expansivity_note
 
 
+def test_phi_of_repeated_point_keeps_first_entry(schottky_datum):
+    x, y, z = schottky_datum.net[:3]
+    table = ConjugacyTable(
+        entries=[TableEntry(x, y, 1, 0.0), TableEntry(x, z, 1, 0.0)],
+        extra={x: z, y: x},
+        displacement=0.0,
+    )
+    assert table.phi_of(x) == y  # net entries win, the first of a repeat wins
+    assert table.phi_of(y) == x
+    assert table.phi_of(z) is None
+
+
 def test_continuity_modulus_rows(schottky_system, schottky_datum):
     pm = zoo.perturb(schottky_system, zoo.MatrixJitter(3e-6, seed=7))
     ps = make_perturbed(schottky_system, schottky_datum, pm, 1)

@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from expaction import groups, zoo
 from expaction.geometry import TAU, circle_dist
@@ -183,6 +184,62 @@ def test_schottky_net_is_backward_stable(schottky_system):
 def test_schottky_inverse_consistency(schottky_system):
     samples = [schottky_system.space.random_point(RNG) for _ in range(1000)]
     assert validate_inverses(schottky_system, samples) <= 1e-9
+
+
+def word_by_word_net(system, depth: int) -> list:
+    """Reference: enumerate the reduced words, then evaluate each from scratch
+    (attracting angle of the last letter, the others applied right to left)."""
+    maps = system.letter_maps
+    chars = [(i, s) for i in range(len(system.meta["matrices"])) for s in (1, -1)]
+    words = [[ch] for ch in chars]
+    for _ in range(depth - 1):
+        words = [w + [ch] for w in words for ch in chars if ch != (w[-1][0], -w[-1][1])]
+    angles = []
+    for w in words:
+        theta = maps[w[-1]].fixed_angles()[0]
+        for letter in reversed(w[:-1]):
+            theta = maps[letter].apply_angle(theta)
+        angles.append(theta)
+    return angles
+
+
+def _rotated_boost(m: float, a: float) -> list:
+    c, s = math.cos(a), math.sin(a)
+    rot = np.array([[c, -s], [s, c]])
+    return (rot @ np.diag([m, 1.0 / m]) @ rot.T).tolist()
+
+
+# three boosts with axes 60 degrees apart: six disjoint isometric arcs
+RANK3_MATRICES = [_rotated_boost(4.0, a) for a in (0.0, math.pi / 6, math.pi / 3)]
+
+
+@settings(max_examples=40, derandomize=True, deadline=None)
+@given(m=st.floats(min_value=2.5, max_value=8.0), depth=st.integers(1, 7))
+def test_schottky_net_equals_word_by_word_reference(m, depth):
+    system = zoo.make_schottky(zoo.default_schottky_matrices(m))
+    assert [p.value for p in system.limit_net(depth)] == word_by_word_net(system, depth)
+
+
+@settings(max_examples=7, derandomize=True, deadline=None)
+@given(depth=st.integers(1, 7))
+def test_rank3_schottky_net_equals_word_by_word_reference(depth):
+    system = zoo.make_schottky(RANK3_MATRICES)
+    assert [p.value for p in system.limit_net(depth)] == word_by_word_net(system, depth)
+
+
+def test_schottky_attracting_angles_computed_once_per_letter(monkeypatch):
+    calls = []
+    original = MoebiusMap.fixed_angles
+
+    def counted(self):
+        calls.append(self)
+        return original(self)
+
+    monkeypatch.setattr(MoebiusMap, "fixed_angles", counted)
+    system = zoo.make_schottky()
+    assert len(calls) == 2 * 2  # one per signed letter of the rank-2 group
+    assert len(system.limit_net(9)) == 4 * 3**8
+    assert len(calls) == 4
 
 
 # ---------------------------------------------------------------------------
