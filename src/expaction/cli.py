@@ -26,7 +26,7 @@ class ConfigError(ValueError):
     """Config validation failure, carrying the offending field path."""
 
     def __init__(self, path: str, message: str):
-        self.path = path
+        self.path, self.message = path, message
         super().__init__(f"config field {path!r}: {message}")
 
 
@@ -63,8 +63,10 @@ class ExperimentConfig:
                 raise ConfigError(key, "must be an object")
         system = raw.get("system", {})
         cfg.system_kind = system.get("kind", cfg.system_kind)
-        if cfg.system_kind not in zoo.ZOO_KINDS:
+        if not isinstance(cfg.system_kind, str) or cfg.system_kind not in zoo.ZOO_KINDS:
             raise ConfigError("system.kind", f"unknown kind {cfg.system_kind!r}")
+        if not isinstance(system.get("params", {}), dict):
+            raise ConfigError("system.params", "must be an object")
         cfg.system_params = dict(system.get("params", {}))
         if "lambda_target" in raw:
             cfg.lambda_target = _number("lambda_target", raw["lambda_target"])
@@ -141,10 +143,23 @@ def build_system(cfg: ExperimentConfig, path: str = "system.params") -> zoo.Acti
         return zoo.make_free_boundary(number("rank", 2, int), number("a", 2.0))
     if kind == "zn_projective":
         diagonals = p.get("diagonals", [[9.0, 1.0, 3.0], [9.0, 3.0, 1.0]])
-        return zoo.make_zn_projective(diagonals)
+        if not (
+            isinstance(diagonals, list)
+            and diagonals
+            and all(isinstance(d, list) for d in diagonals)
+        ):
+            raise ConfigError(f"{path}.diagonals", "must be a nonempty list of lists of numbers")
+        return zoo.make_zn_projective(
+            [[_number(f"{path}.diagonals", x) for x in d] for d in diagonals]
+        )
     if kind == "product":
-        sub = dict(p.get("component", {"kind": "free_boundary", "params": {}}))
-        sub_cfg = ExperimentConfig.from_dict({"system": sub})
+        sub = p.get("component", {"kind": "free_boundary", "params": {}})
+        if not isinstance(sub, dict):
+            raise ConfigError(f"{path}.component", "must be an object")
+        try:
+            sub_cfg = ExperimentConfig.from_dict({"system": sub})
+        except ConfigError as err:  # name the field inside the component
+            raise ConfigError(err.path.replace("system", f"{path}.component", 1), err.message) from None
         comp = build_system(sub_cfg, f"{path}.component.params")
         return zoo.make_product(comp, comp, bool(p.get("with_swap", False)))
     raise ConfigError("system.kind", f"unknown kind {kind!r}")

@@ -10,7 +10,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
-from typing import Optional, Sequence
+from itertools import islice
+from typing import Iterator, Optional, Sequence
 
 import numpy as np
 
@@ -141,8 +142,6 @@ class ActionView:
         if len(letters) > 1 and all(
             isinstance(self.perturbed.letter_maps[l], zoo.MoebiusMap) for l in set(letters)
         ):
-            import numpy as np
-
             mat = np.eye(2)
             for l in letters:
                 mat = mat @ self.perturbed.letter_maps[l].np_matrix
@@ -150,22 +149,20 @@ class ActionView:
                 if scale > 1e100:
                     mat = mat / scale
             return self.space.point(zoo.MoebiusMap.apply_matrix_angle(mat, x.value))
-        for letter in reversed(letters):
-            x = self.apply_letter(letter, x)
-        return x
+        return self.apply_letters(letters, x)
+
+    def apply_letters(self, letters: Sequence, x: Point) -> Point:
+        """Image of x under the word spelled by `letters`, one letter at a
+        time (the last letter acts first)."""
+        if self.perturbed is None:
+            for letter in reversed(letters):
+                x = self.system.apply_letter(letter, x)
+            return x
+        maps = self.perturbed.letter_maps
+        return self.space.apply_maps([maps[letter] for letter in reversed(letters)], x)
 
     def letters(self) -> list:
-        out = []
-        for i in range(self.alphabet.rank):
-            if (
-                self.alphabet.kind == groups.PRODUCT_SWAP
-                and self.alphabet.has_swap
-                and i == self.alphabet.rank - 1
-            ):
-                out.append((i, 1))
-            else:
-                out.extend([(i, 1), (i, -1)])
-        return out
+        return self.alphabet.signed_letters()
 
 
 # ---------------------------------------------------------------------------
@@ -513,20 +510,26 @@ class VerificationReport:
         return "\n".join(lines)
 
 
+def strided_pairs(n: int, stride: int) -> Iterator[tuple]:
+    """Every stride-th index pair (i, j), i < j < n, of the row-major
+    enumeration of all pairs, starting with the first, visited directly."""
+    start = 0  # column offset of the row's first sampled pair
+    for i in range(n - 1):
+        row = n - 1 - i
+        for j in range(i + 1 + start, n, stride):
+            yield i, j
+        start = (start - row) % stride
+
+
 def _sample_pairs(points: list, count: int) -> list:
-    pts = points
-    n = len(pts)
+    n = len(points)
     if n < 2:
         return []
-    pairs = []
     stride = max(1, (n * (n - 1) // 2) // max(count, 1))
-    k = 0
-    for i in range(n):
-        for j in range(i + 1, n):
-            if k % stride == 0:
-                pairs.append((pts[i], pts[j]))
-            k += 1
-    return pairs[: max(count, 1)]
+    return [
+        (points[i], points[j])
+        for i, j in islice(strided_pairs(n, stride), max(count, 1))
+    ]
 
 
 def verify_expansion(

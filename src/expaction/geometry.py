@@ -16,8 +16,12 @@ that the open r-ball at x is contained in the region.
 from __future__ import annotations
 
 import math
+from bisect import bisect_left
 from dataclasses import dataclass
-from typing import Any, Iterable, Sequence
+from functools import cached_property
+from typing import Any, Callable, Iterable, Sequence
+
+import numpy as np
 
 TAU = 2.0 * math.pi
 DEFAULT_TOL = 1e-9
@@ -98,6 +102,30 @@ class Space:
     def random_point(self, rng) -> Point:
         raise NotImplementedError
 
+    def apply_maps(self, maps: Sequence, x: Point) -> Point:
+        """Image of x under self-maps of a perturbed action, maps[0] acting
+        first; perturbed maps exist on circles and projective spaces."""
+        raise TypeError(f"perturbations unsupported on {self.kind}")
+
+    def distance_to_net(self, net: Sequence[Point]) -> Callable[[Point], float]:
+        """Function giving the distance from a point to the nearest point of
+        a finite nonempty net."""
+        net = tuple(net)
+        return lambda x: min(distance(self, x, p) for p in net)
+
+    def lebesgue_number(self, regions: Sequence["Region"], net: Sequence[Point]) -> tuple:
+        """See `lebesgue_number`: the worst best margin over the net."""
+        worst, witness = math.inf, None
+        for x in net:
+            best = max((reg.margin(x) for reg in regions), default=-math.inf)
+            if best < worst:
+                worst, witness = best, x
+        return worst, witness
+
+
+# nets longer than this are evaluated in array chunks of this many angles
+LEBESGUE_CHUNK = 4096
+
 
 @dataclass(frozen=True)
 class Circle(Space):
@@ -118,6 +146,59 @@ class Circle(Space):
 
     def random_point(self, rng) -> Point:
         return self.point(rng.uniform(0.0, TAU))
+
+    def apply_maps(self, maps: Sequence, x: Point) -> Point:
+        # circle maps return wrapped angles and wrap_angle fixes those, so
+        # one wrap at the end gives the letter-by-letter floats
+        t = x.value
+        for m in maps:
+            t = m.apply_angle(t)
+        return self.point(t)
+
+    def distance_to_net(self, net: Sequence[Point]) -> Callable[[Point], float]:
+        # On [0, TAU) the correctly rounded |x - a| grows with a on each side
+        # of x and TAU - |x - a| falls, so the nearest net point is the
+        # successor or the predecessor of x or one of the two extreme angles:
+        # the min over these four is the min of the full scan, float for float.
+        for p in net:
+            if p.space != self:
+                raise SpaceMismatchError(f"net point tagged {p.space.kind} on {self.kind}")
+        angles = sorted(p.value for p in net)
+        if not angles:
+            return super().distance_to_net(net)
+        first, last, n = angles[0], angles[-1], len(angles)
+
+        def near(x: Point) -> float:
+            if x.space != self:
+                raise SpaceMismatchError(f"point tagged {x.space.kind} on {self.kind}")
+            t = x.value
+            i = bisect_left(angles, t)
+            d = min(circle_dist(t, first), circle_dist(t, last))
+            if i < n:
+                d = min(d, circle_dist(t, angles[i]))
+            if i > 0:
+                d = min(d, circle_dist(t, angles[i - 1]))
+            return d
+
+        return near
+
+    def lebesgue_number(self, regions: Sequence["Region"], net: Sequence[Point]) -> tuple:
+        # arcs and empty regions have array margins: take the running max
+        # over the regions and the first argmin chunk by chunk, which picks
+        # the same value and witness as the scalar loop
+        if not regions or not all(hasattr(reg, "margin_array") for reg in regions):
+            return super().lebesgue_number(regions, net)
+        worst, witness = math.inf, None
+        for start in range(0, len(net), LEBESGUE_CHUNK):
+            chunk = net[start : start + LEBESGUE_CHUNK]
+            thetas = np.fromiter((x.value for x in chunk), dtype=float, count=len(chunk))
+            best = regions[0].margin_array(thetas)
+            for reg in regions[1:]:
+                best = np.maximum(best, reg.margin_array(thetas))
+            i = int(np.argmin(best))
+            if best[i] < worst:
+                worst, witness = float(best[i]), chunk[i]
+        return worst, witness
 
 
 @dataclass(frozen=True)
@@ -168,6 +249,11 @@ class ProjectiveSpace(Space):
 
     def random_point(self, rng) -> Point:
         return self.point([rng.normal() for _ in range(self.n + 1)])
+
+    def apply_maps(self, maps: Sequence, x: Point) -> Point:
+        for m in maps:
+            x = self.point(m.apply_vec(x.value))
+        return x
 
 
 @dataclass(frozen=True)
@@ -332,6 +418,11 @@ class ArcRegion(Region):
     def base_margin(self, x: Point) -> float:
         return self.half_width - circle_dist(x.value, self.center)
 
+    def margin_array(self, thetas: np.ndarray) -> np.ndarray:
+        """margin() at each angle of the array, with the same float operations."""
+        d = np.abs(thetas - self.center) % TAU
+        return (self.half_width - np.minimum(d, TAU - d)) - self.offset
+
     @property
     def peak(self) -> float:
         return self.half_width - self.offset
@@ -422,6 +513,9 @@ class EmptyRegion(Region):
     def base_margin(self, x: Point) -> float:
         return -self.space.diameter
 
+    def margin_array(self, thetas: np.ndarray) -> np.ndarray:
+        return np.full(len(thetas), -self.space.diameter - self.offset)
+
     @property
     def peak(self) -> float:
         return -self.space.diameter - self.offset
@@ -469,9 +563,12 @@ class ClippedRegion(Region):
     net: tuple = ()
     radius: float = 0.0
 
+    @cached_property
+    def _distance_to_net(self) -> Callable[[Point], float]:
+        return self.space.distance_to_net(self.net)
+
     def base_margin(self, x: Point) -> float:
-        near = min(distance(self.space, x, p) for p in self.net)
-        return min(self.inner.margin(x), self.radius - near)
+        return min(self.inner.margin(x), self.radius - self._distance_to_net(x))
 
     @property
     def peak(self) -> float:
@@ -511,12 +608,10 @@ def hausdorff_distance(space: Space, A: Iterable[Point], B: Iterable[Point]) -> 
 def lebesgue_number(regions: Sequence[Region], net: Sequence[Point]) -> tuple[float, Point | None]:
     """Margin-certified Lebesgue number of a cover over a finite net.
 
-    Returns (value, witness) where witness is a worst point; value <= 0 means
-    some net point is not certified inside any region.
+    Returns (value, witness) where witness is a worst point (the first one
+    on ties); value <= 0 means some net point is not certified inside any
+    region.  The net's space evaluates it.
     """
-    worst, witness = math.inf, None
-    for x in net:
-        best = max((reg.margin(x) for reg in regions), default=-math.inf)
-        if best < worst:
-            worst, witness = best, x
-    return worst, witness
+    if not net:
+        return math.inf, None
+    return net[0].space.lebesgue_number(regions, net)

@@ -110,16 +110,19 @@ class Alphabet:
             return Word(self, (self.parts[0].identity(), self.parts[1].generator(index - n1, sign), 0))
         raise ValueError(self.kind)
 
+    def signed_letters(self) -> list:
+        """(index, sign) of every generator and inverse, in generator order;
+        the swap is its own inverse."""
+        out = []
+        for i in range(self.rank):
+            out.append((i, 1))
+            if not (self.has_swap and i == self.rank - 1):
+                out.append((i, -1))
+        return out
+
     def symmetric_generators(self) -> list:
         """All generators and inverses (the swap is its own inverse)."""
-        gens = []
-        for i in range(self.rank):
-            if self.kind == PRODUCT_SWAP and self.has_swap and i == self.rank - 1:
-                gens.append(self.generator(i, 1))
-            else:
-                gens.append(self.generator(i, 1))
-                gens.append(self.generator(i, -1))
-        return gens
+        return [self.generator(i, s) for i, s in self.signed_letters()]
 
 
 def _common_prefix_len(a: Sequence, b: Sequence) -> int:

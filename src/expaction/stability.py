@@ -15,8 +15,18 @@ import math
 from dataclasses import dataclass, field
 from typing import Callable, Mapping, Optional, Sequence
 
+import numpy as np
+
 from . import groups
-from .coding import CodingError, _greedy_entry, expansivity_witness
+from .coding import (
+    CodingError,
+    _greedy_entry,
+    _set_diameter,
+    _step,
+    ball_net,
+    expansivity_witness,
+    greedy_step,
+)
 from .expansion import (
     SAFETY,
     ActionView,
@@ -24,9 +34,10 @@ from .expansion import (
     ExpansionDatum,
     UncoverableError,
     neighborhood_samples,
+    strided_pairs,
 )
 from .geometry import ClippedRegion, Point, lebesgue_number
-from .zoo import ActionSystem, PerturbedMaps
+from .zoo import ActionSystem, MoebiusMap, PerturbedMaps
 
 
 class AdmissibilityError(ValueError):
@@ -69,21 +80,15 @@ def lipschitz_distance(
         space.raw_distance(p.value, q.value) for p, q in zip(imgs_a, imgs_b)
     )
     n = len(net)
-    total = n * (n - 1) // 2
-    stride = max(1, total // max_pairs)
-    sup_quot, k = 0.0, 0
-    for i in range(n):
-        for j in range(i + 1, n):
-            if k % stride:
-                k += 1
-                continue
-            k += 1
-            d0 = space.raw_distance(net[i].value, net[j].value)
-            if d0 < 1e-13:
-                continue
-            qa = space.raw_distance(imgs_a[i].value, imgs_a[j].value) / d0
-            qb = space.raw_distance(imgs_b[i].value, imgs_b[j].value) / d0
-            sup_quot = max(sup_quot, abs(qa - qb))
+    stride = max(1, (n * (n - 1) // 2) // max_pairs)
+    sup_quot = 0.0
+    for i, j in strided_pairs(n, stride):
+        d0 = space.raw_distance(net[i].value, net[j].value)
+        if d0 < 1e-13:
+            continue
+        qa = space.raw_distance(imgs_a[i].value, imgs_a[j].value) / d0
+        qb = space.raw_distance(imgs_b[i].value, imgs_b[j].value) / d0
+        sup_quot = max(sup_quot, abs(qa - qb))
     return sup_disp + sup_quot
 
 
@@ -169,11 +174,6 @@ def conjugacy_point(
     orbit loses float accuracy at exactly the measured rate, so stopping on
     the measurement always resolves phi before the orbit degrades.
     """
-    import numpy as np
-
-    from . import zoo as _zoo
-    from .coding import _set_diameter, greedy_step
-
     ps.require_admissible()
     datum, space = ps.datum, ps.base.space
     base_view, pert_view = ps.base_view(), ps.view()
@@ -181,24 +181,19 @@ def conjugacy_point(
     lam_p, lip_p = datum.lam - eps, datum.lip + eps
     delta = datum.delta
 
-    all_moebius = all(
-        isinstance(m, _zoo.MoebiusMap) for m in ps.maps.letter_maps.values()
-    )
+    all_moebius = all(isinstance(m, MoebiusMap) for m in ps.maps.letter_maps.values())
     mat = np.eye(2) if all_moebius else None
+    letters = []  # the code's symbols spelled out, first symbol first
+
+    def push(q: Point) -> Point:
+        if mat is not None:
+            return space.point(MoebiusMap.apply_matrix_angle(mat, q.value))
+        return pert_view.apply_letters(letters, q)
+
     point = x
-    symbols = []
     z_prev = None
     for i in range(max_depth):
         e, point = greedy_step(datum, base_view, point, delta)
-
-        def push(q: Point):
-            if mat is not None:
-                return space.point(_zoo.MoebiusMap.apply_matrix_angle(mat, q.value))
-            out = q
-            for sym in reversed(symbols):
-                out = pert_view.apply_word(sym, out)
-            return out
-
         if mat is not None:
             for letter in groups.letters_of(e.symbol):
                 mat = mat @ ps.maps.letter_maps[letter].np_matrix
@@ -206,10 +201,8 @@ def conjugacy_point(
             if scale > 1e100:
                 mat = mat / scale
         else:
-            symbols.append(e.symbol)
+            letters.extend(groups.letters_of(e.symbol))
         z = push(point)
-        from .coding import ball_net
-
         probes = [push(q) for q in ball_net(space, point, delta, 6)]
         diam = _set_diameter(space, probes)
         bound = 2.0 * delta * lip_p / lam_p**i
@@ -372,8 +365,6 @@ def check_displacement(table: ConjugacyTable, ps: PerturbedSystem) -> Displaceme
 def check_code_independence(ps: PerturbedSystem, x: Point, tol: float = 1e-9) -> float:
     """phi(x) recomputed from an alternative (non-greedy) initial code; the
     two limits must agree within 2*tol."""
-    from .coding import _step, greedy_step
-
     phi_a, _ = conjugacy_point(ps, x, tol)
     datum = ps.datum
     base_view, pert_view = ps.base_view(), ps.view()

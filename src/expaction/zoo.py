@@ -847,12 +847,7 @@ class PerturbedMaps:
     letter_maps: Mapping[Letter, object]
 
     def apply_letter(self, system: ActionSystem, letter: Letter, x: Point) -> Point:
-        m = self.letter_maps[letter]
-        if isinstance(system.space, (Circle, CoveredCircle)):
-            return system.space.point(m.apply_angle(x.value))
-        if isinstance(system.space, ProjectiveSpace):
-            return system.space.point(m.apply_vec(x.value))
-        raise TypeError(f"perturbations unsupported on {system.space.kind}")
+        return system.space.apply_maps((self.letter_maps[letter],), x)
 
 
 def perturb(system: ActionSystem, family) -> PerturbedMaps:

@@ -74,8 +74,12 @@ def test_malformed_config_schema_diagnostic(tmp_path, capsys):
     assert "lambda_target" in err
 
 
+def _system(kind, **params):
+    return {"system": {"kind": kind, "params": params}}
+
+
 def _schottky(**params):
-    return {"system": {"kind": "schottky", "params": params}}
+    return _system("schottky", **params)
 
 
 def _perturbed(family, **params):
@@ -113,6 +117,22 @@ BAD_FIELDS = [
     ("perturbation.height", _perturbed("bump_compose", height="h"),
      "perturbation.height", "stability"),
     ("perturbation.t", _perturbed("translation_conjugate", t="t"), "perturbation.t", "stability"),
+    ("zn-diagonals-non-numeric", _system("zn_projective", diagonals=[["a", 1, 3], [9, 3, 1]]),
+     "system.params.diagonals", "certify-shyp"),
+    ("zn-diagonals-not-nested", _system("zn_projective", diagonals=3),
+     "system.params.diagonals", "certify-shyp"),
+    ("zn-diagonals-empty", _system("zn_projective", diagonals=[]),
+     "system.params.diagonals", "certify-shyp"),
+    ("params-not-an-object", {"system": {"kind": "schottky", "params": 5}},
+     "'system.params'", "certify-shyp"),
+    ("product-component-not-an-object", _system("product", component=5),
+     "'system.params.component'", "certify-shyp"),
+    ("kind-not-a-string", {"system": {"kind": ["schottky"]}}, "'system.kind'", "certify-shyp"),
+    ("product-component-kind", _system("product", component={"kind": "bogus"}),
+     "'system.params.component.kind'", "certify-shyp"),
+    ("product-component-params-not-an-object",
+     _system("product", component={"kind": "free_boundary", "params": [1]}),
+     "'system.params.component.params'", "certify-shyp"),
 ]
 
 

@@ -1,0 +1,305 @@
+"""Exact fast paths against the slow loops they replace.
+
+Each reference below is the loop the fast path replaced, kept here so the
+fast path has an independent oracle; every comparison is exact (==, bit
+patterns or object identity), never approximate.
+"""
+import math
+
+import numpy as np
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from expaction import groups, zoo
+from expaction.expansion import ActionView, _sample_pairs, strided_pairs
+from expaction.geometry import (
+    LEBESGUE_CHUNK,
+    TAU,
+    ArcRegion,
+    Circle,
+    ClippedRegion,
+    CoveredCircle,
+    EmptyRegion,
+    Point,
+    SpaceMismatchError,
+    distance,
+    lebesgue_number,
+)
+from expaction.stability import lipschitz_distance
+
+CIRCLES = [Circle(), CoveredCircle(degree=3)]
+# angles that wrap to the ends of [0, TAU) and to exact ties
+EDGE_ANGLES = [0.0, -0.0, 5e-324, 1e-15, math.pi, TAU, -1e-300, -1e-15,
+               math.nextafter(TAU, 0.0), TAU - 1e-15]
+ANGLES = st.one_of(st.floats(-1.0, TAU + 1.0), st.sampled_from(EDGE_ANGLES))
+
+
+def _scan_nearest(space, x, net):
+    return min(distance(space, x, p) for p in net)
+
+
+@settings(max_examples=300, derandomize=True, deadline=None)
+@given(
+    space=st.sampled_from(CIRCLES),
+    values=st.lists(ANGLES, min_size=1, max_size=30),
+    repeats=st.integers(0, 5),
+    queries=st.lists(ANGLES, min_size=1, max_size=20),
+)
+def test_circle_nearest_net_point_equals_linear_scan(space, values, repeats, queries):
+    net = [space.point(v) for v in values]
+    net += net[:repeats]  # duplicate net angles
+    near = space.distance_to_net(net)
+    for q in queries + values:
+        x = space.point(q)
+        assert near(x) == _scan_nearest(space, x, net)
+
+
+@settings(max_examples=100, derandomize=True, deadline=None)
+@given(
+    space=st.sampled_from(CIRCLES),
+    values=st.lists(ANGLES, min_size=1, max_size=30),
+    center=ANGLES,
+    half_width=st.floats(1e-6, math.pi),
+    radius=st.floats(1e-6, 1.0),
+    shrink=st.floats(0.0, 0.5),
+    queries=st.lists(ANGLES, min_size=1, max_size=20),
+)
+def test_clipped_margin_equals_linear_scan(
+    space, values, center, half_width, radius, shrink, queries
+):
+    net = tuple(space.point(v) for v in values)
+    inner = ArcRegion(space=space, center=space.point(center).value, half_width=half_width)
+    region = ClippedRegion(space=space, inner=inner, net=net, radius=radius)
+    if shrink:
+        region = region.shrunk(shrink)
+    for q in queries:
+        x = space.point(q)
+        expected = min(inner.margin(x), radius - _scan_nearest(space, x, net)) - region.offset
+        assert region.margin(x) == expected
+
+
+def _scalar_lebesgue(regions, net):
+    worst, witness = math.inf, None
+    for x in net:
+        best = max((reg.margin(x) for reg in regions), default=-math.inf)
+        if best < worst:
+            worst, witness = best, x
+    return worst, witness
+
+
+@st.composite
+def _circle_cover(draw):
+    space = draw(st.sampled_from(CIRCLES))
+    regions = []
+    for k in range(draw(st.integers(1, 6))):
+        if draw(st.integers(0, 4)) == 0:
+            region = EmptyRegion(label=k, space=space)
+        else:
+            region = ArcRegion(
+                label=k,
+                space=space,
+                center=space.point(draw(ANGLES)).value,
+                half_width=draw(st.floats(1e-6, math.pi)),
+            )
+        shrink = draw(st.floats(0.0, 0.3))
+        regions.append(region.shrunk(shrink) if shrink else region)
+    return space, regions
+
+
+@settings(max_examples=30, derandomize=True, deadline=None)
+@given(
+    cover=_circle_cover(),
+    seed=st.integers(0, 2**32 - 1),
+    size=st.integers(LEBESGUE_CHUNK + 1, 2 * LEBESGUE_CHUNK + 50),
+    grid=st.booleans(),
+)
+def test_chunked_lebesgue_number_equals_scalar_loop(cover, seed, size, grid):
+    space, regions = cover
+    rng = np.random.default_rng(seed)
+    if grid:  # few distinct angles: ties within and across chunks
+        values = rng.integers(0, 16, size) * (TAU / 16)
+    else:
+        values = rng.uniform(0.0, TAU, size)
+    # equal points as distinct objects, so the witness is told apart by identity
+    net = [Point(space, space.normalize(v)) for v in values]
+    value, witness = lebesgue_number(regions, net)
+    ref_value, ref_witness = _scalar_lebesgue(regions, net)
+    assert type(value) is float
+    assert value == ref_value
+    assert witness is ref_witness
+
+
+def test_chunked_lebesgue_number_keeps_first_tied_witness_across_chunks():
+    space = Circle()
+    regions = [ArcRegion(space=space, center=1.0, half_width=0.5)]
+    inside = space.point(1.0)
+    first, second = Point(space, 4.0), Point(space, 4.0)  # equal worst points
+    net = [inside] * (LEBESGUE_CHUNK - 1) + [first] + [inside] * 5 + [second]
+    value, witness = lebesgue_number(regions, net)
+    assert (value, witness) == _scalar_lebesgue(regions, net)
+    assert witness is first
+
+
+def test_lebesgue_number_without_array_margins_takes_the_scalar_loop():
+    space = Circle()
+    net = tuple(space.point(v) for v in np.linspace(0.0, 6.0, 50))
+    clipped = ClippedRegion(
+        space=space, inner=ArcRegion(space=space, center=2.0, half_width=1.0),
+        net=net[:10], radius=0.3,
+    )
+    regions = [clipped, ArcRegion(space=space, center=5.0, half_width=1.5)]
+    value, witness = lebesgue_number(regions, net)
+    ref_value, ref_witness = _scalar_lebesgue(regions, net)
+    assert value == ref_value and witness is ref_witness
+    assert lebesgue_number(regions, []) == (math.inf, None)
+
+
+# ---------------------------------------------------------------------------
+# sampled pairs
+
+
+def _all_pairs_strided(n, stride):
+    k, out = 0, []
+    for i in range(n):
+        for j in range(i + 1, n):
+            if k % stride == 0:
+                out.append((i, j))
+            k += 1
+    return out
+
+
+@settings(max_examples=300, derandomize=True, deadline=None)
+@given(n=st.integers(0, 60), stride=st.integers(1, 2000))
+def test_strided_pairs_equal_the_all_pairs_enumeration(n, stride):
+    assert list(strided_pairs(n, stride)) == _all_pairs_strided(n, stride)
+
+
+def _old_sample_pairs(points, count):
+    n = len(points)
+    if n < 2:
+        return []
+    stride = max(1, (n * (n - 1) // 2) // max(count, 1))
+    pairs = [(points[i], points[j]) for i, j in _all_pairs_strided(n, stride)]
+    return pairs[: max(count, 1)]
+
+
+@settings(max_examples=100, derandomize=True, deadline=None)
+@given(n=st.integers(0, 80), count=st.integers(0, 500))
+def test_sample_pairs_equal_the_all_pairs_enumeration(n, count):
+    points = list(range(n))
+    assert _sample_pairs(points, count) == _old_sample_pairs(points, count)
+
+
+def _old_lipschitz_distance(space, map_a, map_b, net, max_pairs=10000):
+    # the all-pairs walk that lipschitz_distance replaced
+    net = list(net)
+    imgs_a = [map_a(x) for x in net]
+    imgs_b = [map_b(x) for x in net]
+    sup_disp = max(space.raw_distance(p.value, q.value) for p, q in zip(imgs_a, imgs_b))
+    n = len(net)
+    total = n * (n - 1) // 2
+    stride = max(1, total // max_pairs)
+    sup_quot, k = 0.0, 0
+    for i in range(n):
+        for j in range(i + 1, n):
+            if k % stride:
+                k += 1
+                continue
+            k += 1
+            d0 = space.raw_distance(net[i].value, net[j].value)
+            if d0 < 1e-13:
+                continue
+            qa = space.raw_distance(imgs_a[i].value, imgs_a[j].value) / d0
+            qb = space.raw_distance(imgs_b[i].value, imgs_b[j].value) / d0
+            sup_quot = max(sup_quot, abs(qa - qb))
+    return sup_disp + sup_quot
+
+
+@settings(max_examples=60, derandomize=True, deadline=None)
+@given(
+    values=st.lists(ANGLES, min_size=2, max_size=150),
+    max_pairs=st.integers(1, 3000),
+    m=st.floats(1.05, 4.0),
+)
+def test_lipschitz_distance_equals_all_pairs_walk(values, max_pairs, m):
+    space = Circle()
+    net = [space.point(v) for v in values]
+    base = zoo.MoebiusMap.from_matrix([[m, 0.0], [0.0, 1.0 / m]])
+    bumped = zoo.CirclePostComposeMap(base, zoo.BumpDiffeo(1.0, 0.6, 0.05))
+
+    def map_a(x):
+        return space.point(base.apply_angle(x.value))
+
+    def map_b(x):
+        return space.point(bumped.apply_angle(x.value))
+
+    assert lipschitz_distance(space, map_a, map_b, net, max_pairs) == _old_lipschitz_distance(
+        space, map_a, map_b, net, max_pairs
+    )
+
+
+# ---------------------------------------------------------------------------
+# perturbed pushes
+
+
+def _bump_view():
+    system = zoo.make_schottky()
+    return ActionView(system, zoo.perturb(system, zoo.BumpCompose(1.0, 0.6, 5e-3)))
+
+
+def _lifted_jitter_view():
+    system = zoo.make_covered_cyclic(zoo.make_cyclic_hyperbolic(2.0), 3)
+    return ActionView(system, zoo.perturb(system, zoo.MatrixJitter(0.05, seed=3)))
+
+
+VIEWS = {"bump_compose": _bump_view(), "lifted_jitter": _lifted_jitter_view()}
+
+
+def _per_letter_points(view, letters, x):
+    # one Point per letter, as the letter-by-letter path built them
+    for letter in reversed(letters):
+        m = view.perturbed.letter_maps[letter]
+        x = view.space.point(m.apply_angle(x.value))
+    return x
+
+
+@settings(max_examples=200, derandomize=True, deadline=None)
+@given(
+    name=st.sampled_from(sorted(VIEWS)),
+    picks=st.lists(st.integers(0, 3), max_size=40),
+    theta=ANGLES,
+)
+def test_apply_letters_equals_per_letter_points(name, picks, theta):
+    view = VIEWS[name]
+    alphabet = view.letters()
+    letters = [alphabet[k % len(alphabet)] for k in picks]
+    x = view.space.point(theta)
+    fast = view.apply_letters(letters, x)
+    slow = _per_letter_points(view, letters, x)
+    assert fast.space == slow.space
+    assert fast.value.hex() == slow.value.hex()
+
+
+def test_apply_letters_on_projective_points_renormalizes_per_letter(zn_system):
+    view = ActionView(zn_system, zoo.perturb(zn_system, zoo.MatrixJitter(1e-3, seed=5)))
+    letters = [(0, 1), (1, -1), (0, 1), (1, 1), (0, -1)]
+    x = zn_system.space.point((0.3, -0.5, 0.8))
+    slow = x
+    for letter in reversed(letters):
+        m = view.perturbed.letter_maps[letter]
+        slow = zn_system.space.point(m.apply_vec(slow.value))
+    assert view.apply_letters(letters, x) == slow
+
+
+def test_apply_word_takes_the_letter_by_letter_path():
+    view = VIEWS["bump_compose"]
+    a, b = view.alphabet.generator(0, 1), view.alphabet.generator(1, -1)
+    g = groups.multiply(groups.multiply(a, b), groups.multiply(a, a))
+    x = view.space.point(0.4)
+    assert view.apply_word(g, x) == _per_letter_points(view, groups.letters_of(g), x)
+
+
+def test_circle_nearest_rejects_foreign_points():
+    near = Circle().distance_to_net([Circle().point(1.0)])
+    with pytest.raises(SpaceMismatchError):
+        near(CoveredCircle(degree=2).point(1.0))

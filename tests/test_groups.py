@@ -173,3 +173,13 @@ def test_parse_round_trip():
     for text in ("a", "ab", "aBab", "e"):
         assert to_str(parse(F2, text)) == text
     assert parse(CY, "g^-3").data == -3
+
+
+@pytest.mark.parametrize("with_swap", [False, True])
+def test_signed_letters_spell_the_symmetric_generators(with_swap):
+    P = Alphabet.product(F2, Z2, with_swap)
+    letters = P.signed_letters()
+    assert [P.generator(i, s) for i, s in letters] == P.symmetric_generators()
+    expected = [(i, s) for i in range(4) for s in (1, -1)] + [(4, 1)] * with_swap
+    assert letters == expected
+    assert F2.signed_letters() == [(0, 1), (0, -1), (1, 1), (1, -1)]
