@@ -17,7 +17,7 @@ from pathlib import Path
 import numpy as np
 
 from . import coding, expansion, stability, zoo
-from .geometry import Circle, CoveredCircle
+from .geometry import Circle
 
 SCHEMA_VERSION = 1
 
@@ -35,6 +35,20 @@ def _number(path: str, value, convert=float):
         return convert(value)
     except (TypeError, ValueError, OverflowError):
         raise ConfigError(path, f"must be a number, not {value!r}") from None
+
+
+def _seed(path: str, value) -> int:
+    seed = _number(path, value, int)
+    if seed < 0:
+        raise ConfigError(path, "must be >= 0")
+    return seed
+
+
+def _boolean(path: str, value) -> bool:
+    # bool("no") is True, so only JSON true and false are accepted
+    if not isinstance(value, bool):
+        raise ConfigError(path, f"must be true or false, not {value!r}")
+    return value
 
 
 @dataclass
@@ -78,9 +92,9 @@ class ExperimentConfig:
             if cfg.net_depth < 1:
                 raise ConfigError("net.depth", "must be >= 1")
         if "seed" in net:
-            cfg.seed = _number("net.seed", net["seed"], int)
+            cfg.seed = _seed("net.seed", net["seed"])
         elif "seed" in raw:
-            cfg.seed = _number("seed", raw["seed"], int)
+            cfg.seed = _seed("seed", raw["seed"])
         codes = raw.get("codes", {})
         cfg.code_depth = _number("codes.depth", codes.get("depth", cfg.code_depth), int)
         cfg.code_cap = _number("codes.cap", codes.get("cap", cfg.code_cap), int)
@@ -161,7 +175,7 @@ def build_system(cfg: ExperimentConfig, path: str = "system.params") -> zoo.Acti
         except ConfigError as err:  # name the field inside the component
             raise ConfigError(err.path.replace("system", f"{path}.component", 1), err.message) from None
         comp = build_system(sub_cfg, f"{path}.component.params")
-        return zoo.make_product(comp, comp, bool(p.get("with_swap", False)))
+        return zoo.make_product(comp, comp, _boolean(f"{path}.with_swap", p.get("with_swap", False)))
     raise ConfigError("system.kind", f"unknown kind {kind!r}")
 
 
@@ -177,8 +191,8 @@ def build_perturbation(cfg: ExperimentConfig, system: zoo.ActionSystem):
             system,
             zoo.MatrixJitter(
                 magnitude=number("magnitude", 0.0),
-                seed=number("seed", cfg.seed, int),
-                diagonal_only=bool(p.get("diagonal_only", False)),
+                seed=_seed("perturbation.seed", p.get("seed", cfg.seed)),
+                diagonal_only=_boolean("perturbation.diagonal_only", p.get("diagonal_only", False)),
             ),
         )
     if family == "bump_compose":
@@ -254,12 +268,6 @@ def write_circle_svg(
     path.write_text("\n".join(parts) + "\n")
 
 
-def _circle_angles(system, pts) -> list:
-    if isinstance(system.space, (Circle, CoveredCircle)):
-        return [p.value for p in pts]
-    return []
-
-
 def _datum_summary(datum: expansion.ExpansionDatum) -> dict:
     return {
         "delta": datum.delta,
@@ -308,12 +316,12 @@ def cmd_verify_expansion(cfg: ExperimentConfig, out: Path) -> int:
     }
     write_json(out / "report.json", report)
     write_csv(out / "checks.csv", report_obj.rows())
-    if isinstance(system.space, (Circle, CoveredCircle)):
+    if isinstance(system.space, Circle):
         arcs = [
             (e.region.center, e.region.half_width - e.region.offset, e.index)
             for e in datum.nonempty_entries()
         ]
-        write_circle_svg(out / "cover.svg", arcs, _circle_angles(system, datum.net))
+        write_circle_svg(out / "cover.svg", arcs, [x.value for x in datum.net])
     print(report_obj.summary())
     return 0 if report_obj.passed else 1
 
@@ -351,7 +359,7 @@ def cmd_codes(cfg: ExperimentConfig, out: Path) -> int:
     }
     write_json(out / "report.json", report)
     write_csv(out / "codes.csv", rows)
-    if isinstance(system.space, (Circle, CoveredCircle)) and sample:
+    if isinstance(system.space, Circle) and sample:
         x = sample[0]
         code = coding.make_code(datum, system, datum.delta, x, cfg.code_depth)
         steps = coding.nested_images(system, datum, code, datum.delta)
@@ -359,7 +367,7 @@ def cmd_codes(cfg: ExperimentConfig, out: Path) -> int:
         theta = x.value
         for st in steps[: min(6, len(steps))]:
             arcs.append((theta, st.diameter / 2.0, f"step {st.i}"))
-        write_circle_svg(out / "nested.svg", arcs, _circle_angles(system, datum.net))
+        write_circle_svg(out / "nested.svg", arcs, [x.value for x in datum.net])
     for row in rows[:20]:
         print(row)
     return 0
@@ -489,12 +497,12 @@ def cmd_stability(cfg: ExperimentConfig, out: Path) -> int:
     }
     write_json(out / "report.json", report)
     write_csv(out / "conjugacy.csv", table.rows())
-    if isinstance(system.space, (Circle, CoveredCircle)):
+    if isinstance(system.space, Circle):
         write_circle_svg(
             out / "lambda_vs_image.svg",
             [],
-            _circle_angles(system, [e.x for e in table.entries]),
-            _circle_angles(system, [e.phi for e in table.entries]),
+            [e.x.value for e in table.entries],
+            [e.phi.value for e in table.entries],
         )
     print(
         f"displacement {disp.max_displacement:.3e} (eps {ps.epsilon:.3e}) "
@@ -534,16 +542,14 @@ def main(argv: list | None = None) -> int:
         except json.JSONDecodeError as err:
             print(f"config parse error at line {err.lineno}: {err.msg}", file=sys.stderr)
             return 2
+    # the flags override their config fields and pass the same checks
+    flags = (("net", "seed", args.seed), ("codes", "depth", args.depth),
+             ("codes", "cap", args.cap), ("tolerances", "tol", args.tol))
+    for section, key, value in flags:
+        if value is not None and isinstance(raw, dict) and isinstance(raw.get(section, {}), dict):
+            raw[section] = {**raw.get(section, {}), key: value}
     try:
         cfg = ExperimentConfig.from_dict(raw)
-        if args.seed is not None:
-            cfg.seed = args.seed
-        if args.depth is not None:
-            cfg.code_depth = args.depth
-        if args.cap is not None:
-            cfg.code_cap = args.cap
-        if args.tol is not None:
-            cfg.tol = args.tol
         out = Path(args.out) if args.out is not None else Path(cfg.out_dir)
         return COMMANDS[args.command](cfg, out)
     except (ConfigError, expansion.UncoverableError, zoo.ConstructionError) as err:

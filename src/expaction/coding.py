@@ -15,17 +15,11 @@ import math
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
+import numpy as np
+
 from . import groups, zoo
 from .expansion import ActionView, CoverEntry, ExpansionDatum
-from .geometry import (
-    Circle,
-    CoveredCircle,
-    DisjointUnion,
-    FreeBoundary,
-    Point,
-    ProjectiveSpace,
-    TAU,
-)
+from .geometry import Point
 from .groups import BoundaryWord, Word, boundary_prefix
 from .zoo import ActionSystem
 
@@ -85,11 +79,10 @@ def _step(view: ActionView, entry: CoverEntry, x: Point) -> Point:
     y = view.apply_word(inv, x)
     # stabilize backward orbits: expanding steps amplify float noise, so
     # points that reached a fixed angle of the applied map are pinned there
-    if view.perturbed is None and isinstance(view.space, (Circle, CoveredCircle)):
+    if view.perturbed is None:
         letters = groups.letters_of(inv)
         if len(letters) == 1:
-            m = view.system.letter_maps[letters[0]]
-            snapped = zoo.snap_angle(m, x.value, y.value)
+            snapped = zoo.snap_angle(view.maps[letters[0]], x.value, y.value)
             if snapped != y.value:
                 return view.space.point(snapped)
     return y
@@ -214,70 +207,6 @@ def ray_tail_reduced(datum: ExpansionDatum, code: Code) -> bool:
 # nested neighborhoods
 
 
-def ball_net(space, center: Point, eta: float, k: int = 64) -> list:
-    """Deterministic net of the open eta-ball at the center (center included)."""
-    pts = [center]
-    if isinstance(space, (Circle, CoveredCircle)):
-        for t in range(k):
-            f = -1.0 + 2.0 * (t + 0.5) / k
-            pts.append(space.point(center.value + f * eta * (1 - 1e-12)))
-    elif isinstance(space, FreeBoundary):
-        j = math.floor(math.log(1.0 / eta) / math.log(space.a)) + 1
-        prefix = center.value[:j]
-        chars = space.letters + space.letters.upper()
-        while len(prefix) < j:
-            prefix += next(c for c in chars if not prefix or c != prefix[-1].swapcase())
-        frontier = [prefix]
-        while frontier and len(pts) < k:
-            w = frontier.pop(0)
-            pts.append(space.point(w))
-            for c in chars:
-                if c != w[-1].swapcase():
-                    frontier.append(w + c)
-        pts = pts[:k]
-    elif isinstance(space, ProjectiveSpace):
-        import numpy as np
-
-        v = np.asarray(center.value)
-        basis = []
-        for e in np.eye(len(v)):
-            u = e - (e @ v) * v
-            for b in basis:
-                u = u - (u @ b) * b
-            if np.linalg.norm(u) > 1e-9:
-                basis.append(u / np.linalg.norm(u))
-        per_ring = max(4, k // 3)
-        for frac in (0.33, 0.66, 0.999):
-            r = frac * eta
-            for t in range(per_ring):
-                ang = TAU * t / per_ring
-                w = basis[0] * math.cos(ang)
-                if len(basis) > 1:
-                    w = w + basis[1] * math.sin(ang)
-                pts.append(space.point(tuple(math.cos(r) * v + math.sin(r) * w)))
-    elif isinstance(space, DisjointUnion):
-        idx, _ = center.value
-        comp = space.components[idx]
-        inner = ball_net(comp, space.component_point(center), eta, k)
-        pts = [space.embed(idx, p) for p in inner]
-    else:
-        raise TypeError(f"ball nets unsupported on {space.kind}")
-    return pts
-
-
-def _set_diameter(space, pts: list) -> float:
-    if isinstance(space, (Circle, CoveredCircle)):
-        vals = sorted(p.value for p in pts)
-        gaps = [vals[i + 1] - vals[i] for i in range(len(vals) - 1)]
-        gaps.append(vals[0] + TAU - vals[-1])
-        return TAU - max(gaps)
-    best = 0.0
-    for i in range(len(pts)):
-        for j in range(i + 1, len(pts)):
-            best = max(best, space.raw_distance(pts[i].value, pts[j].value))
-    return best
-
-
 @dataclass(frozen=True)
 class NestedStep:
     i: int
@@ -291,27 +220,14 @@ def _word_pushers(view: ActionView, datum: ExpansionDatum, code: Code) -> list:
     """Per-depth evaluators z -> rho(c_i)(z), sharing composed matrices for
     Moebius systems so pushing many ball points stays cheap."""
     entry_map = _entry_map(datum)
-    symbols = [entry_map[a].symbol for a in code.alphas]
-    maps = view.system.letter_maps if view.perturbed is None else view.perturbed.letter_maps
-    letters = []
-    for sym in symbols:
-        letters.append(groups.letters_of(sym))
+    letters = [groups.letters_of(entry_map[a].symbol) for a in code.alphas]
     flat = [l for ls in letters for l in ls]
-    if flat and all(isinstance(maps[l], zoo.MoebiusMap) for l in set(flat)):
-        import numpy as np
-
+    if flat and all(isinstance(view.maps[l], zoo.MoebiusMap) for l in set(flat)):
         pushers, mat = [], np.eye(2)
         for ls in letters:
-            for l in ls:
-                mat = mat @ maps[l].np_matrix
-                scale = float(np.max(np.abs(mat)))
-                if scale > 1e100:
-                    mat = mat / scale
-            frozen = mat.copy()
+            mat = zoo.compose_moebius(mat, [view.maps[l] for l in ls])
             pushers.append(
-                lambda z, m=frozen: view.space.point(
-                    zoo.MoebiusMap.apply_matrix_angle(m, z.value)
-                )
+                lambda z, m=mat: view.space.point(zoo.MoebiusMap.apply_matrix_angle(m, z.value))
             )
         return pushers
     ray = code_ray(datum, code)
@@ -336,9 +252,9 @@ def nested_images(
     steps = []
     for i in range(len(code.alphas)):
         p_next = code.points[i + 1]
-        net = ball_net(space, p_next, eta, boundary_points)
+        net = space.ball_net(p_next, eta, boundary_points)
         pushed = [pushers[i](z) for z in net]
-        diam = _set_diameter(space, pushed)
+        diam = space.set_diameter(pushed)
         bound = 2.0 * datum.lip * eta / datum.lam**i
         if i >= 1:
             sym = entry_map[code.alphas[i]].symbol

@@ -11,7 +11,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field, replace
 from itertools import islice
-from typing import Iterator, Optional, Sequence
+from typing import Iterator, Optional
 
 import numpy as np
 
@@ -20,15 +20,10 @@ from .geometry import (
     TAU,
     ArcRegion,
     BallRegion,
-    Circle,
     ComponentRegion,
-    CoveredCircle,
     CylinderRegion,
-    DisjointUnion,
     EmptyRegion,
-    FreeBoundary,
     Point,
-    ProjectiveSpace,
     Region,
     lebesgue_number,
 )
@@ -129,77 +124,20 @@ class ActionView:
         self.perturbed = perturbed
         self.space = system.space
         self.alphabet = system.alphabet
+        if perturbed is not None and not self.space.perturbable:
+            raise TypeError(f"perturbations unsupported on {self.space.kind}")
+        self.maps = system.letter_maps if perturbed is None else perturbed.letter_maps
 
     def apply_letter(self, letter, x: Point) -> Point:
-        if self.perturbed is None:
-            return self.system.apply_letter(letter, x)
-        return self.perturbed.apply_letter(self.system, letter, x)
+        return self.space.apply_maps((self.maps[letter],), x)
 
     def apply_word(self, g: Word, x: Point) -> Point:
         if self.perturbed is None:
             return self.system.apply(g, x)
-        letters = groups.letters_of(g)
-        if len(letters) > 1 and all(
-            isinstance(self.perturbed.letter_maps[l], zoo.MoebiusMap) for l in set(letters)
-        ):
-            mat = np.eye(2)
-            for l in letters:
-                mat = mat @ self.perturbed.letter_maps[l].np_matrix
-                scale = np.max(np.abs(mat))
-                if scale > 1e100:
-                    mat = mat / scale
-            return self.space.point(zoo.MoebiusMap.apply_matrix_angle(mat, x.value))
-        return self.apply_letters(letters, x)
-
-    def apply_letters(self, letters: Sequence, x: Point) -> Point:
-        """Image of x under the word spelled by `letters`, one letter at a
-        time (the last letter acts first)."""
-        if self.perturbed is None:
-            for letter in reversed(letters):
-                x = self.system.apply_letter(letter, x)
-            return x
-        maps = self.perturbed.letter_maps
-        return self.space.apply_maps([maps[letter] for letter in reversed(letters)], x)
+        return zoo.apply_letters(self.space, self.maps, groups.letters_of(g), x)
 
     def letters(self) -> list:
         return self.alphabet.signed_letters()
-
-
-# ---------------------------------------------------------------------------
-# neighborhood sampling
-
-
-def neighborhood_samples(space, net: Sequence[Point], delta: float) -> list:
-    """Deterministic sample of the closed delta-neighborhood of the net."""
-    pts = list(net)
-    if isinstance(space, (Circle, CoveredCircle)):
-        for x in net:
-            for f in (-1.0, -0.5, 0.5, 1.0):
-                pts.append(space.point(x.value + f * delta))
-    elif isinstance(space, ProjectiveSpace):
-        for x in net:
-            v = np.asarray(x.value)
-            basis = []
-            for e in np.eye(len(v)):
-                u = e - (e @ v) * v
-                for b in basis:
-                    u = u - (u @ b) * b
-                if np.linalg.norm(u) > 1e-9:
-                    basis.append(u / np.linalg.norm(u))
-            for w in basis:
-                for f in (-1.0, -0.5, 0.5, 1.0):
-                    r = f * delta
-                    pts.append(space.point(tuple(math.cos(r) * v + math.sin(r) * w)))
-    elif isinstance(space, FreeBoundary):
-        pass  # the whole boundary is the limit set; the net already samples it
-    elif isinstance(space, DisjointUnion):
-        for idx, comp in enumerate(space.components):
-            inner_net = [space.component_point(x) for x in net if x.value[0] == idx]
-            pts.extend(
-                space.embed(idx, p)
-                for p in neighborhood_samples(comp, inner_net, delta)
-            )
-    return pts
 
 
 # ---------------------------------------------------------------------------
@@ -313,7 +251,7 @@ def _build_circle(system, lam_target, net, grid_size):
     if leb <= 0:
         _fail_uncoverable(system, net, lam_target)
     delta = float(SAFETY * leb)
-    samples = neighborhood_samples(space, net, delta)
+    samples = space.neighborhood(net, delta)
     lip_raw = max(
         system.letter_maps[letter].deriv_angle(x.value)
         for letter in system.letter_maps
@@ -344,25 +282,6 @@ def _build_cylinders(system, lam_target, net):
     return ExpansionDatum(tuple(entries), delta, a, a, tuple(net))
 
 
-def _ring_points(space: ProjectiveSpace, center: Point, r: float, k: int = 24) -> list:
-    v = np.asarray(center.value)
-    basis = []
-    for e in np.eye(len(v)):
-        u = e - (e @ v) * v
-        for b in basis:
-            u = u - (u @ b) * b
-        if np.linalg.norm(u) > 1e-9:
-            basis.append(u / np.linalg.norm(u))
-    pts = []
-    for t in range(k):
-        ang = TAU * t / k
-        w = basis[0] * math.cos(ang) + (basis[1] * math.sin(ang) if len(basis) > 1 else 0)
-        if len(basis) == 1 and t >= 2:
-            break
-        pts.append(space.point(tuple(math.cos(r) * v + math.sin(r) * w)))
-    return pts
-
-
 def _build_projective(system, lam_target, net):
     space = system.space
     n = system.alphabet.rank
@@ -378,7 +297,9 @@ def _build_projective(system, lam_target, net):
         m = system.letter_maps[expanding_letter]
 
         def ok(r: float) -> bool:
-            pts = _ring_points(space, center, r) + _ring_points(space, center, r / 2) + [center]
+            # the ring plane of P^1 is degenerate: there only two points probe it
+            k = 24 if space.n > 1 else 2
+            pts = space.ring(center, r, 24)[:k] + space.ring(center, r / 2, 24)[:k] + [center]
             return all(m.min_stretch(p.value) > lam_target for p in pts)
 
         if not ok(r_cap * 1e-3):
@@ -416,7 +337,7 @@ def _build_projective(system, lam_target, net):
     if leb <= 0:
         _fail_uncoverable(system, net, lam_target)
     delta = float(SAFETY * leb)
-    samples = neighborhood_samples(space, net, delta)
+    samples = space.neighborhood(net, delta)
     lip_raw = max(
         float(system.letter_maps[letter].max_stretch(x.value))
         for letter in system.letter_maps
@@ -565,7 +486,7 @@ def verify_expansion(
         )
     )
 
-    samples = neighborhood_samples(space, datum.net, datum.delta)
+    samples = space.neighborhood(datum.net, datum.delta)
     for e in datum.nonempty_entries():
         samples.extend(e.region.sample(8))
     pairs = _sample_pairs(samples, pair_count)

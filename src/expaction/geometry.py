@@ -102,10 +102,28 @@ class Space:
     def random_point(self, rng) -> Point:
         raise NotImplementedError
 
+    # whether actions by maps outside the group (perturbations) are defined
+    perturbable = False
+
     def apply_maps(self, maps: Sequence, x: Point) -> Point:
-        """Image of x under self-maps of a perturbed action, maps[0] acting
-        first; perturbed maps exist on circles and projective spaces."""
-        raise TypeError(f"perturbations unsupported on {self.kind}")
+        """Image of x under a sequence of self-maps, maps[0] acting first."""
+        raise NotImplementedError
+
+    def ball_net(self, center: Point, eta: float, k: int = 64) -> list:
+        """Deterministic net of the open eta-ball at the center (center included)."""
+        raise TypeError(f"ball nets unsupported on {self.kind}")
+
+    def neighborhood(self, net: Sequence[Point], delta: float) -> list:
+        """Deterministic sample of the closed delta-neighborhood of the net;
+        the net itself where it already samples the whole limit set."""
+        return list(net)
+
+    def set_diameter(self, pts: Sequence[Point]) -> float:
+        best = 0.0
+        for i in range(len(pts)):
+            for j in range(i + 1, len(pts)):
+                best = max(best, self.raw_distance(pts[i].value, pts[j].value))
+        return best
 
     def distance_to_net(self, net: Sequence[Point]) -> Callable[[Point], float]:
         """Function giving the distance from a point to the nearest point of
@@ -147,6 +165,8 @@ class Circle(Space):
     def random_point(self, rng) -> Point:
         return self.point(rng.uniform(0.0, TAU))
 
+    perturbable = True
+
     def apply_maps(self, maps: Sequence, x: Point) -> Point:
         # circle maps return wrapped angles and wrap_angle fixes those, so
         # one wrap at the end gives the letter-by-letter floats
@@ -154,6 +174,27 @@ class Circle(Space):
         for m in maps:
             t = m.apply_angle(t)
         return self.point(t)
+
+    def ball_net(self, center: Point, eta: float, k: int = 64) -> list:
+        pts = [center]
+        for t in range(k):
+            f = -1.0 + 2.0 * (t + 0.5) / k
+            pts.append(self.point(center.value + f * eta * (1 - 1e-12)))
+        return pts
+
+    def neighborhood(self, net: Sequence[Point], delta: float) -> list:
+        pts = list(net)
+        for x in net:
+            for f in (-1.0, -0.5, 0.5, 1.0):
+                pts.append(self.point(x.value + f * delta))
+        return pts
+
+    def set_diameter(self, pts: Sequence[Point]) -> float:
+        # the complement of the widest gap between sorted angles
+        vals = sorted(p.value for p in pts)
+        gaps = [vals[i + 1] - vals[i] for i in range(len(vals) - 1)]
+        gaps.append(vals[0] + TAU - vals[-1])
+        return TAU - max(gaps)
 
     def distance_to_net(self, net: Sequence[Point]) -> Callable[[Point], float]:
         # On [0, TAU) the correctly rounded |x - a| grows with a on each side
@@ -250,10 +291,64 @@ class ProjectiveSpace(Space):
     def random_point(self, rng) -> Point:
         return self.point([rng.normal() for _ in range(self.n + 1)])
 
+    perturbable = True
+
     def apply_maps(self, maps: Sequence, x: Point) -> Point:
         for m in maps:
             x = self.point(m.apply_vec(x.value))
         return x
+
+    @staticmethod
+    def tangent_basis(v: np.ndarray) -> list:
+        """Orthonormal basis of the tangent space at the unit vector v (its
+        orthogonal complement), by Gram-Schmidt over the coordinate axes."""
+        for passes in (1, 2):
+            basis = []
+            for e in np.eye(len(v)):
+                u = e
+                for _ in range(passes):
+                    u = u - (u @ v) * v
+                    for b in basis:
+                        u = u - (u @ b) * b
+                norm = np.linalg.norm(u)
+                if norm > 1e-9:
+                    basis.append(u / norm)
+            # near an axis one pass leaves rounding residuals that are far from
+            # orthogonal, or even a vector along v: project twice there
+            frame = np.array([v, *basis])
+            if len(basis) == len(v) - 1 and np.abs(frame @ frame.T - np.eye(len(v))).max() < 1e-9:
+                return basis
+        return basis
+
+    def ring(self, center: Point, r: float, k: int) -> list:
+        """k points at distance r from the center, at equal angles in the
+        plane of its first two tangent directions."""
+        v = np.asarray(center.value)
+        basis = self.tangent_basis(v)
+        pts = []
+        for t in range(k):
+            ang = TAU * t / k
+            w = basis[0] * math.cos(ang)
+            if len(basis) > 1:
+                w = w + basis[1] * math.sin(ang)
+            pts.append(self.point(tuple(math.cos(r) * v + math.sin(r) * w)))
+        return pts
+
+    def ball_net(self, center: Point, eta: float, k: int = 64) -> list:
+        pts = [center]
+        for frac in (0.33, 0.66, 0.999):
+            pts.extend(self.ring(center, frac * eta, max(4, k // 3)))
+        return pts
+
+    def neighborhood(self, net: Sequence[Point], delta: float) -> list:
+        pts = list(net)
+        for x in net:
+            v = np.asarray(x.value)
+            for w in self.tangent_basis(v):
+                for f in (-1.0, -0.5, 0.5, 1.0):
+                    r = f * delta
+                    pts.append(self.point(tuple(math.cos(r) * v + math.sin(r) * w)))
+        return pts
 
 
 @dataclass(frozen=True)
@@ -295,6 +390,27 @@ class FreeBoundary(Space):
         if a == b:
             return 0.0
         return self.a ** (-common_prefix_len(a, b))
+
+    def apply_maps(self, maps: Sequence, x: Point) -> Point:
+        w = x.value
+        for m in maps:
+            w = m.apply_word(w)
+        return self.point(w)
+
+    def ball_net(self, center: Point, eta: float, k: int = 64) -> list:
+        j = math.floor(math.log(1.0 / eta) / math.log(self.a)) + 1
+        prefix = center.value[:j]
+        chars = self.letters + self.letters.upper()
+        while len(prefix) < j:
+            prefix += next(c for c in chars if not prefix or c != prefix[-1].swapcase())
+        pts, frontier = [center], [prefix]
+        while frontier and len(pts) < k:
+            w = frontier.pop(0)
+            pts.append(self.point(w))
+            for c in chars:
+                if c != w[-1].swapcase():
+                    frontier.append(w + c)
+        return pts[:k]
 
     def random_point(self, rng) -> Point:
         chars = self.letters + self.letters.upper()
@@ -342,6 +458,23 @@ class DisjointUnion(Space):
         idx = int(rng.integers(0, len(self.components)))
         inner = self.components[idx].random_point(rng)
         return self.point((idx, inner.value))
+
+    def apply_maps(self, maps: Sequence, x: Point) -> Point:
+        for m in maps:
+            x = m.apply_union(self, x)
+        return x
+
+    def ball_net(self, center: Point, eta: float, k: int = 64) -> list:
+        idx, _ = center.value
+        inner = self.components[idx].ball_net(self.component_point(center), eta, k)
+        return [self.embed(idx, p) for p in inner]
+
+    def neighborhood(self, net: Sequence[Point], delta: float) -> list:
+        pts = list(net)
+        for idx, comp in enumerate(self.components):
+            inner_net = [self.component_point(x) for x in net if x.value[0] == idx]
+            pts.extend(self.embed(idx, p) for p in comp.neighborhood(inner_net, delta))
+        return pts
 
     def embed(self, idx: int, inner: Point) -> Point:
         return self.point((idx, inner.value))

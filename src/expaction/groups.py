@@ -286,6 +286,13 @@ def letters_of(u: Word) -> tuple:
         return tuple(out)
     if kind == CYCLIC:
         return tuple([(0, 1 if u.data > 0 else -1)] * abs(u.data))
+    if kind == PRODUCT_SWAP:
+        # (u1, u2, b) is u1 on the first copy times u2 on the second, after
+        # the swap when b is set
+        u1, u2, b = u.data
+        n1 = u.alphabet.parts[0].rank
+        second = tuple((n1 + i, s) for i, s in letters_of(u2))
+        return letters_of(u1) + second + ((u.alphabet.rank - 1, 1),) * b
     raise ValueError(f"letter sequences not defined for kind {kind}")
 
 

@@ -18,26 +18,17 @@ from typing import Callable, Mapping, Optional, Sequence
 import numpy as np
 
 from . import groups
-from .coding import (
-    CodingError,
-    _greedy_entry,
-    _set_diameter,
-    _step,
-    ball_net,
-    expansivity_witness,
-    greedy_step,
-)
+from .coding import CodingError, _greedy_entry, _step, expansivity_witness, greedy_step
 from .expansion import (
     SAFETY,
     ActionView,
     CoverEntry,
     ExpansionDatum,
     UncoverableError,
-    neighborhood_samples,
     strided_pairs,
 )
 from .geometry import ClippedRegion, Point, lebesgue_number
-from .zoo import ActionSystem, MoebiusMap, PerturbedMaps
+from .zoo import ActionSystem, MoebiusMap, PerturbedMaps, apply_letters, compose_moebius
 
 
 class AdmissibilityError(ValueError):
@@ -135,15 +126,16 @@ def make_perturbed(
 ) -> PerturbedSystem:
     """Wrap perturbed maps with realized Lipschitz distances over the closed
     delta-neighborhood net K."""
+    view = ActionView(system, maps)
     if k_net is None:
-        k_net = neighborhood_samples(system.space, datum.net, datum.delta)
+        k_net = system.space.neighborhood(datum.net, datum.delta)
     k_net = tuple(k_net)
     eps = perturbation_epsilon(datum, n_const)
     realized = {}
     for letter in maps.letter_maps:
         name = str(system.alphabet.generator(letter[0], letter[1]))
         base_fn = lambda x, lt=letter: system.apply_letter(lt, x)
-        pert_fn = lambda x, lt=letter: maps.apply_letter(system, lt, x)
+        pert_fn = lambda x, lt=letter: view.apply_letter(lt, x)
         realized[name] = lipschitz_distance(system.space, base_fn, pert_fn, k_net)
     return PerturbedSystem(system, datum, maps, n_const, k_net, realized, eps)
 
@@ -175,36 +167,39 @@ def conjugacy_point(
     the measurement always resolves phi before the orbit degrades.
     """
     ps.require_admissible()
+    first = greedy_step(ps.datum, ps.base_view(), x, ps.datum.delta)
+    return _conjugacy_from(ps, x, first, tol, max_depth)
+
+
+def _conjugacy_from(ps: PerturbedSystem, x: Point, first: tuple, tol: float, max_depth: int) -> tuple:
+    """The iteration of `conjugacy_point` from a given first step (entry, p_1)."""
     datum, space = ps.datum, ps.base.space
     base_view, pert_view = ps.base_view(), ps.view()
     eps = ps.epsilon
     lam_p, lip_p = datum.lam - eps, datum.lip + eps
     delta = datum.delta
 
-    all_moebius = all(isinstance(m, MoebiusMap) for m in ps.maps.letter_maps.values())
-    mat = np.eye(2) if all_moebius else None
+    maps = pert_view.maps
+    mat = np.eye(2) if all(isinstance(m, MoebiusMap) for m in maps.values()) else None
     letters = []  # the code's symbols spelled out, first symbol first
 
     def push(q: Point) -> Point:
         if mat is not None:
             return space.point(MoebiusMap.apply_matrix_angle(mat, q.value))
-        return pert_view.apply_letters(letters, q)
+        return apply_letters(space, maps, letters, q)
 
-    point = x
+    e, point = first
     z_prev = None
     for i in range(max_depth):
-        e, point = greedy_step(datum, base_view, point, delta)
+        if i:
+            e, point = greedy_step(datum, base_view, point, delta)
         if mat is not None:
-            for letter in groups.letters_of(e.symbol):
-                mat = mat @ ps.maps.letter_maps[letter].np_matrix
-            scale = float(np.max(np.abs(mat)))
-            if scale > 1e100:
-                mat = mat / scale
+            mat = compose_moebius(mat, [maps[letter] for letter in groups.letters_of(e.symbol)])
         else:
             letters.extend(groups.letters_of(e.symbol))
         z = push(point)
-        probes = [push(q) for q in ball_net(space, point, delta, 6)]
-        diam = _set_diameter(space, probes)
+        probes = [push(q) for q in space.ball_net(point, delta, 6)]
+        diam = space.set_diameter(probes)
         bound = 2.0 * delta * lip_p / lam_p**i
         step = space.raw_distance(z.value, z_prev.value) if z_prev is not None else math.inf
         if diam < tol or bound < tol:
@@ -367,27 +362,13 @@ def check_code_independence(ps: PerturbedSystem, x: Point, tol: float = 1e-9) ->
     two limits must agree within 2*tol."""
     phi_a, _ = conjugacy_point(ps, x, tol)
     datum = ps.datum
-    base_view, pert_view = ps.base_view(), ps.view()
-    space = ps.base.space
     first = _greedy_entry(datum, x, datum.delta)
     others = [e for e in datum.entries if e.index != first.index]
     if not others:
         return 0.0
-    alt0 = others[0]
-    symbols = [alt0.symbol]
-    point = _step(base_view, alt0, x)
-    eps = ps.epsilon
-    lam_p, lip_p = datum.lam - eps, datum.lip + eps
-    z = None
-    for i in range(200):
-        z = point
-        for sym in reversed(symbols):
-            z = pert_view.apply_word(sym, z)
-        if 2.0 * datum.delta * lip_p / lam_p**i < tol:
-            break
-        e, point = greedy_step(datum, base_view, point, datum.delta)
-        symbols.append(e.symbol)
-    return space.raw_distance(z.value, phi_a.value)
+    alt = others[0]
+    phi_b, _ = _conjugacy_from(ps, x, (alt, _step(ps.base_view(), alt, x)), tol, 200)
+    return ps.base.space.raw_distance(phi_b.value, phi_a.value)
 
 
 def check_continuity_modulus(

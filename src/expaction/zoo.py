@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
-from typing import Callable, Mapping, Sequence
+from typing import Callable, Iterable, Mapping, Sequence
 
 import numpy as np
 
@@ -222,15 +222,7 @@ class ProjectiveMap:
         Av = A @ v
         n = np.linalg.norm(Av)
         w = Av / n
-        # orthonormal basis of the tangent space v-perp
-        basis = []
-        for e in np.eye(len(v)):
-            u = e - (e @ v) * v
-            for b in basis:
-                u = u - (u @ b) * b
-            if np.linalg.norm(u) > 1e-9:
-                basis.append(u / np.linalg.norm(u))
-        W = np.column_stack(basis)
+        W = np.column_stack(ProjectiveSpace.tangent_basis(v))
         M = (np.eye(len(v)) - np.outer(w, w)) @ A @ W / n
         sv = np.linalg.svd(M, compute_uv=False)
         return float(sv[-1]), float(sv[0])
@@ -337,6 +329,34 @@ class CirclePreInverseMap:
 # ---------------------------------------------------------------------------
 # numerically stable orbit helpers
 
+
+def compose_moebius(mat: np.ndarray, maps: Iterable[MoebiusMap]) -> np.ndarray:
+    """mat times the matrices of the maps, left to right.  A product whose
+    largest entry grows huge is divided by it, which leaves the angle action
+    unchanged and keeps long words finite."""
+    for m in maps:
+        mat = mat @ m.np_matrix
+        scale = np.max(np.abs(mat))
+        if scale > 1e100:
+            mat = mat / scale
+    return mat
+
+
+def apply_letters(space: Space, maps: Mapping, letters: Sequence, x: Point) -> Point:
+    """Image of x under the word spelled by `letters` (the last letter acts
+    first), with `maps` sending each letter to its self-map.
+
+    Words of two or more Moebius letters go through the composed matrix: one
+    exact-group composition instead of a letterwise orbit, which matters for
+    long words whose intermediate points sit near fixed points.
+    """
+    chain = [maps[letter] for letter in letters]
+    if len(chain) > 1 and all(isinstance(m, MoebiusMap) for m in chain):
+        mat = compose_moebius(np.eye(2), chain)
+        return space.point(MoebiusMap.apply_matrix_angle(mat, x.value))
+    return space.apply_maps(chain[::-1], x)
+
+
 _FIXED_ANGLE_CACHE: dict = {}
 
 
@@ -396,46 +416,16 @@ class ActionSystem:
     cover_style: str
     meta: dict = field(default_factory=dict)
 
-    def letter_map(self, letter: Letter):
-        return self.letter_maps[letter]
-
     def apply_letter(self, letter: Letter, x: Point) -> Point:
-        m = self.letter_maps[letter]
-        if isinstance(self.space, (Circle, CoveredCircle)):
-            return self.space.point(m.apply_angle(x.value))
-        if isinstance(self.space, FreeBoundary):
-            return self.space.point(m.apply_word(x.value))
-        if isinstance(self.space, ProjectiveSpace):
-            return self.space.point(m.apply_vec(x.value))
-        if isinstance(self.space, DisjointUnion):
-            return m.apply_union(self.space, x)
-        raise TypeError(f"unsupported space {self.space.kind}")
+        return self.space.apply_maps((self.letter_maps[letter],), x)
 
     def apply(self, g: Word, x: Point) -> Point:
-        """Evaluate rho(g) at x (the rightmost letter acts first).
-
-        Moebius words go through the composed matrix: one exact-group
-        composition instead of a letterwise orbit, which matters for long
-        words whose intermediate points sit near fixed points.
-        """
+        """Evaluate rho(g) at x (the rightmost letter acts first); see `apply_letters`."""
         if g.alphabet != self.alphabet:
             raise groups.AlphabetMismatchError("word over a different alphabet")
         if self.alphabet.kind == groups.PRODUCT_SWAP:
             return self._apply_product(g, x)
-        letters = groups.letters_of(g)
-        if len(letters) > 1 and all(
-            isinstance(self.letter_maps[l], MoebiusMap) for l in set(letters)
-        ):
-            mat = np.eye(2)
-            for l in letters:
-                mat = mat @ self.letter_maps[l].np_matrix
-                scale = np.max(np.abs(mat))
-                if scale > 1e100:
-                    mat = mat / scale
-            return self.space.point(MoebiusMap.apply_matrix_angle(mat, x.value))
-        for letter in reversed(letters):
-            x = self.apply_letter(letter, x)
-        return x
+        return apply_letters(self.space, self.letter_maps, groups.letters_of(g), x)
 
     def _apply_product(self, g: Word, x: Point) -> Point:
         w1, w2, bit = g.data
@@ -454,10 +444,6 @@ class ActionSystem:
         return self.alphabet.symmetric_generators()
 
 
-def apply(system: ActionSystem, g: Word, x: Point) -> Point:
-    return system.apply(g, x)
-
-
 def expansion_factor(system: ActionSystem, g: Word, x: Point) -> float:
     """Infimum directional stretch of rho(g) at x.
 
@@ -467,7 +453,7 @@ def expansion_factor(system: ActionSystem, g: Word, x: Point) -> float:
     analytic route exists.
     """
     letters = groups.letters_of(g)
-    if isinstance(system.space, (Circle, CoveredCircle)):
+    if isinstance(system.space, Circle):
         factor, y = 1.0, x
         for letter in reversed(letters):
             m = system.letter_maps[letter]
@@ -505,18 +491,16 @@ def _flip_at_depth(space: FreeBoundary, w: str, depth: int) -> str:
 def expansion_factor_fd(system: ActionSystem, g: Word, x: Point, h: float = 1e-6) -> float:
     """Central finite-difference stretch, minimized over probe directions."""
     space = system.space
-    if isinstance(space, (Circle, CoveredCircle)):
+    if isinstance(space, Circle):
         xp, xm = space.point(x.value + h), space.point(x.value - h)
         num = circle_dist(system.apply(g, xp).value, system.apply(g, xm).value)
         return num / (2.0 * h)
     if isinstance(space, ProjectiveSpace):
         v = np.asarray(x.value)
+        basis = ProjectiveSpace.tangent_basis(v)[:2]
         best = math.inf
         for k in range(16):
-            w = np.zeros(len(v))
             rng_dir = np.cos(2 * math.pi * k / 16), np.sin(2 * math.pi * k / 16)
-            basis = [e - (e @ v) * v for e in np.eye(len(v))]
-            basis = [b / np.linalg.norm(b) for b in basis if np.linalg.norm(b) > 1e-9][:2]
             if len(basis) == 1:
                 w = basis[0]
             else:
@@ -846,9 +830,6 @@ class PerturbedMaps:
     family: object
     letter_maps: Mapping[Letter, object]
 
-    def apply_letter(self, system: ActionSystem, letter: Letter, x: Point) -> Point:
-        return system.space.apply_maps((self.letter_maps[letter],), x)
-
 
 def perturb(system: ActionSystem, family) -> PerturbedMaps:
     """Perturbed generator maps for the given family.
@@ -885,7 +866,7 @@ def perturb(system: ActionSystem, family) -> PerturbedMaps:
                 raise ConstructionError(f"matrix jitter unsupported for {type(fwd).__name__}")
         return PerturbedMaps(family, out)
     if isinstance(family, BumpCompose):
-        if not isinstance(system.space, (Circle, CoveredCircle)):
+        if not isinstance(system.space, Circle):
             raise ConstructionError("bump perturbations need a circle system")
         bump = BumpDiffeo(family.center, family.width, family.height)
         out = {}

@@ -133,18 +133,36 @@ BAD_FIELDS = [
     ("product-component-params-not-an-object",
      _system("product", component={"kind": "free_boundary", "params": [1]}),
      "'system.params.component.params'", "certify-shyp"),
+    ("with_swap-not-a-boolean", _system("product", with_swap="no"),
+     "'system.params.with_swap'", "verify-expansion"),
+    ("diagonal_only-not-a-boolean", _perturbed("matrix_jitter", diagonal_only="no"),
+     "'perturbation.diagonal_only'", "stability"),
+    ("seed-negative", {"seed": -1}, "'seed'", "certify-shyp"),
+    ("perturbation.seed-negative", _perturbed("matrix_jitter", seed=-1),
+     "'perturbation.seed'", "stability"),
+]
+
+# (id, command-line flags, field named in the error, command); the flags
+# override their config fields and must pass the same checks
+BAD_FLAGS = [
+    ("--cap", ["--cap", 0], "'codes.cap'", "codes"),
+    ("--tol", ["--tol", -1], "'tolerances.tol'", "stability"),
+    ("--seed", ["--seed", -1], "'net.seed'", "stability"),
 ]
 
 
 @pytest.mark.parametrize(
-    "payload, field, command",
-    [case[1:] for case in BAD_FIELDS],
-    ids=[case[0] for case in BAD_FIELDS],
+    "payload, flags, field, command",
+    [(payload, [], field, command) for _, payload, field, command in BAD_FIELDS]
+    + [(SCHOTTKY_CONFIG, flags, field, command) for _, flags, field, command in BAD_FLAGS],
+    ids=[case[0] for case in BAD_FIELDS + BAD_FLAGS],
 )
-def test_bad_config_field_exits_2_naming_the_field(tmp_path, capsys, payload, field, command):
+def test_bad_config_field_exits_2_naming_the_field(
+    tmp_path, capsys, payload, flags, field, command
+):
     # an exception escaping main would print a traceback and exit 1
     cfg = write_config(tmp_path, "bad.json", payload)
-    assert run([command, "--config", cfg, "--out", tmp_path / "o"]) == 2
+    assert run([command, "--config", cfg, "--out", tmp_path / "o", *flags]) == 2
     err = capsys.readouterr().err
     assert field in err
     assert not (tmp_path / "o").exists()

@@ -2,6 +2,7 @@ from collections import deque
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from expaction import groups
 from expaction.groups import (
@@ -183,3 +184,20 @@ def test_signed_letters_spell_the_symmetric_generators(with_swap):
     expected = [(i, s) for i in range(4) for s in (1, -1)] + [(4, 1)] * with_swap
     assert letters == expected
     assert F2.signed_letters() == [(0, 1), (0, -1), (1, 1), (1, -1)]
+
+
+@settings(max_examples=200, derandomize=True, deadline=None)
+@given(
+    parts=st.sampled_from([(F2, Z2, False), (F2, F2, False), (F2, F2, True), (Z2, Z2, True)]),
+    picks=st.lists(st.integers(0, 20), max_size=12),
+)
+def test_product_letters_multiply_back_to_the_word(parts, picks):
+    P = Alphabet.product(*parts)  # a swap needs equal components
+    letters = P.signed_letters()
+    u = P.identity()
+    for k in picks:
+        u = multiply(u, P.generator(*letters[k % len(letters)]))
+    v = P.identity()
+    for i, s in groups.letters_of(u):
+        v = multiply(v, P.generator(i, s))
+    assert v == u

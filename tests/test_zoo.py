@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from expaction import groups, zoo
+from expaction.expansion import ActionView
 from expaction.geometry import TAU, circle_dist
 from expaction.zoo import (
     BumpDiffeo,
@@ -351,10 +352,10 @@ def test_translation_conjugate_fixed_points(cyclic_system):
     pm = zoo.translation_conjugate(cyclic_system, t)
     # gamma' = 4x - 3t fixes chart t and infinity
     fixed = cyclic_system.space.point(2.0 * math.atan(t))
-    moved = pm.apply_letter(cyclic_system, (0, 1), fixed)
+    moved = ActionView(cyclic_system, pm).apply_letter((0, 1), fixed)
     assert circle_dist(moved.value, fixed.value) <= 1e-12
     inf = cyclic_system.space.point(math.pi)
-    assert circle_dist(pm.apply_letter(cyclic_system, (0, 1), inf).value, math.pi) <= 1e-12
+    assert circle_dist(ActionView(cyclic_system, pm).apply_letter((0, 1), inf).value, math.pi) <= 1e-12
 
 
 def test_bump_rejects_non_injective():
@@ -365,8 +366,8 @@ def test_bump_rejects_non_injective():
 def test_bump_inverse_round_trip(schottky_system):
     pm = zoo.perturb(schottky_system, zoo.BumpCompose(center=1.0, width=0.5, height=1e-3))
     x = schottky_system.space.point(1.1)
-    y = pm.apply_letter(schottky_system, (0, 1), x)
-    back = pm.apply_letter(schottky_system, (0, -1), y)
+    y = ActionView(schottky_system, pm).apply_letter((0, 1), x)
+    back = ActionView(schottky_system, pm).apply_letter((0, -1), y)
     assert circle_dist(back.value, x.value) <= 1e-12
 
 
