@@ -297,9 +297,9 @@ def _build_projective(system, lam_target, net):
         m = system.letter_maps[expanding_letter]
 
         def ok(r: float) -> bool:
-            # the ring plane of P^1 is degenerate: there only two points probe it
+            # the ring plane of P^1 is degenerate: there two points probe each ring
             k = 24 if space.n > 1 else 2
-            pts = space.ring(center, r, 24)[:k] + space.ring(center, r / 2, 24)[:k] + [center]
+            pts = [p for ring in space.rings(center, (r, r / 2), 24) for p in ring[:k]] + [center]
             return all(m.min_stretch(p.value) > lam_target for p in pts)
 
         if not ok(r_cap * 1e-3):

@@ -109,10 +109,6 @@ class Space:
         """Image of x under a sequence of self-maps, maps[0] acting first."""
         raise NotImplementedError
 
-    def ball_net(self, center: Point, eta: float, k: int = 64) -> list:
-        """Deterministic net of the open eta-ball at the center (center included)."""
-        raise TypeError(f"ball nets unsupported on {self.kind}")
-
     def neighborhood(self, net: Sequence[Point], delta: float) -> list:
         """Deterministic sample of the closed delta-neighborhood of the net;
         the net itself where it already samples the whole limit set."""
@@ -176,6 +172,8 @@ class Circle(Space):
         return self.point(t)
 
     def ball_net(self, center: Point, eta: float, k: int = 64) -> list:
+        """Deterministic net of the open eta-ball at the center (center
+        included); every space kind defines one."""
         pts = [center]
         for t in range(k):
             f = -1.0 + 2.0 * (t + 0.5) / k
@@ -320,25 +318,27 @@ class ProjectiveSpace(Space):
                 return basis
         return basis
 
-    def ring(self, center: Point, r: float, k: int) -> list:
-        """k points at distance r from the center, at equal angles in the
-        plane of its first two tangent directions."""
+    def rings(self, center: Point, radii: Sequence[float], k: int) -> list:
+        """Per radius r, the k points at distance r from the center at equal
+        angles in the plane of its first two tangent directions (on P^1 the
+        one direction is scaled by the cosine of the angle, so closer)."""
         v = np.asarray(center.value)
         basis = self.tangent_basis(v)
-        pts = []
+        directions = []
         for t in range(k):
             ang = TAU * t / k
             w = basis[0] * math.cos(ang)
             if len(basis) > 1:
                 w = w + basis[1] * math.sin(ang)
-            pts.append(self.point(tuple(math.cos(r) * v + math.sin(r) * w)))
-        return pts
+            directions.append(w)
+        return [
+            [self.point(tuple(math.cos(r) * v + math.sin(r) * w)) for w in directions]
+            for r in radii
+        ]
 
     def ball_net(self, center: Point, eta: float, k: int = 64) -> list:
-        pts = [center]
-        for frac in (0.33, 0.66, 0.999):
-            pts.extend(self.ring(center, frac * eta, max(4, k // 3)))
-        return pts
+        radii = [frac * eta for frac in (0.33, 0.66, 0.999)]
+        return [center] + [p for ring in self.rings(center, radii, max(4, k // 3)) for p in ring]
 
     def neighborhood(self, net: Sequence[Point], delta: float) -> list:
         pts = list(net)

@@ -500,11 +500,8 @@ def expansion_factor_fd(system: ActionSystem, g: Word, x: Point, h: float = 1e-6
         basis = ProjectiveSpace.tangent_basis(v)[:2]
         best = math.inf
         for k in range(16):
-            rng_dir = np.cos(2 * math.pi * k / 16), np.sin(2 * math.pi * k / 16)
-            if len(basis) == 1:
-                w = basis[0]
-            else:
-                w = rng_dir[0] * basis[0] + rng_dir[1] * basis[1]
+            ang = 2 * math.pi * k / 16
+            w = basis[0] if len(basis) == 1 else np.cos(ang) * basis[0] + np.sin(ang) * basis[1]
             xp = space.point(tuple(v + h * w))
             xm = space.point(tuple(v - h * w))
             num = space.raw_distance(system.apply(g, xp).value, system.apply(g, xm).value)
