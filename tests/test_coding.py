@@ -437,3 +437,37 @@ def test_coding_map_determinism_under_tie_reversal(fb_system, fb_datum):
 def test_coding_map_rejects_abelian(zn_system, zn_datum):
     with pytest.raises(ValueError):
         coding_map(zn_system, zn_datum, zn_system.space.point((1.0, 0, 0)), 5)
+
+
+def test_nested_product_certificate_has_a_null_chain_constant():
+    """Product with swap of product with swap of the free boundary, net depth
+    2, codes depth 8: the rays fellow-travel at 2 but no chain constant is
+    found within n_max 8.  Two causes, both pinned here:
+
+    * the chain search tries only n <= fellow_constant (0, 1, 2);
+    * at depth 8 a tail half holds four vertices spanning three word
+      lengths, so from n = 2 on the window [lo + n, hi - n] is empty and
+      `_tail_close` returns False, even for a ray against itself.
+
+    The null is therefore an artefact of the truncation depth, not evidence
+    against hyperbolicity; this test keeps it from changing silently.
+    """
+    from expaction import coding, expansion, zoo
+
+    fb = zoo.make_free_boundary(2, 2.0)
+    inner = zoo.make_product(fb, fb, with_swap=True)
+    system = zoo.make_product(inner, inner, with_swap=True)
+    datum = expansion.build_expansion_datum(system, 2.0, net_depth=2)
+    cert = shyp_certificate(system, datum, depth=8, n_max=8)
+    assert (cert.fellow_constant, cert.chain_constant) == (2, None)
+    assert cert.fellow_ok and not cert.truncated
+    assert cert.points_checked == 48 and cert.rays_per_point == (19,) * 48
+    assert cert.worst_pair == (datum.net[0], 4, 5, 2)
+
+    codes, _ = enumerate_codes(datum, system, datum.delta, datum.net[0], 8, 200)
+    rays = [code_ray(datum, c) for c in codes]
+    # below the fellow constant some pair does not chain ...
+    assert not n_equivalence(rays[0], rays[1], rays, 1)[0]
+    # ... and from n = 2 on every tail window is empty
+    for n in range(2, cert.n_max + 1):
+        assert not any(coding._tail_close(r, r, n) for r in rays)
