@@ -44,6 +44,13 @@ def _seed(path: str, value) -> int:
     return seed
 
 
+def _count(path: str, value, low: int) -> int:
+    count = _number(path, value, int)
+    if count < low:
+        raise ConfigError(path, f"must be >= {low}")
+    return count
+
+
 def _boolean(path: str, value) -> bool:
     # bool("no") is True, so only JSON true and false are accepted
     if not isinstance(value, bool):
@@ -88,21 +95,17 @@ class ExperimentConfig:
                 raise ConfigError("lambda_target", "must exceed 1")
         net = raw.get("net", {})
         if "depth" in net:
-            cfg.net_depth = _number("net.depth", net["depth"], int)
-            if cfg.net_depth < 1:
-                raise ConfigError("net.depth", "must be >= 1")
+            cfg.net_depth = _count("net.depth", net["depth"], 1)
         if "seed" in net:
             cfg.seed = _seed("net.seed", net["seed"])
         elif "seed" in raw:
             cfg.seed = _seed("seed", raw["seed"])
         codes = raw.get("codes", {})
-        cfg.code_depth = _number("codes.depth", codes.get("depth", cfg.code_depth), int)
-        cfg.code_cap = _number("codes.cap", codes.get("cap", cfg.code_cap), int)
-        if cfg.code_cap < 1:
-            raise ConfigError("codes.cap", "must be >= 1")
-        cfg.n_max = _number("n_max", raw.get("n_max", cfg.n_max), int)
-        cfg.max_chain = _number("max_chain", raw.get("max_chain", cfg.max_chain), int)
-        cfg.prefix_depth = _number("prefix_depth", raw.get("prefix_depth", cfg.prefix_depth), int)
+        cfg.code_depth = _count("codes.depth", codes.get("depth", cfg.code_depth), 1)
+        cfg.code_cap = _count("codes.cap", codes.get("cap", cfg.code_cap), 1)
+        cfg.n_max = _count("n_max", raw.get("n_max", cfg.n_max), 0)
+        cfg.max_chain = _count("max_chain", raw.get("max_chain", cfg.max_chain), 1)
+        cfg.prefix_depth = _count("prefix_depth", raw.get("prefix_depth", cfg.prefix_depth), 1)
         cfg.perturbation = dict(raw.get("perturbation", {}))
         tolerances = raw.get("tolerances", {})
         if "tol" in tolerances:

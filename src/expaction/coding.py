@@ -385,17 +385,14 @@ class QuasigeodesicReport:
 def quasigeodesic_check(datum: ExpansionDatum, ray: Ray, cap: int = 64) -> QuasigeodesicReport:
     """Sandwich (log lam / log lip)*(i-j) <= d(c_i, c_j) <= i-j on all pairs."""
     slope = math.log(datum.lam) / math.log(datum.lip)
-    worst_lower, worst_upper, unknown = math.inf, math.inf, 0
-    for j in range(len(ray.words)):
-        for i in range(j + 1, len(ray.words)):
-            m = groups.word_metric(ray.words[i], ray.words[j], cap)
-            if m is None:
-                unknown += 1
-                continue
-            worst_lower = min(worst_lower, m - slope * (i - j))
-            worst_upper = min(worst_upper, (i - j) - m)
+    j, i = np.triu_indices(len(ray.words), 1)
+    m = groups.distance_table(ray.words, ray.words, cap)[j, i]
+    known = m != groups.UNKNOWN
+    gaps, m = (i - j)[known], m[known].astype(np.int64)
+    worst_lower = float((m - slope * gaps).min(initial=math.inf))
+    worst_upper = int((gaps - m).min()) if m.size else math.inf
     ok = worst_lower >= -1e-9 and worst_upper >= 0
-    return QuasigeodesicReport(slope, ok, worst_lower, worst_upper, unknown)
+    return QuasigeodesicReport(slope, ok, worst_lower, worst_upper, int(known.size - m.size))
 
 
 def _path_vertices(ray: Ray) -> list:
@@ -403,24 +400,80 @@ def _path_vertices(ray: Ray) -> list:
     return [ray.words[0].alphabet.identity()] + list(ray.words)
 
 
-def _directed_ok(required: list, pool: list, n: int, cap: int) -> Optional[bool]:
-    """Every required word has a pool word within n; None = metric unknown."""
-    for a in required:
-        best = None
-        for b in pool:
-            m = groups.word_metric(a, b, cap)
-            if m is not None and (best is None or m < best):
-                best = m
-                if best <= n:
-                    break
-        if best is None:
-            return None
-        if best > n:
-            return False
+class RayTable:
+    """Nearest-partner word distances between the path vertices of some rays.
+
+    One `groups.distance_table` over every path vertex of every ray is
+    reduced at once to two minima arrays, and then dropped.  For rays a, b
+    and a vertex v of a's path, ``whole[a, b, v]`` is the distance to the
+    nearest vertex of b's path, and ``tail[a, b, v]`` the distance to the
+    nearest vertex of b's tail half (path index ``1 + len(words)//2`` on).
+    A minimum is `groups.UNKNOWN` when every distance in it is.  Shorter
+    paths are padded with their last vertex, which no minimum reads.
+    """
+
+    def __init__(self, rays: Sequence[Ray], cap: int = 64):
+        self.rays = list(rays)
+        paths = [_path_vertices(r) for r in self.rays]
+        self.lens = [[groups.word_length(w) for w in p] for p in paths]
+        self.tail_start = [1 + len(r.words) // 2 for r in self.rays]
+        sizes = np.array([len(p) for p in paths], dtype=int)
+        k, width = len(paths), int(sizes.max(initial=0))
+        flat = [w for p in paths for w in p + p[-1:] * (width - len(p))]
+        table = groups.distance_table(flat, flat, cap).reshape(k, width, k, width)
+        position = np.arange(width)
+        in_path = position < sizes[:, None]
+        in_tail = in_path & (position >= np.array(self.tail_start, dtype=int)[:, None])
+        # axes (a, v, b, w): reduce over w, then store as (a, b, v)
+        self.whole, self.tail = (
+            table.min(axis=3, initial=groups.UNKNOWN, where=pool).transpose(0, 2, 1)
+            for pool in (in_path, in_tail)
+        )
+        # rays with the same words meet at distance 0 at every path index
+        same = (sizes[:, None] == sizes) & (table.diagonal(axis1=1, axis2=3) == 0).all(axis=2)
+        self.first = [row.index(True) for row in same.tolist()]  # first ray with the same words
+
+    def find(self, ray: Ray) -> Optional[int]:
+        """Position of the ray in the table, or None."""
+        for i, r in enumerate(self.rays):
+            if r is ray:
+                return i
+        for i, r in enumerate(self.rays):
+            if r.words == ray.words:
+                return i
+        return None
+
+    def index(self, ray: Ray) -> int:
+        i = self.find(ray)
+        if i is None:
+            raise ValueError("ray not in the table")
+        return i
+
+    def tail_close(self, a: int, b: int, n: int) -> bool:
+        """Every tail vertex of a and of b inside the common word-length
+        window, shrunk by n at both ends, has a tail partner within n."""
+        sides = [
+            (self.lens[s][self.tail_start[s] :], self.tail[s, t, self.tail_start[s] :].tolist())
+            for s, t in ((a, b), (b, a))
+        ]
+        lo = max(min(lens) for lens, _ in sides) + n
+        hi = min(max(lens) for lens, _ in sides) - n
+        windows = [[m for k, m in zip(lens, near) if lo <= k <= hi] for lens, near in sides]
+        return all(windows) and max(map(max, windows)) <= n
+
+
+def _within(near: list, lens: list, top: int, n: int) -> Optional[bool]:
+    """Every vertex of word length at most `top` has a partner within n; None
+    when the first vertex without one has no known distance at all."""
+    for m, k in zip(near, lens):
+        if k <= top and m > n:
+            return None if m == groups.UNKNOWN else False
     return True
 
 
-def fellow_travel_distance(rayA: Ray, rayB: Ray, cap: int = 64) -> Optional[int]:
+def fellow_travel_distance(
+    rayA: Ray, rayB: Ray, cap: int = 64, table: RayTable | None = None
+) -> Optional[int]:
     """Fellow-travel constant of the two edge paths (identity included).
 
     Finite truncations need care at the far end: the smallest N is returned
@@ -429,41 +482,37 @@ def fellow_travel_distance(rayA: Ray, rayB: Ray, cap: int = 64) -> Optional[int]
     progress of a longer truncation from registering as divergence; on
     genuinely fellow-traveling rays this agrees with the Hausdorff distance
     of the full paths.  None when a needed word metric exceeds the cap.
+    Distances are read from `table`, a RayTable holding both rays; without
+    one, a table of the two rays is built.
     """
-    A, B = _path_vertices(rayA), _path_vertices(rayB)
-    len_a = [groups.word_length(w) for w in A]
-    len_b = [groups.word_length(w) for w in B]
+    if table is None:
+        table = RayTable((rayA, rayB), cap)
+    a, b = table.index(rayA), table.index(rayB)
+    len_a, len_b = table.lens[a], table.lens[b]
+    near_ab, near_ba = table.whole[a, b].tolist(), table.whole[b, a].tolist()
     horizon = min(max(len_a), max(len_b))
     for n in range(horizon + 2):
-        ok = True
-        for S, lens, T in ((A, len_a, B), (B, len_b, A)):
-            req = [w for w, k in zip(S, lens) if k <= horizon - n]
-            verdict = _directed_ok(req, T, n, cap)
+        for near, lens in ((near_ab, len_a), (near_ba, len_b)):
+            verdict = _within(near, lens, horizon - n, n)
             if verdict is None:
                 return None
             if not verdict:
-                ok = False
                 break
-        if ok:
+        else:
             return n
     return None
 
 
-def _tail_close(rayA: Ray, rayB: Ray, n: int, cap: int = 64) -> bool:
+def _tail_close(
+    rayA: Ray, rayB: Ray, n: int, cap: int = 64, table: RayTable | None = None
+) -> bool:
     """Closeness at scale n over the tail halves (the infinite-subset
     surrogate: indices >= depth/2).  Words within n of the common word-length
-    window boundary are exempt, again discounting truncation ends."""
-    A = list(rayA.words[len(rayA.words) // 2 :])
-    B = list(rayB.words[len(rayB.words) // 2 :])
-    len_a = [groups.word_length(w) for w in A]
-    len_b = [groups.word_length(w) for w in B]
-    lo = max(min(len_a), min(len_b))
-    hi = min(max(len_a), max(len_b))
-    req_a = [w for w, k in zip(A, len_a) if lo + n <= k <= hi - n]
-    req_b = [w for w, k in zip(B, len_b) if lo + n <= k <= hi - n]
-    if not req_a or not req_b:
-        return False
-    return bool(_directed_ok(req_a, B, n, cap)) and bool(_directed_ok(req_b, A, n, cap))
+    window boundary are exempt, again discounting truncation ends; an empty
+    window is not close."""
+    if table is None:
+        table = RayTable((rayA, rayB), cap)
+    return table.tail_close(table.index(rayA), table.index(rayB), n)
 
 
 def n_equivalence(
@@ -473,33 +522,37 @@ def n_equivalence(
     n: int,
     max_chain: int = 3,
     cap: int = 64,
+    table: RayTable | None = None,
 ) -> tuple:
     """Chain of tail-close steps from rayA to rayB through the pool.
 
     Returns (found, chain) where the chain lists the interpolating rays
-    inclusive of both ends.
+    inclusive of both ends.  `table` is the RayTable of the pool, built here
+    when not given.
     """
     pool = list(pool)
-    if not any(r.words == rayA.words for r in pool) or not any(
-        r.words == rayB.words for r in pool
-    ):
+    if table is None or table.rays != pool:
+        table = RayTable(pool, cap)
+    start, goal = table.find(rayA), table.find(rayB)
+    if start is None or goal is None:
         raise ValueError("pool must contain both rays")
-    if rayA.words == rayB.words:
+    goal = table.first[goal]
+    if table.first[start] == goal:
         return True, (rayA,)
-    frontier = [(rayA, (rayA,))]
-    seen = {rayA.words}
+    frontier = [(start, (rayA,))]
+    seen = {table.first[start]}
     for _ in range(max_chain):
         nxt = []
         for current, chain in frontier:
-            for cand in pool:
-                if cand.words in seen:
+            for j, cand in enumerate(pool):
+                if table.first[j] in seen:
                     continue
-                if _tail_close(current, cand, n, cap):
+                if table.tail_close(current, j, n):
                     new_chain = chain + (cand,)
-                    if cand.words == rayB.words:
+                    if table.first[j] == goal:
                         return True, new_chain
-                    seen.add(cand.words)
-                    nxt.append((cand, new_chain))
+                    seen.add(table.first[j])
+                    nxt.append((j, new_chain))
         frontier = nxt
         if not frontier:
             break
@@ -560,12 +613,14 @@ def shyp_certificate(
         truncated = truncated or trunc
         all_rays.append([code_ray(datum, c) for c in codes])
 
+    # one table per point; its minima answer every pair at every n
+    tables = [RayTable(rays, metric_cap) for rays in all_rays]
     fellow, worst_pair = 0, None
     fellow_known = True
-    for x, rays in zip(net, all_rays):
+    for x, rays, table in zip(net, all_rays, tables):
         for i in range(len(rays)):
             for j in range(i + 1, len(rays)):
-                d = fellow_travel_distance(rays[i], rays[j], metric_cap)
+                d = fellow_travel_distance(rays[i], rays[j], metric_cap, table)
                 if d is None:
                     fellow_known = False
                     continue
@@ -579,10 +634,12 @@ def shyp_certificate(
         chain_candidates = range(0, n_max + 1)
     for n in chain_candidates:
         ok = True
-        for rays in all_rays:
+        for rays, table in zip(all_rays, tables):
             for i in range(len(rays)):
                 for j in range(i + 1, len(rays)):
-                    found, _ = n_equivalence(rays[i], rays[j], rays, n, max_chain, metric_cap)
+                    found, _ = n_equivalence(
+                        rays[i], rays[j], rays, n, max_chain, metric_cap, table
+                    )
                     if not found:
                         ok = False
                         break

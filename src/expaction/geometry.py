@@ -55,7 +55,8 @@ def letter_inverse(ch: str) -> str:
 
 
 def is_reduced(word: str) -> bool:
-    return all(word[i] != letter_inverse(word[i + 1]) for i in range(len(word) - 1))
+    # no letter is followed by its inverse (swapcase inverts letters)
+    return not any(map(str.__eq__, word, word[1:].swapcase()))
 
 
 def common_prefix_len(u: str, v: str) -> int:
@@ -379,9 +380,9 @@ class FreeBoundary(Space):
 
     def normalize(self, value: Any) -> str:
         w = str(value)
-        for ch in w:
-            if ch.lower() not in self.letters:
-                raise ValueError(f"letter {ch!r} outside rank-{self.rank} alphabet")
+        if not set(w.lower()).issubset(self.letters):
+            bad = next(ch for ch in w if ch.lower() not in self.letters)
+            raise ValueError(f"letter {bad!r} outside rank-{self.rank} alphabet")
         if not is_reduced(w):
             raise ValueError(f"word {w!r} is not reduced")
         return w[: self.depth]

@@ -26,6 +26,8 @@ from collections import deque
 from dataclasses import dataclass
 from typing import Any, Iterable, Optional, Sequence
 
+import numpy as np
+
 FREE = "free"
 FREE_ABELIAN = "free_abelian"
 CYCLIC = "cyclic"
@@ -217,42 +219,121 @@ def word_length(u: Word) -> int:
     raise ValueError(kind)
 
 
-def _distance(u: Word, v: Word) -> int:
-    """|u^-1 v| from the canonical data of u and v, building no Word.
+# a table entry of a generic word metric beyond its cap; it exceeds every
+# distance, so a minimum over a pool is UNKNOWN only when every entry is
+UNKNOWN = int(np.iinfo(np.int32).max)
+_BLOCK_PAIRS = 1 << 12  # (row, column) pairs filled per block of rows
 
-    Free reduction stands in for the metric of a generic component, as it
-    does in ``word_length`` of a product word.
+
+def _encode(alphabet: Alphabet, datas: list) -> tuple:
+    """Canonical data of a list of words as arrays, for `_fill`.
+
+    Free letters become codes 1, 2, ... with 0 padding each row to the
+    longest word.  A generic component of a product is encoded as free: free
+    reduction stands in for its metric, as it does in ``word_length``.
     """
-    kind = u.alphabet.kind
+    kind = alphabet.kind
     if kind in (FREE, GENERIC):
-        return len(u.data) + len(v.data) - 2 * _common_prefix_len(u.data, v.data)
+        lens = np.fromiter(map(len, datas), np.int64, len(datas))
+        codes = np.zeros((len(datas), int(lens.max(initial=0))), np.int32)
+        codes[np.arange(codes.shape[1]) < lens[:, None]] = [
+            2 * i + (s < 0) + 1 for d in datas for i, s in d
+        ]
+        return codes, lens
     if kind == FREE_ABELIAN:
-        return sum(abs(a - b) for a, b in zip(u.data, v.data))
+        return (np.array(datas, np.int64).reshape(len(datas), alphabet.rank),)
     if kind == CYCLIC:
-        return abs(v.data - u.data)
+        return (np.array(datas, np.int64),)
+    if kind == PRODUCT_SWAP:
+        first, second = alphabet.parts
+        return (
+            _encode(first, [d[0].data for d in datas]),
+            _encode(second, [d[1].data for d in datas]),
+            np.array([d[2] for d in datas], np.int64),
+        )
+    raise ValueError(kind)
+
+
+def _fill(alphabet: Alphabet, us: tuple, vs: tuple) -> np.ndarray:
+    """The closed forms, from two `_encode` results: ``|u_i^-1 v_j|``."""
+    kind = alphabet.kind
+    if kind in (FREE, GENERIC):
+        (cu, lu), (cv, lv) = us, vs
+        width = min(cu.shape[1], cv.shape[1])
+        same = cu[:, None, :width] == cv[None, :, :width]
+        np.logical_and.accumulate(same, axis=2, out=same)
+        # equal words also match on their padding: cap the prefix at the length
+        cpl = np.minimum(same.sum(axis=2), lu[:, None])
+        return lu[:, None] + lv[None, :] - 2 * cpl
+    if kind == FREE_ABELIAN:
+        return np.abs(us[0][:, None, :] - vs[0][None, :, :]).sum(axis=2)
+    if kind == CYCLIC:
+        return np.abs(vs[0][None, :] - us[0][:, None])
     if kind == PRODUCT_SWAP:
         # u^-1 v pairs u1 with v1 and u2 with v2 whether or not u swaps
-        u1, u2, b = u.data
-        v1, v2, c = v.data
-        return _distance(u1, v1) + _distance(u2, v2) + (b != c)
+        first, second = alphabet.parts
+        return (
+            _fill(first, us[0], vs[0])
+            + _fill(second, us[1], vs[1])
+            + (us[2][:, None] != vs[2][None, :])
+        )
     raise ValueError(kind)
+
+
+def _distinct(words: Sequence[Word]) -> tuple:
+    """(distinct canonical data in first-seen order, position of each word)."""
+    index = {}
+    positions = [index.setdefault(w.data, len(index)) for w in words]
+    return list(index), positions
+
+
+def distance_table(us: Sequence[Word], vs: Sequence[Word], cap: int = 12) -> np.ndarray:
+    """Word metric of every pair, ``table[i, j] = d(us[i], vs[j])``, as int32.
+
+    Exact kinds use the closed forms of the module docstring, filled with
+    numpy over the distinct words, a block of rows at a time so that the
+    per-letter temporaries stay small.  Generic words go through
+    `word_metric` once per distinct pair; entries beyond `cap` hold
+    `UNKNOWN`.
+    """
+    if cap < 0:
+        raise ValueError("cap must be nonnegative")
+    if not us or not vs:
+        return np.zeros((len(us), len(vs)), np.int32)
+    alphabet = us[0].alphabet
+    if any(w.alphabet is not alphabet and w.alphabet != alphabet for w in (*us, *vs)):
+        raise AlphabetMismatchError("words over different alphabets")
+    (row_data, rows), (col_data, cols) = _distinct(us), _distinct(vs)
+    table = np.empty((len(row_data), len(col_data)), np.int32)
+    if alphabet.kind == GENERIC:
+        for i, a in enumerate(row_data):
+            for j, b in enumerate(col_data):
+                m = word_metric(Word(alphabet, a), Word(alphabet, b), cap)
+                table[i, j] = UNKNOWN if m is None else m
+    else:
+        encoded = _encode(alphabet, col_data)
+        step = max(1, _BLOCK_PAIRS // len(col_data))
+        for start in range(0, len(row_data), step):
+            block = _encode(alphabet, row_data[start : start + step])
+            table[start : start + step] = _fill(alphabet, block, encoded)
+    return table[np.ix_(rows, cols)]
 
 
 def word_metric(u: Word, v: Word, cap: int = 12) -> Optional[int]:
     """Word metric d(u, v) = |u^-1 v|.
 
-    Exact kinds use the closed forms of the module docstring, exact for
-    reduced canonical data: ``|u| + |v| - 2*cpl(u, v)`` (free),
-    ``sum |u_i - v_i|`` (free abelian), ``|v - u|`` (cyclic), and the sum over
-    the paired components plus ``[b != c]`` (product with swap).  Generic
-    words use a breadth-first search up to `cap` and return None (Unknown)
-    when the cap is exceeded.
+    Exact kinds are the one-entry case of `distance_table`, whose closed
+    forms are exact for reduced canonical data: ``|u| + |v| - 2*cpl(u, v)``
+    (free), ``sum |u_i - v_i|`` (free abelian), ``|v - u|`` (cyclic), and the
+    sum over the paired components plus ``[b != c]`` (product with swap).
+    Generic words use a breadth-first search up to `cap` and return None
+    (Unknown) when the cap is exceeded.
     """
     _check_same_alphabet(u, v)
     if cap < 0:
         raise ValueError("cap must be nonnegative")
     if u.alphabet.kind in _EXACT_KINDS:
-        return _distance(u, v)
+        return int(distance_table([u], [v], cap)[0, 0])
     w = multiply(inverse(u), v)
     if w.is_identity():
         return 0

@@ -186,10 +186,6 @@ class BoundaryShiftMap:
             return w[1:]
         return (self.letter + w)[: self.space.depth]
 
-    def expansion_at(self, w: str) -> float:
-        inv = letter_inverse(self.letter)
-        return self.space.a if w.startswith(inv) else 1.0 / self.space.a
-
     def inverse(self) -> "BoundaryShiftMap":
         return BoundaryShiftMap(self.space, letter_inverse(self.letter))
 

@@ -140,12 +140,18 @@ BAD_FIELDS = [
     ("seed-negative", {"seed": -1}, "'seed'", "certify-shyp"),
     ("perturbation.seed-negative", _perturbed("matrix_jitter", seed=-1),
      "'perturbation.seed'", "stability"),
+    ("codes.depth-zero", {"codes": {"depth": 0}}, "'codes.depth'", "codes"),
+    ("codes.depth-negative", {"codes": {"depth": -1}}, "'codes.depth'", "certify-shyp"),
+    ("prefix_depth-zero", {"prefix_depth": 0}, "'prefix_depth'", "coding-map"),
+    ("max_chain-zero", {"max_chain": 0}, "'max_chain'", "certify-shyp"),
+    ("n_max-negative", {"n_max": -1}, "'n_max'", "certify-shyp"),
 ]
 
 # (id, command-line flags, field named in the error, command); the flags
 # override their config fields and must pass the same checks
 BAD_FLAGS = [
     ("--cap", ["--cap", 0], "'codes.cap'", "codes"),
+    ("--depth", ["--depth", 0], "'codes.depth'", "codes"),
     ("--tol", ["--tol", -1], "'tolerances.tol'", "stability"),
     ("--seed", ["--seed", -1], "'net.seed'", "stability"),
 ]

@@ -20,10 +20,13 @@ from expaction.geometry import (
     ClippedRegion,
     CoveredCircle,
     EmptyRegion,
+    FreeBoundary,
     Point,
     SpaceMismatchError,
     distance,
+    is_reduced,
     lebesgue_number,
+    letter_inverse,
 )
 from expaction.stability import lipschitz_distance
 
@@ -303,3 +306,52 @@ def test_circle_nearest_rejects_foreign_points():
     near = Circle().distance_to_net([Circle().point(1.0)])
     with pytest.raises(SpaceMismatchError):
         near(CoveredCircle(degree=2).point(1.0))
+
+
+# ---------------------------------------------------------------------------
+# free-word checks: string methods in place of per-letter loops
+
+
+def _loop_is_reduced(word: str) -> bool:
+    return all(word[i] != letter_inverse(word[i + 1]) for i in range(len(word) - 1))
+
+
+def _loop_normalize(space: FreeBoundary, value) -> str:
+    w = str(value)
+    for ch in w:
+        if ch.lower() not in space.letters:
+            raise ValueError(f"letter {ch!r} outside rank-{space.rank} alphabet")
+    if not _loop_is_reduced(w):
+        raise ValueError(f"word {w!r} is not reduced")
+    return w[: space.depth]
+
+
+def _outcome(fn, *args):
+    try:
+        return fn(*args)
+    except ValueError as err:
+        return str(err)
+
+
+# letters with their inverses next to them, ASCII noise, and the Kelvin sign
+# U+212A, the one character outside ASCII whose lower case is an ASCII letter
+LETTER_TEXT = st.text(st.sampled_from("aAbBcCkKz1 \u212a"), max_size=40)
+ASCII_TEXT = st.text(st.characters(max_codepoint=127), max_size=40)
+
+
+@settings(max_examples=300, derandomize=True)
+@given(word=st.one_of(LETTER_TEXT, ASCII_TEXT))
+def test_is_reduced_equals_the_letter_loop(word):
+    assert is_reduced(word) == _loop_is_reduced(word)
+
+
+@settings(max_examples=300, derandomize=True)
+@given(
+    word=st.one_of(LETTER_TEXT, ASCII_TEXT, st.text(max_size=12)),
+    rank=st.integers(1, 26),
+    depth=st.integers(1, 50),
+)
+def test_normalize_equals_the_letter_loop(word, rank, depth):
+    # same value, or the same ValueError message naming the first bad letter
+    space = FreeBoundary(rank=rank, depth=depth)
+    assert _outcome(space.normalize, word) == _outcome(_loop_normalize, space, word)

@@ -1,13 +1,15 @@
 """Closed-form word metrics against the composite-word reference.
 
-`groups.word_metric` computes |u^-1 v| straight from the canonical data of u
-and v.  The reference builds the word u^-1 v and measures it; both must
-agree on every exact kind, and whole certificates must not change when the
-reference replaces the closed form.
+`groups.word_metric` and `groups.distance_table` compute |u^-1 v| straight
+from the canonical data of u and v.  The reference builds the word u^-1 v
+and measures it; both must agree on every exact kind, and whole
+certificates must not change when the reference fills the distance tables.
 """
 import dataclasses
 import functools
+import random
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -90,11 +92,12 @@ def _certificates_agree(monkeypatch, system, datum, **kwargs):
     fast = coding.shyp_certificate(system, datum, **kwargs)
     calls = []
 
-    def reference(u, v, cap=12):
+    def reference(us, vs, cap=12):
         calls.append(1)
-        return composite_metric(u, v, cap)
+        table = [[composite_metric(u, v, cap) for v in vs] for u in us]
+        return np.array(table, np.int32).reshape(len(us), len(vs))
 
-    monkeypatch.setattr(groups, "word_metric", reference)
+    monkeypatch.setattr(groups, "distance_table", reference)
     slow = coding.shyp_certificate(system, datum, **kwargs)
     assert calls, "the certificate never reached the reference metric"
     for f in dataclasses.fields(coding.Certificate):
@@ -118,3 +121,68 @@ def test_product_swap_certificate_matches_slow_oracle(monkeypatch, product_syste
     datum = expansion.build_expansion_datum(product_system, 2.0, net_depth=2)
     cert = _certificates_agree(monkeypatch, product_system, datum, depth=6, n_max=8)
     assert cert.fellow_ok
+
+
+# ---------------------------------------------------------------------------
+# distance tables: every entry equals the word metric
+
+
+@pytest.mark.parametrize(
+    "alphabet",
+    [F2, Z3, CY, F2_Z3, NESTED, NESTED_MIXED],
+    ids=["free", "abelian", "cyclic", "free-x-abelian", "nested-swap", "nested-mixed"],
+)
+@settings(max_examples=60, derandomize=True)
+@given(data=st.data())
+def test_distance_table_equals_word_metric(alphabet, data):
+    # a small pool makes repeated words, which the table fills once
+    pool = data.draw(st.lists(words(alphabet), min_size=1, max_size=4))
+    us = data.draw(st.lists(st.sampled_from(pool), max_size=6))
+    vs = data.draw(st.lists(st.sampled_from(pool), max_size=6))
+    table = groups.distance_table(us, vs)
+    assert table.shape == (len(us), len(vs)) and table.dtype == np.int32
+    assert table.tolist() == [[word_metric(u, v) for v in vs] for u in us]
+    assert table.tolist() == [[composite_metric(u, v) for v in vs] for u in us]
+
+
+@settings(max_examples=60, derandomize=True)
+@given(
+    us=st.lists(words(F2, 4), min_size=1, max_size=4),
+    vs=st.lists(words(F2, 4), min_size=1, max_size=4),
+    cap=st.integers(0, 4),
+)
+def test_distance_table_masks_generic_words_beyond_the_cap(us, vs, cap):
+    us = [Word(GENERIC2, u.data) for u in us]
+    vs = [Word(GENERIC2, v.data) for v in vs]
+    expected = [
+        [groups.UNKNOWN if m is None else m for m in (word_metric(u, v, cap) for v in vs)]
+        for u in us
+    ]
+    assert groups.distance_table(us, vs, cap).tolist() == expected
+
+
+def random_word(alphabet: Alphabet, rng: random.Random, max_letters: int) -> Word:
+    letters = [
+        alphabet.generator(*rng.choice(alphabet.signed_letters()))
+        for _ in range(rng.randrange(max_letters + 1))
+    ]
+    return functools.reduce(multiply, letters, alphabet.identity())
+
+
+@pytest.mark.parametrize("alphabet", [F2, NESTED_MIXED], ids=["free", "nested-mixed"])
+def test_distance_table_fills_in_row_blocks(monkeypatch, alphabet):
+    # rows of unequal letter widths meet in each block
+    rng = random.Random(5)
+    us = [random_word(alphabet, rng, 12) for _ in range(25)]
+    whole = groups.distance_table(us, us[:7])
+    monkeypatch.setattr(groups, "_BLOCK_PAIRS", 10)
+    assert groups.distance_table(us, us[:7]).tolist() == whole.tolist()
+    assert whole.tolist() == [[composite_metric(u, v) for v in us[:7]] for u in us]
+
+
+def test_distance_table_checks_its_arguments():
+    with pytest.raises(groups.AlphabetMismatchError):
+        groups.distance_table([F2.identity()], [Z3.identity()])
+    with pytest.raises(ValueError):
+        groups.distance_table([F2.identity()], [F2.identity()], cap=-1)
+    assert groups.distance_table([], [F2.identity()]).shape == (0, 1)
