@@ -433,21 +433,11 @@ class RayTable:
         same = (sizes[:, None] == sizes) & (table.diagonal(axis1=1, axis2=3) == 0).all(axis=2)
         self.first = [row.index(True) for row in same.tolist()]  # first ray with the same words
 
-    def find(self, ray: Ray) -> Optional[int]:
-        """Position of the ray in the table, or None."""
-        for i, r in enumerate(self.rays):
-            if r is ray:
-                return i
-        for i, r in enumerate(self.rays):
-            if r.words == ray.words:
-                return i
-        return None
-
     def index(self, ray: Ray) -> int:
-        i = self.find(ray)
-        if i is None:
-            raise ValueError("ray not in the table")
-        return i
+        for i, r in enumerate(self.rays):
+            if r is ray or r.words == ray.words:
+                return i
+        raise ValueError("pool must contain both rays")
 
     def tail_close(self, a: int, b: int, n: int) -> bool:
         """Every tail vertex of a and of b inside the common word-length
@@ -533,10 +523,7 @@ def n_equivalence(
     pool = list(pool)
     if table is None or table.rays != pool:
         table = RayTable(pool, cap)
-    start, goal = table.find(rayA), table.find(rayB)
-    if start is None or goal is None:
-        raise ValueError("pool must contain both rays")
-    goal = table.first[goal]
+    start, goal = table.index(rayA), table.first[table.index(rayB)]
     if table.first[start] == goal:
         return True, (rayA,)
     frontier = [(start, (rayA,))]

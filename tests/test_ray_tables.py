@@ -175,6 +175,15 @@ def test_tail_close_matches_the_old_scan(data, n):
     assert coding._tail_close(a, b, n, cap) == old_tail_close(a, b, n, cap)
 
 
+def test_tail_partners_come_from_the_tail_half():
+    # a's tail holds g^-1, which b passes only in its first half
+    a = Ray(tuple(groups.Word(CY, e) for e in (1, 2, 1, 0, -1, 0)))
+    b = Ray(tuple(groups.Word(CY, e) for e in (-1, 0, 1, 0, 1)))
+    assert old_tail_close(a, b, 0) is False
+    assert coding._tail_close(a, b, 0) is False
+    assert coding._tail_close(a, b, 1) == old_tail_close(a, b, 1)
+
+
 @settings(max_examples=100, derandomize=True, deadline=None)
 @given(data=st.data(), n=st.integers(0, 3), max_chain=st.integers(1, 3))
 def test_n_equivalence_matches_the_old_search(data, n, max_chain):
@@ -202,7 +211,7 @@ def test_n_equivalence_needs_both_rays_in_the_pool():
     a, b = Ray((F2.generator(0, 1),)), Ray((F2.generator(1, 1),))
     with pytest.raises(ValueError, match="pool must contain both rays"):
         coding.n_equivalence(a, b, [a], 0)
-    with pytest.raises(ValueError, match="not in the table"):
+    with pytest.raises(ValueError, match="pool must contain both rays"):
         coding.fellow_travel_distance(a, b, table=RayTable([a]))
 
 
