@@ -441,7 +441,8 @@ class RayTable:
 
     def tail_close(self, a: int, b: int, n: int) -> bool:
         """Every tail vertex of a and of b inside the common word-length
-        window, shrunk by n at both ends, has a tail partner within n."""
+        window, shrunk by n at both ends, has a tail partner within n; False
+        when either window is empty."""
         sides = [
             (self.lens[s][self.tail_start[s] :], self.tail[s, t, self.tail_start[s] :].tolist())
             for s, t in ((a, b), (b, a))
