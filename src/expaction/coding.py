@@ -429,9 +429,9 @@ class RayTable:
             table.min(axis=3, initial=groups.UNKNOWN, where=pool).transpose(0, 2, 1)
             for pool in (in_path, in_tail)
         )
-        # rays with the same words meet at distance 0 at every path index
-        same = (sizes[:, None] == sizes) & (table.diagonal(axis1=1, axis2=3) == 0).all(axis=2)
-        self.first = [row.index(True) for row in same.tolist()]  # first ray with the same words
+        # the first ray with the same words
+        seen = {}
+        self.first = [seen.setdefault(r.words, i) for i, r in enumerate(self.rays)]
 
     def index(self, ray: Ray) -> int:
         for i, r in enumerate(self.rays):
@@ -494,16 +494,12 @@ def fellow_travel_distance(
     return None
 
 
-def _tail_close(
-    rayA: Ray, rayB: Ray, n: int, cap: int = 64, table: RayTable | None = None
-) -> bool:
+def _tail_close(rayA: Ray, rayB: Ray, n: int, cap: int = 64) -> bool:
     """Closeness at scale n over the tail halves (the infinite-subset
     surrogate: indices >= depth/2).  Words within n of the common word-length
     window boundary are exempt, again discounting truncation ends; an empty
     window is not close."""
-    if table is None:
-        table = RayTable((rayA, rayB), cap)
-    return table.tail_close(table.index(rayA), table.index(rayB), n)
+    return RayTable((rayA, rayB), cap).tail_close(0, 1, n)
 
 
 def n_equivalence(
@@ -522,8 +518,10 @@ def n_equivalence(
     when not given.
     """
     pool = list(pool)
-    if table is None or table.rays != pool:
+    if table is None:
         table = RayTable(pool, cap)
+    elif table.rays != pool:
+        raise ValueError("table must hold exactly the pool")
     start, goal = table.index(rayA), table.first[table.index(rayB)]
     if table.first[start] == goal:
         return True, (rayA,)

@@ -207,12 +207,27 @@ def test_quasigeodesic_check_matches_the_old_scan(data, fb_datum):
     assert coding.quasigeodesic_check(fb_datum, r, cap) == old_quasigeodesic_check(fb_datum, r, cap)
 
 
+def test_equal_copies_are_one_ray_in_the_chain_search():
+    x, y = F2.generator(0), F2.generator(1)
+    a, b = Ray((x, multiply(x, x))), Ray((y, multiply(y, y)))
+    pool = [a, b, Ray(a.words), Ray(b.words)]
+    assert RayTable(pool).first == [0, 1, 0, 1]
+    for start in pool:
+        for goal in pool:
+            for n in range(3):
+                expected = old_n_equivalence(start, goal, pool, n)
+                assert coding.n_equivalence(start, goal, pool, n) == expected
+    assert coding.n_equivalence(a, pool[2], pool, 0) == (True, (a,))
+
+
 def test_n_equivalence_needs_both_rays_in_the_pool():
     a, b = Ray((F2.generator(0, 1),)), Ray((F2.generator(1, 1),))
     with pytest.raises(ValueError, match="pool must contain both rays"):
         coding.n_equivalence(a, b, [a], 0)
     with pytest.raises(ValueError, match="pool must contain both rays"):
         coding.fellow_travel_distance(a, b, table=RayTable([a]))
+    with pytest.raises(ValueError, match="table must hold exactly the pool"):
+        coding.n_equivalence(a, b, [a, b], 0, table=RayTable([a, b, a]))
 
 
 # ---------------------------------------------------------------------------
