@@ -17,7 +17,6 @@ from pathlib import Path
 import numpy as np
 
 from . import coding, expansion, stability, zoo
-from .geometry import Circle
 
 SCHEMA_VERSION = 1
 
@@ -32,16 +31,12 @@ class ConfigError(ValueError):
 
 def _number(path: str, value, convert=float):
     try:
-        return convert(value)
+        number = convert(value)
     except (TypeError, ValueError, OverflowError):
         raise ConfigError(path, f"must be a number, not {value!r}") from None
-
-
-def _seed(path: str, value) -> int:
-    seed = _number(path, value, int)
-    if seed < 0:
-        raise ConfigError(path, "must be >= 0")
-    return seed
+    if isinstance(number, float) and not math.isfinite(number):
+        raise ConfigError(path, f"must be a finite number, not {value!r}")
+    return number
 
 
 def _count(path: str, value, low: int) -> int:
@@ -97,9 +92,9 @@ class ExperimentConfig:
         if "depth" in net:
             cfg.net_depth = _count("net.depth", net["depth"], 1)
         if "seed" in net:
-            cfg.seed = _seed("net.seed", net["seed"])
+            cfg.seed = _count("net.seed", net["seed"], 0)
         elif "seed" in raw:
-            cfg.seed = _seed("seed", raw["seed"])
+            cfg.seed = _count("seed", raw["seed"], 0)
         codes = raw.get("codes", {})
         cfg.code_depth = _count("codes.depth", codes.get("depth", cfg.code_depth), 1)
         cfg.code_cap = _count("codes.cap", codes.get("cap", cfg.code_cap), 1)
@@ -114,7 +109,9 @@ class ExperimentConfig:
             cfg.tol = _number("tol", raw["tol"])
         if not cfg.tol > 0:
             raise ConfigError("tolerances.tol", "must be positive")
-        cfg.out_dir = str(raw.get("out_dir", cfg.out_dir))
+        cfg.out_dir = raw.get("out_dir", cfg.out_dir)
+        if not isinstance(cfg.out_dir, str):
+            raise ConfigError("out_dir", f"must be a string, not {cfg.out_dir!r}")
         return cfg
 
     def to_dict(self) -> dict:
@@ -194,7 +191,7 @@ def build_perturbation(cfg: ExperimentConfig, system: zoo.ActionSystem):
             system,
             zoo.MatrixJitter(
                 magnitude=number("magnitude", 0.0),
-                seed=_seed("perturbation.seed", p.get("seed", cfg.seed)),
+                seed=_count("perturbation.seed", p.get("seed", cfg.seed), 0),
                 diagonal_only=_boolean("perturbation.diagonal_only", p.get("diagonal_only", False)),
             ),
         )
@@ -319,7 +316,7 @@ def cmd_verify_expansion(cfg: ExperimentConfig, out: Path) -> int:
     }
     write_json(out / "report.json", report)
     write_csv(out / "checks.csv", report_obj.rows())
-    if isinstance(system.space, Circle):
+    if system.space.angular:
         arcs = [
             (e.region.center, e.region.half_width - e.region.offset, e.index)
             for e in datum.nonempty_entries()
@@ -362,7 +359,7 @@ def cmd_codes(cfg: ExperimentConfig, out: Path) -> int:
     }
     write_json(out / "report.json", report)
     write_csv(out / "codes.csv", rows)
-    if isinstance(system.space, Circle) and sample:
+    if system.space.angular and sample:
         x = sample[0]
         code = coding.make_code(datum, system, datum.delta, x, cfg.code_depth)
         steps = coding.nested_images(system, datum, code, datum.delta)
@@ -500,7 +497,7 @@ def cmd_stability(cfg: ExperimentConfig, out: Path) -> int:
     }
     write_json(out / "report.json", report)
     write_csv(out / "conjugacy.csv", table.rows())
-    if isinstance(system.space, Circle):
+    if system.space.angular:
         write_circle_svg(
             out / "lambda_vs_image.svg",
             [],

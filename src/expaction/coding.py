@@ -217,21 +217,17 @@ class NestedStep:
 
 
 def _word_pushers(view: ActionView, datum: ExpansionDatum, code: Code) -> list:
-    """Per-depth evaluators z -> rho(c_i)(z), sharing composed matrices for
-    Moebius systems so pushing many ball points stays cheap."""
-    entry_map = _entry_map(datum)
-    letters = [groups.letters_of(entry_map[a].symbol) for a in code.alphas]
-    flat = [l for ls in letters for l in ls]
-    if flat and all(isinstance(view.maps[l], zoo.MoebiusMap) for l in set(flat)):
-        pushers, mat = [], np.eye(2)
-        for ls in letters:
-            mat = zoo.compose_moebius(mat, [view.maps[l] for l in ls])
-            pushers.append(
-                lambda z, m=mat: view.space.point(zoo.MoebiusMap.apply_matrix_angle(m, z.value))
-            )
-        return pushers
-    ray = code_ray(datum, code)
-    return [lambda z, w=w: view.apply_word(w, z) for w in ray.words]
+    """Per-depth evaluators z -> rho(c_i)(z): the prefixes of one growing
+    `zoo.WordPush` where it composes the maps, so pushing many ball points
+    stays cheap, and otherwise the reduced ray words."""
+    push = zoo.WordPush(view.space, view.maps)
+    if push.matrix is None:
+        return [lambda z, w=w: view.apply_word(w, z) for w in code_ray(datum, code).words]
+    entry_map, pushers = _entry_map(datum), []
+    for a in code.alphas:
+        push = push.grown(groups.letters_of(entry_map[a].symbol))
+        pushers.append(push)
+    return pushers
 
 
 def nested_images(

@@ -20,10 +20,14 @@ from .geometry import (
     TAU,
     ArcRegion,
     BallRegion,
+    Circle,
     ComponentRegion,
     CylinderRegion,
+    DisjointUnion,
     EmptyRegion,
+    FreeBoundary,
     Point,
+    ProjectiveSpace,
     Region,
     lebesgue_number,
 )
@@ -74,12 +78,6 @@ class ExpansionDatum:
             raise ValueError("Lipschitz constant must dominate the expansion rate")
         if not self.delta > 0.0:
             raise ValueError("delta must be positive")
-
-    def entry(self, index: str) -> CoverEntry:
-        for e in self.entries:
-            if e.index == index:
-                return e
-        raise KeyError(index)
 
     def nonempty_entries(self) -> list:
         return [e for e in self.entries if not e.region.is_empty()]
@@ -150,7 +148,8 @@ def build_expansion_datum(
     net_depth: int | None = None,
     grid_size: int = GRID_SIZE,
 ) -> ExpansionDatum:
-    """Cover construction at the requested expansion rate.
+    """Cover construction at the requested expansion rate, by the builder of
+    the system's space class in `COVER_BUILDERS`.
 
     Circle systems take connected sublevel components of the expansion-factor
     field on a uniform grid; free-group boundaries use the exact depth-1
@@ -159,17 +158,10 @@ def build_expansion_datum(
     """
     if not lam_target > 1.0:
         raise ValueError("lam_target must exceed 1")
-    net = system.limit_net(net_depth)
-    style = system.cover_style
-    if style == "circle-grid":
-        return _build_circle(system, lam_target, net, grid_size)
-    if style == "cylinders":
-        return _build_cylinders(system, lam_target, net)
-    if style == "projective-balls":
-        return _build_projective(system, lam_target, net)
-    if style == "product":
-        return _build_product(system, lam_target, net_depth)
-    raise ValueError(f"unknown cover style {style!r}")
+    for cls in type(system.space).__mro__:
+        if cls in COVER_BUILDERS:
+            return COVER_BUILDERS[cls](system, lam_target, net_depth, grid_size)
+    raise ValueError(f"no cover builder for {system.space.kind}")
 
 
 def _fail_uncoverable(system, net, lam_target):
@@ -208,8 +200,23 @@ def _circular_runs(mask: np.ndarray) -> list:
     return runs
 
 
-def _build_circle(system, lam_target, net, grid_size):
+def _certified_datum(system, entries, lam_target, net, probe, lip_at):
+    """The datum of a cover: delta is SAFETY times its Lebesgue number over
+    the probe net, lip the largest `lip_at(map, value)` of a generator map on
+    the delta-neighborhood of the net."""
+    leb, _ = lebesgue_number([e.region for e in entries], probe)
+    if leb <= 0:
+        _fail_uncoverable(system, net, lam_target)
+    delta = float(SAFETY * leb)
+    samples = system.space.neighborhood(net, delta)
+    lip_raw = max(lip_at(m, x.value) for m in system.letter_maps.values() for x in samples)
+    lip = float(LIP_SAFETY * max(lip_raw, lam_target))
+    return ExpansionDatum(tuple(entries), delta, lam_target, lip, tuple(net))
+
+
+def _build_circle(system, lam_target, net_depth, grid_size):
     space = system.space
+    net = system.limit_net(net_depth)
     step = TAU / grid_size
     thetas = np.arange(grid_size) * step
     entries = []
@@ -243,26 +250,17 @@ def _build_circle(system, lam_target, net, grid_size):
                     )
                 )
                 pos += 1
-    regions = [e.region for e in entries]
     # probe a deeper net than the working one: the working net under-samples
     # fractal limit sets whose extreme points pin the true Lebesgue number
     probe = system.limit_net(min(system.default_depth + 5, 10)) if len(net) > 2 else net
-    leb, witness = lebesgue_number(regions, list(net) + list(probe))
-    if leb <= 0:
-        _fail_uncoverable(system, net, lam_target)
-    delta = float(SAFETY * leb)
-    samples = space.neighborhood(net, delta)
-    lip_raw = max(
-        system.letter_maps[letter].deriv_angle(x.value)
-        for letter in system.letter_maps
-        for x in samples
+    return _certified_datum(
+        system, entries, lam_target, net, list(net) + list(probe), lambda m, t: m.deriv_angle(t)
     )
-    lip = float(LIP_SAFETY * max(lip_raw, lam_target))
-    return ExpansionDatum(tuple(entries), delta, lam_target, lip, tuple(net))
 
 
-def _build_cylinders(system, lam_target, net):
+def _build_cylinders(system, lam_target, net_depth, grid_size):
     space = system.space
+    net = system.limit_net(net_depth)
     a = space.a
     if lam_target > a:
         _fail_uncoverable(system, net, lam_target)
@@ -282,8 +280,9 @@ def _build_cylinders(system, lam_target, net):
     return ExpansionDatum(tuple(entries), delta, a, a, tuple(net))
 
 
-def _build_projective(system, lam_target, net):
+def _build_projective(system, lam_target, net_depth, grid_size):
     space = system.space
+    net = system.limit_net(net_depth)
     n = system.alphabet.rank
     e = [space.point(tuple(1.0 if i == k else 0.0 for i in range(n + 1))) for k in range(n + 1)]
     min_sep = min(
@@ -294,13 +293,11 @@ def _build_projective(system, lam_target, net):
     r_cap = 0.45 * min_sep
 
     def ball_for(expanding_letter, center: Point, label: Word, pos: int):
-        m = system.letter_maps[expanding_letter]
+        A = system.letter_maps[expanding_letter].np_matrix
 
         def ok(r: float) -> bool:
-            # the ring plane of P^1 is degenerate: there two points probe each ring
-            k = 24 if space.n > 1 else 2
-            pts = [p for ring in space.rings(center, (r, r / 2), 24) for p in ring[:k]] + [center]
-            return all(m.min_stretch(p.value) > lam_target for p in pts)
+            pts = [p for ring in space.rings(center, (r, r / 2), 24) for p in ring] + [center]
+            return all(space.stretches(A, p.value)[0] > lam_target for p in pts)
 
         if not ok(r_cap * 1e-3):
             _fail_uncoverable(system, net, lam_target)
@@ -332,25 +329,15 @@ def _build_projective(system, lam_target, net):
             CoverEntry(f"{pos:02d}:{label}", label, EmptyRegion(label=str(label), space=space))
         )
         pos += 1
-    regions = [x.region for x in entries]
-    leb, witness = lebesgue_number(regions, net)
-    if leb <= 0:
-        _fail_uncoverable(system, net, lam_target)
-    delta = float(SAFETY * leb)
-    samples = space.neighborhood(net, delta)
-    lip_raw = max(
-        float(system.letter_maps[letter].max_stretch(x.value))
-        for letter in system.letter_maps
-        for x in samples
+    return _certified_datum(
+        system, entries, lam_target, net, net, lambda m, v: space.stretches(m.np_matrix, v)[1]
     )
-    lip = float(LIP_SAFETY * max(lip_raw, lam_target))
-    return ExpansionDatum(tuple(entries), delta, lam_target, lip, tuple(net))
 
 
-def _build_product(system, lam_target, net_depth):
-    first, second = system.meta["components"]
-    d1 = build_expansion_datum(first, lam_target, net_depth)
-    d2 = build_expansion_datum(second, lam_target, net_depth)
+def _build_product(system, lam_target, net_depth, grid_size):
+    first, second = system.components
+    d1 = build_expansion_datum(first, lam_target, net_depth, grid_size)
+    d2 = build_expansion_datum(second, lam_target, net_depth, grid_size)
     space = system.space
     alphabet = system.alphabet
     id1, id2 = first.alphabet.identity(), second.alphabet.identity()
@@ -368,7 +355,7 @@ def _build_product(system, lam_target, net_depth):
             )
             entries.append(CoverEntry(f"{pos:02d}:{label}", label, region))
             pos += 1
-    if system.meta.get("with_swap"):
+    if alphabet.has_swap:
         label = alphabet.generator(alphabet.rank - 1, 1)
         entries.append(
             CoverEntry(f"{pos:02d}:swap", label, EmptyRegion(label="swap", space=space))
@@ -382,6 +369,15 @@ def _build_product(system, lam_target, net_depth):
         max(d1.lip, d2.lip),
         tuple(net),
     )
+
+
+# the cover builder of each space class; a subclass uses its nearest base's
+COVER_BUILDERS = {
+    Circle: _build_circle,
+    FreeBoundary: _build_cylinders,
+    ProjectiveSpace: _build_projective,
+    DisjointUnion: _build_product,
+}
 
 
 # ---------------------------------------------------------------------------

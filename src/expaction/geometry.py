@@ -105,10 +105,17 @@ class Space:
 
     # whether actions by maps outside the group (perturbations) are defined
     perturbable = False
+    # whether points are angles on one circle, which the SVG figures draw
+    angular = False
 
     def apply_maps(self, maps: Sequence, x: Point) -> Point:
         """Image of x under a sequence of self-maps, maps[0] acting first."""
         raise NotImplementedError
+
+    def stretch(self, maps: Sequence, x: Point) -> float:
+        """Least factor by which the composed maps (maps[0] acting first)
+        stretch distances at x, in the limit of nearby points."""
+        raise TypeError(f"stretch undefined on {self.kind}")
 
     def neighborhood(self, net: Sequence[Point], delta: float) -> list:
         """Deterministic sample of the closed delta-neighborhood of the net;
@@ -163,6 +170,7 @@ class Circle(Space):
         return self.point(rng.uniform(0.0, TAU))
 
     perturbable = True
+    angular = True
 
     def apply_maps(self, maps: Sequence, x: Point) -> Point:
         # circle maps return wrapped angles and wrap_angle fixes those, so
@@ -171,6 +179,14 @@ class Circle(Space):
         for m in maps:
             t = m.apply_angle(t)
         return self.point(t)
+
+    def stretch(self, maps: Sequence, x: Point) -> float:
+        # the chain rule over the orbit of x
+        factor, t = 1.0, x.value
+        for m in maps:
+            factor *= m.deriv_angle(t)
+            t = m.apply_angle(t)
+        return factor
 
     def ball_net(self, center: Point, eta: float, k: int = 64) -> list:
         """Deterministic net of the open eta-ball at the center (center
@@ -248,9 +264,6 @@ class CoveredCircle(Circle):
 
     degree: int = 2
 
-    def project(self, x: Point) -> float:
-        return wrap_angle(self.degree * x.value)
-
 
 @dataclass(frozen=True)
 class ProjectiveSpace(Space):
@@ -297,6 +310,26 @@ class ProjectiveSpace(Space):
             x = self.point(m.apply_vec(x.value))
         return x
 
+    def stretch(self, maps: Sequence, x: Point) -> float:
+        mat = np.eye(self.n + 1)
+        for m in maps:
+            mat = m.np_matrix @ mat
+        return self.stretches(mat, x.value)[0]
+
+    @staticmethod
+    def stretches(A: np.ndarray, v: Sequence[float]) -> tuple:
+        """(min, max) directional stretch of the projective action of the
+        matrix A at the line [v]."""
+        v = np.asarray(v, dtype=float)
+        v = v / np.linalg.norm(v)
+        Av = A @ v
+        n = np.linalg.norm(Av)
+        w = Av / n
+        W = np.column_stack(ProjectiveSpace.tangent_basis(v))
+        M = (np.eye(len(v)) - np.outer(w, w)) @ A @ W / n
+        sv = np.linalg.svd(M, compute_uv=False)
+        return float(sv[-1]), float(sv[0])
+
     @staticmethod
     def tangent_basis(v: np.ndarray) -> list:
         """Orthonormal basis of the tangent space at the unit vector v (its
@@ -321,17 +354,17 @@ class ProjectiveSpace(Space):
 
     def rings(self, center: Point, radii: Sequence[float], k: int) -> list:
         """Per radius r, the k points at distance r from the center at equal
-        angles in the plane of its first two tangent directions (on P^1 the
-        one direction is scaled by the cosine of the angle, so closer)."""
+        angles in the plane of its first two tangent directions; on P^1,
+        whose one tangent direction spans no plane, the two points at +-r."""
         v = np.asarray(center.value)
         basis = self.tangent_basis(v)
-        directions = []
-        for t in range(k):
-            ang = TAU * t / k
-            w = basis[0] * math.cos(ang)
-            if len(basis) > 1:
-                w = w + basis[1] * math.sin(ang)
-            directions.append(w)
+        if len(basis) == 1:
+            directions = [basis[0], -basis[0]]
+        else:
+            directions = [
+                basis[0] * math.cos(TAU * t / k) + basis[1] * math.sin(TAU * t / k)
+                for t in range(k)
+            ]
         return [
             [self.point(tuple(math.cos(r) * v + math.sin(r) * w)) for w in directions]
             for r in radii
@@ -398,6 +431,16 @@ class FreeBoundary(Space):
             w = m.apply_word(w)
         return self.point(w)
 
+    def stretch(self, maps: Sequence, x: Point) -> float:
+        # a letter that cancels the first letter of the word brings its first
+        # difference from every nearby point one place nearer the front, so
+        # distances grow by a; any other letter is prepended and they shrink by a
+        factor, w = 1.0, x.value
+        for m in maps:
+            factor *= self.a if w[:1] == letter_inverse(m.letter) else 1.0 / self.a
+            w = m.apply_word(w)
+        return factor
+
     def ball_net(self, center: Point, eta: float, k: int = 64) -> list:
         j = math.floor(math.log(1.0 / eta) / math.log(self.a)) + 1
         prefix = center.value[:j]
@@ -414,9 +457,11 @@ class FreeBoundary(Space):
         return pts[:k]
 
     def random_point(self, rng) -> Point:
+        # one letter short of the depth, so that a generator moves it without
+        # truncation and round trips through a generator and its inverse are exact
         chars = self.letters + self.letters.upper()
         word = [chars[rng.integers(0, len(chars))]]
-        while len(word) < self.depth:
+        while len(word) < self.depth - 1:
             choices = [c for c in chars if c != letter_inverse(word[-1])]
             word.append(choices[rng.integers(0, len(choices))])
         return self.point("".join(word))

@@ -15,8 +15,6 @@ import math
 from dataclasses import dataclass, field
 from typing import Callable, Mapping, Optional, Sequence
 
-import numpy as np
-
 from . import groups
 from .coding import CodingError, _greedy_entry, _step, expansivity_witness, greedy_step
 from .expansion import (
@@ -28,7 +26,7 @@ from .expansion import (
     strided_pairs,
 )
 from .geometry import ClippedRegion, Point, lebesgue_number
-from .zoo import ActionSystem, MoebiusMap, PerturbedMaps, apply_letters, compose_moebius
+from .zoo import ActionSystem, PerturbedMaps, WordPush
 
 
 class AdmissibilityError(ValueError):
@@ -179,24 +177,13 @@ def _conjugacy_from(ps: PerturbedSystem, x: Point, first: tuple, tol: float, max
     lam_p, lip_p = datum.lam - eps, datum.lip + eps
     delta = datum.delta
 
-    maps = pert_view.maps
-    mat = np.eye(2) if all(isinstance(m, MoebiusMap) for m in maps.values()) else None
-    letters = []  # the code's symbols spelled out, first symbol first
-
-    def push(q: Point) -> Point:
-        if mat is not None:
-            return space.point(MoebiusMap.apply_matrix_angle(mat, q.value))
-        return apply_letters(space, maps, letters, q)
-
+    push = WordPush(space, pert_view.maps)  # grown by the code's symbols, unreduced
     e, point = first
     z_prev = None
     for i in range(max_depth):
         if i:
             e, point = greedy_step(datum, base_view, point, delta)
-        if mat is not None:
-            mat = compose_moebius(mat, [maps[letter] for letter in groups.letters_of(e.symbol)])
-        else:
-            letters.extend(groups.letters_of(e.symbol))
+        push = push.grown(groups.letters_of(e.symbol))
         z = push(point)
         probes = [push(q) for q in space.ball_net(point, delta, 6)]
         diam = space.set_diameter(probes)

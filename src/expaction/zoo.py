@@ -7,8 +7,9 @@ no special casing and derivatives stay finite everywhere.
 """
 from __future__ import annotations
 
+import copy
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Callable, Iterable, Mapping, Sequence
 
 import numpy as np
@@ -192,7 +193,8 @@ class BoundaryShiftMap:
 
 @dataclass(frozen=True)
 class ProjectiveMap:
-    """Projectivized invertible linear map with analytic stretch factors."""
+    """Projectivized invertible linear map; `ProjectiveSpace.stretches` gives
+    its stretch factors."""
 
     matrix: tuple
 
@@ -209,25 +211,6 @@ class ProjectiveMap:
 
     def apply_vec(self, v: tuple) -> tuple:
         return tuple(self.np_matrix @ np.asarray(v))
-
-    def _stretches(self, v: tuple) -> tuple:
-        """(min, max) directional stretch of the projective action at [v]."""
-        A = self.np_matrix
-        v = np.asarray(v, dtype=float)
-        v = v / np.linalg.norm(v)
-        Av = A @ v
-        n = np.linalg.norm(Av)
-        w = Av / n
-        W = np.column_stack(ProjectiveSpace.tangent_basis(v))
-        M = (np.eye(len(v)) - np.outer(w, w)) @ A @ W / n
-        sv = np.linalg.svd(M, compute_uv=False)
-        return float(sv[-1]), float(sv[0])
-
-    def min_stretch(self, v: tuple) -> float:
-        return self._stretches(v)[0]
-
-    def max_stretch(self, v: tuple) -> float:
-        return self._stretches(v)[1]
 
     def inverse(self) -> "ProjectiveMap":
         return ProjectiveMap.from_matrix(np.linalg.inv(self.np_matrix))
@@ -338,19 +321,42 @@ def compose_moebius(mat: np.ndarray, maps: Iterable[MoebiusMap]) -> np.ndarray:
     return mat
 
 
+class WordPush:
+    """The map z -> rho(w)(z) of a word w grown on the right, with `maps`
+    sending each letter to its self-map.
+
+    When every map is a Moebius map, w is kept as its composed matrix: one
+    exact-group composition instead of a letterwise orbit, which matters for
+    long words whose intermediate points sit near fixed points.  Otherwise w
+    is kept as its letters, whose maps the space applies one by one.
+    """
+
+    def __init__(self, space: Space, maps: Mapping):
+        self.space, self.maps, self.letters = space, maps, ()
+        moebius = all(isinstance(m, MoebiusMap) for m in maps.values())
+        self.matrix = np.eye(2) if moebius else None  # None: w is kept as letters
+
+    def grown(self, letters: Sequence) -> "WordPush":
+        """The push of w followed by `letters`; this one is left as it is."""
+        out = copy.copy(self)
+        out.letters = self.letters + tuple(letters)
+        if self.matrix is not None:
+            out.matrix = compose_moebius(self.matrix, [self.maps[l] for l in letters])
+        return out
+
+    def __call__(self, x: Point) -> Point:
+        if self.matrix is not None and self.letters:
+            return self.space.point(MoebiusMap.apply_matrix_angle(self.matrix, x.value))
+        return self.space.apply_maps([self.maps[l] for l in reversed(self.letters)], x)
+
+
 def apply_letters(space: Space, maps: Mapping, letters: Sequence, x: Point) -> Point:
     """Image of x under the word spelled by `letters` (the last letter acts
-    first), with `maps` sending each letter to its self-map.
-
-    Words of two or more Moebius letters go through the composed matrix: one
-    exact-group composition instead of a letterwise orbit, which matters for
-    long words whose intermediate points sit near fixed points.
-    """
-    chain = [maps[letter] for letter in letters]
-    if len(chain) > 1 and all(isinstance(m, MoebiusMap) for m in chain):
-        mat = compose_moebius(np.eye(2), chain)
-        return space.point(MoebiusMap.apply_matrix_angle(mat, x.value))
-    return space.apply_maps(chain[::-1], x)
+    first); see `WordPush`.  One map alone is applied directly, which gives
+    the same floats without composing a matrix."""
+    if len(letters) > 1:
+        return WordPush(space, maps).grown(letters)(x)
+    return space.apply_maps([maps[letter] for letter in letters], x)
 
 
 _FIXED_ANGLE_CACHE: dict = {}
@@ -409,7 +415,6 @@ class ActionSystem:
     letter_maps: Mapping[Letter, object]
     net_fn: Callable[[int], list]
     default_depth: int
-    cover_style: str
     meta: dict = field(default_factory=dict)
 
     def apply_letter(self, letter: Letter, x: Point) -> Point:
@@ -419,19 +424,7 @@ class ActionSystem:
         """Evaluate rho(g) at x (the rightmost letter acts first); see `apply_letters`."""
         if g.alphabet != self.alphabet:
             raise groups.AlphabetMismatchError("word over a different alphabet")
-        if self.alphabet.kind == groups.PRODUCT_SWAP:
-            return self._apply_product(g, x)
         return apply_letters(self.space, self.letter_maps, groups.letters_of(g), x)
-
-    def _apply_product(self, g: Word, x: Point) -> Point:
-        w1, w2, bit = g.data
-        first, second = self.meta["components"]
-        idx, val = x.value
-        if bit:
-            idx = 1 - idx
-        comp_sys = (first, second)[idx]
-        inner = comp_sys.apply((w1, w2)[idx], Point(comp_sys.space, val))
-        return self.space.point((idx, inner.value))
 
     def limit_net(self, depth: int | None = None) -> list:
         return self.net_fn(self.default_depth if depth is None else depth)
@@ -440,48 +433,30 @@ class ActionSystem:
         return self.alphabet.symmetric_generators()
 
 
+@dataclass
+class ProductSystem(ActionSystem):
+    """Two systems acting on the two copies of a disjoint union."""
+
+    components: tuple = ()
+
+    def apply(self, g: Word, x: Point) -> Point:
+        """(w1, w2, b) applies the component word of the copy the point ends
+        on, after the swap when b is set."""
+        if g.alphabet != self.alphabet:
+            raise groups.AlphabetMismatchError("word over a different alphabet")
+        w1, w2, bit = g.data
+        idx, val = x.value
+        if bit:
+            idx = 1 - idx
+        comp_sys = self.components[idx]
+        inner = comp_sys.apply((w1, w2)[idx], Point(comp_sys.space, val))
+        return self.space.point((idx, inner.value))
+
+
 def expansion_factor(system: ActionSystem, g: Word, x: Point) -> float:
-    """Infimum directional stretch of rho(g) at x.
-
-    Circle kinds multiply the analytic one-dimensional derivatives along the
-    orbit; projective kinds evaluate the product matrix; boundary kinds use
-    the exact cylinder scaling.  Falls back to finite differences when no
-    analytic route exists.
-    """
+    """Infimum directional stretch of rho(g) at x; the space computes it."""
     letters = groups.letters_of(g)
-    if isinstance(system.space, Circle):
-        factor, y = 1.0, x
-        for letter in reversed(letters):
-            m = system.letter_maps[letter]
-            factor *= m.deriv_angle(y.value)
-            y = system.apply_letter(letter, y)
-        return factor
-    if isinstance(system.space, ProjectiveSpace):
-        mat = np.eye(len(x.value))
-        for letter in letters:
-            mat = system.letter_maps[letter].np_matrix @ mat
-        return ProjectiveMap.from_matrix(mat).min_stretch(x.value)
-    if isinstance(system.space, FreeBoundary):
-        probe_depth = min(system.space.depth - 2, max(len(x.value) + 2, 8))
-        y = _flip_at_depth(system.space, x.value, probe_depth)
-        d0 = system.space.raw_distance(x.value, y)
-        gx, gy = system.apply(g, x), system.apply(g, system.space.point(y))
-        return system.space.raw_distance(gx.value, gy.value) / d0
-    return expansion_factor_fd(system, g, x)
-
-
-def _flip_at_depth(space: FreeBoundary, w: str, depth: int) -> str:
-    chars = space.letters + space.letters.upper()
-    w = w[:depth]
-    while len(w) < depth:
-        cands = [c for c in chars if not w or c != letter_inverse(w[-1])]
-        w += cands[0]
-    prev = w[depth - 1]
-    forbid = {prev}
-    if depth >= 2:
-        forbid.add(letter_inverse(w[depth - 2]))
-    repl = next(c for c in chars if c not in forbid)
-    return w[: depth - 1] + repl
+    return system.space.stretch([system.letter_maps[l] for l in reversed(letters)], x)
 
 
 def expansion_factor_fd(system: ActionSystem, g: Word, x: Point, h: float = 1e-6) -> float:
@@ -565,8 +540,7 @@ def make_cyclic_hyperbolic(multiplier: float) -> ActionSystem:
         letter_maps=maps,
         net_fn=net_fn,
         default_depth=1,
-        cover_style="circle-grid",
-        meta={"multiplier": multiplier, "matrix": gamma.matrix},
+        meta={"multiplier": multiplier},
     ))
 
 
@@ -594,8 +568,7 @@ def make_covered_cyclic(base: ActionSystem, k: int) -> ActionSystem:
         letter_maps=maps,
         net_fn=net_fn,
         default_depth=1,
-        cover_style="circle-grid",
-        meta={"multiplier": base.meta["multiplier"], "degree": k},
+        meta={"multiplier": base.meta["multiplier"]},
     ))
 
 
@@ -658,7 +631,6 @@ def make_schottky(matrices: Sequence | None = None) -> ActionSystem:
         letter_maps=maps,
         net_fn=net_fn,
         default_depth=4,
-        cover_style="circle-grid",
         meta={"arcs": arcs, "matrices": [tuple(map(tuple, np.asarray(m, float))) for m in matrices]},
     ))
 
@@ -694,8 +666,6 @@ def make_free_boundary(rank: int, a: float) -> ActionSystem:
         letter_maps=maps,
         net_fn=net_fn,
         default_depth=4,
-        cover_style="cylinders",
-        meta={"a": a},
     ))
 
 
@@ -730,8 +700,6 @@ def make_zn_projective(diagonals: Sequence[Sequence[float]]) -> ActionSystem:
         letter_maps=maps,
         net_fn=net_fn,
         default_depth=1,
-        cover_style="projective-balls",
-        meta={"diagonals": [tuple(float(x) for x in d) for d in diagonals]},
     ))
 
 
@@ -777,15 +745,14 @@ def make_product(first: ActionSystem, second: ActionSystem, with_swap: bool = Fa
         pts += [space.embed(1, p) for p in second.limit_net(depth)]
         return pts
 
-    return ActionSystem(
+    return ProductSystem(
         name=f"product({first.name}, {second.name}, swap={with_swap})",
         alphabet=alphabet,
         space=space,
         letter_maps=maps,
         net_fn=net_fn,
         default_depth=min(first.default_depth, second.default_depth),
-        cover_style="product",
-        meta={"components": (first, second), "with_swap": with_swap},
+        components=(first, second),
     )
 
 
@@ -797,8 +764,10 @@ def make_product(first: ActionSystem, second: ActionSystem, with_swap: bool = Fa
 class MatrixJitter:
     """Seeded uniform noise on matrix entries, renormalized to determinant 1.
 
-    Diagonal systems (Z^n, covers) only jitter the diagonal so the perturbed
-    generators still commute.
+    `diagonal_only` keeps the noise of Moebius generators on the diagonal.
+    Projective generators are always jittered on the diagonal, so perturbed
+    Z^n generators still commute; a cover's lifted generator has its
+    multiplier jittered.
     """
 
     magnitude: float
@@ -818,9 +787,8 @@ class BumpCompose:
 
 @dataclass(frozen=True)
 class PerturbedMaps:
-    """Per-letter maps of a perturbed action, with the family that made them."""
+    """Per-letter maps of a perturbed action."""
 
-    family: object
     letter_maps: Mapping[Letter, object]
 
 
@@ -834,9 +802,7 @@ def perturb(system: ActionSystem, family) -> PerturbedMaps:
         rng = np.random.default_rng(family.seed)
         out = {}
         if family.magnitude == 0.0:
-            return PerturbedMaps(family, dict(system.letter_maps))
-        if "diagonals" in system.meta or "degree" in system.meta:
-            family = replace(family, diagonal_only=True)
+            return PerturbedMaps(dict(system.letter_maps))
         for i in range(system.alphabet.rank):
             fwd = system.letter_maps[(i, 1)]
             if isinstance(fwd, MoebiusMap):
@@ -857,7 +823,7 @@ def perturb(system: ActionSystem, family) -> PerturbedMaps:
                 out[(i, 1)], out[(i, -1)] = m2, m2.inverse()
             else:
                 raise ConstructionError(f"matrix jitter unsupported for {type(fwd).__name__}")
-        return PerturbedMaps(family, out)
+        return PerturbedMaps(out)
     if isinstance(family, BumpCompose):
         if not isinstance(system.space, Circle):
             raise ConstructionError("bump perturbations need a circle system")
@@ -866,14 +832,15 @@ def perturb(system: ActionSystem, family) -> PerturbedMaps:
         for i in range(system.alphabet.rank):
             fwd = CirclePostComposeMap(system.letter_maps[(i, 1)], bump)
             out[(i, 1)], out[(i, -1)] = fwd, fwd.inverse()
-        return PerturbedMaps(family, out)
+        return PerturbedMaps(out)
     raise ConstructionError(f"unknown perturbation family {family!r}")
 
 
 def translation_conjugate(system: ActionSystem, t: float) -> PerturbedMaps:
-    """Cyclic system conjugated by the chart translation x -> x + t; the
-    perturbed generator has the closed-form fixed point at chart t."""
-    if "matrix" not in system.meta:
+    """Moebius system conjugated by the chart translation x -> x + t; on a
+    cyclic system the perturbed generator has the closed-form fixed point at
+    chart t."""
+    if not all(isinstance(m, MoebiusMap) for m in system.letter_maps.values()):
         raise ConstructionError("translation conjugation needs a Moebius system")
     T = np.array([[1.0, t], [0.0, 1.0]])
     out = {}
@@ -881,7 +848,7 @@ def translation_conjugate(system: ActionSystem, t: float) -> PerturbedMaps:
         m = system.letter_maps[(i, 1)].np_matrix
         conj = MoebiusMap.from_matrix(T @ m @ np.linalg.inv(T))
         out[(i, 1)], out[(i, -1)] = conj, conj.inverse()
-    return PerturbedMaps(("translation_conjugate", t), out)
+    return PerturbedMaps(out)
 
 
 ZOO_KINDS = {

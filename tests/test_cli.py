@@ -145,6 +145,13 @@ BAD_FIELDS = [
     ("prefix_depth-zero", {"prefix_depth": 0}, "'prefix_depth'", "coding-map"),
     ("max_chain-zero", {"max_chain": 0}, "'max_chain'", "certify-shyp"),
     ("n_max-negative", {"n_max": -1}, "'n_max'", "certify-shyp"),
+    ("tolerances.tol-infinite", {"tolerances": {"tol": float("inf")}},
+     "'tolerances.tol'", "verify-expansion"),
+    ("perturbation.magnitude-nan", _perturbed("matrix_jitter", magnitude=float("nan")),
+     "'perturbation.magnitude'", "stability"),
+    ("lambda_target-infinite", {"lambda_target": float("inf")}, "'lambda_target'", "certify-shyp"),
+    ("out_dir-null", {"out_dir": None}, "'out_dir'", "certify-shyp"),
+    ("out_dir-not-a-string", {"out_dir": 3}, "'out_dir'", "certify-shyp"),
 ]
 
 # (id, command-line flags, field named in the error, command); the flags
@@ -153,6 +160,8 @@ BAD_FLAGS = [
     ("--cap", ["--cap", 0], "'codes.cap'", "codes"),
     ("--depth", ["--depth", 0], "'codes.depth'", "codes"),
     ("--tol", ["--tol", -1], "'tolerances.tol'", "stability"),
+    ("--tol-inf", ["--tol", "inf"], "'tolerances.tol'", "stability"),
+    ("--tol-nan", ["--tol", "nan"], "'tolerances.tol'", "stability"),
     ("--seed", ["--seed", -1], "'net.seed'", "stability"),
 ]
 

@@ -61,11 +61,13 @@ def _old_ball_net(space, center, eta, k=64):
         per_ring = max(4, k // 3)
         for frac in (0.33, 0.66, 0.999):
             r = frac * eta
+            if len(basis) == 1:  # a ring of P^1 is the two points at +-r
+                pts.extend(space.point(tuple(math.cos(r) * v + math.sin(r) * w))
+                           for w in (basis[0], -basis[0]))
+                continue
             for t in range(per_ring):
                 ang = TAU * t / per_ring
-                w = basis[0] * math.cos(ang)
-                if len(basis) > 1:
-                    w = w + basis[1] * math.sin(ang)
+                w = basis[0] * math.cos(ang) + basis[1] * math.sin(ang)
                 pts.append(space.point(tuple(math.cos(r) * v + math.sin(r) * w)))
     elif isinstance(space, DisjointUnion):
         idx, _ = center.value
@@ -274,3 +276,36 @@ def test_schottky_words_agree_on_every_route(picks, theta):
     if len(letters) > 1:
         old = SCHOTTKY.space.point(_old_moebius_word(SCHOTTKY.letter_maps, letters, x))
         assert [v.hex() for v in routes] == [old.value.hex()] * 3
+
+
+PUSH_SYSTEMS = {
+    "schottky": SCHOTTKY,
+    "cyclic": CYCLIC3,
+    "covered": zoo.make_covered_cyclic(CYCLIC3, 3),
+    "free": zoo.make_free_boundary(2, 1.5),
+    "zn": zoo.make_zn_projective([[9.0, 1.0, 3.0], [9.0, 3.0, 1.0]]),
+}
+
+
+@settings(max_examples=200, derandomize=True, deadline=None)
+@given(name=st.sampled_from(sorted(PUSH_SYSTEMS)), data=st.data())
+def test_a_grown_word_push_equals_apply_letters_at_every_prefix(name, data):
+    # symbols of 1-3 letters, unreduced as a code spells them; the empty
+    # prefix is the identity and a one-letter prefix applies the map itself
+    system = PUSH_SYSTEMS[name]
+    letters = system.alphabet.signed_letters()
+    symbols = data.draw(st.lists(st.lists(st.sampled_from(letters), min_size=1, max_size=3), max_size=8))
+    x = system.space.random_point(np.random.default_rng(data.draw(st.integers(0, 2**32 - 1))))
+    push, spelled = zoo.WordPush(system.space, system.letter_maps), []
+    assert repr(push(x).value) == repr(x.value)
+    for symbol in symbols:
+        push, spelled = push.grown(symbol), spelled + symbol
+        whole = zoo.apply_letters(system.space, system.letter_maps, spelled, x)
+        assert repr(push(x).value) == repr(whole.value)
+
+
+def test_the_empty_word_push_is_the_identity_bit_for_bit():
+    # the identity matrix moves about one angle in 25 by an ulp
+    push = zoo.WordPush(SCHOTTKY.space, SCHOTTKY.letter_maps)
+    for x in _points(SCHOTTKY.space, 5, 1000):
+        assert push(x).value.hex() == x.value.hex()

@@ -120,6 +120,18 @@ def test_geodesic_midpoints_circle():
         assert distance(c, m, y) == pytest.approx(d / 2, abs=1e-9)
 
 
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_every_ring_point_lies_at_its_radius(n):
+    space = ProjectiveSpace(n)
+    axis = space.point([1.0] + [0.0] * n)
+    radii = (0.4, 0.05, 1e-5)
+    for center in [axis] + [space.random_point(RNG) for _ in range(5)]:
+        for r, ring in zip(radii, space.rings(center, radii, 24)):
+            assert len(set(ring)) == (2 if n == 1 else 24)
+            for p in ring:
+                assert distance(space, p, center) == pytest.approx(r, rel=1e-9, abs=1e-15)
+
+
 def test_geodesic_midpoints_projective():
     ps = ProjectiveSpace(2)
     for _ in range(1000):

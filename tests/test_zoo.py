@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -6,7 +7,7 @@ from hypothesis import given, settings, strategies as st
 
 from expaction import groups, zoo
 from expaction.expansion import ActionView
-from expaction.geometry import TAU, circle_dist
+from expaction.geometry import TAU, circle_dist, letter_inverse
 from expaction.zoo import (
     BumpDiffeo,
     ConstructionError,
@@ -268,6 +269,70 @@ def test_free_boundary_exact_expansion_factor(fb_system):
     x = s.space.point("abab")
     assert expansion_factor(s, s.alphabet.generator(0, -1), x) == pytest.approx(2.0)
     assert expansion_factor(s, s.alphabet.generator(0, 1), x) == pytest.approx(0.5)
+
+
+def test_free_boundary_expansion_factor_of_a_long_word_at_a_net_point(fb_system):
+    # three prepended letters: the old probe flipped a letter past the depth
+    # and read 0.0
+    s = fb_system
+    x = s.limit_net()[0]
+    assert x.value == "a" * s.space.depth
+    assert expansion_factor(s, groups.parse(s.alphabet, "aaa"), x) == 0.125
+    assert expansion_factor(s, groups.parse(s.alphabet, "AAA"), x) == 8.0
+
+
+FREE_SYSTEMS = [zoo.make_free_boundary(2, 2.0), zoo.make_free_boundary(3, 1.3)]
+
+
+@st.composite
+def _free_point_word_and_partner(draw):
+    """(system, x, g, y): x a limit-net or random point, g a reduced word and
+    y a point that agrees with x on c letters, |g| <= c < len(x) - |g|."""
+    system = draw(st.sampled_from(FREE_SYSTEMS))
+    space = system.space
+    chars = space.letters + space.letters.upper()
+    if draw(st.booleans()):
+        x = draw(st.sampled_from(system.limit_net(draw(st.integers(1, 3)))))
+    else:
+        x = space.random_point(np.random.default_rng(draw(st.integers(0, 2**32 - 1))))
+    picks = draw(st.lists(st.sampled_from(system.alphabet.signed_letters()), max_size=10))
+    g = groups.Word(system.alphabet, tuple(picks))
+    n = groups.word_length(g)
+    c = draw(st.integers(n, len(x.value) - n - 1))
+    w = x.value[:c]
+    while len(w) < len(x.value):
+        # the first new letter differs from x's; all keep the word reduced
+        banned = {letter_inverse(w[-1])} if w else set()
+        if len(w) == c:
+            banned.add(x.value[c])
+        w += draw(st.sampled_from([ch for ch in chars if ch not in banned]))
+    return system, x, g, space.point(w)
+
+
+@settings(max_examples=300, derandomize=True, deadline=None)
+@given(case=_free_point_word_and_partner())
+def test_free_boundary_stretch_is_the_distance_ratio(case):
+    system, x, g, y = case
+    space = system.space
+    gx, gy = system.apply(g, x), system.apply(g, y)
+    ratio = space.raw_distance(gx.value, gy.value) / space.raw_distance(x.value, y.value)
+    assert expansion_factor(system, g, x) == pytest.approx(ratio, rel=1e-12)
+
+
+@pytest.mark.parametrize("a", [1.05, 1.5, 1.69, 2.0])
+def test_free_boundary_builds_for_every_visual_parameter(a):
+    # full-depth samples lost their last letter to truncation in the inverse
+    # round trip, an error a**-39 that exceeded 1e-9 below a = 1.70
+    assert zoo.make_free_boundary(2, a).space.a == a
+
+
+@pytest.mark.parametrize("a", [1.05, 2.0])
+def test_a_broken_inverse_fails_the_construction_check(a):
+    system = zoo.make_free_boundary(2, a)
+    maps = dict(system.letter_maps)
+    maps[(0, -1)] = maps[(1, -1)]  # a undone by B
+    with pytest.raises(ConstructionError, match="inverse consistency"):
+        zoo._construction_check(dataclasses.replace(system, letter_maps=maps))
 
 
 def test_free_boundary_parameter_validation():
