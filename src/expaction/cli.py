@@ -11,10 +11,8 @@ import csv
 import json
 import math
 import sys
-from dataclasses import dataclass, field
 from pathlib import Path
-
-import numpy as np
+from typing import NamedTuple
 
 from . import coding, expansion, stability, zoo
 
@@ -22,191 +20,192 @@ SCHEMA_VERSION = 1
 
 
 class ConfigError(ValueError):
-    """Config validation failure, carrying the offending field path."""
+    """Config validation failure, naming the offending field path."""
 
     def __init__(self, path: str, message: str):
-        self.path, self.message = path, message
         super().__init__(f"config field {path!r}: {message}")
 
 
-def _number(path: str, value, convert=float):
-    try:
-        number = convert(value)
-    except (TypeError, ValueError, OverflowError):
-        raise ConfigError(path, f"must be a number, not {value!r}") from None
-    if isinstance(number, float) and not math.isfinite(number):
-        raise ConfigError(path, f"must be a finite number, not {value!r}")
-    return number
+class Field(NamedTuple):
+    """A config field: type, default, least value and override flag.
+
+    The type is a key of TYPES, a tuple of the allowed values, or the reader
+    of a nested object.  Numbers must exceed their least value and integers
+    reach it.  A field whose default is null also takes null; a callable
+    default is computed from the config read so far."""
+
+    type: object
+    default: object = None
+    low: float | None = None
+    flag: str | None = None
 
 
-def _count(path: str, value, low: int) -> int:
-    count = _number(path, value, int)
-    if count < low:
-        raise ConfigError(path, f"must be >= {low}")
-    return count
+def _numeric(value, *lengths) -> bool:
+    """A finite number, or a nested list of them whose levels are nonempty and
+    of the given lengths (0: any)."""
+    if not lengths:
+        return type(value) in (int, float) and abs(value) <= sys.float_info.max
+    return type(value) is list and len(value) > 0 and lengths[0] in (0, len(value)) and all(
+        _numeric(v, *lengths[1:]) for v in value
+    )
 
 
-def _boolean(path: str, value) -> bool:
-    # bool("no") is True, so only JSON true and false are accepted
-    if not isinstance(value, bool):
-        raise ConfigError(path, f"must be true or false, not {value!r}")
-    return value
+TYPES = {  # type -> (test of a JSON value, what the value must be); float is any number
+    float: (_numeric, "a finite number"),
+    int: (lambda v: type(v) is int, "an integer"),
+    bool: (lambda v: type(v) is bool, "true or false"),
+    str: (lambda v: type(v) is str, "a string"),
+    dict: (lambda v: type(v) is dict, "an object"),
+    "matrices": (lambda v: _numeric(v, 0, 2, 2), "a nonempty list of numeric 2x2 matrices"),
+    "diagonals": (lambda v: _numeric(v, 0, 0), "a nonempty list of lists of numbers"),
+}
 
 
-@dataclass
-class ExperimentConfig:
-    system_kind: str = "schottky"
-    system_params: dict = field(default_factory=dict)
-    lambda_target: float = 1.4
-    net_depth: int | None = None
-    seed: int = 7
-    code_depth: int = 20
-    code_cap: int = 200
-    n_max: int = 8
-    max_chain: int = 3
-    prefix_depth: int = 20
-    perturbation: dict = field(default_factory=dict)
-    tol: float = 1e-9
-    out_dir: str = "out"
-
-    @staticmethod
-    def from_dict(raw: dict) -> "ExperimentConfig":
-        cfg = ExperimentConfig()
-        if not isinstance(raw, dict):
-            raise ConfigError("(top level)", "must be an object")
-        for key in ("system", "net", "codes", "perturbation", "tolerances"):
-            if not isinstance(raw.get(key, {}), dict):
-                raise ConfigError(key, "must be an object")
-        system = raw.get("system", {})
-        cfg.system_kind = system.get("kind", cfg.system_kind)
-        if not isinstance(cfg.system_kind, str) or cfg.system_kind not in zoo.ZOO_KINDS:
-            raise ConfigError("system.kind", f"unknown kind {cfg.system_kind!r}")
-        if not isinstance(system.get("params", {}), dict):
-            raise ConfigError("system.params", "must be an object")
-        cfg.system_params = dict(system.get("params", {}))
-        if "lambda_target" in raw:
-            cfg.lambda_target = _number("lambda_target", raw["lambda_target"])
-            if not cfg.lambda_target > 1.0:
-                raise ConfigError("lambda_target", "must exceed 1")
-        net = raw.get("net", {})
-        if "depth" in net:
-            cfg.net_depth = _count("net.depth", net["depth"], 1)
-        if "seed" in net:
-            cfg.seed = _count("net.seed", net["seed"], 0)
-        elif "seed" in raw:
-            cfg.seed = _count("seed", raw["seed"], 0)
-        codes = raw.get("codes", {})
-        cfg.code_depth = _count("codes.depth", codes.get("depth", cfg.code_depth), 1)
-        cfg.code_cap = _count("codes.cap", codes.get("cap", cfg.code_cap), 1)
-        cfg.n_max = _count("n_max", raw.get("n_max", cfg.n_max), 0)
-        cfg.max_chain = _count("max_chain", raw.get("max_chain", cfg.max_chain), 1)
-        cfg.prefix_depth = _count("prefix_depth", raw.get("prefix_depth", cfg.prefix_depth), 1)
-        cfg.perturbation = dict(raw.get("perturbation", {}))
-        tolerances = raw.get("tolerances", {})
-        if "tol" in tolerances:
-            cfg.tol = _number("tolerances.tol", tolerances["tol"])
-        elif "tol" in raw:
-            cfg.tol = _number("tol", raw["tol"])
-        if not cfg.tol > 0:
-            raise ConfigError("tolerances.tol", "must be positive")
-        cfg.out_dir = raw.get("out_dir", cfg.out_dir)
-        if not isinstance(cfg.out_dir, str):
-            raise ConfigError("out_dir", f"must be a string, not {cfg.out_dir!r}")
-        return cfg
-
-    def to_dict(self) -> dict:
-        return {
-            "schema_version": SCHEMA_VERSION,
-            "system": {"kind": self.system_kind, "params": self.system_params},
-            "lambda_target": self.lambda_target,
-            "net": {"depth": self.net_depth, "seed": self.seed},
-            "codes": {"depth": self.code_depth, "cap": self.code_cap},
-            "n_max": self.n_max,
-            "max_chain": self.max_chain,
-            "prefix_depth": self.prefix_depth,
-            "perturbation": self.perturbation,
-            "tolerances": {"tol": self.tol},
-            "out_dir": self.out_dir,
-        }
+def _check(field: Field, value, path: str, root: dict):
+    """The value of one given field, or ConfigError naming its path."""
+    if value is None and field.default is None:
+        return None
+    if isinstance(field.type, tuple):
+        if type(value) is not type(field.default) or value not in field.type:
+            raise ConfigError(path, f"must be one of {list(field.type)}, not {value!r}")
+        return value
+    if field.type not in TYPES:
+        return field.type(value, path, root)
+    test, what = TYPES[field.type]
+    if not test(value):
+        raise ConfigError(path, f"must be {what}, not {value!r}")
+    exceed = field.type is float
+    if field.low is not None and (value <= field.low if exceed else value < field.low):
+        raise ConfigError(path, f"must be {'>' if exceed else '>='} {field.low}")
+    return float(value) if exceed else value
 
 
-def build_system(cfg: ExperimentConfig, path: str = "system.params") -> zoo.ActionSystem:
-    kind, p = cfg.system_kind, cfg.system_params
-
-    def number(key, default, convert=float):
-        return _number(f"{path}.{key}", p.get(key, default), convert)
-
-    if kind == "cyclic_hyperbolic":
-        return zoo.make_cyclic_hyperbolic(number("multiplier", 2.0))
-    if kind == "covered_cyclic":
-        base = zoo.make_cyclic_hyperbolic(number("multiplier", 2.0))
-        return zoo.make_covered_cyclic(base, number("degree", 3, int))
-    if kind == "schottky":
-        mats = p.get("matrices")
-        if mats is None:
-            mats = zoo.default_schottky_matrices(number("multiplier", 3.0))
+def _read(table: dict, raw, path: str, root: dict | None = None) -> dict:
+    """Check an object against its table: its values, with defaults filled in.
+    A dict in the table is a section; callable defaults read `root`."""
+    if type(raw) is not dict:
+        raise ConfigError(path or "(top level)", "must be an object")
+    for key in raw:
+        if key not in table:
+            known = ", ".join(table)
+            raise ConfigError(f"{path}.{key}" if path else key, f"unknown key, not one of {known}")
+    out = {}
+    root = out if root is None else root
+    for key, field in table.items():
+        sub = f"{path}.{key}" if path else key
+        if isinstance(field, dict):
+            out[key] = _read(field, raw.get(key, {}), sub, root)
+        elif key in raw:
+            out[key] = _check(field, raw[key], sub, root)
         else:
-            try:
-                shape = np.asarray(mats, dtype=float).shape
-            except (TypeError, ValueError):
-                shape = ()
-            if len(shape) != 3 or shape[1:] != (2, 2):
-                raise ConfigError(f"{path}.matrices", "must be a list of numeric 2x2 matrices")
-        return zoo.make_schottky(mats)
-    if kind == "free_boundary":
-        return zoo.make_free_boundary(number("rank", 2, int), number("a", 2.0))
-    if kind == "zn_projective":
-        diagonals = p.get("diagonals", [[9.0, 1.0, 3.0], [9.0, 3.0, 1.0]])
-        if not (
-            isinstance(diagonals, list)
-            and diagonals
-            and all(isinstance(d, list) for d in diagonals)
-        ):
-            raise ConfigError(f"{path}.diagonals", "must be a nonempty list of lists of numbers")
-        return zoo.make_zn_projective(
-            [[_number(f"{path}.diagonals", x) for x in d] for d in diagonals]
-        )
-    if kind == "product":
-        sub = p.get("component", {"kind": "free_boundary", "params": {}})
-        if not isinstance(sub, dict):
-            raise ConfigError(f"{path}.component", "must be an object")
-        try:
-            sub_cfg = ExperimentConfig.from_dict({"system": sub})
-        except ConfigError as err:  # name the field inside the component
-            raise ConfigError(err.path.replace("system", f"{path}.component", 1), err.message) from None
-        comp = build_system(sub_cfg, f"{path}.component.params")
-        return zoo.make_product(comp, comp, _boolean(f"{path}.with_swap", p.get("with_swap", False)))
-    raise ConfigError("system.kind", f"unknown kind {kind!r}")
+            out[key] = field.default(root) if callable(field.default) else field.default
+    return out
 
 
-def build_perturbation(cfg: ExperimentConfig, system: zoo.ActionSystem):
-    p = cfg.perturbation
-    family = p.get("family", "matrix_jitter")
+def _system(raw, path: str, root: dict) -> dict:
+    """A system: its kind and that kind's params, echoed as given."""
+    system = _read(SYSTEM, raw, path, root)
+    _read(SYSTEMS[system["kind"]][1], system["params"], f"{path}.params", root)
+    return system
 
-    def number(key, default, convert=float):
-        return _number(f"perturbation.{key}", p.get(key, default), convert)
 
-    if family == "matrix_jitter":
-        return zoo.perturb(
-            system,
-            zoo.MatrixJitter(
-                magnitude=number("magnitude", 0.0),
-                seed=_count("perturbation.seed", p.get("seed", cfg.seed), 0),
-                diagonal_only=_boolean("perturbation.diagonal_only", p.get("diagonal_only", False)),
-            ),
-        )
-    if family == "bump_compose":
-        return zoo.perturb(
-            system,
-            zoo.BumpCompose(
-                center=number("center", 0.7),
-                width=number("width", 0.5),
-                height=number("height", 0.0),
-            ),
-        )
-    if family == "translation_conjugate":
-        return zoo.translation_conjugate(system, number("t", 0.0))
-    raise ConfigError("perturbation.family", f"unknown family {family!r}")
+def _perturbation(raw, path: str, root: dict) -> dict:
+    """A perturbation: its family and that family's params, echoed as given."""
+    if type(raw) is not dict:
+        raise ConfigError(path, "must be an object")
+    family = _check(FAMILY, raw.get("family", FAMILY.default), f"{path}.family", root)
+    _read({"family": FAMILY, **PERTURBATIONS[family][1]}, raw, path, root)
+    return raw
+
+
+def _zoo(name: str):
+    """The zoo function of that name, looked up at each call, so that a
+    wrapper installed on the module (a tracer, a mock) sees the call."""
+    return lambda *args: getattr(zoo, name)(*args)
+
+
+def _product(component: dict, with_swap: bool) -> zoo.ActionSystem:
+    system = build_system(component)
+    return zoo.make_product(system, system, with_swap)
+
+
+SYSTEMS = {  # kind -> (constructor taking the params in order, params)
+    "cyclic_hyperbolic": (_zoo("make_cyclic_hyperbolic"), {"multiplier": Field(float, 2.0)}),
+    "covered_cyclic": (
+        _zoo("make_covered_cyclic"), {"multiplier": Field(float, 2.0), "degree": Field(int, 3)}
+    ),
+    "schottky": (
+        lambda m, matrices: zoo.make_schottky(matrices or zoo.default_schottky_matrices(m)),
+        {"multiplier": Field(float, 3.0), "matrices": Field("matrices")},
+    ),
+    "free_boundary": (_zoo("make_free_boundary"), {"rank": Field(int, 2), "a": Field(float, 2.0)}),
+    "zn_projective": (
+        _zoo("make_zn_projective"),
+        {"diagonals": Field("diagonals", [[9.0, 1.0, 3.0], [9.0, 3.0, 1.0]])},
+    ),
+    "product": (_product, {
+        "component": Field(_system, {"kind": "free_boundary", "params": {}}),
+        "with_swap": Field(bool, False),
+    }),
+}
+SYSTEM = {"kind": Field(tuple(SYSTEMS), "schottky"), "params": Field(dict, {})}
+
+PERTURBATIONS = {  # family -> (maker of a system's perturbed maps, params)
+    "matrix_jitter": (lambda system, *p: zoo.perturb(system, zoo.MatrixJitter(*p)), {
+        "magnitude": Field(float, 0.0),
+        "seed": Field(int, lambda cfg: cfg["net"]["seed"], 0),
+        "diagonal_only": Field(bool, False),
+    }),
+    "bump_compose": (
+        lambda system, *p: zoo.perturb(system, zoo.BumpCompose(*p)),
+        {"center": Field(float, 0.7), "width": Field(float, 0.5), "height": Field(float, 0.0)},
+    ),
+    "translation_conjugate": (_zoo("translation_conjugate"), {"t": Field(float, 0.0)}),
+}
+FAMILY = Field(tuple(PERTURBATIONS), "matrix_jitter")
+
+CONFIG = {
+    "schema_version": Field((SCHEMA_VERSION,), SCHEMA_VERSION),
+    "seed": Field(int, 7, 0),  # alias of net.seed
+    "tol": Field(float, 1e-9, 0.0),  # alias of tolerances.tol
+    "system": Field(_system, {"kind": "schottky", "params": {}}),
+    "lambda_target": Field(float, 1.4, 1.0),
+    "net": {"depth": Field(int, None, 1), "seed": Field(int, lambda cfg: cfg["seed"], 0, "--seed")},
+    "codes": {"depth": Field(int, 20, 1, "--depth"), "cap": Field(int, 200, 1, "--cap")},
+    "n_max": Field(int, 8, 0),
+    "max_chain": Field(int, 3, 1),
+    "prefix_depth": Field(int, 20, 1),
+    "tolerances": {"tol": Field(float, lambda cfg: cfg["tol"], 0.0, "--tol")},
+    "perturbation": Field(_perturbation, {}),
+    "out_dir": Field(str, "out"),
+}
+FLAGS = [  # (section, key, field) of each field with an override flag
+    (section, key, field) for section, fields in CONFIG.items() if isinstance(fields, dict)
+    for key, field in fields.items() if field.flag
+]
+
+
+def read_config(raw) -> dict:
+    """The checked config with defaults filled in, as reports echo it: the
+    aliases `seed` and `tol` as `net.seed` and `tolerances.tol`."""
+    cfg = _read(CONFIG, raw, "")
+    del cfg["seed"], cfg["tol"]
+    return cfg
+
+
+def build_system(system: dict) -> zoo.ActionSystem:
+    """The action of a checked `system` object."""
+    make, params = SYSTEMS[system["kind"]]
+    return make(*_read(params, system["params"], "system.params").values())
+
+
+def build_perturbation(cfg: dict, system: zoo.ActionSystem):
+    """The system's perturbed maps under the checked config's perturbation."""
+    given = cfg["perturbation"]
+    make, params = PERTURBATIONS[given.get("family", FAMILY.default)]
+    values = _read({"family": FAMILY, **params}, given, "perturbation", cfg)
+    del values["family"]
+    return make(system, *values.values())
 
 
 # ---------------------------------------------------------------------------
@@ -290,7 +289,7 @@ def _datum_summary(datum: expansion.ExpansionDatum) -> dict:
 # commands
 
 
-def cmd_zoo_list(cfg: ExperimentConfig, out: Path) -> int:
+def cmd_zoo_list(cfg: dict, out: Path) -> int:
     report = {
         "schema_version": SCHEMA_VERSION,
         "command": "zoo-list",
@@ -302,14 +301,14 @@ def cmd_zoo_list(cfg: ExperimentConfig, out: Path) -> int:
     return 0
 
 
-def cmd_verify_expansion(cfg: ExperimentConfig, out: Path) -> int:
-    system = build_system(cfg)
-    datum = expansion.build_expansion_datum(system, cfg.lambda_target, cfg.net_depth)
-    report_obj = expansion.verify_expansion(system, datum, tol=cfg.tol)
+def cmd_verify_expansion(cfg: dict, out: Path) -> int:
+    system = build_system(cfg["system"])
+    datum = expansion.build_expansion_datum(system, cfg["lambda_target"], cfg["net"]["depth"])
+    report_obj = expansion.verify_expansion(system, datum, tol=cfg["tolerances"]["tol"])
     report = {
         "schema_version": SCHEMA_VERSION,
         "command": "verify-expansion",
-        "config": cfg.to_dict(),
+        "config": cfg,
         "datum": _datum_summary(datum),
         "checks": report_obj.rows(),
         "passed": report_obj.passed,
@@ -326,15 +325,15 @@ def cmd_verify_expansion(cfg: ExperimentConfig, out: Path) -> int:
     return 0 if report_obj.passed else 1
 
 
-def cmd_codes(cfg: ExperimentConfig, out: Path) -> int:
-    system = build_system(cfg)
-    datum = expansion.build_expansion_datum(system, cfg.lambda_target, cfg.net_depth)
+def cmd_codes(cfg: dict, out: Path) -> int:
+    system = build_system(cfg["system"])
+    datum = expansion.build_expansion_datum(system, cfg["lambda_target"], cfg["net"]["depth"])
     rows = []
     sample = list(datum.net)[: min(len(datum.net), 8)]
     truncated_any = False
     for x in sample:
         codes, truncated = coding.enumerate_codes(
-            datum, system, datum.delta, x, cfg.code_depth, cfg.code_cap
+            datum, system, datum.delta, x, cfg["codes"]["depth"], cfg["codes"]["cap"]
         )
         truncated_any = truncated_any or truncated
         for k, c in enumerate(codes):
@@ -351,7 +350,7 @@ def cmd_codes(cfg: ExperimentConfig, out: Path) -> int:
     report = {
         "schema_version": SCHEMA_VERSION,
         "command": "codes",
-        "config": cfg.to_dict(),
+        "config": cfg,
         "datum": _datum_summary(datum),
         "points": len(sample),
         "codes": len(rows),
@@ -361,7 +360,7 @@ def cmd_codes(cfg: ExperimentConfig, out: Path) -> int:
     write_csv(out / "codes.csv", rows)
     if system.space.angular and sample:
         x = sample[0]
-        code = coding.make_code(datum, system, datum.delta, x, cfg.code_depth)
+        code = coding.make_code(datum, system, datum.delta, x, cfg["codes"]["depth"])
         steps = coding.nested_images(system, datum, code, datum.delta)
         arcs = []
         theta = x.value
@@ -373,22 +372,22 @@ def cmd_codes(cfg: ExperimentConfig, out: Path) -> int:
     return 0
 
 
-def cmd_certify_shyp(cfg: ExperimentConfig, out: Path) -> int:
-    system = build_system(cfg)
-    datum = expansion.build_expansion_datum(system, cfg.lambda_target, cfg.net_depth)
+def cmd_certify_shyp(cfg: dict, out: Path) -> int:
+    system = build_system(cfg["system"])
+    datum = expansion.build_expansion_datum(system, cfg["lambda_target"], cfg["net"]["depth"])
     cert = coding.shyp_certificate(
         system,
         datum,
-        depth=cfg.code_depth,
-        cap=cfg.code_cap,
-        n_max=cfg.n_max,
-        max_chain=cfg.max_chain,
+        depth=cfg["codes"]["depth"],
+        cap=cfg["codes"]["cap"],
+        n_max=cfg["n_max"],
+        max_chain=cfg["max_chain"],
     )
     ok = cert.fellow_ok or cert.chain_ok
     report = {
         "schema_version": SCHEMA_VERSION,
         "command": "certify-shyp",
-        "config": cfg.to_dict(),
+        "config": cfg,
         "datum": _datum_summary(datum),
         "certificate": {
             "fellow_constant": cert.fellow_constant,
@@ -411,12 +410,12 @@ def cmd_certify_shyp(cfg: ExperimentConfig, out: Path) -> int:
     return 0 if ok else 1
 
 
-def cmd_coding_map(cfg: ExperimentConfig, out: Path) -> int:
-    system = build_system(cfg)
-    datum = expansion.build_expansion_datum(system, cfg.lambda_target, cfg.net_depth)
+def cmd_coding_map(cfg: dict, out: Path) -> int:
+    system = build_system(cfg["system"])
+    datum = expansion.build_expansion_datum(system, cfg["lambda_target"], cfg["net"]["depth"])
     rows, prefixes = [], {}
     for x in datum.net:
-        bw = coding.coding_map(system, datum, x, cfg.prefix_depth)
+        bw = coding.coding_map(system, datum, x, cfg["prefix_depth"])
         key = str(bw.prefix)
         prefixes.setdefault(key, []).append(x)
         rows.append({"point": repr(x.value), "prefix": key, "stabilized": bw.stabilized})
@@ -424,7 +423,7 @@ def cmd_coding_map(cfg: ExperimentConfig, out: Path) -> int:
     report = {
         "schema_version": SCHEMA_VERSION,
         "command": "coding-map",
-        "config": cfg.to_dict(),
+        "config": cfg,
         "datum": _datum_summary(datum),
         "points": len(datum.net),
         "distinct_prefixes": len(prefixes),
@@ -436,13 +435,12 @@ def cmd_coding_map(cfg: ExperimentConfig, out: Path) -> int:
     return 0
 
 
-def cmd_stability(cfg: ExperimentConfig, out: Path) -> int:
-    system = build_system(cfg)
-    maps = build_perturbation(cfg, system)  # a bad field fails before the datum is built
-    datum = expansion.build_expansion_datum(system, cfg.lambda_target, cfg.net_depth)
-    cert = coding.shyp_certificate(
-        system, datum, depth=min(cfg.code_depth, 12), cap=cfg.code_cap, n_max=cfg.n_max
-    )
+def cmd_stability(cfg: dict, out: Path) -> int:
+    system = build_system(cfg["system"])
+    maps = build_perturbation(cfg, system)
+    datum = expansion.build_expansion_datum(system, cfg["lambda_target"], cfg["net"]["depth"])
+    cert = coding.shyp_certificate(system, datum, depth=min(cfg["codes"]["depth"], 12),
+                                   cap=cfg["codes"]["cap"], n_max=cfg["n_max"])
     n_const = cert.fellow_constant if cert.fellow_constant else cert.chain_constant
     n_const = max(1, n_const or 1)
     ps = stability.make_perturbed(system, datum, maps, n_const)
@@ -454,19 +452,19 @@ def cmd_stability(cfg: ExperimentConfig, out: Path) -> int:
             {
                 "schema_version": SCHEMA_VERSION,
                 "command": "stability",
-                "config": cfg.to_dict(),
+                "config": cfg,
                 "passed": False,
                 "error": str(err),
             },
         )
         print(f"inadmissible perturbation: {err}", file=sys.stderr)
         return 1
-    table = stability.conjugacy_map(ps, tol=cfg.tol)
+    table = stability.conjugacy_map(ps, tol=cfg["tolerances"]["tol"])
     disp = stability.check_displacement(table, ps)
     inj = stability.check_injectivity(table, ps)
     residual = max(table.residuals.values()) if table.residuals else 0.0
     datum_p = stability.perturbed_datum(datum, ps, datum.delta / 5.0, table)
-    verify_p = expansion.verify_expansion(ps.view(), datum_p, tol=cfg.tol)
+    verify_p = expansion.verify_expansion(ps.view(), datum_p, tol=cfg["tolerances"]["tol"])
     passed = (
         not table.failures
         and disp.below_eps
@@ -478,7 +476,7 @@ def cmd_stability(cfg: ExperimentConfig, out: Path) -> int:
     report = {
         "schema_version": SCHEMA_VERSION,
         "command": "stability",
-        "config": cfg.to_dict(),
+        "config": cfg,
         "datum": _datum_summary(datum),
         "n_const": n_const,
         "epsilon": ps.epsilon,
@@ -529,10 +527,8 @@ def main(argv: list | None = None) -> int:
     parser.add_argument("command", choices=sorted(COMMANDS))
     parser.add_argument("--config", type=Path, default=None, help="JSON config file")
     parser.add_argument("--out", type=Path, default=None, help="output directory")
-    parser.add_argument("--seed", type=int, default=None)
-    parser.add_argument("--depth", type=int, default=None, help="code depth override")
-    parser.add_argument("--cap", type=int, default=None, help="code cap override")
-    parser.add_argument("--tol", type=float, default=None)
+    for section, key, field in FLAGS:
+        parser.add_argument(field.flag, type=field.type, help=f"overrides {section}.{key}")
     args = parser.parse_args(argv)
 
     raw = {}
@@ -542,15 +538,13 @@ def main(argv: list | None = None) -> int:
         except json.JSONDecodeError as err:
             print(f"config parse error at line {err.lineno}: {err.msg}", file=sys.stderr)
             return 2
-    # the flags override their config fields and pass the same checks
-    flags = (("net", "seed", args.seed), ("codes", "depth", args.depth),
-             ("codes", "cap", args.cap), ("tolerances", "tol", args.tol))
-    for section, key, value in flags:
-        if value is not None and isinstance(raw, dict) and isinstance(raw.get(section, {}), dict):
-            raw[section] = {**raw.get(section, {}), key: value}
+    for section, key, field in FLAGS:  # a flag overrides its field and passes its checks
+        value = getattr(args, field.flag[2:])
+        if value is not None and type(raw) is dict and type(raw.setdefault(section, {})) is dict:
+            raw[section][key] = value
     try:
-        cfg = ExperimentConfig.from_dict(raw)
-        out = Path(args.out) if args.out is not None else Path(cfg.out_dir)
+        cfg = read_config(raw)
+        out = Path(args.out) if args.out is not None else Path(cfg["out_dir"])
         return COMMANDS[args.command](cfg, out)
     except (ConfigError, expansion.UncoverableError, zoo.ConstructionError) as err:
         print(f"error: {err}", file=sys.stderr)

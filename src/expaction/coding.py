@@ -75,16 +75,14 @@ def _greedy_entry(datum: ExpansionDatum, x: Point, eta: float, reverse_ties: boo
 
 
 def _step(view: ActionView, entry: CoverEntry, x: Point) -> Point:
-    inv = groups.inverse(entry.symbol)
+    inv, letter = entry.backward
     y = view.apply_word(inv, x)
     # stabilize backward orbits: expanding steps amplify float noise, so
     # points that reached a fixed angle of the applied map are pinned there
-    if view.perturbed is None:
-        letters = groups.letters_of(inv)
-        if len(letters) == 1:
-            snapped = zoo.snap_angle(view.maps[letters[0]], x.value, y.value)
-            if snapped != y.value:
-                return view.space.point(snapped)
+    if view.perturbed is None and letter is not None:
+        snapped = zoo.snap_angle(view.maps[letter], x.value, y.value)
+        if snapped != y.value:
+            return view.space.point(snapped)
     return y
 
 
@@ -145,9 +143,7 @@ def enumerate_codes(
     if not 0.0 < eta <= datum.delta:
         raise CodingError(f"eta must lie in (0, delta={datum.delta}], got {eta}")
     truncated = False
-    branches = []
-    for e in datum.entries:
-        branches.append(([e.index], [x, _step(view, e, x)]))
+    branches = [([e.index], [x, _step(view, e, x)]) for e in datum.entries]
     if len(branches) > cap:
         branches, truncated = branches[:cap], True
     for _ in range(depth - 1):
@@ -158,8 +154,9 @@ def enumerate_codes(
         if len(nxt) > cap:
             nxt, truncated = nxt[:cap], True
         branches = nxt
+    entry_map = _entry_map(datum)
     codes = [
-        Code(tuple(a), tuple(p), eta, _entry_map(datum)[a[0]].region.margin(x) >= eta)
+        Code(tuple(a), tuple(p), eta, entry_map[a[0]].region.margin(x) >= eta)
         for a, p in branches
     ]
     return codes, truncated
@@ -307,7 +304,7 @@ def expansivity_witness(
     best = d0
     for n in range(1, max_depth + 1):
         e = _greedy_entry(datum, xi, datum.delta)
-        inv = groups.inverse(e.symbol)
+        inv = e.backward[0]
         xi = _step(view, e, xi)
         yi = view.apply_word(inv, yi)
         word = groups.multiply(word, inv)

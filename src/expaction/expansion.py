@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
+from functools import cached_property
 from itertools import islice
 from typing import Iterator, Optional
 
@@ -60,6 +61,13 @@ class CoverEntry:
     index: str
     symbol: Word  # label s_alpha; rho(symbol^-1) expands on the region
     region: Region
+
+    @cached_property
+    def backward(self) -> tuple:
+        """(symbol^-1, its letter if it is one letter, else None): a code step's word."""
+        inv = groups.inverse(self.symbol)
+        letters = groups.letters_of(inv)
+        return inv, letters[0] if len(letters) == 1 else None
 
 
 @dataclass(frozen=True)

@@ -540,18 +540,18 @@ def make_cyclic_hyperbolic(multiplier: float) -> ActionSystem:
         letter_maps=maps,
         net_fn=net_fn,
         default_depth=1,
-        meta={"multiplier": multiplier},
     ))
 
 
-def make_covered_cyclic(base: ActionSystem, k: int) -> ActionSystem:
-    """Degree-k cover of a cyclic hyperbolic circle action; the lifted
-    generator fixes all 2k preimages of the base fixed points."""
+def make_covered_cyclic(multiplier: float, k: int) -> ActionSystem:
+    """Degree-k cover of the cyclic hyperbolic circle action of the given
+    multiplier; the lifted generator fixes all 2k preimages of the base fixed
+    points."""
+    if multiplier <= 1.0:
+        raise ConstructionError("multiplier must exceed 1")
     if k < 2:
         raise ConstructionError("covering degree must be >= 2")
-    if "multiplier" not in base.meta or not isinstance(base.space, Circle):
-        raise ConstructionError("base must be a cyclic hyperbolic circle system")
-    m2 = base.meta["multiplier"] ** 2
+    m2 = multiplier**2
     space = CoveredCircle(degree=k)
     alphabet = Alphabet.cyclic("g")
     lifted = LiftedCircleMap(m2, k)
@@ -568,7 +568,6 @@ def make_covered_cyclic(base: ActionSystem, k: int) -> ActionSystem:
         letter_maps=maps,
         net_fn=net_fn,
         default_depth=1,
-        meta={"multiplier": base.meta["multiplier"]},
     ))
 
 

@@ -24,8 +24,8 @@ def schottky_datum(schottky_system):
 
 
 @pytest.fixture(scope="session")
-def covered_system(cyclic_system):
-    return zoo.make_covered_cyclic(cyclic_system, 3)
+def covered_system():
+    return zoo.make_covered_cyclic(2.0, 3)
 
 
 @pytest.fixture(scope="session")

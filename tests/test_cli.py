@@ -152,6 +152,21 @@ BAD_FIELDS = [
     ("lambda_target-infinite", {"lambda_target": float("inf")}, "'lambda_target'", "certify-shyp"),
     ("out_dir-null", {"out_dir": None}, "'out_dir'", "certify-shyp"),
     ("out_dir-not-a-string", {"out_dir": 3}, "'out_dir'", "certify-shyp"),
+    # misspelled keys name their path instead of falling back to a default
+    ("unknown-top-level-key", {"lambda_targt": 9}, "'lambda_targt'", "certify-shyp"),
+    ("unknown-section-key", {"codes": {"dpeth": 5}}, "'codes.dpeth'", "certify-shyp"),
+    ("unknown-params-key", _system("cyclic_hyperbolic", multiplir=3.0),
+     "'system.params.multiplir'", "certify-shyp"),
+    ("unknown-perturbation-key", _perturbed("bump_compose", heigth=5e-6),
+     "'perturbation.heigth'", "stability"),
+    # counts take JSON integers and numbers JSON numbers only
+    ("codes.depth-non-integral", {"codes": {"depth": 2.9}}, "'codes.depth'", "codes"),
+    ("codes.cap-boolean", {"codes": {"cap": True}}, "'codes.cap'", "codes"),
+    ("lambda_target-numeric-string", {"lambda_target": "1.5"}, "'lambda_target'", "certify-shyp"),
+    ("schema_version", {"schema_version": 2}, "'schema_version'", "certify-shyp"),
+    # the perturbation is checked on every command, not only by stability
+    ("perturbation-on-certify-shyp", {"perturbation": {"magnitude": "big"}},
+     "'perturbation.magnitude'", "certify-shyp"),
 ]
 
 # (id, command-line flags, field named in the error, command); the flags

@@ -281,7 +281,7 @@ def test_schottky_words_agree_on_every_route(picks, theta):
 PUSH_SYSTEMS = {
     "schottky": SCHOTTKY,
     "cyclic": CYCLIC3,
-    "covered": zoo.make_covered_cyclic(CYCLIC3, 3),
+    "covered": zoo.make_covered_cyclic(3.0, 3),
     "free": zoo.make_free_boundary(2, 1.5),
     "zn": zoo.make_zn_projective([[9.0, 1.0, 3.0], [9.0, 3.0, 1.0]]),
 }

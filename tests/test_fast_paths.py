@@ -251,7 +251,7 @@ def _bump_view():
 
 
 def _lifted_jitter_view():
-    system = zoo.make_covered_cyclic(zoo.make_cyclic_hyperbolic(2.0), 3)
+    system = zoo.make_covered_cyclic(2.0, 3)
     return ActionView(system, zoo.perturb(system, zoo.MatrixJitter(0.05, seed=3)))
 
 

@@ -90,11 +90,12 @@ def _sha(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
 
 
-def run_hashes(name: str, workdir: Path) -> dict:
-    """Exit status and SHA-256 of stdout and of every output file of a run."""
-    command, config = RUNS[name]
+def run_hashes(name: str, workdir: Path, config: dict | None = None) -> dict:
+    """Exit status and SHA-256 of stdout and of every output file of a run,
+    with the run's own config or the given one."""
+    command, own = RUNS[name]
     path = workdir / f"{name}.json"
-    path.write_text(json.dumps(config))
+    path.write_text(json.dumps(own if config is None else config))
     out = workdir / name
     stdout = io.StringIO()
     with contextlib.redirect_stdout(stdout):
@@ -290,6 +291,19 @@ def test_outputs_match_the_golden_hashes(name, tmp_path):
     assert run_hashes(name, tmp_path) == GOLDEN[name], (
         f"recorded with numpy {NUMPY_VERSION}, running {np.__version__}"
     )
+
+
+@pytest.mark.parametrize(
+    "name",
+    [f"{kind}.verify-expansion" for kind in SYSTEMS]
+    + ["schottky.stability.jitter", "schottky.stability.bump"],
+)
+def test_a_reports_config_block_runs_again_to_the_same_outputs(name, tmp_path):
+    first = run_hashes(name, tmp_path)
+    report = json.loads((tmp_path / name / "report.json").read_text())
+    again = tmp_path / "again"
+    again.mkdir()
+    assert run_hashes(name, again, report["config"]) == first
 
 
 if __name__ == "__main__":

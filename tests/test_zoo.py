@@ -123,11 +123,11 @@ def test_covered_expansion_matches_base(covered_system, cyclic_system):
     assert fd == pytest.approx(base, rel=1e-5)
 
 
-def test_covered_rejects_bad_input(cyclic_system, schottky_system):
+def test_covered_rejects_bad_input():
     with pytest.raises(ConstructionError):
-        zoo.make_covered_cyclic(cyclic_system, 1)
+        zoo.make_covered_cyclic(2.0, 1)
     with pytest.raises(ConstructionError):
-        zoo.make_covered_cyclic(schottky_system, 3)
+        zoo.make_covered_cyclic(1.0, 3)
 
 
 # ---------------------------------------------------------------------------
