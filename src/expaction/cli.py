@@ -27,17 +27,20 @@ class ConfigError(ValueError):
 
 
 class Field(NamedTuple):
-    """A config field: type, default, least value and override flag.
+    """A config field: type, default, least value, override flag and most
+    value.
 
     The type is a key of TYPES, a tuple of the allowed values, or the reader
     of a nested object.  Numbers must exceed their least value and integers
-    reach it.  A field whose default is null also takes null; a callable
-    default is computed from the config read so far."""
+    reach it; numbers may reach their most value.  A field whose default is
+    null also takes null; a callable default is computed from the config
+    read so far."""
 
     type: object
     default: object = None
     low: float | None = None
     flag: str | None = None
+    high: float | None = None
 
 
 def _numeric(value, *lengths) -> bool:
@@ -57,7 +60,10 @@ TYPES = {  # type -> (test of a JSON value, what the value must be); float is an
     str: (lambda v: type(v) is str, "a string"),
     dict: (lambda v: type(v) is dict, "an object"),
     "matrices": (lambda v: _numeric(v, 0, 2, 2), "a nonempty list of numeric 2x2 matrices"),
-    "diagonals": (lambda v: _numeric(v, 0, 0), "a nonempty list of lists of numbers"),
+    "diagonals": (
+        lambda v: type(v) is list and _numeric(v, 0, len(v) + 1),
+        "a nonempty list of n lists of n + 1 numbers",
+    ),
 }
 
 
@@ -77,6 +83,8 @@ def _check(field: Field, value, path: str, root: dict):
     exceed = field.type is float
     if field.low is not None and (value <= field.low if exceed else value < field.low):
         raise ConfigError(path, f"must be {'>' if exceed else '>='} {field.low}")
+    if field.high is not None and value > field.high:
+        raise ConfigError(path, f"must be <= {field.high}")
     return float(value) if exceed else value
 
 
@@ -130,15 +138,21 @@ def _product(component: dict, with_swap: bool) -> zoo.ActionSystem:
 
 
 SYSTEMS = {  # kind -> (constructor taking the params in order, params)
-    "cyclic_hyperbolic": (_zoo("make_cyclic_hyperbolic"), {"multiplier": Field(float, 2.0)}),
+    "cyclic_hyperbolic": (
+        _zoo("make_cyclic_hyperbolic"), {"multiplier": Field(float, 2.0, 1.0)}
+    ),
     "covered_cyclic": (
-        _zoo("make_covered_cyclic"), {"multiplier": Field(float, 2.0), "degree": Field(int, 3)}
+        _zoo("make_covered_cyclic"),
+        {"multiplier": Field(float, 2.0, 1.0), "degree": Field(int, 3, 2)},
     ),
     "schottky": (
         lambda m, matrices: zoo.make_schottky(matrices or zoo.default_schottky_matrices(m)),
         {"multiplier": Field(float, 3.0), "matrices": Field("matrices")},
     ),
-    "free_boundary": (_zoo("make_free_boundary"), {"rank": Field(int, 2), "a": Field(float, 2.0)}),
+    "free_boundary": (
+        _zoo("make_free_boundary"),
+        {"rank": Field(int, 2, 2), "a": Field(float, 2.0, 1.0, high=2.0)},
+    ),
     "zn_projective": (
         _zoo("make_zn_projective"),
         {"diagonals": Field("diagonals", [[9.0, 1.0, 3.0], [9.0, 3.0, 1.0]])},

@@ -208,16 +208,16 @@ def _circular_runs(mask: np.ndarray) -> list:
     return runs
 
 
-def _certified_datum(system, entries, lam_target, net, probe, lip_at):
+def _certified_datum(system, entries, lam_target, net, probe, lip_of):
     """The datum of a cover: delta is SAFETY times its Lebesgue number over
-    the probe net, lip the largest `lip_at(map, value)` of a generator map on
-    the delta-neighborhood of the net."""
+    the probe net, lip the largest `lip_of(map, values)` of a generator map,
+    its largest stretch at the values of the delta-neighborhood of the net."""
     leb, _ = lebesgue_number([e.region for e in entries], probe)
     if leb <= 0:
         _fail_uncoverable(system, net, lam_target)
     delta = float(SAFETY * leb)
-    samples = system.space.neighborhood(net, delta)
-    lip_raw = max(lip_at(m, x.value) for m in system.letter_maps.values() for x in samples)
+    values = [x.value for x in system.space.neighborhood(net, delta)]
+    lip_raw = max(lip_of(m, values) for m in system.letter_maps.values())
     lip = float(LIP_SAFETY * max(lip_raw, lam_target))
     return ExpansionDatum(tuple(entries), delta, lam_target, lip, tuple(net))
 
@@ -262,7 +262,8 @@ def _build_circle(system, lam_target, net_depth, grid_size):
     # fractal limit sets whose extreme points pin the true Lebesgue number
     probe = system.limit_net(min(system.default_depth + 5, 10)) if len(net) > 2 else net
     return _certified_datum(
-        system, entries, lam_target, net, list(net) + list(probe), lambda m, t: m.deriv_angle(t)
+        system, entries, lam_target, net, list(net) + list(probe),
+        lambda m, ts: max(m.deriv_angle(t) for t in ts),
     )
 
 
@@ -302,10 +303,12 @@ def _build_projective(system, lam_target, net_depth, grid_size):
 
     def ball_for(expanding_letter, center: Point, label: Word, pos: int):
         A = system.letter_maps[expanding_letter].np_matrix
+        v = np.asarray(center.value)
+        directions = space.ring_directions(v, 24)
 
         def ok(r: float) -> bool:
-            pts = [p for ring in space.rings(center, (r, r / 2), 24) for p in ring] + [center]
-            return all(space.stretches(A, p.value)[0] > lam_target for p in pts)
+            rows = [space.ring_rows(v, directions, s) for s in (r, r / 2)]
+            return bool((space.stretch_rows(A, np.vstack([*rows, v]))[0] > lam_target).all())
 
         if not ok(r_cap * 1e-3):
             _fail_uncoverable(system, net, lam_target)
@@ -338,7 +341,8 @@ def _build_projective(system, lam_target, net_depth, grid_size):
         )
         pos += 1
     return _certified_datum(
-        system, entries, lam_target, net, net, lambda m, v: space.stretches(m.np_matrix, v)[1]
+        system, entries, lam_target, net, net,
+        lambda m, vs: float(space.stretch_rows(m.np_matrix, np.array(vs))[1].max()),
     )
 
 

@@ -265,6 +265,13 @@ class CoveredCircle(Circle):
     degree: int = 2
 
 
+def _row_dots(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Dot product of each row of a with the same row of b, by stacked matmul:
+    each row takes the BLAS ddot that `a[i] @ b[i]` takes, to the same bits
+    (einsum and `(a * b).sum(1)` round differently)."""
+    return (a[:, None, :] @ b[:, :, None])[:, 0, 0]
+
+
 @dataclass(frozen=True)
 class ProjectiveSpace(Space):
     """P^n(R) with the angle metric between lines; geodesic, diameter pi/2."""
@@ -319,16 +326,25 @@ class ProjectiveSpace(Space):
     @staticmethod
     def stretches(A: np.ndarray, v: Sequence[float]) -> tuple:
         """(min, max) directional stretch of the projective action of the
-        matrix A at the line [v]."""
-        v = np.asarray(v, dtype=float)
-        v = v / np.linalg.norm(v)
-        Av = A @ v
-        n = np.linalg.norm(Av)
-        w = Av / n
-        W = np.column_stack(ProjectiveSpace.tangent_basis(v))
-        M = (np.eye(len(v)) - np.outer(w, w)) @ A @ W / n
+        matrix A at the line [v]: the one-row case of `stretch_rows`."""
+        lo, hi = ProjectiveSpace.stretch_rows(A, np.asarray(v, dtype=float)[None])
+        return float(lo[0]), float(hi[0])
+
+    @staticmethod
+    def stretch_rows(A: np.ndarray, V: np.ndarray) -> tuple:
+        """Arrays of the (min, max) directional stretch of the projective
+        action of A at the lines spanned by the rows of V.  Each row gets the
+        floats of a one-row call: every dot product and norm is a stacked
+        matmul, which calls the BLAS routine (ddot, gemv, gemm) that the same
+        product on one vector calls."""
+        V = V / np.sqrt(_row_dots(V, V))[:, None]
+        AV = (A @ V[:, :, None])[:, :, 0]
+        n = np.sqrt(_row_dots(AV, AV))
+        W = AV / n[:, None]
+        P = np.eye(V.shape[1]) - W[:, :, None] * W[:, None, :]
+        M = P @ A @ ProjectiveSpace.tangent_frames(V) / n[:, None, None]
         sv = np.linalg.svd(M, compute_uv=False)
-        return float(sv[-1]), float(sv[0])
+        return sv[:, -1], sv[:, 0]
 
     @staticmethod
     def tangent_basis(v: np.ndarray) -> list:
@@ -352,21 +368,72 @@ class ProjectiveSpace(Space):
                 return basis
         return basis
 
-    def rings(self, center: Point, radii: Sequence[float], k: int) -> list:
-        """Per radius r, the k points at distance r from the center at equal
-        angles in the plane of its first two tangent directions; on P^1,
-        whose one tangent direction spans no plane, the two points at +-r."""
-        v = np.asarray(center.value)
+    @staticmethod
+    def tangent_frames(V: np.ndarray) -> np.ndarray:
+        """`tangent_basis` of each unit row of V, as the columns of a stacked
+        (rows, n+1, n) array.  The first pass runs on all rows at once, each
+        row keeping the axes the loop keeps; a row whose pass fails the
+        orthonormality check takes the loop itself."""
+        k, d = V.shape
+        eye = np.eye(d)
+        basis = np.zeros((k, d, d))  # per row, its kept vectors in axis order
+        kept = np.zeros(k, dtype=int)
+        for i, e in enumerate(eye):
+            u = e - _row_dots(np.broadcast_to(e, V.shape), V)[:, None] * V
+            for j in range(i):
+                b = basis[:, j]
+                u = np.where((kept > j)[:, None], u - _row_dots(u, b)[:, None] * b, u)
+            norm = np.sqrt(_row_dots(u, u))
+            take = np.flatnonzero(norm > 1e-9)
+            basis[take, kept[take]] = u[take] / norm[take, None]
+            kept[take] += 1
+        frame = np.concatenate([V[:, None, :], basis[:, : d - 1]], axis=1)
+        good = (kept == d - 1) & (
+            np.abs(frame @ frame.transpose(0, 2, 1) - eye).max(axis=(1, 2)) < 1e-9
+        )
+        frames = np.ascontiguousarray(basis[:, : d - 1].transpose(0, 2, 1))
+        for i in np.flatnonzero(~good):
+            frames[i] = np.column_stack(ProjectiveSpace.tangent_basis(V[i]))
+        return frames
+
+    @staticmethod
+    def unit_rows(X: np.ndarray) -> np.ndarray:
+        """`normalize` of each row of X, to the same floats: the squares
+        summed in coordinate order, and the sign that makes the first
+        coordinate above 1e-14 in size positive.  `normalize` keeps its
+        Python loop, which is faster on the single points it sees."""
+        norm = X[:, 0] * X[:, 0]
+        for j in range(1, X.shape[1]):
+            norm = norm + X[:, j] * X[:, j]
+        U = X / np.sqrt(norm)[:, None]
+        big = np.abs(U) > 1e-14
+        lead = U[np.arange(len(U)), big.argmax(axis=1)]
+        return np.where((big.any(axis=1) & (lead < 0))[:, None], -U, U)
+
+    def ring_directions(self, v: np.ndarray, k: int) -> np.ndarray:
+        """The k unit tangent vectors at the unit vector v at equal angles in
+        the plane of its first two tangent directions; on P^1, whose one
+        tangent direction spans no plane, that direction and its negative."""
         basis = self.tangent_basis(v)
         if len(basis) == 1:
-            directions = [basis[0], -basis[0]]
-        else:
-            directions = [
-                basis[0] * math.cos(TAU * t / k) + basis[1] * math.sin(TAU * t / k)
-                for t in range(k)
-            ]
+            return np.array([basis[0], -basis[0]])
+        return np.array([
+            basis[0] * math.cos(TAU * t / k) + basis[1] * math.sin(TAU * t / k)
+            for t in range(k)
+        ])
+
+    def ring_rows(self, v: np.ndarray, directions: np.ndarray, r: float) -> np.ndarray:
+        """Coordinates of the points at distance r from the line [v] along
+        each direction (see `ring_directions`), one row each."""
+        return self.unit_rows(math.cos(r) * v + math.sin(r) * directions)
+
+    def rings(self, center: Point, radii: Sequence[float], k: int) -> list:
+        """Per radius r, the points at distance r from the center along its
+        `ring_directions`."""
+        v = np.asarray(center.value)
+        directions = self.ring_directions(v, k)
         return [
-            [self.point(tuple(math.cos(r) * v + math.sin(r) * w)) for w in directions]
+            [Point(self, tuple(row)) for row in self.ring_rows(v, directions, r).tolist()]
             for r in radii
         ]
 

@@ -164,6 +164,15 @@ class Word:
         return to_str(self)
 
 
+def _reduced_word(alphabet: Alphabet, letters: tuple) -> Word:
+    """The free or generic word of letters that are already reduced, without
+    the reduction pass that `Word()` runs."""
+    word = object.__new__(Word)
+    object.__setattr__(word, "alphabet", alphabet)
+    object.__setattr__(word, "data", letters)
+    return word
+
+
 def _check_same_alphabet(u: Word, v: Word) -> None:
     if u.alphabet != v.alphabet:
         raise AlphabetMismatchError("words over different alphabets")
@@ -174,7 +183,12 @@ def multiply(u: Word, v: Word) -> Word:
     _check_same_alphabet(u, v)
     kind = u.alphabet.kind
     if kind in (FREE, GENERIC):
-        return Word(u.alphabet, u.data + v.data)
+        # both factors are reduced, so letters cancel only across the seam
+        a, b = u.data, v.data
+        k, most = 0, min(len(a), len(b))
+        while k < most and a[-1 - k][0] == b[k][0] and a[-1 - k][1] == -b[k][1]:
+            k += 1
+        return _reduced_word(u.alphabet, a[: len(a) - k] + b[k:])
     if kind == FREE_ABELIAN:
         return Word(u.alphabet, tuple(a + b for a, b in zip(u.data, v.data)))
     if kind == CYCLIC:
@@ -192,7 +206,7 @@ def multiply(u: Word, v: Word) -> Word:
 def inverse(u: Word) -> Word:
     kind = u.alphabet.kind
     if kind in (FREE, GENERIC):
-        return Word(u.alphabet, tuple((i, -s) for i, s in reversed(u.data)))
+        return _reduced_word(u.alphabet, tuple((i, -s) for i, s in reversed(u.data)))
     if kind == FREE_ABELIAN:
         return Word(u.alphabet, tuple(-a for a in u.data))
     if kind == CYCLIC:

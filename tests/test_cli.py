@@ -123,6 +123,21 @@ BAD_FIELDS = [
      "system.params.diagonals", "certify-shyp"),
     ("zn-diagonals-empty", _system("zn_projective", diagonals=[]),
      "system.params.diagonals", "certify-shyp"),
+    # the zoo constructors' own bounds, checked before any construction
+    ("zn-diagonal-wrong-length", _system("zn_projective", diagonals=[[9, 1, 3], [9, 3]]),
+     "'system.params.diagonals'", "certify-shyp"),
+    ("cyclic-multiplier-one", _system("cyclic_hyperbolic", multiplier=1.0),
+     "'system.params.multiplier'", "certify-shyp"),
+    ("covered-multiplier-below-one", _system("covered_cyclic", multiplier=0.5),
+     "'system.params.multiplier'", "certify-shyp"),
+    ("covered-degree-one", _system("covered_cyclic", degree=1),
+     "'system.params.degree'", "certify-shyp"),
+    ("free-rank-one", _system("free_boundary", rank=1), "'system.params.rank'", "certify-shyp"),
+    ("free-a-one", _system("free_boundary", a=1.0), "'system.params.a'", "certify-shyp"),
+    ("free-a-above-two", _system("free_boundary", a=2.5), "'system.params.a'", "certify-shyp"),
+    ("product-component-rank-one",
+     _system("product", component={"kind": "free_boundary", "params": {"rank": 1}}),
+     "'system.params.component.params.rank'", "certify-shyp"),
     ("params-not-an-object", {"system": {"kind": "schottky", "params": 5}},
      "'system.params'", "certify-shyp"),
     ("product-component-not-an-object", _system("product", component=5),

@@ -11,17 +11,26 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from expaction import groups, zoo
-from expaction.expansion import ActionView, _sample_pairs, strided_pairs
+from expaction.expansion import (
+    LIP_SAFETY,
+    SAFETY,
+    ActionView,
+    _sample_pairs,
+    build_expansion_datum,
+    strided_pairs,
+)
 from expaction.geometry import (
     LEBESGUE_CHUNK,
     TAU,
     ArcRegion,
+    BallRegion,
     Circle,
     ClippedRegion,
     CoveredCircle,
     EmptyRegion,
     FreeBoundary,
     Point,
+    ProjectiveSpace,
     SpaceMismatchError,
     distance,
     is_reduced,
@@ -355,3 +364,189 @@ def test_normalize_equals_the_letter_loop(word, rank, depth):
     # same value, or the same ValueError message naming the first bad letter
     space = FreeBoundary(rank=rank, depth=depth)
     assert _outcome(space.normalize, word) == _outcome(_loop_normalize, space, word)
+
+
+# ---------------------------------------------------------------------------
+# the stacked projective stretch kernel
+
+
+def _old_stretches(A, v):
+    v = np.asarray(v, dtype=float)
+    v = v / np.linalg.norm(v)
+    Av = A @ v
+    n = np.linalg.norm(Av)
+    w = Av / n
+    W = np.column_stack(ProjectiveSpace.tangent_basis(v))
+    M = (np.eye(len(v)) - np.outer(w, w)) @ A @ W / n
+    sv = np.linalg.svd(M, compute_uv=False)
+    return float(sv[-1]), float(sv[0])
+
+
+def _old_rings(space, center, radii, k):
+    v = np.asarray(center.value)
+    basis = ProjectiveSpace.tangent_basis(v)
+    if len(basis) == 1:
+        directions = [basis[0], -basis[0]]
+    else:
+        directions = [
+            basis[0] * math.cos(TAU * t / k) + basis[1] * math.sin(TAU * t / k)
+            for t in range(k)
+        ]
+    return [
+        [space.point(tuple(math.cos(r) * v + math.sin(r) * w)) for w in directions]
+        for r in radii
+    ]
+
+
+ZN_DIAGONALS = {
+    1: [[4.0, 1.0]],
+    2: [[9.0, 1.0, 3.0], [9.0, 3.0, 1.0]],
+    3: [[8.0, 1.0, 3.0, 2.0], [8.0, 3.0, 1.0, 2.0], [8.0, 2.0, 3.0, 1.0]],
+}
+
+
+@st.composite
+def _lines(draw, d):
+    """Rows spanning lines of P^(d-1): generic, exact axes, and lines near an
+    axis.  At 1e-12 from an axis the first pass drops that axis; from about
+    1e-9 to 1e-6 it loses orthogonality and the loop projects twice."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    rows = []
+    for kind in draw(st.lists(st.sampled_from(["generic", "axis", "near"]), min_size=1,
+                              max_size=12)):
+        if kind == "generic":
+            rows.append(rng.normal(size=d))
+            continue
+        row = np.eye(d)[draw(st.integers(0, d - 1))] * draw(st.sampled_from([1.0, -1.0, 3.5]))
+        if kind == "near":
+            row = row + 10.0 ** draw(st.integers(-15, -5)) * rng.normal(size=d)
+        rows.append(row)
+    return np.array(rows)
+
+
+@settings(max_examples=300, derandomize=True, deadline=None)
+@given(data=st.data(), d=st.sampled_from([2, 3, 4]), source=st.sampled_from(["random", "zn"]))
+def test_stretch_rows_equal_the_one_line_routine(data, d, source):
+    if source == "zn":
+        maps = zoo.make_zn_projective(ZN_DIAGONALS[d - 1]).letter_maps
+        A = maps[data.draw(st.sampled_from(sorted(maps)))].np_matrix
+    else:
+        A = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1))).normal(size=(d, d))
+        if abs(np.linalg.det(A)) < 1e-3:
+            A = A + 3.0 * np.eye(d)
+    V = data.draw(_lines(d))
+    lo, hi = ProjectiveSpace.stretch_rows(A, V)
+    for i, v in enumerate(V):
+        old = _old_stretches(A, v)
+        assert (lo[i], hi[i]) == old
+        assert ProjectiveSpace.stretches(A, v) == old
+
+
+def test_stretch_rows_hand_near_axis_rows_to_the_loop(monkeypatch):
+    # (4, 1e-6) is where one pass of the loop loses orthogonality
+    calls = []
+    loop = ProjectiveSpace.tangent_basis
+    monkeypatch.setattr(
+        ProjectiveSpace, "tangent_basis", staticmethod(lambda v: calls.append(v) or loop(v))
+    )
+    A = np.diag([3.0, 1.0])
+    V = np.array([[4.0, 1e-6], [1.0, 2.0], [1.0, 0.0]])
+    lo, hi = ProjectiveSpace.stretch_rows(A, V)
+    assert len(calls) == 1 and calls[0][1] > 0  # only the near-axis row
+    monkeypatch.undo()
+    assert [(lo[i], hi[i]) for i in range(3)] == [_old_stretches(A, v) for v in V]
+
+
+def _bits(rows):
+    return np.asarray(rows, dtype=float).tobytes()
+
+
+@settings(max_examples=200, derandomize=True, deadline=None)
+@given(
+    n=st.sampled_from([1, 2, 3]),
+    seed=st.integers(0, 2**32 - 1),
+    center_kind=st.sampled_from(["generic", "axis", "near"]),
+    radii=st.lists(st.floats(1e-9, 1.2), min_size=1, max_size=3),
+    k=st.sampled_from([3, 4, 7, 24]),
+)
+def test_ring_rows_equal_the_ring_points(n, seed, center_kind, radii, k):
+    space = ProjectiveSpace(n=n)
+    rng = np.random.default_rng(seed)
+    coords = rng.normal(size=n + 1)
+    if center_kind != "generic":
+        coords = np.eye(n + 1)[seed % (n + 1)] + (1e-7 * coords if center_kind == "near" else 0)
+    center = space.point(coords)
+    v = np.asarray(center.value)
+    directions = space.ring_directions(v, k)
+    old = _old_rings(space, center, radii, k)
+    new = space.rings(center, radii, k)
+    for r, old_ring, new_ring in zip(radii, old, new):
+        rows = space.ring_rows(v, directions, r)
+        assert _bits(rows) == _bits([p.value for p in old_ring])
+        assert _bits(rows) == _bits([p.value for p in new_ring])
+        assert all(type(c) is float for p in new_ring for c in p.value)
+
+
+@settings(max_examples=200, derandomize=True, deadline=None)
+@given(
+    d=st.sampled_from([2, 3, 4]),
+    seed=st.integers(0, 2**32 - 1),
+    tiny=st.sampled_from([0.0, 1e-15, -1e-15, 1e-13, -1e-13]),
+)
+def test_unit_rows_equal_normalize(d, seed, tiny):
+    X = np.random.default_rng(seed).normal(size=(8, d))
+    X[::2, 0] = tiny  # leading coordinates at and around the 1e-14 sign cut
+    space = ProjectiveSpace(n=d - 1)
+    assert _bits(ProjectiveSpace.unit_rows(X)) == _bits([space.normalize(x) for x in X])
+
+
+def _old_projective_cover(system, lam):
+    """Ball radii, delta and lip of the projective cover, by the per-point
+    `ok` loop and the per-sample lip loop the stacked kernel replaced."""
+    space = system.space
+    net = system.limit_net(None)
+    n = system.alphabet.rank
+    e = [space.point(tuple(1.0 if i == k else 0.0 for i in range(n + 1))) for k in range(n + 1)]
+    r_cap = 0.45 * min(
+        space.raw_distance(e[i].value, e[j].value)
+        for i in range(n + 1) for j in range(i + 1, n + 1)
+    )
+
+    def radius(letter, center):
+        A = system.letter_maps[letter].np_matrix
+
+        def ok(r):
+            pts = [p for ring in _old_rings(space, center, (r, r / 2), 24) for p in ring]
+            return all(_old_stretches(A, p.value)[0] > lam for p in pts + [center])
+
+        assert ok(r_cap * 1e-3)
+        lo, hi = r_cap * 1e-3, r_cap
+        if ok(hi):
+            lo = hi
+        else:
+            for _ in range(48):
+                mid = (lo + hi) / 2.0
+                if ok(mid):
+                    lo = mid
+                else:
+                    hi = mid
+        return 0.98 * lo
+
+    radii = [radius((0, -1), e[0])] + [radius((j, 1), e[j + 1]) for j in range(n)]
+    regions = [BallRegion(space=space, center=c, radius=r) for c, r in zip(e, radii)]
+    regions += [EmptyRegion(space=space) for _ in range(1, n)]
+    delta = float(SAFETY * lebesgue_number(regions, net)[0])
+    samples = space.neighborhood(net, delta)
+    lip_raw = max(
+        _old_stretches(m.np_matrix, x.value)[1] for m in system.letter_maps.values() for x in samples
+    )
+    return radii, delta, float(LIP_SAFETY * max(lip_raw, lam))
+
+
+@pytest.mark.parametrize("n, lam", [(2, 1.4), (2, 2.0), (3, 1.4)])
+def test_projective_cover_equals_the_per_point_loop(n, lam):
+    system = zoo.make_zn_projective(ZN_DIAGONALS[n])
+    datum = build_expansion_datum(system, lam)
+    radii, delta, lip = _old_projective_cover(system, lam)
+    assert [e.region.radius for e in datum.entries if isinstance(e.region, BallRegion)] == radii
+    assert (datum.delta, datum.lip) == (delta, lip)

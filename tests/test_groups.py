@@ -201,3 +201,27 @@ def test_product_letters_multiply_back_to_the_word(parts, picks):
     for i, s in groups.letters_of(u):
         v = multiply(v, P.generator(i, s))
     assert v == u
+
+
+# letter tuples that are mostly short and over few generators, so that long
+# runs cancel across the seam
+_LETTERS = st.lists(st.tuples(st.integers(0, 2), st.sampled_from([1, -1])), max_size=14)
+
+
+@settings(max_examples=400, derandomize=True, deadline=None)
+@given(
+    alphabet=st.sampled_from([Alphabet.free(3), Alphabet.generic(["x", "y", "z"])]),
+    raw_u=_LETTERS,
+    raw_v=_LETTERS,
+    echo=st.integers(0, 14),
+)
+def test_multiply_and_inverse_equal_the_full_reduction(alphabet, raw_u, raw_v, echo):
+    u = Word(alphabet, tuple(raw_u))
+    # a right factor that starts with the inverse of u's tail cancels deep
+    v = Word(alphabet, inverse(u).data[:echo] + tuple(raw_v))
+    product = multiply(u, v)
+    assert type(product) is Word
+    assert product.data == groups._reduce_letters(u.data + v.data)
+    assert product == Word(alphabet, u.data + v.data)
+    assert inverse(u).data == groups._reduce_letters((i, -s) for i, s in reversed(u.data))
+    assert multiply(u, inverse(u)) == alphabet.identity()
