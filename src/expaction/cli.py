@@ -24,6 +24,7 @@ class ConfigError(ValueError):
 
     def __init__(self, path: str, message: str):
         super().__init__(f"config field {path!r}: {message}")
+        self.path, self.message = path, message
 
 
 class Field(NamedTuple):
@@ -126,35 +127,45 @@ def _perturbation(raw, path: str, root: dict) -> dict:
     return raw
 
 
-def _zoo(name: str):
-    """The zoo function of that name, looked up at each call, so that a
-    wrapper installed on the module (a tracer, a mock) sees the call."""
-    return lambda *args: getattr(zoo, name)(*args)
+def _schottky(multiplier: float, matrices) -> zoo.ActionSystem:
+    """The group of the given matrices, or else of the multiplier's default
+    pair.  The multiplier has no bound in the table (its ping-pong bound is
+    not a plain least value), so a pair that fails the constructor's checks
+    names it here."""
+    if matrices is not None:
+        return zoo.make_schottky(matrices)
+    try:
+        return zoo.make_schottky(zoo.default_schottky_matrices(multiplier))
+    except zoo.ConstructionError as err:
+        raise ConfigError("system.params.multiplier", str(err)) from None
 
 
 def _product(component: dict, with_swap: bool) -> zoo.ActionSystem:
-    system = build_system(component)
+    try:
+        system = build_system(component)
+    except ConfigError as err:  # name the field inside the component
+        path = err.path.replace("system", "system.params.component", 1)
+        raise ConfigError(path, err.message) from None
     return zoo.make_product(system, system, with_swap)
 
 
+# The constructors look zoo functions up at each call, so that a wrapper
+# installed on the module (a tracer, a mock) sees the call.
 SYSTEMS = {  # kind -> (constructor taking the params in order, params)
     "cyclic_hyperbolic": (
-        _zoo("make_cyclic_hyperbolic"), {"multiplier": Field(float, 2.0, 1.0)}
+        lambda *p: zoo.make_cyclic_hyperbolic(*p), {"multiplier": Field(float, 2.0, 1.0)}
     ),
     "covered_cyclic": (
-        _zoo("make_covered_cyclic"),
+        lambda *p: zoo.make_covered_cyclic(*p),
         {"multiplier": Field(float, 2.0, 1.0), "degree": Field(int, 3, 2)},
     ),
-    "schottky": (
-        lambda m, matrices: zoo.make_schottky(matrices or zoo.default_schottky_matrices(m)),
-        {"multiplier": Field(float, 3.0), "matrices": Field("matrices")},
-    ),
+    "schottky": (_schottky, {"multiplier": Field(float, 3.0), "matrices": Field("matrices")}),
     "free_boundary": (
-        _zoo("make_free_boundary"),
+        lambda *p: zoo.make_free_boundary(*p),
         {"rank": Field(int, 2, 2), "a": Field(float, 2.0, 1.0, high=2.0)},
     ),
     "zn_projective": (
-        _zoo("make_zn_projective"),
+        lambda *p: zoo.make_zn_projective(*p),
         {"diagonals": Field("diagonals", [[9.0, 1.0, 3.0], [9.0, 3.0, 1.0]])},
     ),
     "product": (_product, {
@@ -174,7 +185,9 @@ PERTURBATIONS = {  # family -> (maker of a system's perturbed maps, params)
         lambda system, *p: zoo.perturb(system, zoo.BumpCompose(*p)),
         {"center": Field(float, 0.7), "width": Field(float, 0.5), "height": Field(float, 0.0)},
     ),
-    "translation_conjugate": (_zoo("translation_conjugate"), {"t": Field(float, 0.0)}),
+    "translation_conjugate": (
+        lambda system, *p: zoo.translation_conjugate(system, *p), {"t": Field(float, 0.0)}
+    ),
 }
 FAMILY = Field(tuple(PERTURBATIONS), "matrix_jitter")
 

@@ -1,6 +1,5 @@
-"""Symbolic codes and rays, nested image neighborhoods, expansivity and
-quasigeodesic witnesses, hyperbolicity certificates, and the coding map to
-the boundary.
+"""Symbolic codes and rays, nested image neighborhoods, expansivity
+witnesses, hyperbolicity certificates, and the coding map to the boundary.
 
 A code (alpha, p) tracks a limit point x = p_0 through the cover: at every
 step the inverse of the chosen label is applied, p_{i+1} = rho(s^-1)(p_i),
@@ -36,10 +35,6 @@ class Code:
     points: tuple  # p_0..p_{n+1}, length n+2
     eta: float
     special: bool
-
-    @property
-    def depth(self) -> int:
-        return len(self.alphas)
 
 
 @dataclass(frozen=True)
@@ -77,20 +72,19 @@ def _greedy_entry(datum: ExpansionDatum, x: Point, eta: float, reverse_ties: boo
 def _step(view: ActionView, entry: CoverEntry, x: Point) -> Point:
     inv, letter = entry.backward
     y = view.apply_word(inv, x)
-    # stabilize backward orbits: expanding steps amplify float noise, so
-    # points that reached a fixed angle of the applied map are pinned there
-    if view.perturbed is None and letter is not None:
+    # stabilize backward orbits on the circle: expanding steps amplify float
+    # noise, so points that reached a fixed angle of the applied map are
+    # pinned there
+    if view.perturbed is None and letter is not None and view.space.angular:
         snapped = zoo.snap_angle(view.maps[letter], x.value, y.value)
         if snapped != y.value:
             return view.space.point(snapped)
     return y
 
 
-def greedy_step(
-    datum: ExpansionDatum, view: ActionView, x: Point, eta: float, reverse_ties: bool = False
-) -> tuple:
+def greedy_step(datum: ExpansionDatum, view: ActionView, x: Point, eta: float) -> tuple:
     """One greedy code step: (chosen entry, next point)."""
-    e = _greedy_entry(datum, x, eta, reverse_ties)
+    e = _greedy_entry(datum, x, eta)
     return e, _step(view, e, x)
 
 
@@ -100,31 +94,20 @@ def make_code(
     eta: float,
     x: Point,
     depth: int,
-    policy: str | tuple = "special",
     reverse_ties: bool = False,
 ) -> Code:
-    """Greedy code for x: maximal margin at every step, smallest entry index
-    on ties.  policy='special' also constrains the initial label;
-    policy=('initial', index) starts from an arbitrary given entry."""
+    """Greedy special code for x: maximal margin at every step, the initial
+    label included, and the smallest entry index on ties (the largest with
+    `reverse_ties`)."""
     view = system if isinstance(system, ActionView) else ActionView(system)
     if not 0.0 < eta <= datum.delta:
         raise CodingError(f"eta must lie in (0, delta={datum.delta}], got {eta}")
-    entry_map = _entry_map(datum)
-    if policy == "special":
-        first = _greedy_entry(datum, x, eta, reverse_ties)
-        special = True
-    else:
-        kind, index = policy
-        if kind != "initial":
-            raise ValueError(f"unknown policy {policy!r}")
-        first = entry_map[index]
-        special = first.region.margin(x) >= eta
-    alphas, points = [first.index], [x, _step(view, first, x)]
-    for _ in range(depth - 1):
+    alphas, points = [], [x]
+    for _ in range(depth):
         e = _greedy_entry(datum, points[-1], eta, reverse_ties)
         alphas.append(e.index)
         points.append(_step(view, e, points[-1]))
-    return Code(tuple(alphas), tuple(points), eta, special)
+    return Code(tuple(alphas), tuple(points), eta, True)
 
 
 def enumerate_codes(
@@ -162,15 +145,6 @@ def enumerate_codes(
     return codes, truncated
 
 
-def revalidate_code(datum: ExpansionDatum, code: Code, eta: float) -> bool:
-    """True iff the code is also an eta-code (needs eta <= code.eta)."""
-    entry_map = _entry_map(datum)
-    for i in range(1, len(code.alphas)):
-        if entry_map[code.alphas[i]].region.margin(code.points[i]) < eta:
-            return False
-    return True
-
-
 def code_ray(datum: ExpansionDatum, code: Code) -> Ray:
     entry_map = _entry_map(datum)
     words = []
@@ -185,19 +159,6 @@ def code_ray(datum: ExpansionDatum, code: Code) -> Ray:
         current = nxt
         words.append(current)
     return Ray(tuple(words))
-
-
-def ray_tail_reduced(datum: ExpansionDatum, code: Code) -> bool:
-    """Letters from index 1 on never cancel (the free initial letter may)."""
-    entry_map = _entry_map(datum)
-    syms = [entry_map[a].symbol for a in code.alphas]
-    tail = None
-    for s in syms[1:]:
-        nxt = s if tail is None else groups.multiply(tail, s)
-        if tail is not None and groups.word_length(nxt) != groups.word_length(tail) + groups.word_length(s):
-            return False
-        tail = nxt
-    return True
 
 
 # ---------------------------------------------------------------------------
@@ -264,7 +225,7 @@ def nested_images(
 
 
 # ---------------------------------------------------------------------------
-# expansivity and recurrence
+# expansivity
 
 
 @dataclass(frozen=True)
@@ -315,77 +276,8 @@ def expansivity_witness(
     return NotFound(max_depth, best)
 
 
-@dataclass(frozen=True)
-class RecurrenceReport:
-    base_index: int
-    elements: tuple  # h_j words
-    residuals: tuple  # d(rho(h_j) x, x), expected to decrease
-
-
-def recurrence_witness(
-    system: ActionSystem | ActionView,
-    datum: ExpansionDatum,
-    x: Point,
-    eta: float,
-    depth: int,
-    max_elements: int = 8,
-) -> RecurrenceReport | NotFound:
-    """Return elements h_j = c_{i_j} c_{i_1}^{-1} built from near-returns of
-    the code orbit, with residuals d(rho(h_j)(x), x)."""
-    view = system if isinstance(system, ActionView) else ActionView(system)
-    if not 0.0 < eta <= datum.delta:
-        raise ValueError(f"eta must lie in (0, delta={datum.delta}]")
-    space = view.space
-    code = make_code(datum, view, eta, x, depth)
-    ray = code_ray(datum, code)
-    pts = code.points
-    best_pair = None
-    for i1 in range(0, depth // 3):
-        returns = [
-            j
-            for j in range(i1 + 1, depth)
-            if space.raw_distance(pts[j + 1].value, pts[i1 + 1].value) < eta / 2.0
-        ]
-        if len(returns) >= 2:
-            best_pair = (i1, returns)
-            break
-    if best_pair is None:
-        return NotFound(depth, math.inf)
-    i1, returns = best_pair
-    inv_c1 = groups.inverse(ray.words[i1])
-    elements, residuals = [], []
-    for j in returns[:max_elements]:
-        h = groups.multiply(ray.words[j], inv_c1)
-        hx = view.apply_word(h, x)
-        elements.append(h)
-        residuals.append(space.raw_distance(hx.value, x.value))
-    return RecurrenceReport(i1, tuple(elements), tuple(residuals))
-
-
 # ---------------------------------------------------------------------------
-# quasigeodesics and fellow traveling
-
-
-@dataclass(frozen=True)
-class QuasigeodesicReport:
-    lower_slope: float
-    ok: bool
-    worst_lower_slack: float
-    worst_upper_slack: float
-    unknown_pairs: int
-
-
-def quasigeodesic_check(datum: ExpansionDatum, ray: Ray, cap: int = 64) -> QuasigeodesicReport:
-    """Sandwich (log lam / log lip)*(i-j) <= d(c_i, c_j) <= i-j on all pairs."""
-    slope = math.log(datum.lam) / math.log(datum.lip)
-    j, i = np.triu_indices(len(ray.words), 1)
-    m = groups.distance_table(ray.words, ray.words, cap)[j, i]
-    known = m != groups.UNKNOWN
-    gaps, m = (i - j)[known], m[known].astype(np.int64)
-    worst_lower = float((m - slope * gaps).min(initial=math.inf))
-    worst_upper = int((gaps - m).min()) if m.size else math.inf
-    ok = worst_lower >= -1e-9 and worst_upper >= 0
-    return QuasigeodesicReport(slope, ok, worst_lower, worst_upper, int(known.size - m.size))
+# fellow traveling
 
 
 def _path_vertices(ray: Ray) -> list:
@@ -485,14 +377,6 @@ def fellow_travel_distance(
         else:
             return n
     return None
-
-
-def _tail_close(rayA: Ray, rayB: Ray, n: int, cap: int = 64) -> bool:
-    """Closeness at scale n over the tail halves (the infinite-subset
-    surrogate: indices >= depth/2).  Words within n of the common word-length
-    window boundary are exempt, again discounting truncation ends; an empty
-    window is not close."""
-    return RayTable((rayA, rayB), cap).tail_close(0, 1, n)
 
 
 def n_equivalence(

@@ -9,10 +9,10 @@ the delta-neighborhood of the limit set.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass
 from functools import cached_property
 from itertools import islice
-from typing import Iterator, Optional
+from typing import Iterator
 
 import numpy as np
 
@@ -52,10 +52,6 @@ class UncoverableError(ValueError):
         )
 
 
-class RefinementError(ValueError):
-    pass
-
-
 @dataclass(frozen=True)
 class CoverEntry:
     index: str
@@ -77,7 +73,6 @@ class ExpansionDatum:
     lam: float  # expansion rate, > 1
     lip: float  # Lipschitz constant on the delta-neighborhood, >= lam
     net: tuple  # limit-set sample the datum was certified on
-    refined_from: Optional["ExpansionDatum"] = None
 
     def __post_init__(self):
         if not self.lam > 1.0:
@@ -96,26 +91,6 @@ class ExpansionDatum:
             if e.symbol not in out:
                 out.append(e.symbol)
         return out
-
-    def is_symmetric(self) -> bool:
-        syms = self.symbols()
-        return all(groups.inverse(s) in syms for s in syms)
-
-
-def refine_datum(datum: ExpansionDatum, delta_new: float) -> ExpansionDatum:
-    """Trivial refinement: same cover and constants, strictly smaller delta."""
-    if not 0.0 < delta_new < datum.delta:
-        raise RefinementError(
-            f"refinement needs 0 < delta_new < {datum.delta}, got {delta_new}"
-        )
-    return replace(datum, delta=delta_new, refined_from=datum)
-
-
-def refinement_chain(datum: ExpansionDatum) -> list:
-    out = [datum]
-    while out[-1].refined_from is not None:
-        out.append(out[-1].refined_from)
-    return out
 
 
 # ---------------------------------------------------------------------------

@@ -1,4 +1,4 @@
-"""Metric substrate: spaces, points, regions with margins, Hausdorff distance.
+"""Metric substrate: spaces, points, regions with margins, Lebesgue numbers.
 
 Every space kind carries its own canonical point coordinates:
 
@@ -19,7 +19,7 @@ import math
 from bisect import bisect_left
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Any, Callable, Iterable, Sequence
+from typing import Any, Callable, Sequence
 
 import numpy as np
 
@@ -29,10 +29,6 @@ DEFAULT_TOL = 1e-9
 
 class SpaceMismatchError(ValueError):
     """Raised when two points do not live on the same space."""
-
-
-class EmptySetError(ValueError):
-    """Raised when an operation needs a non-empty point set."""
 
 
 def circle_dist(a: float, b: float) -> float:
@@ -59,7 +55,8 @@ def is_reduced(word: str) -> bool:
     return not any(map(str.__eq__, word, word[1:].swapcase()))
 
 
-def common_prefix_len(u: str, v: str) -> int:
+def common_prefix_len(u: Sequence, v: Sequence) -> int:
+    """Length of the common prefix of two strings or letter tuples."""
     n = min(len(u), len(v))
     for i in range(n):
         if u[i] != v[i]:
@@ -628,9 +625,6 @@ class Region:
     def margin(self, x: Point) -> float:
         return self.base_margin(x) - self.offset
 
-    def contains(self, x: Point) -> bool:
-        return self.margin(x) > 0.0
-
     @property
     def peak(self) -> float:
         """Supremum of the margin; nonpositive means the region is empty."""
@@ -825,30 +819,6 @@ class ClippedRegion(Region):
 
     def sample(self, k: int) -> list:
         return [p for p in self.inner.sample(k) if self.margin(p) > 0]
-
-
-def ball_contained(region: Region, x: Point, r: float) -> bool:
-    """True iff the open r-ball at x is certified inside the region."""
-    if r < 0:
-        raise ValueError("radius must be nonnegative")
-    return region.margin(x) >= r
-
-
-def shrink_region(region: Region, r: float) -> Region:
-    """Region of points whose r-ball fits in the original (margin drops by r)."""
-    if r <= 0:
-        raise ValueError("shrink radius must be positive")
-    return region.shrunk(r)
-
-
-def hausdorff_distance(space: Space, A: Iterable[Point], B: Iterable[Point]) -> float:
-    """Hausdorff distance between two finite nonempty point sets."""
-    A, B = list(A), list(B)
-    if not A or not B:
-        raise EmptySetError("hausdorff_distance needs non-empty sets")
-    d_ab = max(min(distance(space, a, b) for b in B) for a in A)
-    d_ba = max(min(distance(space, a, b) for a in A) for b in B)
-    return max(d_ab, d_ba)
 
 
 def lebesgue_number(regions: Sequence[Region], net: Sequence[Point]) -> tuple[float, Point | None]:

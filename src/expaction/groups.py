@@ -28,6 +28,8 @@ from typing import Any, Iterable, Optional, Sequence
 
 import numpy as np
 
+from .geometry import common_prefix_len
+
 FREE = "free"
 FREE_ABELIAN = "free_abelian"
 CYCLIC = "cyclic"
@@ -70,10 +72,6 @@ class Alphabet:
         if with_swap:
             names = names + ("swap",)
         return Alphabet(PRODUCT_SWAP, names, parts=(first, second), has_swap=with_swap)
-
-    @staticmethod
-    def generic(names: Sequence[str]) -> "Alphabet":
-        return Alphabet(GENERIC, tuple(names))
 
     @property
     def rank(self) -> int:
@@ -125,15 +123,6 @@ class Alphabet:
     def symmetric_generators(self) -> list:
         """All generators and inverses (the swap is its own inverse)."""
         return [self.generator(i, s) for i, s in self.signed_letters()]
-
-
-def _common_prefix_len(a: Sequence, b: Sequence) -> int:
-    n = 0
-    for x, y in zip(a, b):
-        if x != y:
-            break
-        n += 1
-    return n
 
 
 def _reduce_letters(letters: Iterable[tuple]) -> tuple:
@@ -410,26 +399,6 @@ def to_str(u: Word) -> str:
     raise ValueError(kind)
 
 
-def parse(alphabet: Alphabet, text: str) -> Word:
-    """Inverse of to_str for free/generic and cyclic kinds."""
-    if alphabet.kind in (FREE, GENERIC):
-        if text in ("", "e"):
-            return alphabet.identity()
-        letters = []
-        for ch in text:
-            low = ch.lower()
-            if low not in alphabet.names:
-                raise ValueError(f"unknown letter {ch!r}")
-            letters.append((alphabet.names.index(low), 1 if ch.islower() else -1))
-        return Word(alphabet, tuple(letters))
-    if alphabet.kind == CYCLIC:
-        name, _, exp = text.partition("^")
-        if name != alphabet.names[0]:
-            raise ValueError(f"unknown generator {name!r}")
-        return Word(alphabet, int(exp or "1"))
-    raise ValueError(f"parsing not defined for kind {alphabet.kind}")
-
-
 # ---------------------------------------------------------------------------
 # boundary prefixes
 
@@ -441,13 +410,9 @@ class BoundaryWord:
     prefix: Word
     stabilized: bool = True
 
-    @property
-    def depth(self) -> int:
-        return word_length(self.prefix)
-
 
 def _common_prefix_words(u: Word, v: Word) -> Word:
-    return Word(u.alphabet, u.data[: _common_prefix_len(u.data, v.data)])
+    return Word(u.alphabet, u.data[: common_prefix_len(u.data, v.data)])
 
 
 def boundary_prefix(ray: Sequence[Word], depth: int) -> BoundaryWord:
@@ -481,11 +446,3 @@ def boundary_prefix(ray: Sequence[Word], depth: int) -> BoundaryWord:
         f"boundary prefixes are defined for free and cyclic kinds, not {alphabet.kind}"
     )
 
-
-def free_word_to_prefix_str(u: Word) -> str:
-    """Free word as a boundary prefix string ('a' generator, 'A' inverse)."""
-    if u.alphabet.kind not in (FREE, GENERIC):
-        raise ValueError("prefix strings are for free-kind words")
-    return "".join(
-        u.alphabet.names[i] if s > 0 else u.alphabet.names[i].upper() for i, s in u.data
-    )

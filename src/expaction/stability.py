@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 from typing import Callable, Mapping, Optional, Sequence
 
 from . import groups
-from .coding import CodingError, _greedy_entry, _step, expansivity_witness, greedy_step
+from .coding import CodingError, expansivity_witness, greedy_step
 from .expansion import (
     SAFETY,
     ActionView,
@@ -101,9 +101,6 @@ class PerturbedSystem:
 
     def violations(self) -> list:
         return [name for name, d in self.realized.items() if d >= self.epsilon]
-
-    def is_admissible(self) -> bool:
-        return not self.violations()
 
     def require_admissible(self) -> None:
         bad = self.violations()
@@ -342,48 +339,6 @@ class DisplacementReport:
 def check_displacement(table: ConjugacyTable, ps: PerturbedSystem) -> DisplacementReport:
     d = table.displacement
     return DisplacementReport(d, d < ps.epsilon, d < ps.datum.delta / 5.0)
-
-
-def check_code_independence(ps: PerturbedSystem, x: Point, tol: float = 1e-9) -> float:
-    """phi(x) recomputed from an alternative (non-greedy) initial code; the
-    two limits must agree within 2*tol."""
-    phi_a, _ = conjugacy_point(ps, x, tol)
-    datum = ps.datum
-    first = _greedy_entry(datum, x, datum.delta)
-    others = [e for e in datum.entries if e.index != first.index]
-    if not others:
-        return 0.0
-    alt = others[0]
-    phi_b, _ = _conjugacy_from(ps, x, (alt, _step(ps.base_view(), alt, x)), tol, 200)
-    return ps.base.space.raw_distance(phi_b.value, phi_a.value)
-
-
-def check_continuity_modulus(
-    table: ConjugacyTable,
-    ps: PerturbedSystem,
-    ks: Sequence[int] = (5, 10),
-) -> list:
-    """Net-pair modulus witnesses: for each k, pairs closer than
-    (delta0 - delta)/lip**(k+1) must have phi-images within
-    2*delta0*(lip+eps)/(lam-eps)**k (delta0 is the pre-safety Lebesgue bound)."""
-    datum, space = ps.datum, ps.base.space
-    delta0 = datum.delta / SAFETY
-    eps = ps.epsilon
-    rows = []
-    for k in ks:
-        eps_k = 2.0 * delta0 * (datum.lip + eps) / (datum.lam - eps) ** k
-        delta_k = (delta0 - datum.delta) / datum.lip ** (k + 1)
-        worst, pairs = 0.0, 0
-        for i in range(len(table.entries)):
-            for j in range(i + 1, len(table.entries)):
-                a, b = table.entries[i], table.entries[j]
-                if space.raw_distance(a.x.value, b.x.value) < delta_k:
-                    pairs += 1
-                    worst = max(worst, space.raw_distance(a.phi.value, b.phi.value))
-        rows.append(
-            {"k": k, "pairs": pairs, "modulus": eps_k, "worst": worst, "ok": worst < eps_k}
-        )
-    return rows
 
 
 # ---------------------------------------------------------------------------

@@ -10,6 +10,7 @@ from __future__ import annotations
 import copy
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Callable, Iterable, Mapping, Sequence
 
 import numpy as np
@@ -41,6 +42,14 @@ class ConstructionError(ValueError):
 # self-maps
 
 
+def _read_only(matrix: tuple) -> np.ndarray:
+    """A map's matrix as a float array, built once per map: read-only, so
+    that no caller can change the map through it."""
+    array = np.array(matrix, dtype=float)
+    array.flags.writeable = False
+    return array
+
+
 @dataclass(frozen=True)
 class MoebiusMap:
     """Real 2x2 matrix acting on the boundary circle of the upper half-plane.
@@ -61,9 +70,9 @@ class MoebiusMap:
         m = m / math.sqrt(det)
         return MoebiusMap(((m[0, 0], m[0, 1]), (m[1, 0], m[1, 1])))
 
-    @property
+    @cached_property
     def np_matrix(self) -> np.ndarray:
-        return np.array(self.matrix, dtype=float)
+        return _read_only(self.matrix)
 
     def apply_angle(self, theta: float) -> float:
         u, v = math.sin(theta / 2.0), math.cos(theta / 2.0)
@@ -101,6 +110,23 @@ class MoebiusMap:
             u, v = float(np.real(vecs[0, k])), float(np.real(vecs[1, k]))
             out.append(wrap_angle(2.0 * math.atan2(u, v)))
         return out[0], out[1]
+
+    @cached_property
+    def pinned_angles(self) -> tuple:
+        """The fixed angles `snap_angle` pins orbits to: both fixed angles of
+        a hyperbolic map, none otherwise."""
+        try:
+            return self.fixed_angles()
+        except ConstructionError:
+            return ()
+
+    def jittered(self, rng, magnitude: float, diagonal_only: bool) -> "MoebiusMap":
+        """The map of the matrix plus seeded uniform noise (on the diagonal
+        only, if asked), renormalized to determinant 1."""
+        noise = rng.uniform(-magnitude, magnitude, size=(2, 2))
+        if diagonal_only:
+            noise = np.diag(np.diag(noise))
+        return MoebiusMap.from_matrix(self.np_matrix + noise)
 
     @staticmethod
     def apply_matrix_angle(mat, theta: float) -> float:
@@ -173,6 +199,18 @@ class LiftedCircleMap:
     def inverse(self) -> "LiftedCircleMap":
         return LiftedCircleMap(1.0 / self.multiplier, self.degree)
 
+    @cached_property
+    def pinned_angles(self) -> tuple:
+        """The fixed angles `snap_angle` pins orbits to: the lifts of the
+        base fixed points 0 and pi."""
+        k = self.degree
+        return tuple(wrap_angle((base + TAU * j) / k) for base in (0.0, math.pi) for j in range(k))
+
+    def jittered(self, rng, magnitude: float, diagonal_only: bool) -> "LiftedCircleMap":
+        """The lift of a multiplier scaled by 1 plus seeded uniform noise."""
+        noise = rng.uniform(-magnitude, magnitude)
+        return LiftedCircleMap(self.multiplier * (1.0 + noise), self.degree)
+
 
 @dataclass(frozen=True)
 class BoundaryShiftMap:
@@ -205,15 +243,22 @@ class ProjectiveMap:
             raise ConstructionError("projective matrix must be invertible")
         return ProjectiveMap(tuple(tuple(float(x) for x in row) for row in m))
 
-    @property
+    @cached_property
     def np_matrix(self) -> np.ndarray:
-        return np.array(self.matrix, dtype=float)
+        return _read_only(self.matrix)
 
     def apply_vec(self, v: tuple) -> tuple:
         return tuple(self.np_matrix @ np.asarray(v))
 
     def inverse(self) -> "ProjectiveMap":
         return ProjectiveMap.from_matrix(np.linalg.inv(self.np_matrix))
+
+    def jittered(self, rng, magnitude: float, diagonal_only: bool) -> "ProjectiveMap":
+        """The map of the matrix plus seeded uniform noise, always on the
+        diagonal, so that jittered commuting diagonals still commute."""
+        m = self.np_matrix
+        noise = np.diag(rng.uniform(-magnitude, magnitude, size=len(m)))
+        return ProjectiveMap.from_matrix(m + noise)
 
 
 @dataclass(frozen=True)
@@ -359,39 +404,16 @@ def apply_letters(space: Space, maps: Mapping, letters: Sequence, x: Point) -> P
     return space.apply_maps([maps[letter] for letter in letters], x)
 
 
-_FIXED_ANGLE_CACHE: dict = {}
-
-
-def fixed_angles_of(map_obj) -> tuple:
-    """Known fixed angles of a circle self-map (empty when unavailable)."""
-    if isinstance(map_obj, MoebiusMap):
-        key = ("moebius", map_obj.matrix)
-        if key not in _FIXED_ANGLE_CACHE:
-            try:
-                _FIXED_ANGLE_CACHE[key] = map_obj.fixed_angles()
-            except ConstructionError:
-                _FIXED_ANGLE_CACHE[key] = ()
-        return _FIXED_ANGLE_CACHE[key]
-    if isinstance(map_obj, LiftedCircleMap):
-        key = ("lift", map_obj.degree)
-        if key not in _FIXED_ANGLE_CACHE:
-            k = map_obj.degree
-            _FIXED_ANGLE_CACHE[key] = tuple(
-                wrap_angle((base + TAU * j) / k) for base in (0.0, math.pi) for j in range(k)
-            )
-        return _FIXED_ANGLE_CACHE[key]
-    return ()
-
-
 def snap_angle(map_obj, theta_in: float, theta_out: float, tol: float = 5e-13) -> float:
-    """Pin an orbit to a fixed point of the applied map.
+    """Pin an orbit to a fixed point of the applied circle map (one of its
+    `pinned_angles`).
 
     Backward orbits amplify float noise by the derivative at every step; a
     point within tol of a fixed angle is treated as exactly fixed so constant
     tails stay constant.  The perturbation of the code relation is at most
     the derivative times tol, far below the code tolerance.
     """
-    for f in fixed_angles_of(map_obj):
+    for f in map_obj.pinned_angles:
         if circle_dist(theta_in, f) < tol:
             return f
     return theta_out
@@ -459,29 +481,6 @@ def expansion_factor(system: ActionSystem, g: Word, x: Point) -> float:
     return system.space.stretch([system.letter_maps[l] for l in reversed(letters)], x)
 
 
-def expansion_factor_fd(system: ActionSystem, g: Word, x: Point, h: float = 1e-6) -> float:
-    """Central finite-difference stretch, minimized over probe directions."""
-    space = system.space
-    if isinstance(space, Circle):
-        xp, xm = space.point(x.value + h), space.point(x.value - h)
-        num = circle_dist(system.apply(g, xp).value, system.apply(g, xm).value)
-        return num / (2.0 * h)
-    if isinstance(space, ProjectiveSpace):
-        v = np.asarray(x.value)
-        basis = ProjectiveSpace.tangent_basis(v)[:2]
-        best = math.inf
-        for k in range(16):
-            ang = 2 * math.pi * k / 16
-            w = basis[0] if len(basis) == 1 else np.cos(ang) * basis[0] + np.sin(ang) * basis[1]
-            xp = space.point(tuple(v + h * w))
-            xm = space.point(tuple(v - h * w))
-            num = space.raw_distance(system.apply(g, xp).value, system.apply(g, xm).value)
-            den = space.raw_distance(xp.value, xm.value)
-            best = min(best, num / den)
-        return best
-    raise TypeError(f"finite differences unsupported on {space.kind}")
-
-
 def validate_inverses(system: ActionSystem, samples: Sequence[Point], tol: float = 1e-9) -> float:
     """Max round-trip error of s^-1(s(x)) over the samples."""
     worst = 0.0
@@ -501,17 +500,6 @@ def _construction_check(system: ActionSystem, samples: int = 64) -> ActionSystem
     pts = [system.space.random_point(rng) for _ in range(samples)]
     validate_inverses(system, pts, tol=1e-9)
     return system
-
-
-def net_resolution(space: Space, net: Sequence[Point]) -> float:
-    """Largest nearest-neighbor distance within the net."""
-    worst = 0.0
-    for i, x in enumerate(net):
-        best = min(
-            space.raw_distance(x.value, y.value) for j, y in enumerate(net) if j != i
-        )
-        worst = max(worst, best)
-    return worst
 
 
 # ---------------------------------------------------------------------------
@@ -575,6 +563,8 @@ def default_schottky_matrices(multiplier: float = 3.0) -> list:
     """Two hyperbolic generators with perpendicular axes (fixed points at
     angles +-pi/2 and 0, pi); their four expanding arcs are disjoint."""
     m = multiplier
+    if m == 0.0:
+        raise ConstructionError("multiplier must be nonzero")
     c, s = (m + 1.0 / m) / 2.0, (m - 1.0 / m) / 2.0
     return [[[c, s], [s, c]], [[m, 0.0], [0.0, 1.0 / m]]]
 
@@ -794,37 +784,24 @@ class PerturbedMaps:
 def perturb(system: ActionSystem, family) -> PerturbedMaps:
     """Perturbed generator maps for the given family.
 
-    MatrixJitter requires matrix-backed generators; BumpCompose requires a
-    circle system.  magnitude 0 (or height 0) reproduces the original maps.
+    MatrixJitter requires generator maps that have a `jittered` method;
+    BumpCompose requires a circle system.  magnitude 0 (or height 0)
+    reproduces the original maps.
     """
     if isinstance(family, MatrixJitter):
-        rng = np.random.default_rng(family.seed)
-        out = {}
         if family.magnitude == 0.0:
             return PerturbedMaps(dict(system.letter_maps))
+        rng = np.random.default_rng(family.seed)
+        out = {}
         for i in range(system.alphabet.rank):
             fwd = system.letter_maps[(i, 1)]
-            if isinstance(fwd, MoebiusMap):
-                m = fwd.np_matrix
-                noise = rng.uniform(-family.magnitude, family.magnitude, size=(2, 2))
-                if family.diagonal_only:
-                    noise = np.diag(np.diag(noise))
-                m2 = MoebiusMap.from_matrix(m + noise)
-                out[(i, 1)], out[(i, -1)] = m2, m2.inverse()
-            elif isinstance(fwd, LiftedCircleMap):
-                noise = rng.uniform(-family.magnitude, family.magnitude)
-                m2 = LiftedCircleMap(fwd.multiplier * (1.0 + noise), fwd.degree)
-                out[(i, 1)], out[(i, -1)] = m2, m2.inverse()
-            elif isinstance(fwd, ProjectiveMap):
-                m = fwd.np_matrix
-                noise = np.diag(rng.uniform(-family.magnitude, family.magnitude, size=len(m)))
-                m2 = ProjectiveMap.from_matrix(m + noise)
-                out[(i, 1)], out[(i, -1)] = m2, m2.inverse()
-            else:
+            if not hasattr(fwd, "jittered"):
                 raise ConstructionError(f"matrix jitter unsupported for {type(fwd).__name__}")
+            m2 = fwd.jittered(rng, family.magnitude, family.diagonal_only)
+            out[(i, 1)], out[(i, -1)] = m2, m2.inverse()
         return PerturbedMaps(out)
     if isinstance(family, BumpCompose):
-        if not isinstance(system.space, Circle):
+        if not system.space.angular:
             raise ConstructionError("bump perturbations need a circle system")
         bump = BumpDiffeo(family.center, family.width, family.height)
         out = {}

@@ -1,0 +1,161 @@
+"""Slow oracles for the paper's lemmas, which the tests check the package
+against: recurrence of code orbits, the quasigeodesic sandwich for rays,
+independence of phi from the code, the continuity modulus of phi, and the
+finite-difference stretch.  No command reports these, so they live here and
+not in the package; `parse` inverts `groups.to_str` to write test words."""
+import math
+from dataclasses import dataclass
+from typing import Sequence
+
+import numpy as np
+
+from expaction import groups
+from expaction.coding import NotFound, Ray, _greedy_entry, _step, code_ray, make_code
+from expaction.expansion import SAFETY, ActionView
+from expaction.geometry import Circle, ProjectiveSpace, circle_dist
+from expaction.groups import CYCLIC, FREE, GENERIC, Alphabet, Word
+from expaction.stability import _conjugacy_from, conjugacy_point
+
+
+def parse(alphabet: Alphabet, text: str) -> Word:
+    """Inverse of `groups.to_str` for free, generic and cyclic kinds."""
+    if alphabet.kind in (FREE, GENERIC):
+        if text in ("", "e"):
+            return alphabet.identity()
+        letters = []
+        for ch in text:
+            low = ch.lower()
+            if low not in alphabet.names:
+                raise ValueError(f"unknown letter {ch!r}")
+            letters.append((alphabet.names.index(low), 1 if ch.islower() else -1))
+        return Word(alphabet, tuple(letters))
+    if alphabet.kind == CYCLIC:
+        name, _, exp = text.partition("^")
+        if name != alphabet.names[0]:
+            raise ValueError(f"unknown generator {name!r}")
+        return Word(alphabet, int(exp or "1"))
+    raise ValueError(f"parsing not defined for kind {alphabet.kind}")
+
+
+@dataclass(frozen=True)
+class RecurrenceReport:
+    base_index: int
+    elements: tuple  # h_j words
+    residuals: tuple  # d(rho(h_j) x, x), expected to decrease
+
+
+def recurrence_witness(system, datum, x, eta: float, depth: int, max_elements: int = 8):
+    """Elements h_j = c_{i_j} c_{i_1}^{-1} built from near-returns of the
+    greedy code orbit of x, with residuals d(rho(h_j)(x), x); NotFound when
+    the orbit does not return twice."""
+    view = system if isinstance(system, ActionView) else ActionView(system)
+    if not 0.0 < eta <= datum.delta:
+        raise ValueError(f"eta must lie in (0, delta={datum.delta}]")
+    space = view.space
+    code = make_code(datum, view, eta, x, depth)
+    ray = code_ray(datum, code)
+    pts = code.points
+    best_pair = None
+    for i1 in range(0, depth // 3):
+        returns = [
+            j
+            for j in range(i1 + 1, depth)
+            if space.raw_distance(pts[j + 1].value, pts[i1 + 1].value) < eta / 2.0
+        ]
+        if len(returns) >= 2:
+            best_pair = (i1, returns)
+            break
+    if best_pair is None:
+        return NotFound(depth, math.inf)
+    i1, returns = best_pair
+    inv_c1 = groups.inverse(ray.words[i1])
+    elements, residuals = [], []
+    for j in returns[:max_elements]:
+        h = groups.multiply(ray.words[j], inv_c1)
+        hx = view.apply_word(h, x)
+        elements.append(h)
+        residuals.append(space.raw_distance(hx.value, x.value))
+    return RecurrenceReport(i1, tuple(elements), tuple(residuals))
+
+
+@dataclass(frozen=True)
+class QuasigeodesicReport:
+    lower_slope: float
+    ok: bool
+    worst_lower_slack: float
+    worst_upper_slack: float
+    unknown_pairs: int
+
+
+def quasigeodesic_check(datum, ray: Ray, cap: int = 64) -> QuasigeodesicReport:
+    """Sandwich (log lam / log lip)*(i-j) <= d(c_i, c_j) <= i-j on all pairs."""
+    slope = math.log(datum.lam) / math.log(datum.lip)
+    j, i = np.triu_indices(len(ray.words), 1)
+    m = groups.distance_table(ray.words, ray.words, cap)[j, i]
+    known = m != groups.UNKNOWN
+    gaps, m = (i - j)[known], m[known].astype(np.int64)
+    worst_lower = float((m - slope * gaps).min(initial=math.inf))
+    worst_upper = int((gaps - m).min()) if m.size else math.inf
+    ok = worst_lower >= -1e-9 and worst_upper >= 0
+    return QuasigeodesicReport(slope, ok, worst_lower, worst_upper, int(known.size - m.size))
+
+
+def check_code_independence(ps, x, tol: float = 1e-9) -> float:
+    """phi(x) recomputed from an alternative (non-greedy) initial code; the
+    two limits must agree within 2*tol."""
+    phi_a, _ = conjugacy_point(ps, x, tol)
+    datum = ps.datum
+    first = _greedy_entry(datum, x, datum.delta)
+    others = [e for e in datum.entries if e.index != first.index]
+    if not others:
+        return 0.0
+    alt = others[0]
+    phi_b, _ = _conjugacy_from(ps, x, (alt, _step(ps.base_view(), alt, x)), tol, 200)
+    return ps.base.space.raw_distance(phi_b.value, phi_a.value)
+
+
+def check_continuity_modulus(table, ps, ks: Sequence[int] = (5, 10)) -> list:
+    """Net-pair modulus witnesses: for each k, pairs closer than
+    (delta0 - delta)/lip**(k+1) must have phi-images within
+    2*delta0*(lip+eps)/(lam-eps)**k (delta0 is the pre-safety Lebesgue bound)."""
+    datum, space = ps.datum, ps.base.space
+    delta0 = datum.delta / SAFETY
+    eps = ps.epsilon
+    rows = []
+    for k in ks:
+        eps_k = 2.0 * delta0 * (datum.lip + eps) / (datum.lam - eps) ** k
+        delta_k = (delta0 - datum.delta) / datum.lip ** (k + 1)
+        worst, pairs = 0.0, 0
+        for i in range(len(table.entries)):
+            for j in range(i + 1, len(table.entries)):
+                a, b = table.entries[i], table.entries[j]
+                if space.raw_distance(a.x.value, b.x.value) < delta_k:
+                    pairs += 1
+                    worst = max(worst, space.raw_distance(a.phi.value, b.phi.value))
+        rows.append(
+            {"k": k, "pairs": pairs, "modulus": eps_k, "worst": worst, "ok": worst < eps_k}
+        )
+    return rows
+
+
+def expansion_factor_fd(system, g: Word, x, h: float = 1e-6) -> float:
+    """Central finite-difference stretch, minimized over probe directions."""
+    space = system.space
+    if isinstance(space, Circle):
+        xp, xm = space.point(x.value + h), space.point(x.value - h)
+        num = circle_dist(system.apply(g, xp).value, system.apply(g, xm).value)
+        return num / (2.0 * h)
+    if isinstance(space, ProjectiveSpace):
+        v = np.asarray(x.value)
+        basis = ProjectiveSpace.tangent_basis(v)[:2]
+        best = math.inf
+        for k in range(16):
+            ang = 2 * math.pi * k / 16
+            w = basis[0] if len(basis) == 1 else np.cos(ang) * basis[0] + np.sin(ang) * basis[1]
+            xp = space.point(tuple(v + h * w))
+            xm = space.point(tuple(v - h * w))
+            num = space.raw_distance(system.apply(g, xp).value, system.apply(g, xm).value)
+            den = space.raw_distance(xp.value, xm.value)
+            best = min(best, num / den)
+        return best
+    raise TypeError(f"finite differences unsupported on {space.kind}")

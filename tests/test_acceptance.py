@@ -5,8 +5,9 @@ All tolerances are pinned here; nothing is deferred to later calibration.
 import math
 
 import numpy as np
+from oracles import quasigeodesic_check
 
-from expaction import coding, expansion, groups, stability, zoo
+from expaction import expansion, groups, stability, zoo
 from expaction.coding import (
     ExpansivityWitness,
     code_ray,
@@ -16,7 +17,6 @@ from expaction.coding import (
     make_code,
     n_equivalence,
     nested_images,
-    quasigeodesic_check,
     shyp_certificate,
 )
 from expaction.geometry import circle_dist

@@ -138,6 +138,16 @@ BAD_FIELDS = [
     ("product-component-rank-one",
      _system("product", component={"kind": "free_boundary", "params": {"rank": 1}}),
      "'system.params.component.params.rank'", "certify-shyp"),
+    # the default matrices of a bad schottky multiplier fail in the constructor
+    ("schottky-multiplier-one", _schottky(multiplier=1.0),
+     "'system.params.multiplier'", "certify-shyp"),
+    ("schottky-multiplier-half", _schottky(multiplier=0.5),
+     "'system.params.multiplier'", "certify-shyp"),
+    ("schottky-multiplier-zero", _schottky(multiplier=0.0),
+     "'system.params.multiplier'", "certify-shyp"),
+    ("product-component-schottky-multiplier",
+     _system("product", component={"kind": "schottky", "params": {"multiplier": 1.0}}),
+     "'system.params.component.params.multiplier'", "certify-shyp"),
     ("params-not-an-object", {"system": {"kind": "schottky", "params": 5}},
      "'system.params'", "certify-shyp"),
     ("product-component-not-an-object", _system("product", component=5),

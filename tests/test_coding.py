@@ -1,14 +1,17 @@
 import dataclasses
+import functools
 import math
 
 import numpy as np
 import pytest
+from oracles import quasigeodesic_check, recurrence_witness
 
 from expaction import groups
 from expaction.coding import (
     CodingError,
     ExpansivityWitness,
     Ray,
+    RayTable,
     code_ray,
     coding_map,
     enumerate_codes,
@@ -17,10 +20,6 @@ from expaction.coding import (
     make_code,
     n_equivalence,
     nested_images,
-    quasigeodesic_check,
-    ray_tail_reduced,
-    recurrence_witness,
-    revalidate_code,
     shyp_certificate,
 )
 from expaction.geometry import circle_dist
@@ -47,7 +46,7 @@ def test_free_boundary_shift_coding(fb_system, fb_datum):
     code = make_code(d, fb_system, d.delta, x, 6)
     ray = code_ray(d, code)
     # the ray reads off the letters of x
-    assert groups.free_word_to_prefix_str(ray.words[5]) == x.value[:6]
+    assert groups.to_str(ray.words[5]) == x.value[:6]
     for i, p in enumerate(code.points):
         assert p.value == x.value[i : i + fb_system.space.depth]
 
@@ -115,20 +114,26 @@ def test_enumerate_cap_truncates(fb_system, fb_datum):
 
 
 def test_eta_monotonicity_by_revalidation(fb_system, fb_datum):
-    # every delta-code is an eta-code for smaller eta
+    # every delta-code is an eta-code for smaller eta: from step 1 on, the
+    # eta-ball at each point fits in the region of its entry
     d = fb_datum
+    entry = {e.index: e for e in d.entries}
     x = fb_system.space.point("baba" + "a" * 30)
     code = make_code(d, fb_system, d.delta, x, 8)
+    steps = list(zip(code.alphas, code.points))[1:]
     for eta in (d.delta / 2, d.delta / 4, d.delta / 8):
-        assert revalidate_code(d, code, eta)
+        assert all(entry[a].region.margin(p) >= eta for a, p in steps)
 
 
 def test_ray_tails_are_reduced(schottky_system, schottky_datum):
+    # letters from index 1 on never cancel (the free initial letter may)
     d = schottky_datum
+    symbol = {e.index: e.symbol for e in d.entries}
     for x in schottky_system.limit_net(3)[::5]:
         codes, _ = enumerate_codes(d, schottky_system, d.delta, x, 10, 50)
         for c in codes:
-            assert ray_tail_reduced(d, c)
+            tail = functools.reduce(groups.multiply, [symbol[a] for a in c.alphas[1:]])
+            assert groups.word_length(tail) == len(c.alphas) - 1
             # special codes have fully reduced rays
             if c.special:
                 ray = code_ray(d, c)
@@ -334,7 +339,7 @@ def test_certificate_zn_distinguishes_mechanisms(zn_system, zn_datum):
 
 
 def test_fellow_travel_unknown_beyond_cap():
-    gen = groups.Alphabet.generic(("x", "y"))
+    gen = groups.Alphabet(groups.GENERIC, ("x", "y"))
     x, y = gen.generator(0, 1), gen.generator(1, 1)
     a = Ray((groups.multiply(x, y),))
     b = Ray((groups.multiply(y, y),))
@@ -447,12 +452,12 @@ def test_nested_product_certificate_has_a_null_chain_constant():
     * the chain search tries only n <= fellow_constant (0, 1, 2);
     * at depth 8 a tail half holds four vertices spanning three word
       lengths, so from n = 2 on the window [lo + n, hi - n] is empty and
-      `_tail_close` returns False, even for a ray against itself.
+      `RayTable.tail_close` returns False, even for a ray against itself.
 
     The null is therefore an artefact of the truncation depth, not evidence
     against hyperbolicity; this test keeps it from changing silently.
     """
-    from expaction import coding, expansion, zoo
+    from expaction import expansion, zoo
 
     fb = zoo.make_free_boundary(2, 2.0)
     inner = zoo.make_product(fb, fb, with_swap=True)
@@ -470,4 +475,4 @@ def test_nested_product_certificate_has_a_null_chain_constant():
     assert not n_equivalence(rays[0], rays[1], rays, 1)[0]
     # ... and from n = 2 on every tail window is empty
     for n in range(2, cert.n_max + 1):
-        assert not any(coding._tail_close(r, r, n) for r in rays)
+        assert not any(RayTable((r, r)).tail_close(0, 1, n) for r in rays)

@@ -8,10 +8,7 @@ from expaction import groups, zoo
 from expaction.expansion import (
     ActionView,
     UncoverableError,
-    RefinementError,
     build_expansion_datum,
-    refine_datum,
-    refinement_chain,
     verify_expansion,
 )
 from expaction.geometry import CylinderRegion, EmptyRegion
@@ -42,7 +39,7 @@ def test_free_boundary_exact_datum(fb_system, fb_datum):
     assert sorted(e.region.prefix for e in cylinders) == ["A", "B", "a", "b"]
     # cylinder [s] is labeled s; the expanding map is s^-1
     for e in cylinders:
-        assert groups.free_word_to_prefix_str(e.symbol) == e.region.prefix
+        assert groups.to_str(e.symbol) == e.region.prefix
 
 
 def test_cyclic_arc_endpoints_match_sublevel_solution(cyclic_datum):
@@ -88,18 +85,6 @@ def test_geodesic_ball_condition_cited(cyclic_datum, cyclic_system):
     rep = verify_expansion(cyclic_system, cyclic_datum)
     ball = [c for c in rep.checks if c.name == "ball-condition"][0]
     assert "geodesic" in ball.note
-
-
-def test_refinement_rules(cyclic_datum):
-    d = cyclic_datum
-    r1 = refine_datum(d, d.delta / 2)
-    assert r1.delta == d.delta / 2 and r1.refined_from is d
-    with pytest.raises(RefinementError):
-        refine_datum(d, d.delta)  # strict inequality required
-    with pytest.raises(RefinementError):
-        refine_datum(d, -0.1)
-    r2 = refine_datum(r1, d.delta / 4)
-    assert refinement_chain(r2) == [r2, r1, d]
 
 
 def test_expansion_pairs_inside_regions(schottky_system, schottky_datum):
@@ -155,7 +140,8 @@ def test_zn_datum_empty_region_is_first_class(zn_datum):
     empties = [e for e in zn_datum.entries if isinstance(e.region, EmptyRegion)]
     assert len(empties) == 1
     assert str(empties[0].symbol) == "(0,1)"
-    assert zn_datum.is_symmetric()
+    syms = zn_datum.symbols()
+    assert all(groups.inverse(s) in syms for s in syms)
 
 
 def test_product_datum_builds_and_verifies(product_system, product_datum):

@@ -2,7 +2,8 @@
 
 `coding.RayTable` computes the word distances between the path vertices of
 a point's rays once and keeps nearest-partner minima; fellow traveling, tail
-closeness, chain search and the quasigeodesic check read them.  The scans
+closeness and chain search read them, and `groups.distance_table` feeds the
+quasigeodesic oracle of `oracles.py` the same way.  The scans
 they replaced are kept below, on a reference metric built independently of
 `groups.distance_table` (the composite word ``u^-1 v`` for exact kinds, the
 breadth-first search for generic words), and every verdict must agree,
@@ -15,6 +16,7 @@ from typing import Optional
 
 import pytest
 from hypothesis import given, settings, strategies as st
+from oracles import QuasigeodesicReport, quasigeodesic_check
 
 from expaction import coding, expansion, groups
 from expaction.coding import Ray, RayTable
@@ -121,7 +123,7 @@ def old_quasigeodesic_check(datum, ray: Ray, cap: int = 64):
             worst_lower = min(worst_lower, m - slope * (i - j))
             worst_upper = min(worst_upper, (i - j) - m)
     ok = worst_lower >= -1e-9 and worst_upper >= 0
-    return coding.QuasigeodesicReport(slope, ok, worst_lower, worst_upper, unknown)
+    return QuasigeodesicReport(slope, ok, worst_lower, worst_upper, unknown)
 
 
 # ---------------------------------------------------------------------------
@@ -134,7 +136,7 @@ CY = Alphabet.cyclic()
 F2_SWAP = Alphabet.product(F2, F2, with_swap=True)
 NESTED = Alphabet.product(F2_SWAP, F2_SWAP, with_swap=True)
 MIXED = Alphabet.product(F2_SWAP, Alphabet.product(CY, Z2, with_swap=False), with_swap=False)
-GENERIC2 = Alphabet.generic(("x", "y"))
+GENERIC2 = Alphabet(groups.GENERIC, ("x", "y"))
 KINDS = {"free": F2, "abelian": Z2, "cyclic": CY, "swap": F2_SWAP, "nested": NESTED, "mixed": MIXED}
 
 
@@ -172,7 +174,7 @@ def test_fellow_travel_distance_matches_the_old_scan(data):
 def test_tail_close_matches_the_old_scan(data, n):
     _, cap, ray = exact_and_generic(data.draw)
     a, b = data.draw(ray), data.draw(ray)
-    assert coding._tail_close(a, b, n, cap) == old_tail_close(a, b, n, cap)
+    assert RayTable((a, b), cap).tail_close(0, 1, n) == old_tail_close(a, b, n, cap)
 
 
 def test_tail_partners_come_from_the_tail_half():
@@ -180,8 +182,8 @@ def test_tail_partners_come_from_the_tail_half():
     a = Ray(tuple(groups.Word(CY, e) for e in (1, 2, 1, 0, -1, 0)))
     b = Ray(tuple(groups.Word(CY, e) for e in (-1, 0, 1, 0, 1)))
     assert old_tail_close(a, b, 0) is False
-    assert coding._tail_close(a, b, 0) is False
-    assert coding._tail_close(a, b, 1) == old_tail_close(a, b, 1)
+    assert RayTable((a, b)).tail_close(0, 1, 0) is False
+    assert RayTable((a, b)).tail_close(0, 1, 1) == old_tail_close(a, b, 1)
 
 
 @settings(max_examples=100, derandomize=True, deadline=None)
@@ -204,7 +206,7 @@ def test_n_equivalence_matches_the_old_search(data, n, max_chain):
 def test_quasigeodesic_check_matches_the_old_scan(data, fb_datum):
     _, cap, ray = exact_and_generic(data.draw)
     r = data.draw(ray)
-    assert coding.quasigeodesic_check(fb_datum, r, cap) == old_quasigeodesic_check(fb_datum, r, cap)
+    assert quasigeodesic_check(fb_datum, r, cap) == old_quasigeodesic_check(fb_datum, r, cap)
 
 
 def test_equal_copies_are_one_ray_in_the_chain_search():

@@ -1,14 +1,22 @@
-"""The benchmark's tracer (bench/spans.py) wraps functions and methods of the
+"""Checks on the source tree itself.
+
+The benchmark's tracer (bench/spans.py) wraps functions and methods of the
 package by name and raises at install time when one is gone, so a rename
-under src/ shows here instead of only in the slower benchmark suite."""
+under src/ shows here instead of only in the slower benchmark suite.  And
+src/ holds only what the package reaches: a definition that only tests use
+belongs under tests/."""
+import ast
 import importlib.util
+from collections import Counter
 from pathlib import Path
 
 import pytest
 
 from expaction import groups, zoo
 
-SPANS = Path(__file__).resolve().parents[1] / "bench" / "spans.py"
+ROOT = Path(__file__).resolve().parents[1]
+SPANS = ROOT / "bench" / "spans.py"
+PACKAGE = ROOT / "src" / "expaction"
 
 
 def _spans():
@@ -41,3 +49,26 @@ def test_the_tracer_raises_when_a_traced_name_is_gone(monkeypatch):
     monkeypatch.delattr(groups, "word_length")
     with pytest.raises(AttributeError):
         spans.Tracer()
+
+
+def _names_used(node) -> Counter:
+    """How often each name is read in the tree: as a Name or an Attribute."""
+    return Counter(
+        n.id if isinstance(n, ast.Name) else n.attr
+        for n in ast.walk(node)
+        if isinstance(n, (ast.Name, ast.Attribute))
+    )
+
+
+def test_every_definition_under_src_is_used_elsewhere_in_src():
+    trees = {path.name: ast.parse(path.read_text()) for path in sorted(PACKAGE.glob("*.py"))}
+    used = sum((_names_used(tree) for tree in trees.values()), Counter())
+    unused = [
+        f"{module}: {node.name}"
+        for module, tree in trees.items()
+        for node in ast.walk(tree)
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+        and not (node.name.startswith("__") and node.name.endswith("__"))
+        and used[node.name] == _names_used(node)[node.name]  # only inside itself
+    ]
+    assert not unused, f"defined in src/ but used only by tests, or not at all: {unused}"

@@ -73,7 +73,7 @@ def test_closed_form_equals_composite_word_on_swap_products(b, c, u1, u2, v1, v2
     assert word_metric(u, v) == composite_metric(u, v)
 
 
-GENERIC2 = Alphabet.generic(F2.names)
+GENERIC2 = Alphabet(groups.GENERIC, F2.names)
 
 
 @settings(max_examples=100, derandomize=True)
