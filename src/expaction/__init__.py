@@ -4,5 +4,3 @@ hyperbolicity certificates, boundary coding maps, and conjugacies for
 perturbed actions."""
 
 __version__ = "0.1.0"
-
-from . import coding, expansion, geometry, groups, stability, zoo  # noqa: F401

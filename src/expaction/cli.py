@@ -14,7 +14,8 @@ import sys
 from pathlib import Path
 from typing import NamedTuple
 
-from . import coding, expansion, stability, zoo
+# stability is imported by the one command that runs it
+from . import coding, expansion, zoo
 
 SCHEMA_VERSION = 1
 
@@ -175,8 +176,16 @@ SYSTEMS = {  # kind -> (constructor taking the params in order, params)
 }
 SYSTEM = {"kind": Field(tuple(SYSTEMS), "schottky"), "params": Field(dict, {})}
 
+def _jitter(system: zoo.ActionSystem, magnitude: float, *params) -> zoo.PerturbedMaps:
+    """The jittered maps.  Nonzero jitter on a space that takes no
+    perturbation names the system's kind; zero jitter moves no map."""
+    if magnitude and not system.space.perturbable:
+        raise ConfigError("system.kind", f"matrix jitter unsupported on {system.space.kind}")
+    return zoo.perturb(system, zoo.MatrixJitter(magnitude, *params))
+
+
 PERTURBATIONS = {  # family -> (maker of a system's perturbed maps, params)
-    "matrix_jitter": (lambda system, *p: zoo.perturb(system, zoo.MatrixJitter(*p)), {
+    "matrix_jitter": (_jitter, {
         "magnitude": Field(float, 0.0),
         "seed": Field(int, lambda cfg: cfg["net"]["seed"], 0),
         "diagonal_only": Field(bool, False),
@@ -463,6 +472,8 @@ def cmd_coding_map(cfg: dict, out: Path) -> int:
 
 
 def cmd_stability(cfg: dict, out: Path) -> int:
+    from . import stability
+
     system = build_system(cfg["system"])
     maps = build_perturbation(cfg, system)
     datum = expansion.build_expansion_datum(system, cfg["lambda_target"], cfg["net"]["depth"])

@@ -11,14 +11,13 @@ the identity; fellow-travel distances compare those vertex sets.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import NamedTuple, Optional, Sequence
 
 import numpy as np
 
 from . import groups, zoo
 from .expansion import ActionView, CoverEntry, ExpansionDatum
-from .geometry import Point
+from .geometry import Point, Value
 from .groups import BoundaryWord, Word, boundary_prefix
 from .zoo import ActionSystem
 
@@ -27,8 +26,7 @@ class CodingError(ValueError):
     """No admissible cover member at a code step (datum/net inconsistency)."""
 
 
-@dataclass(frozen=True)
-class Code:
+class Code(NamedTuple):
     """Itinerary (alpha, p): entry indices and the tracked backward orbit."""
 
     alphas: tuple  # entry indices, length n+1
@@ -37,11 +35,14 @@ class Code:
     special: bool
 
 
-@dataclass(frozen=True)
-class Ray:
-    """Group-element sequence c_i = s_{alpha(0)} ... s_{alpha(i)}."""
+class Ray(Value):
+    """Group-element sequence c_i = s_{alpha(0)} ... s_{alpha(i)}; its
+    length is the number of words."""
 
-    words: tuple
+    __slots__ = _fields = ("words",)
+
+    def __init__(self, words: tuple):
+        self.words = words
 
     def __len__(self) -> int:
         return len(self.words)
@@ -165,8 +166,7 @@ def code_ray(datum: ExpansionDatum, code: Code) -> Ray:
 # nested neighborhoods
 
 
-@dataclass(frozen=True)
-class NestedStep:
+class NestedStep(NamedTuple):
     i: int
     diameter: float
     bound: float
@@ -228,15 +228,13 @@ def nested_images(
 # expansivity
 
 
-@dataclass(frozen=True)
-class ExpansivityWitness:
+class ExpansivityWitness(NamedTuple):
     n: int
     separation: float
     word: Word  # group element realizing the separation (identity for n = 0)
 
 
-@dataclass(frozen=True)
-class NotFound:
+class NotFound(NamedTuple):
     depth: int
     best: float
 
@@ -426,8 +424,7 @@ def n_equivalence(
 # certificates
 
 
-@dataclass(frozen=True)
-class Certificate:
+class Certificate(NamedTuple):
     """Desk-scale hyperbolicity certificate over a sampled net.
 
     fellow_constant: max Hausdorff distance between same-point rays;
@@ -555,7 +552,5 @@ def coding_map(
     alt_code = make_code(datum, view, datum.delta, x, depth, reverse_ties=True)
     alt = boundary_prefix(code_ray(datum, alt_code).words, prefix_depth)
     if alt.prefix != primary.prefix:
-        import dataclasses
-
-        return dataclasses.replace(primary, stabilized=False)
+        return BoundaryWord(primary.prefix, False)
     return primary

@@ -9,10 +9,9 @@ the delta-neighborhood of the limit set.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import cached_property
 from itertools import islice
-from typing import Iterator
+from typing import Iterator, NamedTuple
 
 import numpy as np
 
@@ -30,6 +29,7 @@ from .geometry import (
     Point,
     ProjectiveSpace,
     Region,
+    Value,
     lebesgue_number,
 )
 from .groups import Word
@@ -52,11 +52,15 @@ class UncoverableError(ValueError):
         )
 
 
-@dataclass(frozen=True)
-class CoverEntry:
-    index: str
-    symbol: Word  # label s_alpha; rho(symbol^-1) expands on the region
-    region: Region
+class CoverEntry(Value):
+    """A cover member: its index, its label and its region."""
+
+    _fields = ("index", "symbol", "region")
+
+    def __init__(self, index: str, symbol: Word, region: Region):
+        self.index = index
+        self.symbol = symbol  # label s_alpha; rho(symbol^-1) expands on the region
+        self.region = region
 
     @cached_property
     def backward(self) -> tuple:
@@ -66,21 +70,21 @@ class CoverEntry:
         return inv, letters[0] if len(letters) == 1 else None
 
 
-@dataclass(frozen=True)
-class ExpansionDatum:
-    entries: tuple
-    delta: float
-    lam: float  # expansion rate, > 1
-    lip: float  # Lipschitz constant on the delta-neighborhood, >= lam
-    net: tuple  # limit-set sample the datum was certified on
+class ExpansionDatum(Value):
+    """A cover with its Lebesgue bound delta, expansion rate lam > 1 and
+    Lipschitz constant lip >= lam on the delta-neighborhood of the limit-set
+    sample `net` it was certified on."""
 
-    def __post_init__(self):
-        if not self.lam > 1.0:
+    __slots__ = _fields = ("entries", "delta", "lam", "lip", "net")
+
+    def __init__(self, entries: tuple, delta: float, lam: float, lip: float, net: tuple):
+        if not lam > 1.0:
             raise ValueError("expansion rate must exceed 1")
-        if self.lip < self.lam:
+        if lip < lam:
             raise ValueError("Lipschitz constant must dominate the expansion rate")
-        if not self.delta > 0.0:
+        if not delta > 0.0:
             raise ValueError("delta must be positive")
+        self.entries, self.delta, self.lam, self.lip, self.net = entries, delta, lam, lip, net
 
     def nonempty_entries(self) -> list:
         return [e for e in self.entries if not e.region.is_empty()]
@@ -371,8 +375,7 @@ COVER_BUILDERS = {
 # verification
 
 
-@dataclass(frozen=True)
-class CheckResult:
+class CheckResult(NamedTuple):
     name: str
     passed: bool
     worst_slack: float
@@ -381,8 +384,7 @@ class CheckResult:
     note: str = ""
 
 
-@dataclass(frozen=True)
-class VerificationReport:
+class VerificationReport(NamedTuple):
     checks: tuple
 
     @property

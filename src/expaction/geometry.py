@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_left
-from dataclasses import dataclass
 from functools import cached_property
 from typing import Any, Callable, Sequence
 
@@ -64,18 +63,58 @@ def common_prefix_len(u: Sequence, v: Sequence) -> int:
     return n
 
 
-@dataclass(frozen=True)
+class Value:
+    """Value semantics of a frozen dataclass, declared without the code that
+    `@dataclass` generates and compiles for each class at import: instances
+    of one class are equal when their `_fields` are, hash as the tuple of
+    them, and show them in their repr.  `_fields` names the fields in
+    order, as a tuple or as the keys of a dict."""
+
+    __slots__ = ()
+    _fields: tuple | dict = ()
+
+    def _key(self) -> tuple:
+        return tuple([getattr(self, name) for name in self._fields])
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self is other or self._key() == other._key()
+
+    def __hash__(self) -> int:
+        return hash(self._key())
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
+        return f"{type(self).__name__}({fields})"
+
+
 class Point:
-    space: "Space"
-    value: Any
+    """A point of a space in its canonical coordinates.  Two points are equal
+    when their spaces and values are, and a point hashes as that pair."""
+
+    __slots__ = ("space", "value")
+
+    def __init__(self, space: "Space", value: Any):
+        self.space = space
+        self.value = value
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.space, self.value) == (other.space, other.value)
+
+    def __hash__(self) -> int:
+        return hash((self.space, self.value))
 
     def __repr__(self) -> str:  # keep reports readable
         return f"Point({self.space.kind}, {self.value!r})"
 
 
-@dataclass(frozen=True)
-class Space:
+class Space(Value):
     """Base class; concrete kinds implement the raw metric and normalization."""
+
+    __slots__ = ()
 
     @property
     def kind(self) -> str:
@@ -146,9 +185,10 @@ class Space:
 LEBESGUE_CHUNK = 4096
 
 
-@dataclass(frozen=True)
 class Circle(Space):
     """Circle of circumference 2*pi with the arc-length (geodesic) metric."""
+
+    __slots__ = ()
 
     @property
     def diameter(self) -> float:
@@ -254,12 +294,14 @@ class Circle(Space):
         return worst, witness
 
 
-@dataclass(frozen=True)
 class CoveredCircle(Circle):
     """Degree-k covering circle; metrically a circle, the degree tags the
     covering map theta -> k*theta onto the base."""
 
-    degree: int = 2
+    __slots__ = _fields = ("degree",)
+
+    def __init__(self, degree: int = 2):
+        self.degree = degree
 
 
 def _row_dots(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -269,11 +311,13 @@ def _row_dots(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return (a[:, None, :] @ b[:, :, None])[:, 0, 0]
 
 
-@dataclass(frozen=True)
 class ProjectiveSpace(Space):
     """P^n(R) with the angle metric between lines; geodesic, diameter pi/2."""
 
-    n: int = 2
+    __slots__ = _fields = ("n",)
+
+    def __init__(self, n: int = 2):
+        self.n = n
 
     @property
     def diameter(self) -> float:
@@ -449,7 +493,6 @@ class ProjectiveSpace(Space):
         return pts
 
 
-@dataclass(frozen=True)
 class FreeBoundary(Space):
     """Boundary of a rank-k free group with the visual metric a**(-cpl).
 
@@ -457,15 +500,14 @@ class FreeBoundary(Space):
     closer than a**(-depth) are indistinguishable at this resolution.
     """
 
-    rank: int = 2
-    a: float = 2.0
-    depth: int = 40
+    __slots__ = _fields = ("rank", "a", "depth")
 
-    def __post_init__(self):
-        if self.rank < 1:
+    def __init__(self, rank: int = 2, a: float = 2.0, depth: int = 40):
+        if rank < 1:
             raise ValueError("rank must be >= 1")
-        if not self.a > 1.0:
+        if not a > 1.0:
             raise ValueError("visual parameter a must exceed 1")
+        self.rank, self.a, self.depth = rank, a, depth
 
     @property
     def diameter(self) -> float:
@@ -505,21 +547,6 @@ class FreeBoundary(Space):
             w = m.apply_word(w)
         return factor
 
-    def ball_net(self, center: Point, eta: float, k: int = 64) -> list:
-        j = math.floor(math.log(1.0 / eta) / math.log(self.a)) + 1
-        prefix = center.value[:j]
-        chars = self.letters + self.letters.upper()
-        while len(prefix) < j:
-            prefix += next(c for c in chars if not prefix or c != prefix[-1].swapcase())
-        pts, frontier = [center], [prefix]
-        while frontier and len(pts) < k:
-            w = frontier.pop(0)
-            pts.append(self.point(w))
-            for c in chars:
-                if c != w[-1].swapcase():
-                    frontier.append(w + c)
-        return pts[:k]
-
     def random_point(self, rng) -> Point:
         # one letter short of the depth, so that a generator moves it without
         # truncation and round trips through a generator and its inverse are exact
@@ -531,12 +558,13 @@ class FreeBoundary(Space):
         return self.point("".join(word))
 
 
-@dataclass(frozen=True)
 class DisjointUnion(Space):
     """Disjoint union of spaces, distinct components at constant distance."""
 
-    components: tuple = ()
-    separation: float = 0.0
+    __slots__ = _fields = ("components", "separation")
+
+    def __init__(self, components: tuple = (), separation: float = 0.0):
+        self.components, self.separation = components, separation
 
     @staticmethod
     def of(components: Sequence[Space], separation: float | None = None) -> "DisjointUnion":
@@ -574,11 +602,6 @@ class DisjointUnion(Space):
             x = m.apply_union(self, x)
         return x
 
-    def ball_net(self, center: Point, eta: float, k: int = 64) -> list:
-        idx, _ = center.value
-        inner = self.components[idx].ball_net(self.component_point(center), eta, k)
-        return [self.embed(idx, p) for p in inner]
-
     def neighborhood(self, net: Sequence[Point], delta: float) -> list:
         pts = list(net)
         for idx, comp in enumerate(self.components):
@@ -607,17 +630,23 @@ def distance(space: Space, x: Point, y: Point) -> float:
 # regions
 
 
-@dataclass(frozen=True)
-class Region:
+class Region(Value):
     """A subset carried by its margin function.
 
     margin(x) >= r guarantees B_r(x) is inside the region; margin is
     nonpositive outside and 1-Lipschitz.  `offset` accumulates shrinking, so
-    repeated shrinks compose exactly.
+    repeated shrinks compose exactly.  A region is built from keyword
+    arguments: its fields, each with the default `_fields` gives it.
     """
 
-    label: Any = None
-    offset: float = 0.0
+    __slots__ = ("label", "offset")
+    _fields = {"label": None, "offset": 0.0}
+
+    def __init__(self, **values):
+        for name, default in self._fields.items():
+            setattr(self, name, values.pop(name, default))
+        if values:
+            raise TypeError(f"{type(self).__name__} has no field {min(values)!r}")
 
     def base_margin(self, x: Point) -> float:
         raise NotImplementedError
@@ -631,7 +660,10 @@ class Region:
         raise NotImplementedError
 
     def shrunk(self, r: float) -> "Region":
-        raise NotImplementedError
+        """The same region with its margin lowered by r."""
+        values = {name: getattr(self, name) for name in self._fields}
+        values["offset"] += r
+        return type(self)(**values)
 
     def is_empty(self) -> bool:
         return self.peak <= 0.0
@@ -641,19 +673,11 @@ class Region:
         return []
 
 
-def _replace_offset(region: Region, r: float):
-    import dataclasses
-
-    return dataclasses.replace(region, offset=region.offset + r)
-
-
-@dataclass(frozen=True)
 class ArcRegion(Region):
     """Open circular arc (center - half_width, center + half_width)."""
 
-    space: Circle = None
-    center: float = 0.0
-    half_width: float = 0.0
+    __slots__ = ("space", "center", "half_width")
+    _fields = {**Region._fields, "space": None, "center": 0.0, "half_width": 0.0}
 
     def base_margin(self, x: Point) -> float:
         return self.half_width - circle_dist(x.value, self.center)
@@ -667,9 +691,6 @@ class ArcRegion(Region):
     def peak(self) -> float:
         return self.half_width - self.offset
 
-    def shrunk(self, r: float) -> "ArcRegion":
-        return _replace_offset(self, r)
-
     def sample(self, k: int) -> list:
         hw = self.half_width - self.offset
         if hw <= 0 or k <= 0:
@@ -680,13 +701,11 @@ class ArcRegion(Region):
         ]
 
 
-@dataclass(frozen=True)
 class BallRegion(Region):
     """Open metric ball; margin is exact on geodesic spaces."""
 
-    space: Space = None
-    center: Point = None
-    radius: float = 0.0
+    __slots__ = ("space", "center", "radius")
+    _fields = {**Region._fields, "space": None, "center": None, "radius": 0.0}
 
     def base_margin(self, x: Point) -> float:
         return self.radius - distance(self.space, x, self.center)
@@ -695,11 +714,7 @@ class BallRegion(Region):
     def peak(self) -> float:
         return self.radius - self.offset
 
-    def shrunk(self, r: float) -> "BallRegion":
-        return _replace_offset(self, r)
 
-
-@dataclass(frozen=True)
 class CylinderRegion(Region):
     """Cylinder [w] of a free-group boundary: all points extending `prefix`.
 
@@ -708,10 +723,11 @@ class CylinderRegion(Region):
     the cylinder, while some larger balls also fit (distances are quantized).
     """
 
-    space: FreeBoundary = None
-    prefix: str = ""
+    __slots__ = ("space", "prefix")
+    _fields = {**Region._fields, "space": None, "prefix": ""}
 
-    def __post_init__(self):
+    def __init__(self, **values):
+        super().__init__(**values)
         if not is_reduced(self.prefix):
             raise ValueError(f"prefix {self.prefix!r} is not reduced")
 
@@ -727,9 +743,6 @@ class CylinderRegion(Region):
     def peak(self) -> float:
         return self.space.a ** (-len(self.prefix)) - self.offset
 
-    def shrunk(self, r: float) -> "CylinderRegion":
-        return _replace_offset(self, r)
-
     def sample(self, k: int) -> list:
         if self.is_empty() or k <= 0:
             return []
@@ -744,11 +757,11 @@ class CylinderRegion(Region):
         return pts[:k]
 
 
-@dataclass(frozen=True)
 class EmptyRegion(Region):
     """First-class empty region (margin constantly minus the diameter)."""
 
-    space: Space = None
+    __slots__ = ("space",)
+    _fields = {**Region._fields, "space": None}
 
     def base_margin(self, x: Point) -> float:
         return -self.space.diameter
@@ -760,11 +773,7 @@ class EmptyRegion(Region):
     def peak(self) -> float:
         return -self.space.diameter - self.offset
 
-    def shrunk(self, r: float) -> "EmptyRegion":
-        return _replace_offset(self, r)
 
-
-@dataclass(frozen=True)
 class ComponentRegion(Region):
     """A region living on one component of a disjoint union.
 
@@ -772,9 +781,8 @@ class ComponentRegion(Region):
     separation, the largest 1-Lipschitz-compatible nonpositive value.
     """
 
-    space: DisjointUnion = None
-    component: int = 0
-    inner: Region = None
+    __slots__ = ("space", "component", "inner")
+    _fields = {**Region._fields, "space": None, "component": 0, "inner": None}
 
     def base_margin(self, x: Point) -> float:
         idx, val = x.value
@@ -787,21 +795,16 @@ class ComponentRegion(Region):
     def peak(self) -> float:
         return self.inner.peak - self.offset
 
-    def shrunk(self, r: float) -> "ComponentRegion":
-        return _replace_offset(self, r)
-
     def sample(self, k: int) -> list:
         return [self.space.embed(self.component, p) for p in self.inner.sample(k)]
 
 
-@dataclass(frozen=True)
 class ClippedRegion(Region):
     """Intersection of a region with the open radius-neighborhood of a net."""
 
-    space: Space = None
-    inner: Region = None
-    net: tuple = ()
-    radius: float = 0.0
+    # an instance dict as well, where the cached distance function lives
+    __slots__ = ("space", "inner", "net", "radius", "__dict__")
+    _fields = {**Region._fields, "space": None, "inner": None, "net": (), "radius": 0.0}
 
     @cached_property
     def _distance_to_net(self) -> Callable[[Point], float]:
@@ -813,9 +816,6 @@ class ClippedRegion(Region):
     @property
     def peak(self) -> float:
         return min(self.inner.peak, self.radius) - self.offset
-
-    def shrunk(self, r: float) -> "ClippedRegion":
-        return _replace_offset(self, r)
 
     def sample(self, k: int) -> list:
         return [p for p in self.inner.sample(k) if self.margin(p) > 0]

@@ -23,12 +23,11 @@ from __future__ import annotations
 
 import math
 from collections import deque
-from dataclasses import dataclass
-from typing import Any, Iterable, Optional, Sequence
+from typing import Any, Iterable, NamedTuple, Optional, Sequence
 
 import numpy as np
 
-from .geometry import common_prefix_len
+from .geometry import Value, common_prefix_len
 
 FREE = "free"
 FREE_ABELIAN = "free_abelian"
@@ -43,14 +42,19 @@ class AlphabetMismatchError(ValueError):
     """Raised when combining words over different alphabets."""
 
 
-@dataclass(frozen=True)
-class Alphabet:
+class Alphabet(Value):
     """Symmetric generating set: each named generator comes with its inverse."""
 
-    kind: str
-    names: tuple
-    parts: tuple = None  # (Alphabet, Alphabet) for product kinds
-    has_swap: bool = False
+    _fields = ("kind", "names", "parts", "has_swap")
+    __slots__ = _fields + ("_hash",)
+
+    def __init__(self, kind: str, names: tuple, parts: tuple = None, has_swap: bool = False):
+        # parts: (Alphabet, Alphabet) for product kinds
+        self.kind, self.names, self.parts, self.has_swap = kind, names, parts, has_swap
+        self._hash = hash(self._key())  # a part of every word's hash
+
+    def __hash__(self) -> int:
+        return self._hash
 
     @staticmethod
     def free(rank: int, names: Sequence[str] | None = None) -> "Alphabet":
@@ -135,16 +139,24 @@ def _reduce_letters(letters: Iterable[tuple]) -> tuple:
     return tuple(out)
 
 
-@dataclass(frozen=True)
-class Word:
+class Word(Value):
     """Group element in canonical form for its presentation kind."""
 
-    alphabet: Alphabet
-    data: Any
+    __slots__ = _fields = ("alphabet", "data")
 
-    def __post_init__(self):
-        if self.alphabet.kind in (FREE, GENERIC):
-            object.__setattr__(self, "data", _reduce_letters(self.data))
+    def __init__(self, alphabet: Alphabet, data: Any):
+        self.alphabet = alphabet
+        self.data = _reduce_letters(data) if alphabet.kind in (FREE, GENERIC) else data
+
+    # product words hash and compare their component words: spelled out,
+    # not through the generic `_key`
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.alphabet, self.data) == (other.alphabet, other.data)
+
+    def __hash__(self) -> int:
+        return hash((self.alphabet, self.data))
 
     def is_identity(self) -> bool:
         return self == self.alphabet.identity()
@@ -157,8 +169,7 @@ def _reduced_word(alphabet: Alphabet, letters: tuple) -> Word:
     """The free or generic word of letters that are already reduced, without
     the reduction pass that `Word()` runs."""
     word = object.__new__(Word)
-    object.__setattr__(word, "alphabet", alphabet)
-    object.__setattr__(word, "data", letters)
+    word.alphabet, word.data = alphabet, letters
     return word
 
 
@@ -403,8 +414,7 @@ def to_str(u: Word) -> str:
 # boundary prefixes
 
 
-@dataclass(frozen=True)
-class BoundaryWord:
+class BoundaryWord(NamedTuple):
     """Finite approximation of a boundary point: a reduced prefix."""
 
     prefix: Word

@@ -12,8 +12,7 @@ nested images z_i = rho'(c_i)(p_{i+1}) along a special code for x.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from typing import Callable, Mapping, Optional, Sequence
+from typing import Callable, Mapping, NamedTuple, Optional, Sequence
 
 from . import groups
 from .coding import CodingError, expansivity_witness, greedy_step
@@ -81,17 +80,21 @@ def lipschitz_distance(
     return sup_disp + sup_quot
 
 
-@dataclass
 class PerturbedSystem:
     """A perturbed action together with its admissibility bookkeeping."""
 
-    base: ActionSystem
-    datum: ExpansionDatum
-    maps: PerturbedMaps
-    n_const: int
-    k_net: tuple
-    realized: Mapping[str, float]
-    epsilon: float
+    def __init__(
+        self,
+        base: ActionSystem,
+        datum: ExpansionDatum,
+        maps: PerturbedMaps,
+        n_const: int,
+        k_net: tuple,
+        realized: Mapping[str, float],
+        epsilon: float,
+    ):
+        self.base, self.datum, self.maps, self.n_const = base, datum, maps, n_const
+        self.k_net, self.realized, self.epsilon = k_net, realized, epsilon
 
     def view(self) -> ActionView:
         return ActionView(self.base, self.maps)
@@ -139,8 +142,7 @@ def make_perturbed(
 # the conjugacy
 
 
-@dataclass(frozen=True)
-class PointDiagnostics:
+class PointDiagnostics(NamedTuple):
     iterations: int
     stop_bound: float  # contraction bound at the stopping index
     last_step: float  # distance between the final two iterates
@@ -192,27 +194,23 @@ def _conjugacy_from(ps: PerturbedSystem, x: Point, first: tuple, tol: float, max
     raise ConvergenceError(x, 2.0 * delta * lip_p / lam_p**max_depth, max_depth)
 
 
-@dataclass(frozen=True)
-class TableEntry:
+class TableEntry(NamedTuple):
     x: Point
     phi: Point
     iterations: int
     stop_diameter: float
 
 
-@dataclass
 class ConjugacyTable:
     """phi tabulated over the limit-set net, with diagnostics and residuals."""
 
-    entries: list
-    extra: dict  # phi at one-step generator images, keyed by the image point
-    displacement: float
-    residuals: dict = field(default_factory=dict)  # generator -> equivariance residual
-    failures: list = field(default_factory=list)
-    # phi keyed by net point; the first entry of a repeated point wins
-    by_point: dict = field(init=False, repr=False, compare=False)
-
-    def __post_init__(self):
+    def __init__(self, entries: list, extra: dict, displacement: float, failures: list | None = None):
+        self.entries = entries
+        self.extra = extra  # phi at one-step generator images, keyed by the image point
+        self.displacement = displacement
+        self.residuals = {}  # generator -> equivariance residual
+        self.failures = [] if failures is None else failures
+        # phi keyed by net point; the first entry of a repeated point wins
         self.by_point = {}
         for e in self.entries:
             self.by_point.setdefault(e.x, e.phi)
@@ -296,8 +294,7 @@ def check_equivariance(table: ConjugacyTable, ps: PerturbedSystem) -> float:
     return worst_overall
 
 
-@dataclass(frozen=True)
-class InjectivityReport:
+class InjectivityReport(NamedTuple):
     ok: bool
     min_image_distance: float
     worst_pair: Optional[tuple]
@@ -329,8 +326,7 @@ def check_injectivity(table: ConjugacyTable, ps: PerturbedSystem) -> Injectivity
     return InjectivityReport(ok, worst, (pair[0].x, pair[1].x), note)
 
 
-@dataclass(frozen=True)
-class DisplacementReport:
+class DisplacementReport(NamedTuple):
     max_displacement: float
     below_eps: bool
     below_delta_fifth: bool

@@ -9,9 +9,8 @@ from __future__ import annotations
 
 import copy
 import math
-from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Callable, Iterable, Mapping, Sequence
+from typing import Callable, Iterable, Mapping, NamedTuple, Sequence
 
 import numpy as np
 
@@ -25,6 +24,7 @@ from .geometry import (
     Point,
     ProjectiveSpace,
     Space,
+    Value,
     circle_dist,
     letter_inverse,
     wrap_angle,
@@ -39,7 +39,9 @@ class ConstructionError(ValueError):
 
 
 # ---------------------------------------------------------------------------
-# self-maps
+# self-maps: values, so that two maps of the same class and fields are equal
+# (seeded perturbations compare their letter maps); a map with cached
+# properties keeps an instance dict for them
 
 
 def _read_only(matrix: tuple) -> np.ndarray:
@@ -50,8 +52,7 @@ def _read_only(matrix: tuple) -> np.ndarray:
     return array
 
 
-@dataclass(frozen=True)
-class MoebiusMap:
+class MoebiusMap(Value):
     """Real 2x2 matrix acting on the boundary circle of the upper half-plane.
 
     The chart is theta = 2*arctan(x); in homogeneous coordinates
@@ -59,7 +60,10 @@ class MoebiusMap:
     arc-length derivative is 1/(u'^2 + v'^2).
     """
 
-    matrix: tuple  # ((a, b), (c, d)) with determinant 1
+    _fields = ("matrix",)
+
+    def __init__(self, matrix: tuple):
+        self.matrix = matrix  # ((a, b), (c, d)) with determinant 1
 
     @staticmethod
     def from_matrix(m) -> "MoebiusMap":
@@ -159,13 +163,15 @@ class MoebiusMap:
         return center, half_width
 
 
-@dataclass(frozen=True)
-class LiftedCircleMap:
+class LiftedCircleMap(Value):
     """Lift of x -> multiplier*x through the degree-k covering theta -> k*theta,
     pinned to fix every preimage of the base fixed points 0 and pi."""
 
-    multiplier: float  # derivative at the base repelling point, > 0
-    degree: int
+    _fields = ("multiplier", "degree")
+
+    def __init__(self, multiplier: float, degree: int):
+        self.multiplier = multiplier  # derivative at the base repelling point, > 0
+        self.degree = degree
 
     def _lift(self, y: float) -> float:
         # monotone branch on (-pi, pi], endpoints fixed
@@ -212,12 +218,13 @@ class LiftedCircleMap:
         return LiftedCircleMap(self.multiplier * (1.0 + noise), self.degree)
 
 
-@dataclass(frozen=True)
-class BoundaryShiftMap:
+class BoundaryShiftMap(Value):
     """Left multiplication by a single letter on a free-group boundary."""
 
-    space: FreeBoundary
-    letter: str
+    __slots__ = _fields = ("space", "letter")
+
+    def __init__(self, space: FreeBoundary, letter: str):
+        self.space, self.letter = space, letter
 
     def apply_word(self, w: str) -> str:
         inv = letter_inverse(self.letter)
@@ -225,16 +232,15 @@ class BoundaryShiftMap:
             return w[1:]
         return (self.letter + w)[: self.space.depth]
 
-    def inverse(self) -> "BoundaryShiftMap":
-        return BoundaryShiftMap(self.space, letter_inverse(self.letter))
 
-
-@dataclass(frozen=True)
-class ProjectiveMap:
+class ProjectiveMap(Value):
     """Projectivized invertible linear map; `ProjectiveSpace.stretches` gives
     its stretch factors."""
 
-    matrix: tuple
+    _fields = ("matrix",)
+
+    def __init__(self, matrix: tuple):
+        self.matrix = matrix
 
     @staticmethod
     def from_matrix(m) -> "ProjectiveMap":
@@ -261,20 +267,18 @@ class ProjectiveMap:
         return ProjectiveMap.from_matrix(m + noise)
 
 
-@dataclass(frozen=True)
-class BumpDiffeo:
+class BumpDiffeo(Value):
     """Circle diffeomorphism theta -> theta + height*bump((theta-center)/width),
     smooth and compactly supported in (center-width, center+width)."""
 
-    center: float
-    width: float
-    height: float
+    __slots__ = _fields = ("center", "width", "height")
 
     MAX_SLOPE = 1.2910  # sup |bump'| of exp(1 - 1/(1-t^2))
 
-    def __post_init__(self):
-        if abs(self.height) * self.MAX_SLOPE / self.width >= 1.0:
+    def __init__(self, center: float, width: float, height: float):
+        if abs(height) * self.MAX_SLOPE / width >= 1.0:
             raise ConstructionError("bump too steep: composed map not injective")
+        self.center, self.width, self.height = center, width, height
 
     def _bump(self, t: float) -> float:
         if abs(t) >= 1.0:
@@ -314,40 +318,31 @@ class BumpDiffeo:
         return wrap_angle(x)
 
 
-@dataclass(frozen=True)
-class CirclePostComposeMap:
+class CirclePostComposeMap(Value):
     """bump after a base circle map (a perturbation leaving the group)."""
 
-    base: object
-    bump: BumpDiffeo
+    __slots__ = _fields = ("base", "bump")
+
+    def __init__(self, base, bump: BumpDiffeo):
+        self.base, self.bump = base, bump
 
     def apply_angle(self, theta: float) -> float:
         return self.bump.apply_angle(self.base.apply_angle(theta))
-
-    def deriv_angle(self, theta: float) -> float:
-        y = self.base.apply_angle(theta)
-        return self.bump.deriv_angle(y) * self.base.deriv_angle(theta)
 
     def inverse(self) -> "CirclePreInverseMap":
         return CirclePreInverseMap(self.base.inverse(), self.bump)
 
 
-@dataclass(frozen=True)
-class CirclePreInverseMap:
+class CirclePreInverseMap(Value):
     """Inverse of a post-composed map: base inverse after the bump inverse."""
 
-    base_inv: object
-    bump: BumpDiffeo
+    __slots__ = _fields = ("base_inv", "bump")
+
+    def __init__(self, base_inv, bump: BumpDiffeo):
+        self.base_inv, self.bump = base_inv, bump
 
     def apply_angle(self, theta: float) -> float:
         return self.base_inv.apply_angle(self.bump.invert_angle(theta))
-
-    def deriv_angle(self, theta: float) -> float:
-        y = self.bump.invert_angle(theta)
-        return self.base_inv.deriv_angle(y) / self.bump.deriv_angle(y)
-
-    def inverse(self) -> CirclePostComposeMap:
-        return CirclePostComposeMap(self.base_inv.inverse(), self.bump)
 
 
 # ---------------------------------------------------------------------------
@@ -423,7 +418,6 @@ def snap_angle(map_obj, theta_in: float, theta_out: float, tol: float = 5e-13) -
 # action systems
 
 
-@dataclass
 class ActionSystem:
     """A finitely generated group acting on a metric space.
 
@@ -431,13 +425,19 @@ class ActionSystem:
     values are immutable and all evaluation is pure.
     """
 
-    name: str
-    alphabet: Alphabet
-    space: Space
-    letter_maps: Mapping[Letter, object]
-    net_fn: Callable[[int], list]
-    default_depth: int
-    meta: dict = field(default_factory=dict)
+    def __init__(
+        self,
+        name: str,
+        alphabet: Alphabet,
+        space: Space,
+        letter_maps: Mapping[Letter, object],
+        net_fn: Callable[[int], list],
+        default_depth: int,
+        meta: dict | None = None,
+    ):
+        self.name, self.alphabet, self.space = name, alphabet, space
+        self.letter_maps, self.net_fn, self.default_depth = letter_maps, net_fn, default_depth
+        self.meta = {} if meta is None else meta
 
     def apply_letter(self, letter: Letter, x: Point) -> Point:
         return self.space.apply_maps((self.letter_maps[letter],), x)
@@ -455,11 +455,12 @@ class ActionSystem:
         return self.alphabet.symmetric_generators()
 
 
-@dataclass
 class ProductSystem(ActionSystem):
     """Two systems acting on the two copies of a disjoint union."""
 
-    components: tuple = ()
+    def __init__(self, *args, components: tuple = (), **kwargs):
+        super().__init__(*args, **kwargs)
+        self.components = components
 
     def apply(self, g: Word, x: Point) -> Point:
         """(w1, w2, b) applies the component word of the copy the point ends
@@ -692,10 +693,12 @@ def make_zn_projective(diagonals: Sequence[Sequence[float]]) -> ActionSystem:
     ))
 
 
-@dataclass(frozen=True)
-class _ProductLetterMap:
-    component: int  # 0 or 1, or -1 for the swap
-    inner: object = None
+class _ProductLetterMap(Value):
+    __slots__ = _fields = ("component", "inner")
+
+    def __init__(self, component: int, inner: tuple = None):
+        self.component = component  # 0 or 1, or -1 for the swap
+        self.inner = inner  # (component system, its letter)
 
     def apply_union(self, space: DisjointUnion, x: Point) -> Point:
         idx, val = x.value
@@ -749,8 +752,7 @@ def make_product(first: ActionSystem, second: ActionSystem, with_swap: bool = Fa
 # perturbations
 
 
-@dataclass(frozen=True)
-class MatrixJitter:
+class MatrixJitter(NamedTuple):
     """Seeded uniform noise on matrix entries, renormalized to determinant 1.
 
     `diagonal_only` keeps the noise of Moebius generators on the diagonal.
@@ -764,8 +766,7 @@ class MatrixJitter:
     diagonal_only: bool = False
 
 
-@dataclass(frozen=True)
-class BumpCompose:
+class BumpCompose(NamedTuple):
     """Post-compose every generator with a compactly supported circle bump;
     the perturbation leaves the original transformation group."""
 
@@ -774,8 +775,7 @@ class BumpCompose:
     height: float
 
 
-@dataclass(frozen=True)
-class PerturbedMaps:
+class PerturbedMaps(NamedTuple):
     """Per-letter maps of a perturbed action."""
 
     letter_maps: Mapping[Letter, object]
@@ -784,8 +784,9 @@ class PerturbedMaps:
 def perturb(system: ActionSystem, family) -> PerturbedMaps:
     """Perturbed generator maps for the given family.
 
-    MatrixJitter requires generator maps that have a `jittered` method;
-    BumpCompose requires a circle system.  magnitude 0 (or height 0)
+    MatrixJitter requires generator maps that have a `jittered` method, as
+    the maps of every perturbable space do; BumpCompose requires a circle
+    system.  magnitude 0 (or height 0)
     reproduces the original maps.
     """
     if isinstance(family, MatrixJitter):
@@ -795,8 +796,6 @@ def perturb(system: ActionSystem, family) -> PerturbedMaps:
         out = {}
         for i in range(system.alphabet.rank):
             fwd = system.letter_maps[(i, 1)]
-            if not hasattr(fwd, "jittered"):
-                raise ConstructionError(f"matrix jitter unsupported for {type(fwd).__name__}")
             m2 = fwd.jittered(rng, family.magnitude, family.diagonal_only)
             out[(i, 1)], out[(i, -1)] = m2, m2.inverse()
         return PerturbedMaps(out)

@@ -2,7 +2,9 @@
 against: recurrence of code orbits, the quasigeodesic sandwich for rays,
 independence of phi from the code, the continuity modulus of phi, and the
 finite-difference stretch.  No command reports these, so they live here and
-not in the package; `parse` inverts `groups.to_str` to write test words."""
+not in the package; `parse` inverts `groups.to_str` to write test words.
+The frozen dataclasses that points and spaces once were are kept as the
+reference for the equality and hash of `Point` and the `Space` kinds."""
 import math
 from dataclasses import dataclass
 from typing import Sequence
@@ -12,7 +14,14 @@ import numpy as np
 from expaction import groups
 from expaction.coding import NotFound, Ray, _greedy_entry, _step, code_ray, make_code
 from expaction.expansion import SAFETY, ActionView
-from expaction.geometry import Circle, ProjectiveSpace, circle_dist
+from expaction.geometry import (
+    Circle,
+    CoveredCircle,
+    DisjointUnion,
+    FreeBoundary,
+    ProjectiveSpace,
+    circle_dist,
+)
 from expaction.groups import CYCLIC, FREE, GENERIC, Alphabet, Word
 from expaction.stability import _conjugacy_from, conjugacy_point
 
@@ -159,3 +168,66 @@ def expansion_factor_fd(system, g: Word, x, h: float = 1e-6) -> float:
             best = min(best, num / den)
         return best
     raise TypeError(f"finite differences unsupported on {space.kind}")
+
+
+# ---------------------------------------------------------------------------
+# points and spaces as the frozen dataclasses they were
+
+
+@dataclass(frozen=True)
+class OldPoint:
+    space: object
+    value: object
+
+
+@dataclass(frozen=True)
+class OldSpace:
+    pass
+
+
+@dataclass(frozen=True)
+class OldCircle(OldSpace):
+    pass
+
+
+@dataclass(frozen=True)
+class OldCoveredCircle(OldCircle):
+    degree: int = 2
+
+
+@dataclass(frozen=True)
+class OldProjectiveSpace(OldSpace):
+    n: int = 2
+
+
+@dataclass(frozen=True)
+class OldFreeBoundary(OldSpace):
+    rank: int = 2
+    a: float = 2.0
+    depth: int = 40
+
+
+@dataclass(frozen=True)
+class OldDisjointUnion(OldSpace):
+    components: tuple = ()
+    separation: float = 0.0
+
+
+OLD_SPACES = {
+    Circle: OldCircle,
+    CoveredCircle: OldCoveredCircle,
+    ProjectiveSpace: OldProjectiveSpace,
+    FreeBoundary: OldFreeBoundary,
+}
+
+
+def old_space(space):
+    """The dataclass twin of a space: the old class of its kind, with the
+    same field values (components included)."""
+    if isinstance(space, DisjointUnion):
+        return OldDisjointUnion(tuple(map(old_space, space.components)), space.separation)
+    return OLD_SPACES[type(space)](**{name: getattr(space, name) for name in space._fields})
+
+
+def old_point(p):
+    return OldPoint(old_space(p.space), p.value)

@@ -86,6 +86,10 @@ def _perturbed(family, **params):
     return {**SCHOTTKY_CONFIG, "perturbation": {"family": family, **params}}
 
 
+def _jittered(kind):
+    return {**_system(kind), "perturbation": {"family": "matrix_jitter", "magnitude": 1e-6}}
+
+
 BAD_FIELDS = [
     # (id, payload, field named in the error, command)
     ("non-numeric-param", _schottky(multiplier="x"), "system.params.multiplier", "certify-shyp"),
@@ -189,6 +193,14 @@ BAD_FIELDS = [
     ("codes.cap-boolean", {"codes": {"cap": True}}, "'codes.cap'", "codes"),
     ("lambda_target-numeric-string", {"lambda_target": "1.5"}, "'lambda_target'", "certify-shyp"),
     ("schema_version", {"schema_version": 2}, "'schema_version'", "certify-shyp"),
+    # nonzero jitter on a space that takes no perturbation, named before any
+    # work (zero jitter, the default, still fails later with exit 1)
+    ("free-boundary-matrix-jitter", _jittered("free_boundary"),
+     "error: config field 'system.kind': matrix jitter unsupported on FreeBoundary\n",
+     "stability"),
+    ("product-matrix-jitter", _jittered("product"),
+     "error: config field 'system.kind': matrix jitter unsupported on DisjointUnion\n",
+     "stability"),
     # the perturbation is checked on every command, not only by stability
     ("perturbation-on-certify-shyp", {"perturbation": {"magnitude": "big"}},
      "'perturbation.magnitude'", "certify-shyp"),

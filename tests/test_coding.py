@@ -1,4 +1,3 @@
-import dataclasses
 import functools
 import math
 
@@ -22,6 +21,7 @@ from expaction.coding import (
     nested_images,
     shyp_certificate,
 )
+from expaction.expansion import ExpansionDatum
 from expaction.geometry import circle_dist
 
 RNG = np.random.default_rng(12)
@@ -148,7 +148,7 @@ def test_ray_tails_are_reduced(schottky_system, schottky_datum):
 
 def test_nested_bound_arithmetic(cyclic_system, cyclic_datum):
     # with L = 4, lam = 1.5, eta = 0.05 the step-10 bound is 2*4*0.05/1.5^10
-    d = dataclasses.replace(cyclic_datum, lip=4.0, lam=1.5)
+    d = ExpansionDatum(cyclic_datum.entries, cyclic_datum.delta, 1.5, 4.0, cyclic_datum.net)
     x = cyclic_system.space.point(0.0)
     code = make_code(d, cyclic_system, 0.05, x, 12)
     steps = nested_images(cyclic_system, d, code, 0.05)

@@ -1,4 +1,3 @@
-import dataclasses
 import math
 
 import numpy as np
@@ -7,6 +6,7 @@ import pytest
 from expaction import groups, zoo
 from expaction.expansion import (
     ActionView,
+    ExpansionDatum,
     UncoverableError,
     build_expansion_datum,
     verify_expansion,
@@ -66,7 +66,8 @@ def test_verify_passes_all(cyclic_system, cyclic_datum):
 
 
 def test_verify_catches_oversized_delta(cyclic_system, cyclic_datum):
-    bad = dataclasses.replace(cyclic_datum, delta=cyclic_datum.delta * 2.5)
+    d = cyclic_datum
+    bad = ExpansionDatum(d.entries, d.delta * 2.5, d.lam, d.lip, d.net)
     rep = verify_expansion(cyclic_system, bad)
     leb = [c for c in rep.checks if c.name == "lebesgue"][0]
     assert not leb.passed

@@ -1,7 +1,10 @@
+import itertools
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
+from oracles import OldCoveredCircle, OldProjectiveSpace, old_point, old_space
 
 from expaction.geometry import (
     TAU,
@@ -9,6 +12,7 @@ from expaction.geometry import (
     BallRegion,
     Circle,
     ComponentRegion,
+    CoveredCircle,
     CylinderRegion,
     DisjointUnion,
     EmptyRegion,
@@ -259,3 +263,51 @@ def test_union_separation_default():
     assert union.separation == pytest.approx(math.pi + 1.0)
     x, y = union.point((0, 1.0)), union.point((1, 1.0))
     assert union.raw_distance(x.value, y.value) == union.separation
+
+
+# ---------------------------------------------------------------------------
+# equality and hash of points and spaces, against the frozen dataclasses they
+# were: hashes feed set and dict order, so those must match too
+
+# small shared ranges, so that a covered circle of degree k meets P^k, and
+# equal spaces built apart meet equal points
+KINDS = st.one_of(
+    st.builds(Circle),
+    st.builds(CoveredCircle, degree=st.integers(1, 3)),
+    st.builds(ProjectiveSpace, n=st.integers(1, 3)),
+    st.builds(FreeBoundary, rank=st.integers(1, 2), a=st.sampled_from([1.5, 2.0]),
+              depth=st.integers(2, 4)),
+)
+ANY_SPACE = st.one_of(KINDS, st.lists(KINDS, min_size=1, max_size=2).map(DisjointUnion.of))
+POINTS = st.builds(
+    lambda space, seed: space.random_point(np.random.default_rng(seed)),
+    ANY_SPACE, st.integers(0, 2),
+)
+
+
+@settings(max_examples=300, derandomize=True, deadline=None)
+@given(points=st.lists(POINTS, max_size=10))
+def test_points_and_spaces_compare_and_hash_as_the_old_dataclasses(points):
+    old = [old_point(p) for p in points]
+    for p, o in zip(points, old):
+        assert hash(p) == hash(o) == hash((p.space, p.value))
+        assert hash(p.space) == hash(o.space)
+        assert p != (p.space, p.value) and p != o  # only two Points are ever equal
+    pairs = zip(itertools.product(points, repeat=2), itertools.product(old, repeat=2))
+    for (p, q), (op, oq) in pairs:
+        assert (p == q, p != q) == (op == oq, op != oq)
+        assert (p.space == q.space, p.space != q.space) == (op.space == oq.space, op.space != oq.space)
+    assert [old_point(p) for p in set(points)] == list(set(old))
+    assert [old_point(p) for p in dict.fromkeys(points)] == list(dict.fromkeys(old))
+    assert list({p: i for i, p in enumerate(points)}.values()) == list(
+        {o: i for i, o in enumerate(old)}.values()
+    )
+
+
+@pytest.mark.parametrize("k", [1, 2, 3, 7])
+def test_a_covered_circle_is_no_projective_space_of_the_same_hash(k):
+    covered, projective = CoveredCircle(degree=k), ProjectiveSpace(n=k)
+    assert hash(covered) == hash(projective) == hash(OldCoveredCircle(k)) == hash(OldProjectiveSpace(k))
+    assert covered != projective and covered == CoveredCircle(degree=k)
+    assert covered.point(0.0) != projective.point([1.0] + [0.0] * k)
+    assert hash(Circle()) == hash(old_space(Circle())) == hash(())

@@ -9,7 +9,6 @@ they replaced are kept below, on a reference metric built independently of
 breadth-first search for generic words), and every verdict must agree,
 including on rays of unequal length and generic words beyond the cap.
 """
-import dataclasses
 import functools
 import math
 from typing import Optional
@@ -274,6 +273,6 @@ def test_certificates_equal_the_old_scans_field_by_field(monkeypatch, request, c
         "chain", lambda a, b, pool, n, max_chain=3, cap=64, table=None:
         old_n_equivalence(a, b, pool, n, max_chain, cap)))
     slow = coding.shyp_certificate(system, datum, **kwargs)
-    for f in dataclasses.fields(coding.Certificate):
-        assert getattr(fast, f.name) == getattr(slow, f.name), f.name
+    for name in coding.Certificate._fields:
+        assert getattr(fast, name) == getattr(slow, name), name
     assert fast_calls == calls and calls["fellow"] > 0

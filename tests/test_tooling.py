@@ -4,9 +4,14 @@ The benchmark's tracer (bench/spans.py) wraps functions and methods of the
 package by name and raises at install time when one is gone, so a rename
 under src/ shows here instead of only in the slower benchmark suite.  And
 src/ holds only what the package reaches: a definition that only tests use
-belongs under tests/."""
+belongs under tests/.  Every CLI job pays the package import again, so what
+that import loads and declares is pinned here, by counts, not timings."""
 import ast
 import importlib.util
+import json
+import os
+import subprocess
+import sys
 from collections import Counter
 from pathlib import Path
 
@@ -72,3 +77,42 @@ def test_every_definition_under_src_is_used_elsewhere_in_src():
         and used[node.name] == _names_used(node)[node.name]  # only inside itself
     ]
     assert not unused, f"defined in src/ but used only by tests, or not at all: {unused}"
+
+
+# `import expaction.cli` in a fresh interpreter, numpy already loaded: the
+# classes dataclasses processed and the package modules loaded meanwhile
+IMPORT_PROBE = """
+import json, sys
+import numpy, dataclasses
+processed, process = [], dataclasses._process_class
+def counting(cls, *args, **kwargs):
+    processed.append(cls.__qualname__)
+    return process(cls, *args, **kwargs)
+dataclasses._process_class = counting
+import expaction.cli
+modules = sorted(name for name in sys.modules if name.split(".")[0] == "expaction")
+print(json.dumps({"dataclasses": processed, "modules": modules}))
+"""
+# dataclasses the package declares; each costs about a millisecond of code
+# generation per job
+KEPT_DATACLASSES = 0
+
+
+@pytest.fixture(scope="module")
+def cli_import():
+    path = os.pathsep.join([str(PACKAGE.parent), os.environ.get("PYTHONPATH", "")])
+    env = dict(os.environ, PYTHONPATH=path)
+    proc = subprocess.run(
+        [sys.executable, "-c", IMPORT_PROBE], env=env, capture_output=True, text=True, timeout=120
+    )
+    assert proc.returncode == 0, proc.stderr
+    return json.loads(proc.stdout)
+
+
+def test_the_cli_import_leaves_stability_to_the_stability_command(cli_import):
+    assert "expaction.cli" in cli_import["modules"]
+    assert "expaction.stability" not in cli_import["modules"]
+
+
+def test_the_cli_import_declares_no_more_dataclasses_than_kept(cli_import):
+    assert len(cli_import["dataclasses"]) <= KEPT_DATACLASSES, cli_import["dataclasses"]

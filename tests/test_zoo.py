@@ -1,4 +1,3 @@
-import dataclasses
 import math
 
 import numpy as np
@@ -332,7 +331,11 @@ def test_a_broken_inverse_fails_the_construction_check(a):
     maps = dict(system.letter_maps)
     maps[(0, -1)] = maps[(1, -1)]  # a undone by B
     with pytest.raises(ConstructionError, match="inverse consistency"):
-        zoo._construction_check(dataclasses.replace(system, letter_maps=maps))
+        broken = zoo.ActionSystem(
+            system.name, system.alphabet, system.space, maps, system.net_fn,
+            system.default_depth, system.meta,
+        )
+        zoo._construction_check(broken)
 
 
 def test_free_boundary_parameter_validation():
