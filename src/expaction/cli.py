@@ -14,8 +14,7 @@ import sys
 from pathlib import Path
 from typing import NamedTuple
 
-# stability is imported by the one command that runs it
-from . import coding, expansion, zoo
+from . import coding, expansion, stability, zoo
 
 SCHEMA_VERSION = 1
 
@@ -472,8 +471,6 @@ def cmd_coding_map(cfg: dict, out: Path) -> int:
 
 
 def cmd_stability(cfg: dict, out: Path) -> int:
-    from . import stability
-
     system = build_system(cfg["system"])
     maps = build_perturbation(cfg, system)
     datum = expansion.build_expansion_datum(system, cfg["lambda_target"], cfg["net"]["depth"])

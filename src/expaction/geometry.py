@@ -68,7 +68,9 @@ class Value:
     `@dataclass` generates and compiles for each class at import: instances
     of one class are equal when their `_fields` are, hash as the tuple of
     them, and show them in their repr.  `_fields` names the fields in
-    order, as a tuple or as the keys of a dict."""
+    order, as a tuple or as the keys of a dict.  Fields are set once, in
+    `__init__`, and never reassigned: hashes, `Alphabet`'s cached one
+    included, are taken from them."""
 
     __slots__ = ()
     _fields: tuple | dict = ()

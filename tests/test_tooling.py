@@ -5,7 +5,7 @@ package by name and raises at install time when one is gone, so a rename
 under src/ shows here instead of only in the slower benchmark suite.  And
 src/ holds only what the package reaches: a definition that only tests use
 belongs under tests/.  Every CLI job pays the package import again, so what
-that import loads and declares is pinned here, by counts, not timings."""
+that import declares is pinned here, by a count, not a timing."""
 import ast
 import importlib.util
 import json
@@ -80,9 +80,9 @@ def test_every_definition_under_src_is_used_elsewhere_in_src():
 
 
 # `import expaction.cli` in a fresh interpreter, numpy already loaded: the
-# classes dataclasses processed and the package modules loaded meanwhile
+# classes dataclasses processed meanwhile
 IMPORT_PROBE = """
-import json, sys
+import json
 import numpy, dataclasses
 processed, process = [], dataclasses._process_class
 def counting(cls, *args, **kwargs):
@@ -90,29 +90,19 @@ def counting(cls, *args, **kwargs):
     return process(cls, *args, **kwargs)
 dataclasses._process_class = counting
 import expaction.cli
-modules = sorted(name for name in sys.modules if name.split(".")[0] == "expaction")
-print(json.dumps({"dataclasses": processed, "modules": modules}))
+print(json.dumps(processed))
 """
 # dataclasses the package declares; each costs about a millisecond of code
 # generation per job
 KEPT_DATACLASSES = 0
 
 
-@pytest.fixture(scope="module")
-def cli_import():
+def test_the_cli_import_declares_no_more_dataclasses_than_kept():
     path = os.pathsep.join([str(PACKAGE.parent), os.environ.get("PYTHONPATH", "")])
     env = dict(os.environ, PYTHONPATH=path)
     proc = subprocess.run(
         [sys.executable, "-c", IMPORT_PROBE], env=env, capture_output=True, text=True, timeout=120
     )
     assert proc.returncode == 0, proc.stderr
-    return json.loads(proc.stdout)
-
-
-def test_the_cli_import_leaves_stability_to_the_stability_command(cli_import):
-    assert "expaction.cli" in cli_import["modules"]
-    assert "expaction.stability" not in cli_import["modules"]
-
-
-def test_the_cli_import_declares_no_more_dataclasses_than_kept(cli_import):
-    assert len(cli_import["dataclasses"]) <= KEPT_DATACLASSES, cli_import["dataclasses"]
+    processed = json.loads(proc.stdout)
+    assert len(processed) <= KEPT_DATACLASSES, processed
