@@ -183,6 +183,22 @@ def _jitter(system: zoo.ActionSystem, magnitude: float, *params) -> zoo.Perturbe
     return zoo.perturb(system, zoo.MatrixJitter(magnitude, *params))
 
 
+def _bump(system: zoo.ActionSystem, *params) -> zoo.PerturbedMaps:
+    """The bumped maps; a system off the circle names its kind."""
+    if not system.space.angular:
+        raise ConfigError("system.kind", f"bump perturbations need a circle system, not {system.space.kind}")
+    return zoo.perturb(system, zoo.BumpCompose(*params))
+
+
+def _translation(system: zoo.ActionSystem, t: float) -> zoo.PerturbedMaps:
+    """The conjugated maps; a system of other than Moebius maps, the one
+    construction error of a conjugation, names its kind."""
+    try:
+        return zoo.translation_conjugate(system, t)
+    except zoo.ConstructionError as err:
+        raise ConfigError("system.kind", f"{err}, not {system.name}") from None
+
+
 PERTURBATIONS = {  # family -> (maker of a system's perturbed maps, params)
     "matrix_jitter": (_jitter, {
         "magnitude": Field(float, 0.0),
@@ -190,12 +206,9 @@ PERTURBATIONS = {  # family -> (maker of a system's perturbed maps, params)
         "diagonal_only": Field(bool, False),
     }),
     "bump_compose": (
-        lambda system, *p: zoo.perturb(system, zoo.BumpCompose(*p)),
-        {"center": Field(float, 0.7), "width": Field(float, 0.5), "height": Field(float, 0.0)},
+        _bump, {"center": Field(float, 0.7), "width": Field(float, 0.5), "height": Field(float, 0.0)}
     ),
-    "translation_conjugate": (
-        lambda system, *p: zoo.translation_conjugate(system, *p), {"t": Field(float, 0.0)}
-    ),
+    "translation_conjugate": (_translation, {"t": Field(float, 0.0)}),
 }
 FAMILY = Field(tuple(PERTURBATIONS), "matrix_jitter")
 

@@ -10,8 +10,7 @@ from __future__ import annotations
 
 import math
 from functools import cached_property
-from itertools import islice
-from typing import Iterator, NamedTuple
+from typing import NamedTuple
 
 import numpy as np
 
@@ -187,11 +186,10 @@ def _circular_runs(mask: np.ndarray) -> list:
     return runs
 
 
-def _certified_datum(system, entries, lam_target, net, probe, lip_of):
-    """The datum of a cover: delta is SAFETY times its Lebesgue number over
-    the probe net, lip the largest `lip_of(map, values)` of a generator map,
-    its largest stretch at the values of the delta-neighborhood of the net."""
-    leb, _ = lebesgue_number([e.region for e in entries], probe)
+def _certified_datum(system, entries, lam_target, net, leb, lip_of):
+    """The datum of a cover: delta is SAFETY times its Lebesgue number leb
+    over a probe net, lip the largest `lip_of(map, values)` of a generator
+    map, its largest stretch at the values of the delta-neighborhood of the net."""
     if leb <= 0:
         _fail_uncoverable(system, net, lam_target)
     delta = float(SAFETY * leb)
@@ -238,10 +236,13 @@ def _build_circle(system, lam_target, net_depth, grid_size):
                 )
                 pos += 1
     # probe a deeper net than the working one: the working net under-samples
-    # fractal limit sets whose extreme points pin the true Lebesgue number
-    probe = system.limit_net(min(system.default_depth + 5, 10)) if len(net) > 2 else net
+    # fractal limit sets whose extreme points pin the true Lebesgue number;
+    # its angles go to the array margins without becoming points
+    angles = space.values(net)
+    probe = system.limit_values(min(system.default_depth + 5, 10)) if len(net) > 2 else angles
+    leb, _ = space.lebesgue_angles([e.region for e in entries], np.concatenate([angles, probe]))
     return _certified_datum(
-        system, entries, lam_target, net, list(net) + list(probe),
+        system, entries, lam_target, net, leb,
         lambda m, ts: max(m.deriv_angle(t) for t in ts),
     )
 
@@ -320,7 +321,7 @@ def _build_projective(system, lam_target, net_depth, grid_size):
         )
         pos += 1
     return _certified_datum(
-        system, entries, lam_target, net, net,
+        system, entries, lam_target, net, lebesgue_number([e.region for e in entries], net)[0],
         lambda m, vs: float(space.stretch_rows(m.np_matrix, np.array(vs))[1].max()),
     )
 
@@ -416,26 +417,25 @@ class VerificationReport(NamedTuple):
         return "\n".join(lines)
 
 
-def strided_pairs(n: int, stride: int) -> Iterator[tuple]:
+def strided_pairs(n: int, stride: int) -> tuple:
     """Every stride-th index pair (i, j), i < j < n, of the row-major
-    enumeration of all pairs, starting with the first, visited directly."""
-    start = 0  # column offset of the row's first sampled pair
-    for i in range(n - 1):
-        row = n - 1 - i
-        for j in range(i + 1 + start, n, stride):
-            yield i, j
-        start = (start - row) % stride
+    enumeration of all pairs, starting with the first, as the array of the
+    i and the array of the j: each sampled place of the enumeration is
+    found in its row by the place where the row starts."""
+    rows = np.arange(n)
+    starts = rows * n - rows * (rows + 1) // 2  # the place of the pair (i, i + 1)
+    picked = np.arange(0, n * (n - 1) // 2, stride)
+    i = np.searchsorted(starts, picked, side="right") - 1
+    return i, picked - starts[i] + i + 1
 
 
 def _sample_pairs(points: list, count: int) -> list:
     n = len(points)
     if n < 2:
         return []
-    stride = max(1, (n * (n - 1) // 2) // max(count, 1))
-    return [
-        (points[i], points[j])
-        for i, j in islice(strided_pairs(n, stride), max(count, 1))
-    ]
+    count = max(count, 1)
+    i, j = strided_pairs(n, max(1, (n * (n - 1) // 2) // count))
+    return [(points[a], points[b]) for a, b in zip(i[:count].tolist(), j[:count].tolist())]
 
 
 def verify_expansion(

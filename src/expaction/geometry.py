@@ -42,6 +42,13 @@ def wrap_angle(theta: float) -> float:
     return t
 
 
+def wrap_angles(thetas: np.ndarray) -> np.ndarray:
+    """`wrap_angle` of each angle of the array, to the same floats (`np.mod`
+    rounds as the float `%` does)."""
+    t = np.mod(thetas, TAU)
+    return np.where(t >= TAU, t - TAU, t)
+
+
 # letter helpers for free-group boundary prefixes ("a" is a generator,
 # "A" its inverse); shared with the word layer in groups.py
 
@@ -139,12 +146,39 @@ class Space(Value):
         raise NotImplementedError
 
     def random_point(self, rng) -> Point:
+        """A point drawn through `rng.random()` alone, which numpy's
+        generators and the standard library's `random.Random` both have."""
         raise NotImplementedError
 
     # whether actions by maps outside the group (perturbations) are defined
     perturbable = False
     # whether points are angles on one circle, which the SVG figures draw
     angular = False
+    # code steps the conjugacy pushes at once, as rows (see `push_balls`)
+    push_rows = 1
+
+    def values(self, pts: Sequence[Point]):
+        """The values of the points, as `map_values` and `distances` take them."""
+        return [p.value for p in pts]
+
+    def map_values(self, m, values):
+        """The values of the images of the points with the given values
+        under one self-map."""
+        return [self.apply_maps((m,), Point(self, v)).value for v in values]
+
+    def distances(self, a, b, i: np.ndarray, j: np.ndarray) -> np.ndarray:
+        """The raw distance of a[i[k]] and b[j[k]] for every k, as an array."""
+        return np.array([self.raw_distance(a[p], b[q]) for p, q in zip(i.tolist(), j.tolist())])
+
+    def push_balls(self, pushes: Sequence, centers: Sequence[Point], eta: float, k: int) -> list:
+        """Per row r, (pushes[r] of centers[r], the diameter of the pushed
+        `ball_net` of radius eta and size k about it); the center is the
+        first point of its ball net and is pushed once."""
+        out = []
+        for push, center in zip(pushes, centers):
+            probes = [push(q) for q in self.ball_net(center, eta, k)]
+            out.append((probes[0], self.set_diameter(probes)))
+        return out
 
     def apply_maps(self, maps: Sequence, x: Point) -> Point:
         """Image of x under a sequence of self-maps, maps[0] acting first."""
@@ -206,10 +240,31 @@ class Circle(Space):
         return circle_dist(a, b)
 
     def random_point(self, rng) -> Point:
-        return self.point(rng.uniform(0.0, TAU))
+        return self.point(TAU * rng.random())
 
     perturbable = True
     angular = True
+    # most points of the Schottky net stop after 9 to 11 code steps at
+    # tol 1e-9, so that one block of 12 rows usually holds the stop
+    push_rows = 12
+
+    def values(self, pts: Sequence[Point]) -> np.ndarray:
+        return np.fromiter((p.value for p in pts), dtype=float, count=len(pts))
+
+    def map_values(self, m, values: np.ndarray) -> np.ndarray:
+        return m.apply_angles(values)
+
+    def distances(self, a: np.ndarray, b: np.ndarray, i: np.ndarray, j: np.ndarray) -> np.ndarray:
+        # circle_dist with the same float operations
+        d = np.abs(a[i] - b[j]) % TAU
+        return np.minimum(d, TAU - d)
+
+    def push_balls(self, pushes: Sequence, centers: Sequence[Point], eta: float, k: int) -> list:
+        # the ball nets as rows of angles, pushed at once by the pushes'
+        # `angle_rows`
+        images = pushes[0].angle_rows(pushes, self.ball_angles(self.values(centers), eta, k))
+        diam = self.row_diameters(images)
+        return [(self.point(z), d) for z, d in zip(images[:, 0].tolist(), diam.tolist())]
 
     def apply_maps(self, maps: Sequence, x: Point) -> Point:
         # circle maps return wrapped angles and wrap_angle fixes those, so
@@ -230,11 +285,15 @@ class Circle(Space):
     def ball_net(self, center: Point, eta: float, k: int = 64) -> list:
         """Deterministic net of the open eta-ball at the center (center
         included); every space kind defines one."""
-        pts = [center]
-        for t in range(k):
-            f = -1.0 + 2.0 * (t + 0.5) / k
-            pts.append(self.point(center.value + f * eta * (1 - 1e-12)))
-        return pts
+        angles = self.ball_angles(np.array([center.value]), eta, k)[0, 1:]
+        return [center] + [self.point(t) for t in angles.tolist()]
+
+    @staticmethod
+    def ball_angles(centers: np.ndarray, eta: float, k: int) -> np.ndarray:
+        """The angles of `ball_net` about each center, one row each: the
+        center, then k angles spread evenly over the open ball."""
+        offsets = np.array([(-1.0 + 2.0 * (t + 0.5) / k) * eta * (1 - 1e-12) for t in range(k)])
+        return np.column_stack([centers, wrap_angles(centers[:, None] + offsets)])
 
     def neighborhood(self, net: Sequence[Point], delta: float) -> list:
         pts = list(net)
@@ -244,11 +303,15 @@ class Circle(Space):
         return pts
 
     def set_diameter(self, pts: Sequence[Point]) -> float:
-        # the complement of the widest gap between sorted angles
-        vals = sorted(p.value for p in pts)
-        gaps = [vals[i + 1] - vals[i] for i in range(len(vals) - 1)]
-        gaps.append(vals[0] + TAU - vals[-1])
-        return TAU - max(gaps)
+        return float(self.row_diameters(self.values(pts)[None])[0])
+
+    @staticmethod
+    def row_diameters(rows: np.ndarray) -> np.ndarray:
+        """The diameter of the angles of each row: the complement of the
+        widest gap between the sorted angles, the gap across 0 included."""
+        s = np.sort(rows, axis=1)
+        gaps = np.diff(s, axis=1).max(axis=1, initial=-math.inf)
+        return TAU - np.maximum(gaps, (s[:, 0] + TAU) - s[:, -1])
 
     def distance_to_net(self, net: Sequence[Point]) -> Callable[[Point], float]:
         # On [0, TAU) the correctly rounded |x - a| grows with a on each side
@@ -278,22 +341,27 @@ class Circle(Space):
         return near
 
     def lebesgue_number(self, regions: Sequence["Region"], net: Sequence[Point]) -> tuple:
-        # arcs and empty regions have array margins: take the running max
-        # over the regions and the first argmin chunk by chunk, which picks
-        # the same value and witness as the scalar loop
         if not regions or not all(hasattr(reg, "margin_array") for reg in regions):
             return super().lebesgue_number(regions, net)
-        worst, witness = math.inf, None
-        for start in range(0, len(net), LEBESGUE_CHUNK):
-            chunk = net[start : start + LEBESGUE_CHUNK]
-            thetas = np.fromiter((x.value for x in chunk), dtype=float, count=len(chunk))
-            best = regions[0].margin_array(thetas)
+        worst, at = self.lebesgue_angles(regions, self.values(net))
+        return worst, None if at is None else net[at]
+
+    @staticmethod
+    def lebesgue_angles(regions: Sequence["Region"], thetas: np.ndarray) -> tuple:
+        """(worst best margin, index of its first angle) over an angle array,
+        for regions with array margins (arcs and empty regions): the running
+        max over the regions and the first argmin, chunk by chunk, which pick
+        the value and witness of the scalar loop."""
+        worst, at = math.inf, None
+        for start in range(0, len(thetas), LEBESGUE_CHUNK):
+            chunk = thetas[start : start + LEBESGUE_CHUNK]
+            best = regions[0].margin_array(chunk)
             for reg in regions[1:]:
-                best = np.maximum(best, reg.margin_array(thetas))
+                best = np.maximum(best, reg.margin_array(chunk))
             i = int(np.argmin(best))
             if best[i] < worst:
-                worst, witness = float(best[i]), chunk[i]
-        return worst, witness
+                worst, at = float(best[i]), start + i
+        return worst, at
 
 
 class CoveredCircle(Circle):
@@ -351,7 +419,7 @@ class ProjectiveSpace(Space):
         return 2.0 * math.asin(min(1.0, diff / 2.0))
 
     def random_point(self, rng) -> Point:
-        return self.point([rng.normal() for _ in range(self.n + 1)])
+        return self.point([rng.random() - 0.5 for _ in range(self.n + 1)])
 
     perturbable = True
 
@@ -553,10 +621,10 @@ class FreeBoundary(Space):
         # one letter short of the depth, so that a generator moves it without
         # truncation and round trips through a generator and its inverse are exact
         chars = self.letters + self.letters.upper()
-        word = [chars[rng.integers(0, len(chars))]]
+        word = [chars[int(rng.random() * len(chars))]]
         while len(word) < self.depth - 1:
             choices = [c for c in chars if c != letter_inverse(word[-1])]
-            word.append(choices[rng.integers(0, len(choices))])
+            word.append(choices[int(rng.random() * len(choices))])
         return self.point("".join(word))
 
 
@@ -595,7 +663,7 @@ class DisjointUnion(Space):
         return self.components[a[0]].raw_distance(a[1], b[1])
 
     def random_point(self, rng) -> Point:
-        idx = int(rng.integers(0, len(self.components)))
+        idx = int(rng.random() * len(self.components))
         inner = self.components[idx].random_point(rng)
         return self.point((idx, inner.value))
 

@@ -12,7 +12,9 @@ nested images z_i = rho'(c_i)(p_{i+1}) along a special code for x.
 from __future__ import annotations
 
 import math
-from typing import Callable, Mapping, NamedTuple, Optional, Sequence
+from typing import Mapping, NamedTuple, Optional, Sequence
+
+import numpy as np
 
 from . import groups
 from .coding import CodingError, expansivity_witness, greedy_step
@@ -50,34 +52,37 @@ def perturbation_epsilon(datum: ExpansionDatum, n_const: int) -> float:
     return (lam - 1.0) / 2.0 * min(delta / ((n_const + 1) * lip**n_const), 1.0)
 
 
-def lipschitz_distance(
-    space,
-    map_a: Callable[[Point], Point],
-    map_b: Callable[[Point], Point],
-    net: Sequence[Point],
-    max_pairs: int = 10000,
-) -> float:
-    """Sampled Lipschitz distance: sup displacement plus sup difference of
-    stretch quotients over distinct net pairs."""
-    net = list(net)
-    if len(net) < 2:
-        raise ValueError("lipschitz_distance needs at least two net points")
-    imgs_a = [map_a(x) for x in net]
-    imgs_b = [map_b(x) for x in net]
-    sup_disp = max(
-        space.raw_distance(p.value, q.value) for p, q in zip(imgs_a, imgs_b)
-    )
+class NetPairs(NamedTuple):
+    """A net's point values, its pairs (i[k], j[k]) taken by `strided_pairs`
+    and their distances d0: sampled once and shared by every letter."""
+
+    values: object
+    i: np.ndarray
+    j: np.ndarray
+    d0: np.ndarray
+
+
+def net_pairs(space, net: Sequence[Point], max_pairs: int = 10000) -> NetPairs:
     n = len(net)
+    if n < 2:
+        raise ValueError("lipschitz_distance needs at least two net points")
     stride = max(1, (n * (n - 1) // 2) // max_pairs)
-    sup_quot = 0.0
-    for i, j in strided_pairs(n, stride):
-        d0 = space.raw_distance(net[i].value, net[j].value)
-        if d0 < 1e-13:
-            continue
-        qa = space.raw_distance(imgs_a[i].value, imgs_a[j].value) / d0
-        qb = space.raw_distance(imgs_b[i].value, imgs_b[j].value) / d0
-        sup_quot = max(sup_quot, abs(qa - qb))
-    return sup_disp + sup_quot
+    i, j = strided_pairs(n, stride)
+    values = space.values(net)
+    return NetPairs(values, i, j, space.distances(values, values, i, j))
+
+
+def lipschitz_distance(space, map_a, map_b, pairs: NetPairs) -> float:
+    """Sampled Lipschitz distance of two self-maps: sup displacement over the
+    net plus sup difference of stretch quotients over its distinct pairs."""
+    a = space.map_values(map_a, pairs.values)
+    b = space.map_values(map_b, pairs.values)
+    every = np.arange(len(pairs.values))
+    sup_disp = space.distances(a, b, every, every).max()
+    keep = ~(pairs.d0 < 1e-13)
+    i, j, d0 = pairs.i[keep], pairs.j[keep], pairs.d0[keep]
+    quot = np.abs(space.distances(a, a, i, j) / d0 - space.distances(b, b, i, j) / d0)
+    return float(sup_disp + quot.max(initial=0.0))
 
 
 class PerturbedSystem:
@@ -124,17 +129,16 @@ def make_perturbed(
 ) -> PerturbedSystem:
     """Wrap perturbed maps with realized Lipschitz distances over the closed
     delta-neighborhood net K."""
-    view = ActionView(system, maps)
+    ActionView(system, maps)  # refuses a space that takes no perturbation
     if k_net is None:
         k_net = system.space.neighborhood(datum.net, datum.delta)
     k_net = tuple(k_net)
     eps = perturbation_epsilon(datum, n_const)
+    pairs = net_pairs(system.space, k_net)
     realized = {}
-    for letter in maps.letter_maps:
+    for letter, m in maps.letter_maps.items():
         name = str(system.alphabet.generator(letter[0], letter[1]))
-        base_fn = lambda x, lt=letter: system.apply_letter(lt, x)
-        pert_fn = lambda x, lt=letter: view.apply_letter(lt, x)
-        realized[name] = lipschitz_distance(system.space, base_fn, pert_fn, k_net)
+        realized[name] = lipschitz_distance(system.space, system.letter_maps[letter], m, pairs)
     return PerturbedSystem(system, datum, maps, n_const, k_net, realized, eps)
 
 
@@ -169,7 +173,13 @@ def conjugacy_point(
 
 
 def _conjugacy_from(ps: PerturbedSystem, x: Point, first: tuple, tol: float, max_depth: int) -> tuple:
-    """The iteration of `conjugacy_point` from a given first step (entry, p_1)."""
+    """The iteration of `conjugacy_point` from a given first step (entry, p_1).
+
+    The code steps are taken a block of `space.push_rows` at a time, and the
+    space pushes the balls of a block as rows at once; the rows are then read
+    in order, up to the first that stops.  A step past that row that finds no
+    cover member does not count: its CodingError is raised only when no
+    earlier row stops."""
     datum, space = ps.datum, ps.base.space
     base_view, pert_view = ps.base_view(), ps.view()
     eps = ps.epsilon
@@ -178,19 +188,27 @@ def _conjugacy_from(ps: PerturbedSystem, x: Point, first: tuple, tol: float, max
 
     push = WordPush(space, pert_view.maps)  # grown by the code's symbols, unreduced
     e, point = first
-    z_prev = None
-    for i in range(max_depth):
-        if i:
-            e, point = greedy_step(datum, base_view, point, delta)
-        push = push.grown(groups.letters_of(e.symbol))
-        z = push(point)
-        probes = [push(q) for q in space.ball_net(point, delta, 6)]
-        diam = space.set_diameter(probes)
-        bound = 2.0 * delta * lip_p / lam_p**i
-        step = space.raw_distance(z.value, z_prev.value) if z_prev is not None else math.inf
-        if diam < tol or bound < tol:
-            return z, PointDiagnostics(i + 1, min(diam, bound), step)
-        z_prev = z
+    z_prev, i = None, 0
+    while i < max_depth:
+        pushes, centers, failed = [], [], None
+        while len(pushes) < min(space.push_rows, max_depth - i):
+            if i + len(pushes):
+                try:
+                    e, point = greedy_step(datum, base_view, point, delta)
+                except CodingError as err:
+                    failed = err
+                    break
+            push = push.grown(groups.letters_of(e.symbol))
+            pushes.append(push)
+            centers.append(point)
+        for z, diam in space.push_balls(pushes, centers, delta, 6) if pushes else ():
+            bound = 2.0 * delta * lip_p / lam_p**i
+            step = space.raw_distance(z.value, z_prev.value) if z_prev is not None else math.inf
+            if diam < tol or bound < tol:
+                return z, PointDiagnostics(i + 1, min(diam, bound), step)
+            z_prev, i = z, i + 1
+        if failed is not None:
+            raise failed
     raise ConvergenceError(x, 2.0 * delta * lip_p / lam_p**max_depth, max_depth)
 
 

@@ -9,6 +9,8 @@ from __future__ import annotations
 
 import copy
 import math
+import random
+from bisect import bisect_right
 from functools import cached_property
 from typing import Callable, Iterable, Mapping, NamedTuple, Sequence
 
@@ -28,6 +30,7 @@ from .geometry import (
     circle_dist,
     letter_inverse,
     wrap_angle,
+    wrap_angles,
 )
 from .groups import Alphabet, Word
 
@@ -42,6 +45,17 @@ class ConstructionError(ValueError):
 # self-maps: values, so that two maps of the same class and fields are equal
 # (seeded perturbations compare their letter maps); a map with cached
 # properties keeps an instance dict for them
+
+
+def _moebius_angles(a, b, c, d, thetas: np.ndarray) -> np.ndarray:
+    """The angle action of the matrix ((a, b), (c, d)) on an angle array, to
+    the floats of `MoebiusMap.apply_angle`: numpy computes sin, cos and the
+    products as `math` does, but not atan2, which runs per element.  The
+    entries may be arrays that broadcast against the angles."""
+    u, v = np.sin(thetas / 2.0), np.cos(thetas / 2.0)
+    u2, v2 = a * u + b * v, c * u + d * v
+    doubled = np.fromiter(map(math.atan2, u2.ravel().tolist(), v2.ravel().tolist()), float, u2.size)
+    return wrap_angles(2.0 * doubled.reshape(u2.shape))
 
 
 def _read_only(matrix: tuple) -> np.ndarray:
@@ -83,6 +97,10 @@ class MoebiusMap(Value):
         (a, b), (c, d) = self.matrix
         u2, v2 = a * u + b * v, c * u + d * v
         return wrap_angle(2.0 * math.atan2(u2, v2))
+
+    def apply_angles(self, thetas: np.ndarray) -> np.ndarray:
+        (a, b), (c, d) = self.matrix
+        return _moebius_angles(a, b, c, d, thetas)
 
     def deriv_angle(self, theta: float) -> float:
         u, v = math.sin(theta / 2.0), math.cos(theta / 2.0)
@@ -141,6 +159,13 @@ class MoebiusMap(Value):
         v2 = mat[1][0] * u + mat[1][1] * v
         return wrap_angle(2.0 * math.atan2(u2, v2))
 
+    @staticmethod
+    def apply_matrix_angles(mats: np.ndarray, thetas: np.ndarray) -> np.ndarray:
+        """`apply_matrix_angle` of the (rows, 2, 2) matrices, row r of the
+        matrices on row r of the (rows, k) angles."""
+        a, b, c, d = (mats[:, i, j, None] for i in (0, 1) for j in (0, 1))
+        return _moebius_angles(a, b, c, d, thetas)
+
     def isometric_arc(self) -> tuple:
         """(center, half_width) of the circle arc where the map expands.
 
@@ -186,6 +211,14 @@ class LiftedCircleMap(Value):
         j = math.floor((y + math.pi) / TAU)
         y0 = y - TAU * j
         return wrap_angle((self._lift(y0) + TAU * j) / self.degree)
+
+    def apply_angles(self, thetas: np.ndarray) -> np.ndarray:
+        # the tangents and arctangents per element: numpy's differ from math's
+        y = self.degree * thetas
+        j = np.floor((y + math.pi) / TAU)
+        y0 = y - TAU * j
+        lifted = np.array(list(map(self._lift, y0.ravel().tolist()))).reshape(y0.shape)
+        return wrap_angles((lifted + TAU * j) / self.degree)
 
     def deriv_angle(self, theta: float) -> float:
         y = self.degree * theta
@@ -299,6 +332,18 @@ class BumpDiffeo(Value):
         t = self._signed_offset(theta) / self.width
         return wrap_angle(theta + self.height * self._bump(t))
 
+    def _offsets(self, thetas: np.ndarray) -> np.ndarray:
+        """`_signed_offset` over the width, at each angle of the array."""
+        return (np.mod(thetas - self.center + math.pi, TAU) - math.pi) / self.width
+
+    def apply_angles(self, thetas: np.ndarray) -> np.ndarray:
+        # the bump, and its exp per element (numpy's differs), only inside the support
+        t = self._offsets(thetas)
+        inside = np.abs(t) < 1.0
+        bump = np.zeros_like(thetas)
+        bump[inside] = list(map(math.exp, (1.0 - 1.0 / (1.0 - t[inside] ** 2)).tolist()))
+        return wrap_angles(thetas + self.height * bump)
+
     def deriv_angle(self, theta: float) -> float:
         t = self._signed_offset(theta) / self.width
         return 1.0 + (self.height / self.width) * self._bump_deriv(t)
@@ -317,6 +362,14 @@ class BumpDiffeo(Value):
             x = min(max(x, lo), hi)
         return wrap_angle(x)
 
+    def invert_angles(self, thetas: np.ndarray) -> np.ndarray:
+        # outside the support the first Newton step already meets the
+        # tolerance, so `invert_angle` returns the wrapped angle itself
+        out = wrap_angles(thetas)
+        inside = np.abs(self._offsets(thetas)) < 1.0
+        out[inside] = list(map(self.invert_angle, thetas[inside].tolist()))
+        return out
+
 
 class CirclePostComposeMap(Value):
     """bump after a base circle map (a perturbation leaving the group)."""
@@ -328,6 +381,9 @@ class CirclePostComposeMap(Value):
 
     def apply_angle(self, theta: float) -> float:
         return self.bump.apply_angle(self.base.apply_angle(theta))
+
+    def apply_angles(self, thetas: np.ndarray) -> np.ndarray:
+        return self.bump.apply_angles(self.base.apply_angles(thetas))
 
     def inverse(self) -> "CirclePreInverseMap":
         return CirclePreInverseMap(self.base.inverse(), self.bump)
@@ -343,6 +399,9 @@ class CirclePreInverseMap(Value):
 
     def apply_angle(self, theta: float) -> float:
         return self.base_inv.apply_angle(self.bump.invert_angle(theta))
+
+    def apply_angles(self, thetas: np.ndarray) -> np.ndarray:
+        return self.base_inv.apply_angles(self.bump.invert_angles(thetas))
 
 
 # ---------------------------------------------------------------------------
@@ -389,6 +448,27 @@ class WordPush:
             return self.space.point(MoebiusMap.apply_matrix_angle(self.matrix, x.value))
         return self.space.apply_maps([self.maps[l] for l in reversed(self.letters)], x)
 
+    @staticmethod
+    def angle_rows(pushes: Sequence["WordPush"], thetas: np.ndarray) -> np.ndarray:
+        """Row r of the (rows, k) angle array pushed by pushes[r], to the
+        floats of calling it on each angle.  The pushes are of one word grown
+        step by step, so each row's letters begin the last row's.  Moebius
+        rows apply their composed matrices entry by entry; letter rows take
+        one `apply_angles` call per position of the word, on the rows whose
+        word reaches it, the last position first."""
+        out, last = thetas.copy(), pushes[-1]
+        if last.matrix is not None:
+            moved = [r for r, push in enumerate(pushes) if push.letters]
+            mats = np.array([pushes[r].matrix for r in moved])
+            out[moved] = MoebiusMap.apply_matrix_angles(mats, thetas[moved])
+            return out
+        lengths = [len(push.letters) for push in pushes]
+        for pos in reversed(range(len(last.letters))):
+            first = bisect_right(lengths, pos)
+            rows = out[first:]
+            out[first:] = last.maps[last.letters[pos]].apply_angles(rows.ravel()).reshape(rows.shape)
+        return out
+
 
 def apply_letters(space: Space, maps: Mapping, letters: Sequence, x: Point) -> Point:
     """Image of x under the word spelled by `letters` (the last letter acts
@@ -422,7 +502,8 @@ class ActionSystem:
     """A finitely generated group acting on a metric space.
 
     `letter_maps` sends each signed generator (index, sign) to its self-map;
-    values are immutable and all evaluation is pure.
+    values are immutable and all evaluation is pure.  `net_fn` gives the
+    values of the limit net's points at a depth (an angle array on circles).
     """
 
     def __init__(
@@ -431,7 +512,7 @@ class ActionSystem:
         alphabet: Alphabet,
         space: Space,
         letter_maps: Mapping[Letter, object],
-        net_fn: Callable[[int], list],
+        net_fn: Callable[[int], Sequence],
         default_depth: int,
         meta: dict | None = None,
     ):
@@ -448,8 +529,12 @@ class ActionSystem:
             raise groups.AlphabetMismatchError("word over a different alphabet")
         return apply_letters(self.space, self.letter_maps, groups.letters_of(g), x)
 
-    def limit_net(self, depth: int | None = None) -> list:
+    def limit_values(self, depth: int | None = None):
+        """The values of the limit net's points (an angle array on circles)."""
         return self.net_fn(self.default_depth if depth is None else depth)
+
+    def limit_net(self, depth: int | None = None) -> list:
+        return [self.space.point(v) for v in self.limit_values(depth)]
 
     def generators(self) -> list:
         return self.alphabet.symmetric_generators()
@@ -496,8 +581,9 @@ def validate_inverses(system: ActionSystem, samples: Sequence[Point], tol: float
 
 
 def _construction_check(system: ActionSystem, samples: int = 64) -> ActionSystem:
-    """Light construction-time sanity: inverse round trips on a seeded sample."""
-    rng = np.random.default_rng(0)
+    """Light construction-time sanity: inverse round trips on a seeded sample
+    (drawn by the standard library, so that a job loads no `numpy.random`)."""
+    rng = random.Random(0)
     pts = [system.space.random_point(rng) for _ in range(samples)]
     validate_inverses(system, pts, tol=1e-9)
     return system
@@ -517,10 +603,9 @@ def make_cyclic_hyperbolic(multiplier: float) -> ActionSystem:
     alphabet = Alphabet.cyclic("g")
     gamma = MoebiusMap.from_matrix([[multiplier, 0.0], [0.0, 1.0 / multiplier]])
     maps = {(0, 1): gamma, (0, -1): gamma.inverse()}
-    fixed = [space.point(0.0), space.point(math.pi)]
 
-    def net_fn(depth: int) -> list:
-        return list(fixed)
+    def net_fn(depth: int) -> np.ndarray:
+        return np.array([0.0, math.pi])
 
     return _construction_check(ActionSystem(
         name=f"cyclic_hyperbolic(m={multiplier})",
@@ -545,10 +630,10 @@ def make_covered_cyclic(multiplier: float, k: int) -> ActionSystem:
     alphabet = Alphabet.cyclic("g")
     lifted = LiftedCircleMap(m2, k)
     maps = {(0, 1): lifted, (0, -1): lifted.inverse()}
-    fixed = [space.point((base_angle + TAU * j) / k) for base_angle in (0.0, math.pi) for j in range(k)]
+    fixed = [wrap_angle((base_angle + TAU * j) / k) for base_angle in (0.0, math.pi) for j in range(k)]
 
-    def net_fn(depth: int) -> list:
-        return list(fixed)
+    def net_fn(depth: int) -> np.ndarray:
+        return np.array(fixed)
 
     return _construction_check(ActionSystem(
         name=f"covered_cyclic(k={k})",
@@ -598,21 +683,20 @@ def make_schottky(matrices: Sequence | None = None) -> ActionSystem:
                         f"ping-pong failure: arcs of {keys[a]} and {keys[b]} overlap"
                     )
 
-    chars = [(i, s) for i in range(rank) for s in (1, -1)]
-    attracting = [(ch, maps[ch].fixed_angles()[0]) for ch in chars]
+    chars = [(i, s) for i in range(rank) for s in (1, -1)]  # chars[k ^ 1] inverts chars[k]
+    attracting = np.array([maps[ch].fixed_angles()[0] for ch in chars])
 
-    def net_fn(depth: int) -> list:
-        # one level per word length: (first letter, angle) of every reduced
-        # word in lexicographic order; a word's angle is its first letter
-        # applied to the angle of its tail, the word of the level below
-        level = attracting
+    def net_fn(depth: int) -> np.ndarray:
+        # one level per word length: the first letters and the angles of
+        # every reduced word in lexicographic order; a word's angle is its
+        # first letter applied to the angle of its tail, the word of the
+        # level below, one array call per letter
+        firsts, thetas = np.arange(len(chars)), attracting
         for _ in range(depth - 1):
-            longer = []
-            for ch in chars:
-                inv, step = (ch[0], -ch[1]), maps[ch].apply_angle
-                longer.extend((ch, step(theta)) for first, theta in level if first != inv)
-            level = longer
-        return [space.point(theta) for _, theta in level]
+            tails = [firsts != k ^ 1 for k in range(len(chars))]
+            thetas = np.concatenate([maps[ch].apply_angles(thetas[t]) for ch, t in zip(chars, tails)])
+            firsts = np.repeat(np.arange(len(chars)), [np.count_nonzero(t) for t in tails])
+        return thetas
 
     return _construction_check(ActionSystem(
         name=f"schottky(rank={rank})",
@@ -647,7 +731,7 @@ def make_free_boundary(rank: int, a: float) -> ActionSystem:
             words = [w + c for w in words for c in chars if c != letter_inverse(w[-1])]
         # pad by repeating the last letter (the word's own attracting tail),
         # so codes can shift well beyond the net depth
-        return [space.point(w + w[-1] * (space.depth - len(w))) for w in words]
+        return [w + w[-1] * (space.depth - len(w)) for w in words]
 
     return _construction_check(ActionSystem(
         name=f"free_boundary(rank={rank}, a={a})",
@@ -681,7 +765,7 @@ def make_zn_projective(diagonals: Sequence[Sequence[float]]) -> ActionSystem:
     basis = [tuple(1.0 if i == k else 0.0 for i in range(n + 1)) for k in range(n + 1)]
 
     def net_fn(depth: int) -> list:
-        return [space.point(v) for v in basis]
+        return basis
 
     return _construction_check(ActionSystem(
         name=f"zn_projective(n={n})",
@@ -733,9 +817,7 @@ def make_product(first: ActionSystem, second: ActionSystem, with_swap: bool = Fa
         maps[(alphabet.rank - 1, -1)] = _ProductLetterMap(-1)
 
     def net_fn(depth: int) -> list:
-        pts = [space.embed(0, p) for p in first.limit_net(depth)]
-        pts += [space.embed(1, p) for p in second.limit_net(depth)]
-        return pts
+        return [(0, v) for v in first.limit_values(depth)] + [(1, v) for v in second.limit_values(depth)]
 
     return ProductSystem(
         name=f"product({first.name}, {second.name}, swap={with_swap})",

@@ -3,6 +3,8 @@ against: recurrence of code orbits, the quasigeodesic sandwich for rays,
 independence of phi from the code, the continuity modulus of phi, and the
 finite-difference stretch.  No command reports these, so they live here and
 not in the package; `parse` inverts `groups.to_str` to write test words.
+The scalar loops that the array paths replaced (the Schottky limit net one
+angle at a time, the conjugacy one step at a time) are kept as oracles.
 The frozen dataclasses that points and spaces once were are kept as the
 reference for the equality and hash of `Point` and the `Space` kinds."""
 import math
@@ -12,7 +14,7 @@ from typing import Sequence
 import numpy as np
 
 from expaction import groups
-from expaction.coding import NotFound, Ray, _greedy_entry, _step, code_ray, make_code
+from expaction.coding import NotFound, Ray, _greedy_entry, _step, code_ray, greedy_step, make_code
 from expaction.expansion import SAFETY, ActionView
 from expaction.geometry import (
     Circle,
@@ -23,7 +25,8 @@ from expaction.geometry import (
     circle_dist,
 )
 from expaction.groups import CYCLIC, FREE, GENERIC, Alphabet, Word
-from expaction.stability import _conjugacy_from, conjugacy_point
+from expaction.stability import ConvergenceError, PointDiagnostics, _conjugacy_from, conjugacy_point
+from expaction.zoo import WordPush
 
 
 def parse(alphabet: Alphabet, text: str) -> Word:
@@ -168,6 +171,53 @@ def expansion_factor_fd(system, g: Word, x, h: float = 1e-6) -> float:
             best = min(best, num / den)
         return best
     raise TypeError(f"finite differences unsupported on {space.kind}")
+
+
+# ---------------------------------------------------------------------------
+# the scalar loops of the array paths
+
+
+def schottky_net_values(system, depth: int) -> list:
+    """The Schottky limit net's angles one at a time: one level per word
+    length, (first letter, angle) of every reduced word in lexicographic
+    order, a word's angle its first letter applied to the angle of its tail."""
+    maps = system.letter_maps
+    chars = [(i, s) for i in range(system.alphabet.rank) for s in (1, -1)]
+    level = [(ch, maps[ch].fixed_angles()[0]) for ch in chars]
+    for _ in range(depth - 1):
+        longer = []
+        for ch in chars:
+            inv, step = (ch[0], -ch[1]), maps[ch].apply_angle
+            longer.extend((ch, step(theta)) for first, theta in level if first != inv)
+        level = longer
+    return [theta for _, theta in level]
+
+
+def conjugacy_steps(ps, x, first, tol: float, max_depth: int) -> tuple:
+    """The conjugacy iteration one code step at a time, every point of the
+    pushed ball net pushed on its own: `stability._conjugacy_from` before it
+    pushed blocks of rows."""
+    datum, space = ps.datum, ps.base.space
+    base_view, pert_view = ps.base_view(), ps.view()
+    eps = ps.epsilon
+    lam_p, lip_p = datum.lam - eps, datum.lip + eps
+    delta = datum.delta
+    push = WordPush(space, pert_view.maps)
+    e, point = first
+    z_prev = None
+    for i in range(max_depth):
+        if i:
+            e, point = greedy_step(datum, base_view, point, delta)
+        push = push.grown(groups.letters_of(e.symbol))
+        z = push(point)
+        probes = [push(q) for q in space.ball_net(point, delta, 6)]
+        diam = space.set_diameter(probes)
+        bound = 2.0 * delta * lip_p / lam_p**i
+        step = space.raw_distance(z.value, z_prev.value) if z_prev is not None else math.inf
+        if diam < tol or bound < tol:
+            return z, PointDiagnostics(i + 1, min(diam, bound), step)
+        z_prev = z
+    raise ConvergenceError(x, 2.0 * delta * lip_p / lam_p**max_depth, max_depth)
 
 
 # ---------------------------------------------------------------------------

@@ -201,6 +201,17 @@ BAD_FIELDS = [
     ("product-matrix-jitter", _jittered("product"),
      "error: config field 'system.kind': matrix jitter unsupported on DisjointUnion\n",
      "stability"),
+    # a bump needs a circle and a translation conjugate Moebius maps; both
+    # name the system's kind before any work
+    ("free-boundary-bump",
+     {**_system("free_boundary"), "perturbation": {"family": "bump_compose", "height": 5e-6}},
+     "error: config field 'system.kind': bump perturbations need a circle system, not FreeBoundary\n",
+     "stability"),
+    ("covered-cyclic-translation",
+     {**_system("covered_cyclic"), "perturbation": {"family": "translation_conjugate", "t": 1e-3}},
+     "error: config field 'system.kind': translation conjugation needs a Moebius system, "
+     "not covered_cyclic(k=3)\n",
+     "stability"),
     # the perturbation is checked on every command, not only by stability
     ("perturbation-on-certify-shyp", {"perturbation": {"magnitude": "big"}},
      "'perturbation.magnitude'", "certify-shyp"),

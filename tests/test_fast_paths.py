@@ -4,13 +4,16 @@ Each reference below is the loop the fast path replaced, kept here so the
 fast path has an independent oracle; every comparison is exact (==, bit
 patterns or object identity), never approximate.
 """
+import functools
 import math
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from oracles import conjugacy_steps, schottky_net_values
 
 from expaction import groups, zoo
+from expaction.coding import CodingError, greedy_step
 from expaction.expansion import (
     LIP_SAFETY,
     SAFETY,
@@ -37,7 +40,13 @@ from expaction.geometry import (
     lebesgue_number,
     letter_inverse,
 )
-from expaction.stability import lipschitz_distance
+from expaction.stability import (
+    ConvergenceError,
+    _conjugacy_from,
+    lipschitz_distance,
+    make_perturbed,
+    net_pairs,
+)
 
 CIRCLES = [Circle(), CoveredCircle(degree=3)]
 # angles that wrap to the ends of [0, TAU) and to exact ties
@@ -183,7 +192,8 @@ def _all_pairs_strided(n, stride):
 @settings(max_examples=300, derandomize=True, deadline=None)
 @given(n=st.integers(0, 60), stride=st.integers(1, 2000))
 def test_strided_pairs_equal_the_all_pairs_enumeration(n, stride):
-    assert list(strided_pairs(n, stride)) == _all_pairs_strided(n, stride)
+    i, j = strided_pairs(n, stride)
+    assert list(zip(i.tolist(), j.tolist())) == _all_pairs_strided(n, stride)
 
 
 def _old_sample_pairs(points, count):
@@ -230,10 +240,14 @@ def _old_lipschitz_distance(space, map_a, map_b, net, max_pairs=10000):
 @settings(max_examples=60, derandomize=True, deadline=None)
 @given(
     values=st.lists(ANGLES, min_size=2, max_size=150),
+    twins=st.lists(st.integers(0, 149), max_size=6),
     max_pairs=st.integers(1, 3000),
     m=st.floats(1.05, 4.0),
 )
-def test_lipschitz_distance_equals_all_pairs_walk(values, max_pairs, m):
+def test_lipschitz_distance_equals_all_pairs_walk(values, twins, max_pairs, m):
+    # twins repeat net points, and a point 1e-14 off another, so that some
+    # pairs are coincident (d0 < 1e-13) and skipped
+    values = values + [values[k % len(values)] for k in twins] + [values[0] + 1e-14]
     space = Circle()
     net = [space.point(v) for v in values]
     base = zoo.MoebiusMap.from_matrix([[m, 0.0], [0.0, 1.0 / m]])
@@ -245,9 +259,26 @@ def test_lipschitz_distance_equals_all_pairs_walk(values, max_pairs, m):
     def map_b(x):
         return space.point(bumped.apply_angle(x.value))
 
-    assert lipschitz_distance(space, map_a, map_b, net, max_pairs) == _old_lipschitz_distance(
-        space, map_a, map_b, net, max_pairs
-    )
+    fast = lipschitz_distance(space, base, bumped, net_pairs(space, net, max_pairs))
+    assert fast.hex() == _old_lipschitz_distance(space, map_a, map_b, net, max_pairs).hex()
+
+
+def test_lipschitz_distance_on_projective_nets_equals_all_pairs_walk(zn_system, zn_datum):
+    # the generic path: the space's points, one raw distance at a time
+    space = zn_system.space
+    net = space.neighborhood(zn_datum.net, zn_datum.delta) + [zn_datum.net[0]]
+    pert = zoo.perturb(zn_system, zoo.MatrixJitter(1e-3, seed=4)).letter_maps
+    pairs = net_pairs(space, net, 40)
+    for letter, m in pert.items():
+        base = zn_system.letter_maps[letter]
+        slow = _old_lipschitz_distance(
+            space,
+            lambda x: space.apply_maps((base,), x),
+            lambda x: space.apply_maps((m,), x),
+            net,
+            40,
+        )
+        assert lipschitz_distance(space, base, m, pairs).hex() == slow.hex()
 
 
 # ---------------------------------------------------------------------------
@@ -550,3 +581,205 @@ def test_projective_cover_equals_the_per_point_loop(n, lam):
     radii, delta, lip = _old_projective_cover(system, lam)
     assert [e.region.radius for e in datum.entries if isinstance(e.region, BallRegion)] == radii
     assert (datum.delta, datum.lip) == (delta, lip)
+
+
+# ---------------------------------------------------------------------------
+# circle maps on angle arrays: each `apply_angles` against `apply_angle`
+
+
+def _hexes(values) -> list:
+    return [float(v).hex() for v in np.ravel(values)]
+
+
+def _near(theta: float, steps: int = 3) -> list:
+    """theta and its float neighbours, a few ulps and a few 1e-13 either side."""
+    out, lo, hi = [theta], theta, theta
+    for _ in range(steps):
+        lo, hi = math.nextafter(lo, -math.inf), math.nextafter(hi, math.inf)
+        out += [lo, hi]
+    return out + [theta + f * 1e-13 for f in (-3.0, -1.0, 1.0, 3.0)]
+
+
+ENTRIES = st.floats(-4.0, 4.0).filter(lambda v: abs(v) > 1e-3)
+
+
+@st.composite
+def moebius_maps(draw):
+    a, b, c = draw(ENTRIES), draw(st.floats(-4.0, 4.0)), draw(st.floats(-4.0, 4.0))
+    d = (1.0 + b * c) / a  # determinant 1 before from_matrix renormalizes
+    return zoo.MoebiusMap.from_matrix([[a, b], [c, d]])
+
+
+def _angle_cases(draw, specials: list) -> np.ndarray:
+    near = [t for s in draw(st.lists(st.sampled_from(specials), max_size=4)) for t in _near(s)]
+    return np.array(draw(st.lists(ANGLES, max_size=30)) + near + EDGE_ANGLES, dtype=float)
+
+
+@settings(max_examples=150, derandomize=True, deadline=None)
+@given(m=moebius_maps(), data=st.data())
+def test_moebius_apply_angles_equal_apply_angle(m, data):
+    fixed = list(m.pinned_angles) + [0.0, math.pi, TAU]
+    thetas = _angle_cases(data.draw, fixed)
+    assert _hexes(m.apply_angles(thetas)) == _hexes([m.apply_angle(t) for t in thetas.tolist()])
+
+
+@settings(max_examples=150, derandomize=True, deadline=None)
+@given(
+    maps=st.lists(moebius_maps(), min_size=1, max_size=4),
+    scales=st.lists(st.sampled_from([1.0, 1e-3, 1e50, 1e100, 3.7e100, 1e200]), min_size=4, max_size=4),
+    data=st.data(),
+)
+def test_matrix_rows_equal_apply_matrix_angle(maps, scales, data):
+    # raw products as `compose_moebius` leaves them: up to 1e100 before it rescales
+    mats = np.array([m.np_matrix * scales[r % 4] for r, m in enumerate(maps)])
+    thetas = np.array([data.draw(st.lists(ANGLES, min_size=7, max_size=7)) for _ in maps])
+    rows = zoo.MoebiusMap.apply_matrix_angles(mats, thetas)
+    slow = [[zoo.MoebiusMap.apply_matrix_angle(mat, t) for t in row] for mat, row in zip(mats, thetas.tolist())]
+    assert _hexes(rows) == _hexes(slow)
+
+
+@settings(max_examples=100, derandomize=True, deadline=None)
+@given(multiplier=st.floats(1.01, 30.0), degree=st.integers(2, 5), invert=st.booleans(), data=st.data())
+def test_lifted_apply_angles_equal_apply_angle(multiplier, degree, invert, data):
+    m = zoo.LiftedCircleMap(1.0 / multiplier if invert else multiplier, degree)
+    thetas = _angle_cases(data.draw, list(m.pinned_angles))
+    assert _hexes(m.apply_angles(thetas)) == _hexes([m.apply_angle(t) for t in thetas.tolist()])
+
+
+@st.composite
+def bumps(draw):
+    width = draw(st.floats(0.05, 2.0))
+    height = draw(st.floats(-0.7, 0.7)) * width / zoo.BumpDiffeo.MAX_SLOPE
+    return zoo.BumpDiffeo(draw(ANGLES), width, height)
+
+
+def _support_edges(bump: zoo.BumpDiffeo) -> list:
+    # the angles where |t| -> 1, and the center
+    return [bump.center + f * bump.width for f in (-1.0, 1.0)] + [bump.center]
+
+
+@settings(max_examples=150, derandomize=True, deadline=None)
+@given(bump=bumps(), data=st.data())
+def test_bump_apply_and_invert_angles_equal_the_scalar_maps(bump, data):
+    thetas = _angle_cases(data.draw, _support_edges(bump))
+    assert _hexes(bump.apply_angles(thetas)) == _hexes([bump.apply_angle(t) for t in thetas.tolist()])
+    assert _hexes(bump.invert_angles(thetas)) == _hexes([bump.invert_angle(t) for t in thetas.tolist()])
+
+
+@settings(max_examples=100, derandomize=True, deadline=None)
+@given(base=st.one_of(moebius_maps(), st.builds(zoo.LiftedCircleMap, st.floats(1.01, 9.0), st.integers(2, 4))),
+       bump=bumps(), data=st.data())
+def test_bumped_maps_apply_angles_equal_apply_angle(base, bump, data):
+    post = zoo.CirclePostComposeMap(base, bump)
+    for m in (post, post.inverse()):
+        thetas = _angle_cases(data.draw, _support_edges(bump) + list(base.pinned_angles))
+        assert _hexes(m.apply_angles(thetas)) == _hexes([m.apply_angle(t) for t in thetas.tolist()])
+
+
+# ---------------------------------------------------------------------------
+# the Schottky limit net as angle arrays
+
+
+@pytest.mark.parametrize("multiplier", [3.0, 4.5])
+@pytest.mark.parametrize("depth", range(1, 10))
+def test_schottky_limit_values_equal_the_level_recursion(multiplier, depth):
+    system = zoo.make_schottky(zoo.default_schottky_matrices(multiplier))
+    values = system.limit_values(depth)
+    assert _hexes(values) == _hexes(schottky_net_values(system, depth))
+    assert system.limit_net(depth) == [system.space.point(t) for t in schottky_net_values(system, depth)]
+
+
+# ---------------------------------------------------------------------------
+# the conjugacy in blocks of rows against the loop one step at a time
+
+
+@functools.lru_cache(maxsize=None)
+def _perturbed_systems() -> dict:
+    out = {}
+    for name, system, lam in (
+        ("schottky", zoo.make_schottky(), 1.4),
+        ("cyclic_hyperbolic", zoo.make_cyclic_hyperbolic(2.0), 1.5),
+        ("covered_cyclic", zoo.make_covered_cyclic(2.0, 3), 1.5),
+    ):
+        datum = build_expansion_datum(system, lam)
+        families = {
+            "matrix_jitter": zoo.perturb(system, zoo.MatrixJitter(3e-6, seed=7)),
+            "bump_compose": zoo.perturb(system, zoo.BumpCompose(1.0, 0.6, 5e-4)),
+        }
+        if all(isinstance(m, zoo.MoebiusMap) for m in system.letter_maps.values()):
+            families["translation_conjugate"] = zoo.translation_conjugate(system, 1e-3)
+        for family, maps in families.items():
+            out[name, family] = make_perturbed(system, datum, maps, 1)
+    return out
+
+
+PERTURBED_KEYS = [
+    (name, family)
+    for name in ("schottky", "cyclic_hyperbolic", "covered_cyclic")
+    for family in ("matrix_jitter", "bump_compose", "translation_conjugate")
+    if not (name == "covered_cyclic" and family == "translation_conjugate")
+]
+
+
+def _conjugacy_outcome(run, ps, x, tol, max_depth):
+    """What a conjugacy iteration gives, in bits: phi(x) and its diagnostics,
+    or the error it raises."""
+    first = greedy_step(ps.datum, ps.base_view(), x, ps.datum.delta)
+    try:
+        z, diag = run(ps, x, first, tol, max_depth)
+    except (CodingError, ConvergenceError) as err:
+        return type(err).__name__, str(err)
+    return z.space, z.value.hex(), diag.iterations, diag.stop_bound.hex(), diag.last_step.hex()
+
+
+@settings(max_examples=150, derandomize=True, deadline=None)
+@given(
+    key=st.sampled_from(PERTURBED_KEYS),
+    tol=st.sampled_from([1e-9, 1e-12, 1e-6, 1e-3, 1e-1]),
+    max_depth=st.sampled_from([200, 1, 5, 12, 13, 25]),
+    data=st.data(),
+)
+def test_row_conjugacy_equals_the_step_loop(key, tol, max_depth, data):
+    ps = _perturbed_systems()[key]
+    space = ps.base.space
+    x = data.draw(st.one_of(st.sampled_from(list(ps.datum.net)), ANGLES.map(space.point)))
+    try:
+        greedy_step(ps.datum, ps.base_view(), x, ps.datum.delta)
+    except CodingError:
+        return  # no first step: neither loop starts
+    assert _conjugacy_outcome(_conjugacy_from, ps, x, tol, max_depth) == _conjugacy_outcome(
+        conjugacy_steps, ps, x, tol, max_depth
+    )
+
+
+def _failing_step(ps, x) -> int:
+    """The first code step from x that finds no cover member."""
+    view, datum = ps.base_view(), ps.datum
+    e, point = greedy_step(datum, view, x, datum.delta)
+    for k in range(1, 200):
+        try:
+            e, point = greedy_step(datum, view, point, datum.delta)
+        except CodingError:
+            return k
+    raise AssertionError("the code of x never fails")
+
+
+def test_row_conjugacy_hides_a_coding_error_past_the_stop():
+    # a point off the limit set whose code fails at step 7 while the loop
+    # stops at step 2, inside the first block of rows: the error must not surface
+    ps = _perturbed_systems()["schottky", "matrix_jitter"]
+    x = ps.base.space.point(19 * TAU / 400)
+    assert _failing_step(ps, x) == 7 < ps.base.space.push_rows
+    fast = _conjugacy_outcome(_conjugacy_from, ps, x, 0.1, 200)
+    assert fast[2] == 2
+    assert fast == _conjugacy_outcome(conjugacy_steps, ps, x, 0.1, 200)
+
+
+@pytest.mark.parametrize("max_depth", [5, 12, 13, 30])
+def test_row_conjugacy_reaches_max_depth_as_the_step_loop(max_depth):
+    # at tol 0 no row stops: both loops run out of depth at the same step
+    ps = _perturbed_systems()["schottky", "bump_compose"]
+    x = ps.datum.net[5]
+    fast = _conjugacy_outcome(_conjugacy_from, ps, x, 0.0, max_depth)
+    assert fast[0] == "ConvergenceError"
+    assert fast == _conjugacy_outcome(conjugacy_steps, ps, x, 0.0, max_depth)

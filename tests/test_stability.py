@@ -17,6 +17,7 @@ from expaction.stability import (
     conjugacy_point,
     lipschitz_distance,
     make_perturbed,
+    net_pairs,
     perturbation_epsilon,
     perturbed_datum,
 )
@@ -61,14 +62,15 @@ def test_perturbation_epsilon_requires_positive_n(cyclic_datum):
 
 def test_lipschitz_distance_identical_and_rotation():
     c = Circle()
-    net = [c.point(t) for t in np.linspace(0, 2 * math.pi, 32, endpoint=False)]
-    ident = lambda p: p
-    assert lipschitz_distance(c, ident, ident, net) == 0.0
+    pairs = net_pairs(c, [c.point(t) for t in np.linspace(0, 2 * math.pi, 32, endpoint=False)])
+    ident = zoo.MoebiusMap(((1.0, 0.0), (0.0, 1.0)))
+    assert lipschitz_distance(c, ident, ident, pairs) == 0.0
     t = 0.037
-    rot = lambda p: c.point(p.value + t)
+    # the rotation of the disk chart by t, in the chart of the half-plane
+    rot = zoo.MoebiusMap(((math.cos(t / 2), math.sin(t / 2)), (-math.sin(t / 2), math.cos(t / 2))))
     # two isometries have identical stretch quotients, so the distance is
     # exactly the displacement
-    assert lipschitz_distance(c, ident, rot, net) == pytest.approx(t, abs=1e-12)
+    assert lipschitz_distance(c, ident, rot, pairs) == pytest.approx(t, abs=1e-12)
 
 
 def test_lipschitz_distance_conjugated_cyclic(cyclic_system, cyclic_datum):
@@ -94,8 +96,8 @@ def test_jitter_realized_distance_scales_linearly(schottky_system, schottky_datu
 
 def test_lipschitz_distance_rejects_singleton():
     c = Circle()
-    with pytest.raises(ValueError):
-        lipschitz_distance(c, lambda p: p, lambda p: p, [c.point(0.0)])
+    with pytest.raises(ValueError, match="at least two net points"):
+        net_pairs(c, [c.point(0.0)])
 
 
 # ---------------------------------------------------------------------------

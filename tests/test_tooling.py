@@ -5,7 +5,8 @@ package by name and raises at install time when one is gone, so a rename
 under src/ shows here instead of only in the slower benchmark suite.  And
 src/ holds only what the package reaches: a definition that only tests use
 belongs under tests/.  Every CLI job pays the package import again, so what
-that import declares is pinned here, by a count, not a timing."""
+that import declares is pinned here, by a count, not a timing; so are the
+modules a job loads and the points the Schottky datum makes."""
 import ast
 import importlib.util
 import json
@@ -106,3 +107,57 @@ def test_the_cli_import_declares_no_more_dataclasses_than_kept():
     assert proc.returncode == 0, proc.stderr
     processed = json.loads(proc.stdout)
     assert len(processed) <= KEPT_DATACLASSES, processed
+
+
+# a CLI job in a fresh interpreter: whether it loaded numpy's random module
+RANDOM_PROBE = """
+import sys
+from expaction import cli
+status = cli.main(sys.argv[1:])
+print(status, "numpy.random" in sys.modules)
+"""
+
+
+@pytest.mark.parametrize(
+    "command, config, loads_random",
+    [
+        ("verify-expansion", {"system": {"kind": "free_boundary"}}, False),
+        ("stability", {"perturbation": {"family": "bump_compose", "height": 5e-6}}, False),
+        ("stability", {"perturbation": {"family": "matrix_jitter", "magnitude": 3e-6}}, True),
+    ],
+    ids=["free-verify-expansion", "bump-stability", "jitter-stability"],
+)
+def test_only_seeded_jitter_loads_numpy_random(tmp_path, command, config, loads_random):
+    # the construction check draws from the standard library; numpy's
+    # generator (about 5 MB of a job's peak memory) serves matrix jitter only
+    cfg = tmp_path / "config.json"
+    cfg.write_text(json.dumps(config))
+    path = os.pathsep.join([str(PACKAGE.parent), os.environ.get("PYTHONPATH", "")])
+    proc = subprocess.run(
+        [sys.executable, "-c", RANDOM_PROBE, command, "--config", str(cfg), "--out", str(tmp_path / "out")],
+        env=dict(os.environ, PYTHONPATH=path), capture_output=True, text=True, timeout=300,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == f"0 {loads_random}"
+
+
+# Points made while the default Schottky datum is built: the 108 of the
+# working net and the 432 of its delta-neighborhood; the 26,244 angles of the
+# depth-9 probe net reach the Lebesgue number as an array
+SCHOTTKY_DATUM_POINTS = 540
+
+
+def test_the_schottky_datum_builds_no_point_of_its_probe_net(monkeypatch):
+    from expaction import expansion, geometry
+
+    system = zoo.make_schottky()
+    made, init = [], geometry.Point.__init__
+
+    def counting(self, space, value):
+        made.append(value)
+        init(self, space, value)
+
+    monkeypatch.setattr(geometry.Point, "__init__", counting)
+    datum = expansion.build_expansion_datum(system, 1.4)
+    assert len(datum.net) == 108
+    assert len(made) <= SCHOTTKY_DATUM_POINTS < 26244
