@@ -127,17 +127,20 @@ def _perturbation(raw, path: str, root: dict) -> dict:
     return raw
 
 
-def _schottky(multiplier: float, matrices) -> zoo.ActionSystem:
-    """The group of the given matrices, or else of the multiplier's default
-    pair.  The multiplier has no bound in the table (its ping-pong bound is
-    not a plain least value), so a pair that fails the constructor's checks
-    names it here."""
-    if matrices is not None:
-        return zoo.make_schottky(matrices)
+def _constructed(field: str, make, *args) -> zoo.ActionSystem:
+    """make(*args), whose construction errors name the param `field`: the
+    checks a constructor makes of its input are not plain least values."""
     try:
-        return zoo.make_schottky(zoo.default_schottky_matrices(multiplier))
+        return make(*args)
     except zoo.ConstructionError as err:
-        raise ConfigError("system.params.multiplier", str(err)) from None
+        raise ConfigError(f"system.params.{field}", str(err)) from None
+
+
+def _schottky(multiplier: float, matrices) -> zoo.ActionSystem:
+    """The group of the given matrices, or else of the multiplier's default pair."""
+    if matrices is not None:
+        return _constructed("matrices", zoo.make_schottky, matrices)
+    return _constructed("multiplier", lambda: zoo.make_schottky(zoo.default_schottky_matrices(multiplier)))
 
 
 def _product(component: dict, with_swap: bool) -> zoo.ActionSystem:
@@ -165,7 +168,7 @@ SYSTEMS = {  # kind -> (constructor taking the params in order, params)
         {"rank": Field(int, 2, 2), "a": Field(float, 2.0, 1.0, high=2.0)},
     ),
     "zn_projective": (
-        lambda *p: zoo.make_zn_projective(*p),
+        lambda *p: _constructed("diagonals", zoo.make_zn_projective, *p),
         {"diagonals": Field("diagonals", [[9.0, 1.0, 3.0], [9.0, 3.0, 1.0]])},
     ),
     "product": (_product, {
@@ -175,40 +178,17 @@ SYSTEMS = {  # kind -> (constructor taking the params in order, params)
 }
 SYSTEM = {"kind": Field(tuple(SYSTEMS), "schottky"), "params": Field(dict, {})}
 
-def _jitter(system: zoo.ActionSystem, magnitude: float, *params) -> zoo.PerturbedMaps:
-    """The jittered maps.  Nonzero jitter on a space that takes no
-    perturbation names the system's kind; zero jitter moves no map."""
-    if magnitude and not system.space.perturbable:
-        raise ConfigError("system.kind", f"matrix jitter unsupported on {system.space.kind}")
-    return zoo.perturb(system, zoo.MatrixJitter(magnitude, *params))
-
-
-def _bump(system: zoo.ActionSystem, *params) -> zoo.PerturbedMaps:
-    """The bumped maps; a system off the circle names its kind."""
-    if not system.space.angular:
-        raise ConfigError("system.kind", f"bump perturbations need a circle system, not {system.space.kind}")
-    return zoo.perturb(system, zoo.BumpCompose(*params))
-
-
-def _translation(system: zoo.ActionSystem, t: float) -> zoo.PerturbedMaps:
-    """The conjugated maps; a system of other than Moebius maps, the one
-    construction error of a conjugation, names its kind."""
-    try:
-        return zoo.translation_conjugate(system, t)
-    except zoo.ConstructionError as err:
-        raise ConfigError("system.kind", f"{err}, not {system.name}") from None
-
-
 PERTURBATIONS = {  # family -> (maker of a system's perturbed maps, params)
-    "matrix_jitter": (_jitter, {
+    "matrix_jitter": (lambda system, *p: zoo.perturb(system, zoo.MatrixJitter(*p)), {
         "magnitude": Field(float, 0.0),
         "seed": Field(int, lambda cfg: cfg["net"]["seed"], 0),
         "diagonal_only": Field(bool, False),
     }),
     "bump_compose": (
-        _bump, {"center": Field(float, 0.7), "width": Field(float, 0.5), "height": Field(float, 0.0)}
+        lambda system, *p: zoo.perturb(system, zoo.BumpCompose(*p)),
+        {"center": Field(float, 0.7), "width": Field(float, 0.5), "height": Field(float, 0.0)},
     ),
-    "translation_conjugate": (_translation, {"t": Field(float, 0.0)}),
+    "translation_conjugate": (lambda *p: zoo.translation_conjugate(*p), {"t": Field(float, 0.0)}),
 }
 FAMILY = Field(tuple(PERTURBATIONS), "matrix_jitter")
 
@@ -248,12 +228,16 @@ def build_system(system: dict) -> zoo.ActionSystem:
 
 
 def build_perturbation(cfg: dict, system: zoo.ActionSystem):
-    """The system's perturbed maps under the checked config's perturbation."""
+    """The system's perturbed maps under the checked config's perturbation;
+    a family that the system's kind does not take names that kind."""
     given = cfg["perturbation"]
     make, params = PERTURBATIONS[given.get("family", FAMILY.default)]
     values = _read({"family": FAMILY, **params}, given, "perturbation", cfg)
     del values["family"]
-    return make(system, *values.values())
+    try:
+        return make(system, *values.values())
+    except zoo.KindError as err:
+        raise ConfigError("system.kind", str(err)) from None
 
 
 # ---------------------------------------------------------------------------
@@ -265,14 +249,13 @@ def write_json(path: Path, obj) -> None:
     path.write_text(json.dumps(obj, sort_keys=True, indent=2) + "\n")
 
 
-def write_csv(path: Path, rows: list, fieldnames: list | None = None) -> None:
+def write_csv(path: Path, rows: list) -> None:
     path.parent.mkdir(parents=True, exist_ok=True)
     if not rows:
         path.write_text("")
         return
-    fieldnames = fieldnames or list(rows[0].keys())
     with path.open("w", newline="") as fh:
-        writer = csv.DictWriter(fh, fieldnames=fieldnames)
+        writer = csv.DictWriter(fh, fieldnames=list(rows[0]))
         writer.writeheader()
         writer.writerows(rows)
 
@@ -409,11 +392,8 @@ def cmd_codes(cfg: dict, out: Path) -> int:
     if system.space.angular and sample:
         x = sample[0]
         code = coding.make_code(datum, system, datum.delta, x, cfg["codes"]["depth"])
-        steps = coding.nested_images(system, datum, code, datum.delta)
-        arcs = []
-        theta = x.value
-        for st in steps[: min(6, len(steps))]:
-            arcs.append((theta, st.diameter / 2.0, f"step {st.i}"))
+        diameters = coding.nested_images(system, datum, code, datum.delta)
+        arcs = [(x.value, diam / 2.0, f"step {i}") for i, diam in enumerate(diameters[:6])]
         write_circle_svg(out / "nested.svg", arcs, [x.value for x in datum.net])
     for row in rows[:20]:
         print(row)
@@ -509,7 +489,7 @@ def cmd_stability(cfg: dict, out: Path) -> int:
         return 1
     table = stability.conjugacy_map(ps, tol=cfg["tolerances"]["tol"])
     disp = stability.check_displacement(table, ps)
-    inj = stability.check_injectivity(table, ps)
+    injective = stability.check_injectivity(table, ps)
     residual = max(table.residuals.values()) if table.residuals else 0.0
     datum_p = stability.perturbed_datum(datum, ps, datum.delta / 5.0, table)
     verify_p = expansion.verify_expansion(ps.view(), datum_p, tol=cfg["tolerances"]["tol"])
@@ -517,7 +497,7 @@ def cmd_stability(cfg: dict, out: Path) -> int:
         not table.failures
         and disp.below_eps
         and disp.below_delta_fifth
-        and inj.ok
+        and injective
         and residual < 1e-6
         and verify_p.passed
     )
@@ -535,7 +515,7 @@ def cmd_stability(cfg: dict, out: Path) -> int:
             "below_delta_fifth": disp.below_delta_fifth,
         },
         "equivariance_residual": residual,
-        "injective": inj.ok,
+        "injective": injective,
         "failures": len(table.failures),
         "perturbed_datum": _datum_summary(datum_p),
         "perturbed_verify": verify_p.rows(),
@@ -552,7 +532,7 @@ def cmd_stability(cfg: dict, out: Path) -> int:
         )
     print(
         f"displacement {disp.max_displacement:.3e} (eps {ps.epsilon:.3e}) "
-        f"residual {residual:.3e} injective {inj.ok}"
+        f"residual {residual:.3e} injective {injective}"
     )
     return 0 if passed else 1
 
@@ -582,9 +562,13 @@ def main(argv: list | None = None) -> int:
     raw = {}
     if args.config is not None:
         try:
-            raw = json.loads(Path(args.config).read_text())
+            raw = json.loads(args.config.read_text(encoding="utf-8"))
         except json.JSONDecodeError as err:
             print(f"config parse error at line {err.lineno}: {err.msg}", file=sys.stderr)
+            return 2
+        except (OSError, UnicodeDecodeError) as err:
+            why = err.strerror if isinstance(err, OSError) else "not UTF-8 text"
+            print(f"error: cannot read config {args.config}: {why}", file=sys.stderr)
             return 2
     for section, key, field in FLAGS:  # a flag overrides its field and passes its checks
         value = getattr(args, field.flag[2:])

@@ -1,5 +1,5 @@
-"""Symbolic codes and rays, nested image neighborhoods, expansivity
-witnesses, hyperbolicity certificates, and the coding map to the boundary.
+"""Symbolic codes and rays, nested image neighborhoods, hyperbolicity
+certificates, and the coding map to the boundary.
 
 A code (alpha, p) tracks a limit point x = p_0 through the cover: at every
 step the inverse of the chosen label is applied, p_{i+1} = rho(s^-1)(p_i),
@@ -18,7 +18,7 @@ import numpy as np
 from . import groups, zoo
 from .expansion import ActionView, CoverEntry, ExpansionDatum
 from .geometry import Point, Value
-from .groups import BoundaryWord, Word, boundary_prefix
+from .groups import BoundaryWord, boundary_prefix
 from .zoo import ActionSystem
 
 
@@ -31,7 +31,6 @@ class Code(NamedTuple):
 
     alphas: tuple  # entry indices, length n+1
     points: tuple  # p_0..p_{n+1}, length n+2
-    eta: float
     special: bool
 
 
@@ -108,7 +107,7 @@ def make_code(
         e = _greedy_entry(datum, points[-1], eta, reverse_ties)
         alphas.append(e.index)
         points.append(_step(view, e, points[-1]))
-    return Code(tuple(alphas), tuple(points), eta, True)
+    return Code(tuple(alphas), tuple(points), True)
 
 
 def enumerate_codes(
@@ -140,7 +139,7 @@ def enumerate_codes(
         branches = nxt
     entry_map = _entry_map(datum)
     codes = [
-        Code(tuple(a), tuple(p), eta, entry_map[a[0]].region.margin(x) >= eta)
+        Code(tuple(a), tuple(p), entry_map[a[0]].region.margin(x) >= eta)
         for a, p in branches
     ]
     return codes, truncated
@@ -166,14 +165,6 @@ def code_ray(datum: ExpansionDatum, code: Code) -> Ray:
 # nested neighborhoods
 
 
-class NestedStep(NamedTuple):
-    i: int
-    diameter: float
-    bound: float
-    nesting_slack: float  # max(0, one-step image overshoot beyond the eta-ball)
-    contains_x_error: float
-
-
 def _word_pushers(view: ActionView, datum: ExpansionDatum, code: Code) -> list:
     """Per-depth evaluators z -> rho(c_i)(z): the prefixes of one growing
     `zoo.WordPush` where it composes the maps, so pushing many ball points
@@ -189,89 +180,18 @@ def _word_pushers(view: ActionView, datum: ExpansionDatum, code: Code) -> list:
 
 
 def nested_images(
-    system: ActionSystem | ActionView,
-    datum: ExpansionDatum,
-    code: Code,
-    eta: float,
-    boundary_points: int = 64,
+    system: ActionSystem | ActionView, datum: ExpansionDatum, code: Code, eta: float
 ) -> list:
-    """Image neighborhoods rho(c_i)[B_eta(p_{i+1})]: diameters against the
-    contraction bound 2*lip*eta/lam^i and the one-step nesting certificate
-    rho(s_{alpha(i)})[B_eta(p_{i+1})] inside B_eta(p_i)."""
+    """Diameters of the image neighborhoods rho(c_i)[B_eta(p_{i+1})], one per
+    step of the code."""
     view = system if isinstance(system, ActionView) else ActionView(system)
     space = view.space
-    entry_map = _entry_map(datum)
-    ray = code_ray(datum, code)
+    code_ray(datum, code)  # raises on a datum whose ray letters cancel
     pushers = _word_pushers(view, datum, code)
-    steps = []
-    for i in range(len(code.alphas)):
-        p_next = code.points[i + 1]
-        net = space.ball_net(p_next, eta, boundary_points)
-        pushed = [pushers[i](z) for z in net]
-        diam = space.set_diameter(pushed)
-        bound = 2.0 * datum.lip * eta / datum.lam**i
-        if i >= 1:
-            sym = entry_map[code.alphas[i]].symbol
-            one_step = [view.apply_word(sym, z) for z in net]
-            overshoot = max(
-                space.raw_distance(z.value, code.points[i].value) for z in one_step
-            )
-            nest_slack = max(0.0, overshoot - eta)
-        else:
-            nest_slack = 0.0
-        cx = space.raw_distance(pushers[i](p_next).value, code.points[0].value)
-        steps.append(NestedStep(i, diam, bound, nest_slack, cx))
-    return steps
-
-
-# ---------------------------------------------------------------------------
-# expansivity
-
-
-class ExpansivityWitness(NamedTuple):
-    n: int
-    separation: float
-    word: Word  # group element realizing the separation (identity for n = 0)
-
-
-class NotFound(NamedTuple):
-    depth: int
-    best: float
-
-
-def expansivity_witness(
-    datum: ExpansionDatum,
-    system: ActionSystem | ActionView,
-    x: Point,
-    y: Point,
-    max_depth: int = 200,
-    slack: float = 1e-6,
-) -> ExpansivityWitness | NotFound:
-    """Smallest number of steps along a greedy code for x after which x and y
-    are delta-separated; n counts applied letters (0 = already separated)."""
-    view = system if isinstance(system, ActionView) else ActionView(system)
-    space = view.space
-    threshold = datum.delta * (1.0 - slack)
-    d0 = space.raw_distance(x.value, y.value)
-    if d0 <= 0.0:
-        raise ValueError("expansivity witness needs distinct points")
-    ident = datum.entries[0].symbol.alphabet.identity()
-    if d0 >= threshold:
-        return ExpansivityWitness(0, d0, ident)
-    xi, yi = x, y
-    word = ident
-    best = d0
-    for n in range(1, max_depth + 1):
-        e = _greedy_entry(datum, xi, datum.delta)
-        inv = e.backward[0]
-        xi = _step(view, e, xi)
-        yi = view.apply_word(inv, yi)
-        word = groups.multiply(word, inv)
-        sep = space.raw_distance(xi.value, yi.value)
-        best = max(best, sep)
-        if sep >= threshold:
-            return ExpansivityWitness(n, sep, word)
-    return NotFound(max_depth, best)
+    return [
+        space.set_diameter([push(z) for z in space.ball_net(p, eta)])
+        for push, p in zip(pushers, code.points[1:])
+    ]
 
 
 # ---------------------------------------------------------------------------

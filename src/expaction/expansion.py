@@ -34,9 +34,10 @@ from .geometry import (
 from .groups import Word
 from .zoo import ActionSystem
 
-GRID_SIZE = 20000
+GRID_SIZE = 20000  # angles of the expansion-factor grid of `_build_circle`
 SAFETY = 0.9
 LIP_SAFETY = 1.01
+PAIR_COUNT = 400  # point pairs `verify_expansion` samples (half as many per expansion entry)
 
 
 class UncoverableError(ValueError):
@@ -129,10 +130,7 @@ class ActionView:
 
 
 def build_expansion_datum(
-    system: ActionSystem,
-    lam_target: float,
-    net_depth: int | None = None,
-    grid_size: int = GRID_SIZE,
+    system: ActionSystem, lam_target: float, net_depth: int | None = None
 ) -> ExpansionDatum:
     """Cover construction at the requested expansion rate, by the builder of
     the system's space class in `COVER_BUILDERS`.
@@ -146,7 +144,7 @@ def build_expansion_datum(
         raise ValueError("lam_target must exceed 1")
     for cls in type(system.space).__mro__:
         if cls in COVER_BUILDERS:
-            return COVER_BUILDERS[cls](system, lam_target, net_depth, grid_size)
+            return COVER_BUILDERS[cls](system, lam_target, net_depth)
     raise ValueError(f"no cover builder for {system.space.kind}")
 
 
@@ -193,17 +191,17 @@ def _certified_datum(system, entries, lam_target, net, leb, lip_of):
     if leb <= 0:
         _fail_uncoverable(system, net, lam_target)
     delta = float(SAFETY * leb)
-    values = [x.value for x in system.space.neighborhood(net, delta)]
+    values = system.space.values(system.space.neighborhood(net, delta))
     lip_raw = max(lip_of(m, values) for m in system.letter_maps.values())
     lip = float(LIP_SAFETY * max(lip_raw, lam_target))
     return ExpansionDatum(tuple(entries), delta, lam_target, lip, tuple(net))
 
 
-def _build_circle(system, lam_target, net_depth, grid_size):
+def _build_circle(system, lam_target, net_depth):
     space = system.space
     net = system.limit_net(net_depth)
-    step = TAU / grid_size
-    thetas = np.arange(grid_size) * step
+    step = TAU / GRID_SIZE
+    thetas = np.arange(GRID_SIZE) * step
     entries = []
     pos = 0
     for i in range(system.alphabet.rank):
@@ -243,11 +241,11 @@ def _build_circle(system, lam_target, net_depth, grid_size):
     leb, _ = space.lebesgue_angles([e.region for e in entries], np.concatenate([angles, probe]))
     return _certified_datum(
         system, entries, lam_target, net, leb,
-        lambda m, ts: max(m.deriv_angle(t) for t in ts),
+        lambda m, ts: float(m.deriv_angles(ts).max()),
     )
 
 
-def _build_cylinders(system, lam_target, net_depth, grid_size):
+def _build_cylinders(system, lam_target, net_depth):
     space = system.space
     net = system.limit_net(net_depth)
     a = space.a
@@ -269,7 +267,7 @@ def _build_cylinders(system, lam_target, net_depth, grid_size):
     return ExpansionDatum(tuple(entries), delta, a, a, tuple(net))
 
 
-def _build_projective(system, lam_target, net_depth, grid_size):
+def _build_projective(system, lam_target, net_depth):
     space = system.space
     net = system.limit_net(net_depth)
     n = system.alphabet.rank
@@ -326,10 +324,10 @@ def _build_projective(system, lam_target, net_depth, grid_size):
     )
 
 
-def _build_product(system, lam_target, net_depth, grid_size):
+def _build_product(system, lam_target, net_depth):
     first, second = system.components
-    d1 = build_expansion_datum(first, lam_target, net_depth, grid_size)
-    d2 = build_expansion_datum(second, lam_target, net_depth, grid_size)
+    d1 = build_expansion_datum(first, lam_target, net_depth)
+    d2 = build_expansion_datum(second, lam_target, net_depth)
     space = system.space
     alphabet = system.alphabet
     id1, id2 = first.alphabet.identity(), second.alphabet.identity()
@@ -439,10 +437,7 @@ def _sample_pairs(points: list, count: int) -> list:
 
 
 def verify_expansion(
-    view: ActionView | ActionSystem,
-    datum: ExpansionDatum,
-    pair_count: int = 400,
-    tol: float = 1e-9,
+    view: ActionView | ActionSystem, datum: ExpansionDatum, tol: float = 1e-9
 ) -> VerificationReport:
     """Sampled verification of the datum's defining inequalities.
 
@@ -474,7 +469,7 @@ def verify_expansion(
     samples = space.neighborhood(datum.net, datum.delta)
     for e in datum.nonempty_entries():
         samples.extend(e.region.sample(8))
-    pairs = _sample_pairs(samples, pair_count)
+    pairs = _sample_pairs(samples, PAIR_COUNT)
     worst_lip, lip_witness = math.inf, ""
     for letter in view.letters():
         for x, y in pairs:
@@ -500,7 +495,7 @@ def verify_expansion(
         inv_word = groups.inverse(e.symbol)
         inside = [p for p in samples if e.region.margin(p) > 0]
         inside.extend(e.region.sample(12))
-        for x, y in _sample_pairs(inside, pair_count // 2):
+        for x, y in _sample_pairs(inside, PAIR_COUNT // 2):
             d0 = space.raw_distance(x.value, y.value)
             if d0 < 1e-13:
                 continue

@@ -637,13 +637,11 @@ class DisjointUnion(Space):
         self.components, self.separation = components, separation
 
     @staticmethod
-    def of(components: Sequence[Space], separation: float | None = None) -> "DisjointUnion":
+    def of(components: Sequence[Space]) -> "DisjointUnion":
+        """The union at one more than the largest component diameter apart,
+        which keeps the triangle inequality across components."""
         comps = tuple(components)
-        if separation is None:
-            separation = max(c.diameter for c in comps) + 1.0
-        if any(c.diameter > 2.0 * separation for c in comps):
-            raise ValueError("separation too small for the triangle inequality")
-        return DisjointUnion(comps, float(separation))
+        return DisjointUnion(comps, float(max(c.diameter for c in comps) + 1.0))
 
     @property
     def diameter(self) -> float:

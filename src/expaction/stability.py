@@ -11,13 +11,12 @@ nested images z_i = rho'(c_i)(p_{i+1}) along a special code for x.
 """
 from __future__ import annotations
 
-import math
 from typing import Mapping, NamedTuple, Optional, Sequence
 
 import numpy as np
 
 from . import groups
-from .coding import CodingError, expansivity_witness, greedy_step
+from .coding import CodingError, greedy_step
 from .expansion import (
     SAFETY,
     ActionView,
@@ -93,13 +92,11 @@ class PerturbedSystem:
         base: ActionSystem,
         datum: ExpansionDatum,
         maps: PerturbedMaps,
-        n_const: int,
-        k_net: tuple,
         realized: Mapping[str, float],
         epsilon: float,
     ):
-        self.base, self.datum, self.maps, self.n_const = base, datum, maps, n_const
-        self.k_net, self.realized, self.epsilon = k_net, realized, epsilon
+        self.base, self.datum, self.maps = base, datum, maps
+        self.realized, self.epsilon = realized, epsilon
 
     def view(self) -> ActionView:
         return ActionView(self.base, self.maps)
@@ -121,25 +118,19 @@ class PerturbedSystem:
 
 
 def make_perturbed(
-    system: ActionSystem,
-    datum: ExpansionDatum,
-    maps: PerturbedMaps,
-    n_const: int,
-    k_net: Sequence[Point] | None = None,
+    system: ActionSystem, datum: ExpansionDatum, maps: PerturbedMaps, n_const: int
 ) -> PerturbedSystem:
     """Wrap perturbed maps with realized Lipschitz distances over the closed
-    delta-neighborhood net K."""
+    delta-neighborhood net K, and the admissible radius of the fellow-travel
+    constant n_const."""
     ActionView(system, maps)  # refuses a space that takes no perturbation
-    if k_net is None:
-        k_net = system.space.neighborhood(datum.net, datum.delta)
-    k_net = tuple(k_net)
     eps = perturbation_epsilon(datum, n_const)
-    pairs = net_pairs(system.space, k_net)
+    pairs = net_pairs(system.space, system.space.neighborhood(datum.net, datum.delta))
     realized = {}
     for letter, m in maps.letter_maps.items():
         name = str(system.alphabet.generator(letter[0], letter[1]))
         realized[name] = lipschitz_distance(system.space, system.letter_maps[letter], m, pairs)
-    return PerturbedSystem(system, datum, maps, n_const, k_net, realized, eps)
+    return PerturbedSystem(system, datum, maps, realized, eps)
 
 
 # ---------------------------------------------------------------------------
@@ -149,7 +140,6 @@ def make_perturbed(
 class PointDiagnostics(NamedTuple):
     iterations: int
     stop_bound: float  # contraction bound at the stopping index
-    last_step: float  # distance between the final two iterates
 
 
 def conjugacy_point(
@@ -188,7 +178,7 @@ def _conjugacy_from(ps: PerturbedSystem, x: Point, first: tuple, tol: float, max
 
     push = WordPush(space, pert_view.maps)  # grown by the code's symbols, unreduced
     e, point = first
-    z_prev, i = None, 0
+    i = 0
     while i < max_depth:
         pushes, centers, failed = [], [], None
         while len(pushes) < min(space.push_rows, max_depth - i):
@@ -203,10 +193,9 @@ def _conjugacy_from(ps: PerturbedSystem, x: Point, first: tuple, tol: float, max
             centers.append(point)
         for z, diam in space.push_balls(pushes, centers, delta, 6) if pushes else ():
             bound = 2.0 * delta * lip_p / lam_p**i
-            step = space.raw_distance(z.value, z_prev.value) if z_prev is not None else math.inf
             if diam < tol or bound < tol:
-                return z, PointDiagnostics(i + 1, min(diam, bound), step)
-            z_prev, i = z, i + 1
+                return z, PointDiagnostics(i + 1, min(diam, bound))
+            i += 1
         if failed is not None:
             raise failed
     raise ConvergenceError(x, 2.0 * delta * lip_p / lam_p**max_depth, max_depth)
@@ -312,36 +301,12 @@ def check_equivariance(table: ConjugacyTable, ps: PerturbedSystem) -> float:
     return worst_overall
 
 
-class InjectivityReport(NamedTuple):
-    ok: bool
-    min_image_distance: float
-    worst_pair: Optional[tuple]
-    expansivity_note: str = ""
-
-
-def check_injectivity(table: ConjugacyTable, ps: PerturbedSystem) -> InjectivityReport:
-    """Distinct net points must have distinct images; a collapsed pair is
-    replayed through the expansivity witness to exhibit the contradiction."""
+def check_injectivity(table: ConjugacyTable, ps: PerturbedSystem) -> bool:
+    """Distinct net points have distinct images: no two entries' phi values
+    lie at distance 0."""
     space = ps.base.space
-    entries = table.entries
-    worst, pair = math.inf, None
-    for i in range(len(entries)):
-        for j in range(i + 1, len(entries)):
-            d = space.raw_distance(entries[i].phi.value, entries[j].phi.value)
-            if d < worst:
-                worst, pair = d, (entries[i], entries[j])
-    if pair is None:
-        return InjectivityReport(True, math.inf, None)
-    ok = worst > 0.0
-    note = ""
-    if not ok:
-        w = expansivity_witness(ps.datum, ps.base, pair[0].x, pair[1].x)
-        if hasattr(w, "separation"):
-            note = (
-                f"collapsed pair is {w.separation:.3e}-separated by a word of "
-                f"length {w.n}, contradicting displacement < delta/2"
-            )
-    return InjectivityReport(ok, worst, (pair[0].x, pair[1].x), note)
+    phis = [e.phi.value for e in table.entries]
+    return all(space.raw_distance(a, b) > 0.0 for i, a in enumerate(phis) for b in phis[i + 1 :])
 
 
 class DisplacementReport(NamedTuple):
@@ -360,10 +325,7 @@ def check_displacement(table: ConjugacyTable, ps: PerturbedSystem) -> Displaceme
 
 
 def perturbed_datum(
-    datum: ExpansionDatum,
-    ps: PerturbedSystem,
-    r: float,
-    table: ConjugacyTable | None = None,
+    datum: ExpansionDatum, ps: PerturbedSystem, r: float, table: ConjugacyTable
 ) -> ExpansionDatum:
     """Expansion datum for the perturbed action: regions shrunk by r and
     clipped to the (delta - r)-neighborhood of the limit set, with
@@ -389,7 +351,7 @@ def perturbed_datum(
             radius=datum.delta - r,
         )
         new_entries.append(CoverEntry(e.index, e.symbol, clipped))
-    net_p = tuple(table.image_net()) if table is not None else datum.net
+    net_p = tuple(table.image_net())
     regions = [e.region for e in new_entries]
     leb, witness = lebesgue_number(regions, net_p)
     if leb <= 0:

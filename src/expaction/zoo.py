@@ -35,10 +35,15 @@ from .geometry import (
 from .groups import Alphabet, Word
 
 Letter = tuple  # (generator index, +1 | -1)
+SNAP_TOL = 5e-13  # how near a fixed angle `snap_angle` pins an orbit to it
 
 
 class ConstructionError(ValueError):
     """Raised when a zoo constructor's validation fails."""
+
+
+class KindError(ConstructionError):
+    """A perturbation that the system's kind does not take."""
 
 
 # ---------------------------------------------------------------------------
@@ -479,17 +484,17 @@ def apply_letters(space: Space, maps: Mapping, letters: Sequence, x: Point) -> P
     return space.apply_maps([maps[letter] for letter in letters], x)
 
 
-def snap_angle(map_obj, theta_in: float, theta_out: float, tol: float = 5e-13) -> float:
+def snap_angle(map_obj, theta_in: float, theta_out: float) -> float:
     """Pin an orbit to a fixed point of the applied circle map (one of its
     `pinned_angles`).
 
     Backward orbits amplify float noise by the derivative at every step; a
-    point within tol of a fixed angle is treated as exactly fixed so constant
-    tails stay constant.  The perturbation of the code relation is at most
-    the derivative times tol, far below the code tolerance.
+    point within SNAP_TOL of a fixed angle is treated as exactly fixed so
+    constant tails stay constant.  The perturbation of the code relation is
+    at most the derivative times SNAP_TOL, far below the code tolerance.
     """
     for f in map_obj.pinned_angles:
-        if circle_dist(theta_in, f) < tol:
+        if circle_dist(theta_in, f) < SNAP_TOL:
             return f
     return theta_out
 
@@ -514,11 +519,9 @@ class ActionSystem:
         letter_maps: Mapping[Letter, object],
         net_fn: Callable[[int], Sequence],
         default_depth: int,
-        meta: dict | None = None,
     ):
         self.name, self.alphabet, self.space = name, alphabet, space
         self.letter_maps, self.net_fn, self.default_depth = letter_maps, net_fn, default_depth
-        self.meta = {} if meta is None else meta
 
     def apply_letter(self, letter: Letter, x: Point) -> Point:
         return self.space.apply_maps((self.letter_maps[letter],), x)
@@ -580,11 +583,11 @@ def validate_inverses(system: ActionSystem, samples: Sequence[Point], tol: float
     return worst
 
 
-def _construction_check(system: ActionSystem, samples: int = 64) -> ActionSystem:
-    """Light construction-time sanity: inverse round trips on a seeded sample
+def _construction_check(system: ActionSystem) -> ActionSystem:
+    """Light construction-time sanity: inverse round trips on 64 seeded points
     (drawn by the standard library, so that a job loads no `numpy.random`)."""
     rng = random.Random(0)
-    pts = [system.space.random_point(rng) for _ in range(samples)]
+    pts = [system.space.random_point(rng) for _ in range(64)]
     validate_inverses(system, pts, tol=1e-9)
     return system
 
@@ -664,15 +667,14 @@ def make_schottky(matrices: Sequence | None = None) -> ActionSystem:
     rank = len(matrices)
     space = Circle()
     alphabet = Alphabet.free(rank)
-    maps, arcs = {}, {}
+    maps = {}
     for i, m in enumerate(matrices):
         fwd = MoebiusMap.from_matrix(m)
         if abs(fwd.trace()) <= 2.0:
             raise ConstructionError(f"generator {i} is not hyperbolic")
         maps[(i, 1)] = fwd
         maps[(i, -1)] = fwd.inverse()
-        arcs[(i, 1)] = fwd.isometric_arc()
-        arcs[(i, -1)] = fwd.inverse().isometric_arc()
+    arcs = {letter: m.isometric_arc() for letter, m in maps.items()}
     if rank >= 2:
         keys = sorted(arcs)
         for a in range(len(keys)):
@@ -705,7 +707,6 @@ def make_schottky(matrices: Sequence | None = None) -> ActionSystem:
         letter_maps=maps,
         net_fn=net_fn,
         default_depth=4,
-        meta={"arcs": arcs, "matrices": [tuple(map(tuple, np.asarray(m, float))) for m in matrices]},
     ))
 
 
@@ -866,14 +867,16 @@ class PerturbedMaps(NamedTuple):
 def perturb(system: ActionSystem, family) -> PerturbedMaps:
     """Perturbed generator maps for the given family.
 
-    MatrixJitter requires generator maps that have a `jittered` method, as
-    the maps of every perturbable space do; BumpCompose requires a circle
-    system.  magnitude 0 (or height 0)
+    Nonzero MatrixJitter requires a perturbable space, whose generator maps
+    have a `jittered` method; BumpCompose requires a circle system.  A
+    system without them raises KindError.  magnitude 0 (or height 0)
     reproduces the original maps.
     """
     if isinstance(family, MatrixJitter):
         if family.magnitude == 0.0:
             return PerturbedMaps(dict(system.letter_maps))
+        if not system.space.perturbable:
+            raise KindError(f"matrix jitter unsupported on {system.space.kind}")
         rng = np.random.default_rng(family.seed)
         out = {}
         for i in range(system.alphabet.rank):
@@ -883,7 +886,7 @@ def perturb(system: ActionSystem, family) -> PerturbedMaps:
         return PerturbedMaps(out)
     if isinstance(family, BumpCompose):
         if not system.space.angular:
-            raise ConstructionError("bump perturbations need a circle system")
+            raise KindError(f"bump perturbations need a circle system, not {system.space.kind}")
         bump = BumpDiffeo(family.center, family.width, family.height)
         out = {}
         for i in range(system.alphabet.rank):
@@ -898,7 +901,7 @@ def translation_conjugate(system: ActionSystem, t: float) -> PerturbedMaps:
     cyclic system the perturbed generator has the closed-form fixed point at
     chart t."""
     if not all(isinstance(m, MoebiusMap) for m in system.letter_maps.values()):
-        raise ConstructionError("translation conjugation needs a Moebius system")
+        raise KindError(f"translation conjugation needs a Moebius system, not {system.name}")
     T = np.array([[1.0, t], [0.0, 1.0]])
     out = {}
     for i in range(system.alphabet.rank):

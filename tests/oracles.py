@@ -1,5 +1,6 @@
 """Slow oracles for the paper's lemmas, which the tests check the package
-against: recurrence of code orbits, the quasigeodesic sandwich for rays,
+against: the nested-image certificate of a code, expansivity witnesses,
+recurrence of code orbits, the quasigeodesic sandwich for rays,
 independence of phi from the code, the continuity modulus of phi, and the
 finite-difference stretch.  No command reports these, so they live here and
 not in the package; `parse` inverts `groups.to_str` to write test words.
@@ -8,13 +9,24 @@ angle at a time, the conjugacy one step at a time) are kept as oracles.
 The frozen dataclasses that points and spaces once were are kept as the
 reference for the equality and hash of `Point` and the `Space` kinds."""
 import math
+from collections import namedtuple
 from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 
 from expaction import groups
-from expaction.coding import NotFound, Ray, _greedy_entry, _step, code_ray, greedy_step, make_code
+from expaction.coding import (
+    Ray,
+    _entry_map,
+    _greedy_entry,
+    _step,
+    _word_pushers,
+    code_ray,
+    greedy_step,
+    make_code,
+    nested_images,
+)
 from expaction.expansion import SAFETY, ActionView
 from expaction.geometry import (
     Circle,
@@ -47,6 +59,61 @@ def parse(alphabet: Alphabet, text: str) -> Word:
             raise ValueError(f"unknown generator {name!r}")
         return Word(alphabet, int(exp or "1"))
     raise ValueError(f"parsing not defined for kind {alphabet.kind}")
+
+
+NestedStep = namedtuple("NestedStep", "i diameter bound nesting_slack contains_x_error")
+
+
+def nested_steps(system, datum, code, eta: float) -> list:
+    """The nested-image lemma along a code: each diameter of
+    `coding.nested_images` against the contraction bound 2*lip*eta/lam**i;
+    the nesting slack, how far rho(s_alpha(i))[B_eta(p_{i+1})] overshoots
+    B_eta(p_i) (0 at i = 0); and the distance of rho(c_i)(p_{i+1}) from x."""
+    view = system if isinstance(system, ActionView) else ActionView(system)
+    space, entry_map = view.space, _entry_map(datum)
+    pushers = _word_pushers(view, datum, code)
+    steps = []
+    for i, diameter in enumerate(nested_images(view, datum, code, eta)):
+        p_next, slack = code.points[i + 1], 0.0
+        if i >= 1:
+            sym = entry_map[code.alphas[i]].symbol
+            slack = max(0.0, max(
+                space.raw_distance(view.apply_word(sym, z).value, code.points[i].value)
+                for z in space.ball_net(p_next, eta)
+            ) - eta)
+        cx = space.raw_distance(pushers[i](p_next).value, code.points[0].value)
+        steps.append(NestedStep(i, diameter, 2.0 * datum.lip * eta / datum.lam**i, slack, cx))
+    return steps
+
+
+# the word realizes the separation (the identity for n = 0)
+ExpansivityWitness = namedtuple("ExpansivityWitness", "n separation word")
+NotFound = namedtuple("NotFound", "depth best")
+
+
+def expansivity_witness(datum, system, x, y, max_depth: int = 200, slack: float = 1e-6):
+    """Smallest number of steps along a greedy code for x after which x and y
+    are delta-separated; n counts applied letters (0 = already separated)."""
+    view = system if isinstance(system, ActionView) else ActionView(system)
+    space = view.space
+    threshold = datum.delta * (1.0 - slack)
+    d0 = space.raw_distance(x.value, y.value)
+    if d0 <= 0.0:
+        raise ValueError("expansivity witness needs distinct points")
+    word = datum.entries[0].symbol.alphabet.identity()
+    if d0 >= threshold:
+        return ExpansivityWitness(0, d0, word)
+    xi, yi, best = x, y, d0
+    for n in range(1, max_depth + 1):
+        e = _greedy_entry(datum, xi, datum.delta)
+        inv = e.backward[0]
+        xi, yi = _step(view, e, xi), view.apply_word(inv, yi)
+        word = groups.multiply(word, inv)
+        sep = space.raw_distance(xi.value, yi.value)
+        best = max(best, sep)
+        if sep >= threshold:
+            return ExpansivityWitness(n, sep, word)
+    return NotFound(max_depth, best)
 
 
 @dataclass(frozen=True)
@@ -204,7 +271,6 @@ def conjugacy_steps(ps, x, first, tol: float, max_depth: int) -> tuple:
     delta = datum.delta
     push = WordPush(space, pert_view.maps)
     e, point = first
-    z_prev = None
     for i in range(max_depth):
         if i:
             e, point = greedy_step(datum, base_view, point, delta)
@@ -213,10 +279,8 @@ def conjugacy_steps(ps, x, first, tol: float, max_depth: int) -> tuple:
         probes = [push(q) for q in space.ball_net(point, delta, 6)]
         diam = space.set_diameter(probes)
         bound = 2.0 * delta * lip_p / lam_p**i
-        step = space.raw_distance(z.value, z_prev.value) if z_prev is not None else math.inf
         if diam < tol or bound < tol:
-            return z, PointDiagnostics(i + 1, min(diam, bound), step)
-        z_prev = z
+            return z, PointDiagnostics(i + 1, min(diam, bound))
     raise ConvergenceError(x, 2.0 * delta * lip_p / lam_p**max_depth, max_depth)
 
 

@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from expaction import cli
+from expaction import cli, zoo
 
 
 def run(args):
@@ -111,6 +111,21 @@ BAD_FIELDS = [
      "system.params.matrices", "certify-shyp"),
     ("schottky-matrices-ragged", _schottky(matrices=[[[2, 0], [0]]]),
      "system.params.matrices", "certify-shyp"),
+    # matrices and diagonals that fail the constructor's own checks
+    ("schottky-matrices-not-hyperbolic", _schottky(matrices=[[[1, 0], [0, 1]]]),
+     "error: config field 'system.params.matrices': generator 0 is not hyperbolic\n", "codes"),
+    ("schottky-matrices-ping-pong", _schottky(matrices=zoo.default_schottky_matrices(1.2)),
+     "error: config field 'system.params.matrices': ping-pong failure:", "codes"),
+    ("schottky-matrices-negative-determinant", _schottky(matrices=[[[0, 1], [1, 0]]]),
+     "error: config field 'system.params.matrices': matrix must have positive determinant\n", "codes"),
+    ("zn-diagonals-top-eigenvector", _system("zn_projective", diagonals=[[1, 9, 3], [9, 3, 1]]),
+     "error: config field 'system.params.diagonals': generator 0: top eigenvector is not e_0\n", "codes"),
+    ("product-component-schottky-matrices",
+     _system("product", component=_schottky(matrices=[[[0, 1], [1, 0]]])["system"]),
+     "'system.params.component.params.matrices'", "certify-shyp"),
+    ("product-component-zn-diagonals",
+     _system("product", component=_system("zn_projective", diagonals=[[1, 9]])["system"]),
+     "'system.params.component.params.diagonals'", "certify-shyp"),
     ("perturbation.magnitude", _perturbed("matrix_jitter", magnitude="big"),
      "perturbation.magnitude", "stability"),
     ("perturbation.seed", _perturbed("matrix_jitter", seed="s"), "perturbation.seed", "stability"),
@@ -251,6 +266,19 @@ def test_unparseable_config(tmp_path, capsys):
     p.write_text("{not json")
     assert run(["certify-shyp", "--config", p, "--out", tmp_path / "o"]) == 2
     assert "parse error" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("case", ["missing", "directory", "not-utf-8"])
+def test_unreadable_config_exits_2_naming_the_path(tmp_path, capsys, case):
+    path = tmp_path / "config.json"
+    if case == "directory":
+        path.mkdir()
+    elif case == "not-utf-8":
+        path.write_bytes(b'{"out_dir": "\xff"}')
+    assert run(["certify-shyp", "--config", path, "--out", tmp_path / "o"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: cannot read config {path}: ") and err.count("\n") == 1
+    assert not (tmp_path / "o").exists()
 
 
 def test_reports_are_deterministic(tmp_path):

@@ -3,22 +3,25 @@ import math
 
 import numpy as np
 import pytest
-from oracles import quasigeodesic_check, recurrence_witness
+from oracles import (
+    ExpansivityWitness,
+    expansivity_witness,
+    nested_steps,
+    quasigeodesic_check,
+    recurrence_witness,
+)
 
 from expaction import groups
 from expaction.coding import (
     CodingError,
-    ExpansivityWitness,
     Ray,
     RayTable,
     code_ray,
     coding_map,
     enumerate_codes,
-    expansivity_witness,
     fellow_travel_distance,
     make_code,
     n_equivalence,
-    nested_images,
     shyp_certificate,
 )
 from expaction.expansion import ExpansionDatum
@@ -53,7 +56,7 @@ def test_free_boundary_shift_coding(fb_system, fb_datum):
 
 def _cutting_sequence(schottky_system, x, depth):
     # oracle: which expanding arc contains the point at each backward step
-    arcs = schottky_system.meta["arcs"]
+    arcs = {letter: m.isometric_arc() for letter, m in schottky_system.letter_maps.items()}
     seq, point = [], x
     for _ in range(depth):
         letter = next(
@@ -151,7 +154,7 @@ def test_nested_bound_arithmetic(cyclic_system, cyclic_datum):
     d = ExpansionDatum(cyclic_datum.entries, cyclic_datum.delta, 1.5, 4.0, cyclic_datum.net)
     x = cyclic_system.space.point(0.0)
     code = make_code(d, cyclic_system, 0.05, x, 12)
-    steps = nested_images(cyclic_system, d, code, 0.05)
+    steps = nested_steps(cyclic_system, d, code, 0.05)
     expected = 2.0 * 4.0 * 0.05 / 1.5**10
     assert expected == pytest.approx(6.937e-3, rel=1e-3)
     assert steps[10].bound == pytest.approx(expected)
@@ -163,7 +166,7 @@ def test_nested_schottky_deep_collapse(schottky_system, schottky_datum):
     d = schottky_datum
     x = schottky_system.limit_net(4)[23]
     code = make_code(d, schottky_system, d.delta, x, 20)
-    steps = nested_images(schottky_system, d, code, d.delta)
+    steps = nested_steps(schottky_system, d, code, d.delta)
     assert all(s.nesting_slack <= 1e-9 for s in steps)
     assert all(s.diameter <= s.bound + 1e-9 for s in steps)
     assert steps[-1].diameter < 1e-6  # the intersection collapses onto x

@@ -676,6 +676,16 @@ def test_bumped_maps_apply_angles_equal_apply_angle(base, bump, data):
         assert _hexes(m.apply_angles(thetas)) == _hexes([m.apply_angle(t) for t in thetas.tolist()])
 
 
+@settings(max_examples=150, derandomize=True, deadline=None)
+@given(m=st.one_of(moebius_maps(), st.builds(zoo.LiftedCircleMap, st.floats(1.01, 30.0), st.integers(2, 5))),
+       invert=st.booleans(), data=st.data())
+def test_deriv_angles_equal_deriv_angle(m, invert, data):
+    # `expansion._build_circle` takes its Lipschitz constant from the array
+    m = m.inverse() if invert else m
+    thetas = _angle_cases(data.draw, list(m.pinned_angles) + [0.0, math.pi, TAU])
+    assert _hexes(m.deriv_angles(thetas)) == _hexes([m.deriv_angle(t) for t in thetas.tolist()])
+
+
 # ---------------------------------------------------------------------------
 # the Schottky limit net as angle arrays
 
@@ -729,7 +739,7 @@ def _conjugacy_outcome(run, ps, x, tol, max_depth):
         z, diag = run(ps, x, first, tol, max_depth)
     except (CodingError, ConvergenceError) as err:
         return type(err).__name__, str(err)
-    return z.space, z.value.hex(), diag.iterations, diag.stop_bound.hex(), diag.last_step.hex()
+    return z.space, z.value.hex(), diag.iterations, diag.stop_bound.hex()
 
 
 @settings(max_examples=150, derandomize=True, deadline=None)

@@ -2,7 +2,12 @@ import math
 
 import numpy as np
 import pytest
-from oracles import check_code_independence, check_continuity_modulus
+from oracles import (
+    ExpansivityWitness,
+    check_code_independence,
+    check_continuity_modulus,
+    expansivity_witness,
+)
 
 from expaction import zoo
 from expaction.expansion import ExpansionDatum, verify_expansion
@@ -150,8 +155,7 @@ def test_schottky_jitter_full_table(schottky_system, schottky_datum):
     assert max(table.residuals.values()) < 1e-6
     disp = check_displacement(table, ps)
     assert disp.below_eps and disp.below_delta_fifth
-    inj = check_injectivity(table, ps)
-    assert inj.ok and inj.min_image_distance > 0
+    assert check_injectivity(table, ps)
 
 
 def test_conjugacy_is_bit_stable(schottky_system, schottky_datum):
@@ -190,10 +194,12 @@ def test_injectivity_flags_collapsed_table(schottky_system, schottky_datum):
         extra={},
         displacement=0.0,
     )
-    rep = check_injectivity(table, ps)
-    assert not rep.ok
-    assert rep.worst_pair == (net[0], net[1])
-    assert "separated" in rep.expansivity_note
+    assert not check_injectivity(table, ps)
+    # a word delta-separates the collapsed points, contradicting a
+    # displacement below delta/2
+    witness = expansivity_witness(ps.datum, ps.base, net[0], net[1])
+    assert isinstance(witness, ExpansivityWitness)
+    assert witness.separation >= schottky_datum.delta * (1.0 - 1e-6)
 
 
 def test_phi_of_repeated_point_keeps_first_entry(schottky_datum):
@@ -225,7 +231,8 @@ def test_perturbed_datum_degenerate(schottky_system, schottky_datum):
     pm = zoo.perturb(schottky_system, zoo.MatrixJitter(0.0, seed=1))
     ps = make_perturbed(schottky_system, schottky_datum, pm, 1)
     d = schottky_datum
-    dp = perturbed_datum(d, ps, d.delta / 5.0)
+    identity = ConjugacyTable([TableEntry(x, x, 1, 0.0) for x in d.net], {}, 0.0)
+    dp = perturbed_datum(d, ps, d.delta / 5.0, identity)
     assert dp.lam == pytest.approx(d.lam) and dp.lip == pytest.approx(d.lip)
     assert dp.delta < 0.8 * d.delta
     # strictly shrunk regions
@@ -251,4 +258,4 @@ def test_perturbed_datum_rejects_large_r(schottky_system, schottky_datum):
     pm = zoo.perturb(schottky_system, zoo.MatrixJitter(0.0, seed=1))
     ps = make_perturbed(schottky_system, schottky_datum, pm, 1)
     with pytest.raises(ValueError):
-        perturbed_datum(schottky_datum, ps, 0.9 * schottky_datum.delta)
+        perturbed_datum(schottky_datum, ps, 0.9 * schottky_datum.delta, ConjugacyTable([], {}, 0.0))

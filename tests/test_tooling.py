@@ -6,7 +6,8 @@ under src/ shows here instead of only in the slower benchmark suite.  And
 src/ holds only what the package reaches: a definition that only tests use
 belongs under tests/.  Every CLI job pays the package import again, so what
 that import declares is pinned here, by a count, not a timing; so are the
-modules a job loads and the points the Schottky datum makes."""
+modules a job loads and the points the Schottky datum makes.  A NamedTuple
+field under src/ that no code there reads is a value no command reports."""
 import ast
 import importlib.util
 import json
@@ -78,6 +79,19 @@ def test_every_definition_under_src_is_used_elsewhere_in_src():
         and used[node.name] == _names_used(node)[node.name]  # only inside itself
     ]
     assert not unused, f"defined in src/ but used only by tests, or not at all: {unused}"
+
+
+def test_every_named_tuple_field_under_src_is_read_in_src():
+    nodes = [node for path in PACKAGE.glob("*.py") for node in ast.walk(ast.parse(path.read_text()))]
+    read = {n.attr for n in nodes if isinstance(n, ast.Attribute) and isinstance(n.ctx, ast.Load)}
+    unread = sorted(
+        f"{cls.name}.{field.target.id}"
+        for cls in nodes
+        if isinstance(cls, ast.ClassDef) and "NamedTuple" in [getattr(b, "id", None) for b in cls.bases]
+        for field in cls.body
+        if isinstance(field, ast.AnnAssign) and field.target.id not in read
+    )
+    assert not unread, f"NamedTuple fields that nothing under src/ reads: {unread}"
 
 
 # `import expaction.cli` in a fresh interpreter, numpy already loaded: the

@@ -140,7 +140,7 @@ def test_schottky_net_counts(schottky_system):
 
 
 def test_schottky_ping_pong_on_samples(schottky_system):
-    arcs = schottky_system.meta["arcs"]
+    arcs = {letter: m.isometric_arc() for letter, m in schottky_system.letter_maps.items()}
     net = schottky_system.limit_net(4)
     for letter, (center, hw) in arcs.items():
         g = schottky_system.alphabet.generator(letter[0], letter[1])
@@ -191,7 +191,7 @@ def word_by_word_net(system, depth: int) -> list:
     """Reference: enumerate the reduced words, then evaluate each from scratch
     (attracting angle of the last letter, the others applied right to left)."""
     maps = system.letter_maps
-    chars = [(i, s) for i in range(len(system.meta["matrices"])) for s in (1, -1)]
+    chars = [(i, s) for i in range(system.alphabet.rank) for s in (1, -1)]
     words = [[ch] for ch in chars]
     for _ in range(depth - 1):
         words = [w + [ch] for w in words for ch in chars if ch != (w[-1][0], -w[-1][1])]
@@ -332,8 +332,7 @@ def test_a_broken_inverse_fails_the_construction_check(a):
     maps[(0, -1)] = maps[(1, -1)]  # a undone by B
     with pytest.raises(ConstructionError, match="inverse consistency"):
         broken = zoo.ActionSystem(
-            system.name, system.alphabet, system.space, maps, system.net_fn,
-            system.default_depth, system.meta,
+            system.name, system.alphabet, system.space, maps, system.net_fn, system.default_depth
         )
         zoo._construction_check(broken)
 
@@ -413,6 +412,14 @@ def test_jitter_seed_determinism(schottky_system):
     p1 = zoo.perturb(schottky_system, MatrixJitter(1e-4, seed=5))
     p2 = zoo.perturb(schottky_system, MatrixJitter(1e-4, seed=5))
     assert p1.letter_maps == p2.letter_maps
+
+
+@pytest.mark.parametrize("name", ["fb_system", "product_system"])
+def test_nonzero_jitter_off_a_perturbable_space_is_a_construction_error(request, name):
+    system = request.getfixturevalue(name)
+    with pytest.raises(ConstructionError, match=f"matrix jitter unsupported on {system.space.kind}"):
+        zoo.perturb(system, MatrixJitter(1e-6))
+    assert zoo.perturb(system, MatrixJitter(0.0)).letter_maps == system.letter_maps
 
 
 def test_translation_conjugate_fixed_points(cyclic_system):
