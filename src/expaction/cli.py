@@ -32,8 +32,8 @@ class Field(NamedTuple):
     value.
 
     The type is a key of TYPES, a tuple of the allowed values, or the reader
-    of a nested object.  Numbers must exceed their least value and integers
-    reach it; numbers may reach their most value.  A field whose default is
+    of a nested object.  A value must exceed a float least value and may
+    reach an int one; it may reach its most value.  A field whose default is
     null also takes null; a callable default is computed from the config
     read so far."""
 
@@ -81,12 +81,12 @@ def _check(field: Field, value, path: str, root: dict):
     test, what = TYPES[field.type]
     if not test(value):
         raise ConfigError(path, f"must be {what}, not {value!r}")
-    exceed = field.type is float
+    exceed = type(field.low) is float
     if field.low is not None and (value <= field.low if exceed else value < field.low):
         raise ConfigError(path, f"must be {'>' if exceed else '>='} {field.low}")
     if field.high is not None and value > field.high:
         raise ConfigError(path, f"must be <= {field.high}")
-    return float(value) if exceed else value
+    return float(value) if field.type is float else value
 
 
 def _read(table: dict, raw, path: str, root: dict | None = None) -> dict:
@@ -178,17 +178,21 @@ SYSTEMS = {  # kind -> (constructor taking the params in order, params)
 }
 SYSTEM = {"kind": Field(tuple(SYSTEMS), "schottky"), "params": Field(dict, {})}
 
-PERTURBATIONS = {  # family -> (maker of a system's perturbed maps, params)
+# family -> (maker of a system's perturbed maps, params, the param that
+# names maps the maker cannot construct: the size of the perturbation)
+PERTURBATIONS = {
     "matrix_jitter": (lambda system, *p: zoo.perturb(system, zoo.MatrixJitter(*p)), {
-        "magnitude": Field(float, 0.0),
+        # uniform(-magnitude, magnitude) needs a finite range >= 0, as numpy's does
+        "magnitude": Field(float, 0.0, 0, high=sys.float_info.max / 2),
         "seed": Field(int, lambda cfg: cfg["net"]["seed"], 0),
         "diagonal_only": Field(bool, False),
-    }),
+    }, "magnitude"),
     "bump_compose": (
         lambda system, *p: zoo.perturb(system, zoo.BumpCompose(*p)),
-        {"center": Field(float, 0.7), "width": Field(float, 0.5), "height": Field(float, 0.0)},
+        {"center": Field(float, 0.7), "width": Field(float, 0.5, 0.0), "height": Field(float, 0.0)},
+        "height",
     ),
-    "translation_conjugate": (lambda *p: zoo.translation_conjugate(*p), {"t": Field(float, 0.0)}),
+    "translation_conjugate": (lambda *p: zoo.translation_conjugate(*p), {"t": Field(float, 0.0)}, "t"),
 }
 FAMILY = Field(tuple(PERTURBATIONS), "matrix_jitter")
 
@@ -229,15 +233,18 @@ def build_system(system: dict) -> zoo.ActionSystem:
 
 def build_perturbation(cfg: dict, system: zoo.ActionSystem):
     """The system's perturbed maps under the checked config's perturbation;
-    a family that the system's kind does not take names that kind."""
+    a family that the system's kind does not take names that kind, and maps
+    that cannot be constructed name the perturbation's size."""
     given = cfg["perturbation"]
-    make, params = PERTURBATIONS[given.get("family", FAMILY.default)]
+    make, params, size = PERTURBATIONS[given.get("family", FAMILY.default)]
     values = _read({"family": FAMILY, **params}, given, "perturbation", cfg)
     del values["family"]
     try:
         return make(system, *values.values())
     except zoo.KindError as err:
         raise ConfigError("system.kind", str(err)) from None
+    except zoo.ConstructionError as err:
+        raise ConfigError(f"perturbation.{size}", str(err)) from None
 
 
 # ---------------------------------------------------------------------------

@@ -105,7 +105,8 @@ class PerturbedSystem:
         return ActionView(self.base)
 
     def violations(self) -> list:
-        return [name for name, d in self.realized.items() if d >= self.epsilon]
+        # a NaN distance (maps that are not finite) is no evidence of admissibility
+        return [name for name, d in self.realized.items() if not d < self.epsilon]
 
     def require_admissible(self) -> None:
         bad = self.violations()

@@ -87,9 +87,14 @@ class MoebiusMap(Value):
     @staticmethod
     def from_matrix(m) -> "MoebiusMap":
         m = np.asarray(m, dtype=float)
-        det = float(np.linalg.det(m))
-        if det <= 0:
+        if not np.isfinite(m).all():
+            raise ConstructionError("matrix entries must be finite")
+        with np.errstate(over="ignore"):  # an overflowing determinant is refused below
+            det = float(np.linalg.det(m))
+        if not det > 0:
             raise ConstructionError("matrix must have positive determinant")
+        if det == math.inf:
+            raise ConstructionError("matrix determinant overflows")
         m = m / math.sqrt(det)
         return MoebiusMap(((m[0, 0], m[0, 1]), (m[1, 0], m[1, 1])))
 
@@ -252,8 +257,10 @@ class LiftedCircleMap(Value):
 
     def jittered(self, rng, magnitude: float, diagonal_only: bool) -> "LiftedCircleMap":
         """The lift of a multiplier scaled by 1 plus seeded uniform noise."""
-        noise = rng.uniform(-magnitude, magnitude)
-        return LiftedCircleMap(self.multiplier * (1.0 + noise), self.degree)
+        multiplier = self.multiplier * (1.0 + rng.uniform(-magnitude, magnitude))
+        if not 0.0 < multiplier < math.inf:
+            raise ConstructionError("jittered multiplier must be positive and finite")
+        return LiftedCircleMap(multiplier, self.degree)
 
 
 class BoundaryShiftMap(Value):
@@ -283,7 +290,11 @@ class ProjectiveMap(Value):
     @staticmethod
     def from_matrix(m) -> "ProjectiveMap":
         m = np.asarray(m, dtype=float)
-        if abs(np.linalg.det(m)) < 1e-12:
+        if not np.isfinite(m).all():
+            raise ConstructionError("projective matrix entries must be finite")
+        with np.errstate(over="ignore", invalid="ignore"):  # an overflow still means invertible
+            det = np.linalg.det(m)
+        if not abs(det) >= 1e-12:
             raise ConstructionError("projective matrix must be invertible")
         return ProjectiveMap(tuple(tuple(float(x) for x in row) for row in m))
 
@@ -837,6 +848,8 @@ def make_product(first: ActionSystem, second: ActionSystem, with_swap: bool = Fa
 
 class MatrixJitter(NamedTuple):
     """Seeded uniform noise on matrix entries, renormalized to determinant 1.
+    The noise is numpy's `default_rng(seed).uniform(-magnitude, magnitude)`
+    stream, drawn by `pcg64.PCG64`.
 
     `diagonal_only` keeps the noise of Moebius generators on the diagonal.
     Projective generators are always jittered on the diagonal, so perturbed
@@ -877,7 +890,9 @@ def perturb(system: ActionSystem, family) -> PerturbedMaps:
             return PerturbedMaps(dict(system.letter_maps))
         if not system.space.perturbable:
             raise KindError(f"matrix jitter unsupported on {system.space.kind}")
-        rng = np.random.default_rng(family.seed)
+        from .pcg64 import PCG64  # numpy's default_rng stream, without numpy.random
+
+        rng = PCG64(family.seed)
         out = {}
         for i in range(system.alphabet.rank):
             fwd = system.letter_maps[(i, 1)]
@@ -906,7 +921,8 @@ def translation_conjugate(system: ActionSystem, t: float) -> PerturbedMaps:
     out = {}
     for i in range(system.alphabet.rank):
         m = system.letter_maps[(i, 1)].np_matrix
-        conj = MoebiusMap.from_matrix(T @ m @ np.linalg.inv(T))
+        with np.errstate(over="ignore", invalid="ignore"):  # from_matrix refuses non-finite entries
+            conj = MoebiusMap.from_matrix(T @ m @ np.linalg.inv(T))
         out[(i, 1)], out[(i, -1)] = conj, conj.inverse()
     return PerturbedMaps(out)
 

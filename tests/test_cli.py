@@ -227,6 +227,32 @@ BAD_FIELDS = [
      "error: config field 'system.kind': translation conjugation needs a Moebius system, "
      "not covered_cyclic(k=3)\n",
      "stability"),
+    # a jitter range that numpy's uniform refuses, and a bump of no width
+    ("perturbation.magnitude-negative", _perturbed("matrix_jitter", magnitude=-1e-6),
+     "error: config field 'perturbation.magnitude': must be >= 0\n", "stability"),
+    ("perturbation.magnitude-range-overflows", _perturbed("matrix_jitter", magnitude=1e308),
+     "error: config field 'perturbation.magnitude': must be <= 8.988465674311579e+307\n",
+     "stability"),
+    ("perturbation.width-zero", _perturbed("bump_compose", width=0, height=5e-6),
+     "error: config field 'perturbation.width': must be > 0.0\n", "stability"),
+    ("perturbation.width-negative", _perturbed("bump_compose", width=-0.6, height=5e-6),
+     "error: config field 'perturbation.width': must be > 0.0\n", "stability"),
+    # perturbed maps that cannot be constructed name the perturbation's size
+    ("translation-non-finite-maps",
+     {**_system("cyclic_hyperbolic"), "perturbation": {"family": "translation_conjugate", "t": 1e308}},
+     "error: config field 'perturbation.t': matrix entries must be finite\n", "stability"),
+    ("jitter-negative-determinant", _perturbed("matrix_jitter", magnitude=5.0, seed=3),
+     "error: config field 'perturbation.magnitude': matrix must have positive determinant\n",
+     "stability"),
+    ("jitter-determinant-overflows", _perturbed("matrix_jitter", magnitude=1e300, seed=3),
+     "error: config field 'perturbation.magnitude': matrix determinant overflows\n", "stability"),
+    ("jitter-lift-negative-multiplier",
+     {**_system("covered_cyclic"), "perturbation": {"magnitude": 5.0, "seed": 3}},
+     "error: config field 'perturbation.magnitude': jittered multiplier must be positive and finite\n",
+     "stability"),
+    ("bump-too-steep", _perturbed("bump_compose", width=0.1, height=0.2),
+     "error: config field 'perturbation.height': bump too steep: composed map not injective\n",
+     "stability"),
     # the perturbation is checked on every command, not only by stability
     ("perturbation-on-certify-shyp", {"perturbation": {"magnitude": "big"}},
      "'perturbation.magnitude'", "certify-shyp"),
@@ -258,6 +284,7 @@ def test_bad_config_field_exits_2_naming_the_field(
     assert run([command, "--config", cfg, "--out", tmp_path / "o", *flags]) == 2
     err = capsys.readouterr().err
     assert field in err
+    assert err.count("\n") == 1, err  # one line: no traceback and no numpy warning
     assert not (tmp_path / "o").exists()
 
 

@@ -1,5 +1,7 @@
 """Golden outputs of the CLI: every supported (kind, command) pair of the six
-zoo kinds at a small pinned config, plus perturbed Schottky stability runs.
+zoo kinds at a small pinned config, plus perturbed stability runs: a bump
+on Schottky and seeded matrix jitter on each of the three kinds of
+jitterable map (Moebius, projective and lifted circle maps).
 
 Each run's exit status, stdout and output files (report.json, CSVs, SVGs)
 are compared by SHA-256 with the hashes in GOLDEN, so a refactor of the
@@ -74,11 +76,14 @@ RUNS = {
     for command in COMMANDS
     if (kind, command) not in UNSUPPORTED
 }
-RUNS["schottky.stability.jitter"] = (
-    "stability",
-    {**SHARED, **SYSTEMS["schottky"],
-     "perturbation": {"family": "matrix_jitter", "magnitude": 3e-6, "seed": 7}},
-)
+# Moebius maps draw 4 numbers each, projective maps n + 1, a lifted map 1
+JITTERED = ("schottky", "zn_projective", "covered_cyclic")
+for kind in JITTERED:
+    RUNS[f"{kind}.stability.jitter"] = (
+        "stability",
+        {**SHARED, **SYSTEMS[kind],
+         "perturbation": {"family": "matrix_jitter", "magnitude": 3e-6, "seed": 7}},
+    )
 RUNS["schottky.stability.bump"] = (
     "stability",
     {**SHARED, **SYSTEMS["schottky"],
@@ -129,6 +134,13 @@ GOLDEN = {
         "conjugacy.csv": "e0e5f560033fa4b3e84ff8abcf3df825a027783a9f4b9ee91aec77fcf03fc48a",
         "lambda_vs_image.svg": "75a717dcd27a1da0834b6eed450b94d15316934401823e358e37a9ddff065f43",
         "report.json": "451b1701a0724e797f7fb3e7f526519728b3da14d9bdd316fb1983ba07249ea1",
+    },
+    "covered_cyclic.stability.jitter": {
+        "status": 0,
+        "stdout": "c775ef5b666681df3fba0d9f72adc1eedf0687d050bf951ae13abeaa0f2d8389",
+        "conjugacy.csv": "c1eed361e2e04ce4496bc4830f4406fc79c88d140f4154b4bab0b62dc3385f3a",
+        "lambda_vs_image.svg": "75a717dcd27a1da0834b6eed450b94d15316934401823e358e37a9ddff065f43",
+        "report.json": "e49ea76f7fd4589d878400048dfdd09912aa605358f1d2b269ab2db5036f19e5",
     },
     "covered_cyclic.verify-expansion": {
         "status": 0,
@@ -272,6 +284,12 @@ GOLDEN = {
         "conjugacy.csv": "cb6b363cf6e206f529ee84d137ecde18b6f5f16c9ababd780093f9c9894bf084",
         "report.json": "5aeaecc5dc5da4fa6bf0b7ee4876ae3394c761b57e5089910323904db4fc89fd",
     },
+    "zn_projective.stability.jitter": {
+        "status": 0,
+        "stdout": "b2c461bea582fd60ab64ac1f308e78068d151f1f4acfa064f0d32777b2507cf3",
+        "conjugacy.csv": "c5d7f2e130321c9fe90508882a634c2b23b4ed253319e7d745a5b6267fe8c77e",
+        "report.json": "c6a7d461dffdde32229841a6be1485a0c480c5897cb2e1c6b1db56ac27a299fb",
+    },
     "zn_projective.verify-expansion": {
         "status": 0,
         "stdout": "c2b9b9a9101256b18616b7662338302a6086afaa70899217befa1c9194796dce",
@@ -296,7 +314,8 @@ def test_outputs_match_the_golden_hashes(name, tmp_path):
 @pytest.mark.parametrize(
     "name",
     [f"{kind}.verify-expansion" for kind in SYSTEMS]
-    + ["schottky.stability.jitter", "schottky.stability.bump"],
+    + [f"{kind}.stability.jitter" for kind in JITTERED]
+    + ["schottky.stability.bump"],
 )
 def test_a_reports_config_block_runs_again_to_the_same_outputs(name, tmp_path):
     first = run_hashes(name, tmp_path)

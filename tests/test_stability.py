@@ -15,6 +15,7 @@ from expaction.geometry import Circle, circle_dist
 from expaction.stability import (
     AdmissibilityError,
     ConjugacyTable,
+    PerturbedSystem,
     TableEntry,
     check_displacement,
     check_injectivity,
@@ -142,6 +143,16 @@ def test_admissibility_gate_names_generator(schottky_system, schottky_datum):
     with pytest.raises(AdmissibilityError) as err:
         conjugacy_point(ps, schottky_datum.net[0])
     assert any(name in str(err.value) for name in ("a", "b", "A", "B"))
+
+
+def test_a_nan_distance_is_a_violation(schottky_system, schottky_datum):
+    # maps that are not finite have no Lipschitz distance to the action
+    realized = {"a": float("nan"), "A": 0.0}
+    maps = zoo.PerturbedMaps(dict(schottky_system.letter_maps))
+    ps = PerturbedSystem(schottky_system, schottky_datum, maps, realized, 1e-3)
+    assert ps.violations() == ["a"]
+    with pytest.raises(AdmissibilityError, match="perturbation of a reaches"):
+        ps.require_admissible()
 
 
 def test_schottky_jitter_full_table(schottky_system, schottky_datum):

@@ -132,18 +132,26 @@ print(status, "numpy.random" in sys.modules)
 """
 
 
+_JITTER = {"family": "matrix_jitter", "magnitude": 3e-6}
+
+
 @pytest.mark.parametrize(
-    "command, config, loads_random",
+    "command, config",
     [
-        ("verify-expansion", {"system": {"kind": "free_boundary"}}, False),
-        ("stability", {"perturbation": {"family": "bump_compose", "height": 5e-6}}, False),
-        ("stability", {"perturbation": {"family": "matrix_jitter", "magnitude": 3e-6}}, True),
+        ("verify-expansion", {"system": {"kind": "free_boundary"}}),
+        ("stability", {"perturbation": {"family": "bump_compose", "height": 5e-6}}),
+        ("stability", {"perturbation": _JITTER}),
+        ("stability", {"system": {"kind": "zn_projective"}, "perturbation": _JITTER}),
+        ("stability", {"system": {"kind": "covered_cyclic"}, "lambda_target": 1.5,
+                       "perturbation": _JITTER}),
     ],
-    ids=["free-verify-expansion", "bump-stability", "jitter-stability"],
+    ids=["free-verify-expansion", "bump-stability", "jitter-stability",
+         "zn-jitter-stability", "covered-jitter-stability"],
 )
-def test_only_seeded_jitter_loads_numpy_random(tmp_path, command, config, loads_random):
-    # the construction check draws from the standard library; numpy's
-    # generator (about 5 MB of a job's peak memory) serves matrix jitter only
+def test_no_command_loads_numpy_random(tmp_path, command, config):
+    # the construction check draws from the standard library and matrix
+    # jitter from pcg64, numpy's stream in pure Python: numpy's generator
+    # would add about 6 MB to a job's peak memory
     cfg = tmp_path / "config.json"
     cfg.write_text(json.dumps(config))
     path = os.pathsep.join([str(PACKAGE.parent), os.environ.get("PYTHONPATH", "")])
@@ -152,7 +160,7 @@ def test_only_seeded_jitter_loads_numpy_random(tmp_path, command, config, loads_
         env=dict(os.environ, PYTHONPATH=path), capture_output=True, text=True, timeout=300,
     )
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.splitlines()[-1] == f"0 {loads_random}"
+    assert proc.stdout.splitlines()[-1] == "0 False"
 
 
 # Points made while the default Schottky datum is built: the 108 of the

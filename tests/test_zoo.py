@@ -422,6 +422,40 @@ def test_nonzero_jitter_off_a_perturbable_space_is_a_construction_error(request,
     assert zoo.perturb(system, MatrixJitter(0.0)).letter_maps == system.letter_maps
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_matrix_constructors_refuse_non_finite_entries(bad):
+    # a NaN determinant passes `det <= 0` and `abs(det) < 1e-12` alike
+    with pytest.raises(ConstructionError, match="matrix entries must be finite"):
+        MoebiusMap.from_matrix([[2.0, bad], [0.0, 0.5]])
+    with pytest.raises(ConstructionError, match="projective matrix entries must be finite"):
+        zoo.ProjectiveMap.from_matrix([[9.0, 0.0, 0.0], [0.0, bad, 0.0], [0.0, 0.0, 1.0]])
+
+
+def test_moebius_from_matrix_refuses_an_overflowing_determinant():
+    with pytest.raises(ConstructionError, match="matrix determinant overflows"):
+        MoebiusMap.from_matrix([[1e200, 0.0], [0.0, 1e200]])
+
+
+def test_translation_conjugate_by_a_huge_t_is_a_construction_error(cyclic_system):
+    # the conjugated matrix overflows to inf - inf
+    with pytest.raises(ConstructionError, match="matrix entries must be finite"):
+        zoo.translation_conjugate(cyclic_system, 1e308)
+
+
+class _Draws:
+    def __init__(self, value):
+        self.value = value
+
+    def uniform(self, low, high):
+        return self.value
+
+
+@pytest.mark.parametrize("noise", [-1.0, -3.0, 1e308])
+def test_a_jittered_lift_needs_a_positive_finite_multiplier(noise):
+    with pytest.raises(ConstructionError, match="jittered multiplier must be positive and finite"):
+        zoo.LiftedCircleMap(2.0, 3).jittered(_Draws(noise), 1.0, False)
+
+
 def test_translation_conjugate_fixed_points(cyclic_system):
     t = 1e-3
     pm = zoo.translation_conjugate(cyclic_system, t)
