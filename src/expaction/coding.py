@@ -10,6 +10,7 @@ the identity; fellow-travel distances compare those vertex sets.
 """
 from __future__ import annotations
 
+import itertools
 import math
 from typing import NamedTuple, Optional, Sequence
 
@@ -35,16 +36,33 @@ class Code(NamedTuple):
 
 
 class Ray(Value):
-    """Group-element sequence c_i = s_{alpha(0)} ... s_{alpha(i)}; its
-    length is the number of words."""
+    """Group-element sequence c_i = s_{alpha(0)} ... s_{alpha(i)}, held as
+    its letters s_i (s_0 = c_0, s_i = c_{i-1}^-1 c_i): O(depth) words where
+    the prefixes c_i take O(depth^2) letters.  Reading `words` multiplies
+    the prefixes out and keeps them until `drop_words`; the length is the
+    number of words."""
 
-    __slots__ = _fields = ("words",)
+    __slots__ = ("symbols", "_words")
+    _fields = ("symbols",)
 
     def __init__(self, words: tuple):
-        self.words = words
+        self.symbols = tuple(
+            groups.multiply(groups.inverse(words[i - 1]), w) if i else w
+            for i, w in enumerate(words)
+        )
+        self._words = tuple(words)
+
+    @property
+    def words(self) -> tuple:
+        if self._words is None:
+            self._words = tuple(itertools.accumulate(self.symbols, groups.multiply))
+        return self._words
+
+    def drop_words(self) -> None:
+        self._words = None
 
     def __len__(self) -> int:
-        return len(self.words)
+        return len(self.symbols)
 
 
 def _entry_map(datum: ExpansionDatum) -> dict:
@@ -147,18 +165,15 @@ def enumerate_codes(
 
 def code_ray(datum: ExpansionDatum, code: Code) -> Ray:
     entry_map = _entry_map(datum)
-    words = []
-    current = None
-    for i, a in enumerate(code.alphas):
-        sym = entry_map[a].symbol
-        nxt = sym if current is None else groups.multiply(current, sym)
-        # letters past the free initial one never cancel; a violation here
-        # means the datum pairs a region with the wrong generator label
-        if i >= 2 and groups.word_length(nxt) != groups.word_length(current) + groups.word_length(sym):
-            raise CodingError(f"ray letter {sym} cancels at step {i}")
-        current = nxt
-        words.append(current)
-    return Ray(tuple(words))
+    ray = object.__new__(Ray)
+    ray.symbols, ray._words = tuple(entry_map[a].symbol for a in code.alphas), None
+    lengths = [groups.word_length(w) for w in ray.words]
+    # letters past the free initial one never cancel; a violation here
+    # means the datum pairs a region with the wrong generator label
+    for i in range(2, len(lengths)):
+        if lengths[i] != lengths[i - 1] + groups.word_length(ray.symbols[i]):
+            raise CodingError(f"ray letter {ray.symbols[i]} cancels at step {i}")
+    return ray
 
 
 # ---------------------------------------------------------------------------
@@ -200,45 +215,59 @@ def nested_images(
 
 def _path_vertices(ray: Ray) -> list:
     # the ray's edge path in the Cayley graph starts at the identity
-    return [ray.words[0].alphabet.identity()] + list(ray.words)
+    return [ray.symbols[0].alphabet.identity(), *ray.words]
 
 
 class RayTable:
     """Nearest-partner word distances between the path vertices of some rays.
 
     One `groups.distance_table` over every path vertex of every ray is
-    reduced at once to two minima arrays, and then dropped.  For rays a, b
-    and a vertex v of a's path, ``whole[a, b, v]`` is the distance to the
-    nearest vertex of b's path, and ``tail[a, b, v]`` the distance to the
-    nearest vertex of b's tail half (path index ``1 + len(words)//2`` on).
-    A minimum is `groups.UNKNOWN` when every distance in it is.  Shorter
-    paths are padded with their last vertex, which no minimum reads.
+    reduced at once, and then dropped.  For rays a, b and a vertex v of a's
+    path, ``whole[a, b, v]`` is the distance to the nearest vertex of b's
+    path, `groups.UNKNOWN` when every distance in it is, and ``lens[a]``
+    lists the word lengths along a's path.  Shorter paths are padded with
+    their last vertex, which no minimum reads.
+
+    Tail closeness keeps two ints per pair: ``tail_close(a, b, n)`` holds
+    exactly when ``window[0, a, b] < n <= window[1, a, b]``
+    (`_tail_windows`).  A certificate drops the rays' prefix words once the
+    table is built, and `whole` and `lens` once the point's fellow pass is
+    done, so its chain search keeps only the rays' symbols, `window` and the
+    ray classes `first`.
     """
+
+    __slots__ = ("rays", "lens", "whole", "window", "first")
 
     def __init__(self, rays: Sequence[Ray], cap: int = 64):
         self.rays = list(rays)
         paths = [_path_vertices(r) for r in self.rays]
         self.lens = [[groups.word_length(w) for w in p] for p in paths]
-        self.tail_start = [1 + len(r.words) // 2 for r in self.rays]
         sizes = np.array([len(p) for p in paths], dtype=int)
         k, width = len(paths), int(sizes.max(initial=0))
         flat = [w for p in paths for w in p + p[-1:] * (width - len(p))]
         table = groups.distance_table(flat, flat, cap).reshape(k, width, k, width)
         position = np.arange(width)
         in_path = position < sizes[:, None]
-        in_tail = in_path & (position >= np.array(self.tail_start, dtype=int)[:, None])
-        # axes (a, v, b, w): reduce over w, then store as (a, b, v)
-        self.whole, self.tail = (
+        # the tail half of a path of n words starts at index 1 + n // 2
+        in_tail = in_path & (position >= 1 + (sizes[:, None] - 1) // 2)
+        # axes (a, v, b, w): reduce over w, then read as (a, b, v)
+        self.whole, tail = (
             table.min(axis=3, initial=groups.UNKNOWN, where=pool).transpose(0, 2, 1)
             for pool in (in_path, in_tail)
         )
+        lens = [row + row[-1:] * (width - len(row)) for row in self.lens]
+        self.window = _tail_windows(np.array(lens, np.int64).reshape(k, width), in_tail, tail)
         # the first ray with the same words
         seen = {}
-        self.first = [seen.setdefault(r.words, i) for i, r in enumerate(self.rays)]
+        self.first = [seen.setdefault(r.symbols, i) for i, r in enumerate(self.rays)]
 
     def index(self, ray: Ray) -> int:
+        """Row of the first ray with the same words."""
         for i, r in enumerate(self.rays):
-            if r is ray or r.words == ray.words:
+            if r is ray:
+                return self.first[i]
+        for i, r in enumerate(self.rays):
+            if r == ray:
                 return i
         raise ValueError("pool must contain both rays")
 
@@ -246,14 +275,32 @@ class RayTable:
         """Every tail vertex of a and of b inside the common word-length
         window, shrunk by n at both ends, has a tail partner within n; False
         when either window is empty."""
-        sides = [
-            (self.lens[s][self.tail_start[s] :], self.tail[s, t, self.tail_start[s] :].tolist())
-            for s, t in ((a, b), (b, a))
-        ]
-        lo = max(min(lens) for lens, _ in sides) + n
-        hi = min(max(lens) for lens, _ in sides) - n
-        windows = [[m for k, m in zip(lens, near) if lo <= k <= hi] for lens, near in sides]
-        return all(windows) and max(map(max, windows)) <= n
+        return bool(self.window[0, a, b] < n <= self.window[1, a, b])
+
+
+_FLOOR, _CEILING = int(np.iinfo(np.int64).min), int(np.iinfo(np.int64).max)
+
+
+def _tail_windows(lens: np.ndarray, in_tail: np.ndarray, tail: np.ndarray) -> np.ndarray:
+    """The n-interval (lower, upper] of tail closeness of every ray pair, as
+    int32 of shape (2, k, k), from the word lengths along the paths, the
+    tail mask and the tail minima ``tail[a, b, v]``.
+
+    For rays a and b let [lo, hi] be the common range of their tail word
+    lengths.  A tail vertex of length k lies in the window [lo + n, hi - n]
+    exactly when n <= depth = min(k - lo, hi - k), and then lacks a partner
+    within n exactly when n <= its minimum - 1.  So a's window is nonempty
+    for n <= max(depth), and every vertex in it has a partner for
+    n > max(min(depth, minimum - 1)); tail closeness asks both of a and b.
+    """
+    lo = lens.min(axis=1, initial=_CEILING, where=in_tail)
+    hi = lens.max(axis=1, initial=_FLOOR, where=in_tail)
+    lo, hi = np.maximum.outer(lo, lo), np.minimum.outer(hi, hi)
+    depth = np.minimum(lens[:, None, :] - lo[:, :, None], hi[:, :, None] - lens[:, None, :])
+    mask = in_tail[:, None, :]
+    reach = depth.max(axis=2, initial=_FLOOR, where=mask)
+    fails = np.minimum(depth, tail - 1).max(axis=2, initial=_FLOOR, where=mask)
+    return np.array([np.maximum(fails, fails.T), np.minimum(reach, reach.T)], np.int32)
 
 
 def _within(near: list, lens: list, top: int, n: int) -> Optional[bool]:
@@ -347,10 +394,14 @@ def n_equivalence(
 class Certificate(NamedTuple):
     """Desk-scale hyperbolicity certificate over a sampled net.
 
-    fellow_constant: max Hausdorff distance between same-point rays;
-    chain_constant: least N at which all same-point ray pairs connect by
-    tail-close chains (with the recorded max chain steps); both None when the
-    bound could not be established within n_max.
+    fellow_constant: the largest fellow-travel distance between two rays of
+    one net point, reported also above n_max (`fellow_ok` compares the
+    two); None only when a word metric it needs exceeds metric_cap.
+    chain_constant: the least candidate N at which every same-point ray pair
+    connects by a chain of at most chain_steps tail-close steps.  The
+    candidates are 0..fellow_constant when that is known and at most n_max,
+    else 0..n_max; None when no candidate chains every pair, which includes
+    pairs whose tail windows, shrunk by N, are empty at this depth.
     """
 
     fellow_constant: Optional[int]
@@ -386,18 +437,17 @@ def shyp_certificate(
     exceeds the requested bound."""
     view = system if isinstance(system, ActionView) else ActionView(system)
     net = list(datum.net if net is None else net)
-    truncated = False
-    all_rays = []
+    truncated, fellow, worst_pair, fellow_known = False, 0, None, True
+    # one point at a time: its codes, rays and table, then its fellow pass;
+    # the chain search below reads only the rays' symbols and tail windows
+    tables = []
     for x in net:
         codes, trunc = enumerate_codes(datum, view, datum.delta, x, depth, cap)
         truncated = truncated or trunc
-        all_rays.append([code_ray(datum, c) for c in codes])
-
-    # one table per point; its minima answer every pair at every n
-    tables = [RayTable(rays, metric_cap) for rays in all_rays]
-    fellow, worst_pair = 0, None
-    fellow_known = True
-    for x, rays, table in zip(net, all_rays, tables):
+        rays = [code_ray(datum, c) for c in codes]
+        table = RayTable(rays, metric_cap)
+        for ray in rays:
+            ray.drop_words()
         for i in range(len(rays)):
             for j in range(i + 1, len(rays)):
                 d = fellow_travel_distance(rays[i], rays[j], metric_cap, table)
@@ -406,6 +456,8 @@ def shyp_certificate(
                     continue
                 if d > fellow:
                     fellow, worst_pair = d, (x, i, j, d)
+        table.whole = table.lens = None
+        tables.append(table)
 
     chain_constant = None
     if fellow_known and fellow <= n_max:
@@ -414,7 +466,8 @@ def shyp_certificate(
         chain_candidates = range(0, n_max + 1)
     for n in chain_candidates:
         ok = True
-        for rays, table in zip(all_rays, tables):
+        for table in tables:
+            rays = table.rays
             for i in range(len(rays)):
                 for j in range(i + 1, len(rays)):
                     found, _ = n_equivalence(
@@ -438,7 +491,7 @@ def shyp_certificate(
         n_max=n_max,
         truncated=truncated,
         points_checked=len(net),
-        rays_per_point=tuple(len(r) for r in all_rays),
+        rays_per_point=tuple(len(t.rays) for t in tables),
         worst_pair=worst_pair,
     )
 

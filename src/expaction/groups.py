@@ -174,7 +174,7 @@ def _reduced_word(alphabet: Alphabet, letters: tuple) -> Word:
 
 
 def _check_same_alphabet(u: Word, v: Word) -> None:
-    if u.alphabet != v.alphabet:
+    if u.alphabet is not v.alphabet and u.alphabet != v.alphabet:
         raise AlphabetMismatchError("words over different alphabets")
 
 
@@ -317,7 +317,8 @@ def distance_table(us: Sequence[Word], vs: Sequence[Word], cap: int = 12) -> np.
     alphabet = us[0].alphabet
     if any(w.alphabet is not alphabet and w.alphabet != alphabet for w in (*us, *vs)):
         raise AlphabetMismatchError("words over different alphabets")
-    (row_data, rows), (col_data, cols) = _distinct(us), _distinct(vs)
+    row_data, rows = _distinct(us)
+    col_data, cols = (row_data, rows) if vs is us else _distinct(vs)
     table = np.empty((len(row_data), len(col_data)), np.int32)
     if alphabet.kind == GENERIC:
         for i, a in enumerate(row_data):

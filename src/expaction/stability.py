@@ -151,12 +151,16 @@ def conjugacy_point(
 ) -> tuple:
     """phi(x): limit of z_i = rho'(c_i)(p_{i+1}) along a special delta-code.
 
-    Stops once the measured diameter of the pushed ball rho'(c_i)[B_delta]
-    drops below tol (the conservative bound 2*delta*(lip+eps)/(lam-eps)**i is
-    a secondary stop).  Measuring the actual image matters twice over: the
-    true contraction is usually much faster than lam-eps, and the backward
-    orbit loses float accuracy at exactly the measured rate, so stopping on
-    the measurement always resolves phi before the orbit degrades.
+    Stops once the diameter of the pushed probes of the ball
+    rho'(c_i)[B_delta] drops below tol (the conservative bound
+    2*delta*(lip+eps)/(lam-eps)**i is a secondary stop).  The probes are
+    `space.ball_net(p_{i+1}, delta, 6)`: on the circle the center and six
+    points that cover only the middle 5/6 of the ball.  Their diameter is a
+    sample of the image's, so a lower bound on it, not a measurement of the
+    whole image.  Sampling the actual image matters twice over: the true
+    contraction is usually much faster than lam-eps, and the backward orbit
+    loses float accuracy at about the sampled rate, so stopping on the
+    sample resolves phi before the orbit degrades.
     """
     ps.require_admissible()
     first = greedy_step(ps.datum, ps.base_view(), x, ps.datum.delta)

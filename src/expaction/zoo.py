@@ -325,6 +325,10 @@ class BumpDiffeo(Value):
     MAX_SLOPE = 1.2910  # sup |bump'| of exp(1 - 1/(1-t^2))
 
     def __init__(self, center: float, width: float, height: float):
+        if not all(map(math.isfinite, (center, width, height))):
+            raise ConstructionError("bump center, width and height must be finite")
+        if width <= 0.0:
+            raise ConstructionError("bump width must be positive")
         if abs(height) * self.MAX_SLOPE / width >= 1.0:
             raise ConstructionError("bump too steep: composed map not injective")
         self.center, self.width, self.height = center, width, height

@@ -5,7 +5,8 @@ independence of phi from the code, the continuity modulus of phi, and the
 finite-difference stretch.  No command reports these, so they live here and
 not in the package; `parse` inverts `groups.to_str` to write test words.
 The scalar loops that the array paths replaced (the Schottky limit net one
-angle at a time, the conjugacy one step at a time) are kept as oracles.
+angle at a time, the conjugacy one step at a time) are kept as oracles, and
+so is the certificate that held every net point's rays and tables at once.
 The frozen dataclasses that points and spaces once were are kept as the
 reference for the equality and hash of `Point` and the `Space` kinds."""
 import math
@@ -17,14 +18,19 @@ import numpy as np
 
 from expaction import groups
 from expaction.coding import (
+    Certificate,
     Ray,
+    RayTable,
     _entry_map,
     _greedy_entry,
     _step,
     _word_pushers,
     code_ray,
+    enumerate_codes,
+    fellow_travel_distance,
     greedy_step,
     make_code,
+    n_equivalence,
     nested_images,
 )
 from expaction.expansion import SAFETY, ActionView
@@ -238,6 +244,60 @@ def expansion_factor_fd(system, g: Word, x, h: float = 1e-6) -> float:
             best = min(best, num / den)
         return best
     raise TypeError(f"finite differences unsupported on {space.kind}")
+
+
+# ---------------------------------------------------------------------------
+# the certificate over all points at once
+
+
+def all_points_certificate(
+    system, datum, net=None, depth=20, cap=200, n_max=8, max_chain=3, metric_cap=64
+) -> Certificate:
+    """`coding.shyp_certificate` before it took the net one point at a time:
+    the codes and rays of every point first, then one whole table per point,
+    kept through the fellow pass and the chain search."""
+    view = system if isinstance(system, ActionView) else ActionView(system)
+    net = list(datum.net if net is None else net)
+    truncated = False
+    all_rays = []
+    for x in net:
+        codes, trunc = enumerate_codes(datum, view, datum.delta, x, depth, cap)
+        truncated = truncated or trunc
+        all_rays.append([code_ray(datum, c) for c in codes])
+    tables = [RayTable(rays, metric_cap) for rays in all_rays]
+    fellow, worst_pair, fellow_known = 0, None, True
+    for x, rays, table in zip(net, all_rays, tables):
+        for i in range(len(rays)):
+            for j in range(i + 1, len(rays)):
+                d = fellow_travel_distance(rays[i], rays[j], metric_cap, table)
+                if d is None:
+                    fellow_known = False
+                elif d > fellow:
+                    fellow, worst_pair = d, (x, i, j, d)
+    top = fellow if fellow_known and fellow <= n_max else n_max
+    chain_constant = next(
+        (
+            n
+            for n in range(top + 1)
+            if all(
+                n_equivalence(rays[i], rays[j], rays, n, max_chain, metric_cap, table)[0]
+                for rays, table in zip(all_rays, tables)
+                for i in range(len(rays))
+                for j in range(i + 1, len(rays))
+            )
+        ),
+        None,
+    )
+    return Certificate(
+        fellow_constant=fellow if fellow_known else None,
+        chain_constant=chain_constant,
+        chain_steps=max_chain,
+        n_max=n_max,
+        truncated=truncated,
+        points_checked=len(net),
+        rays_per_point=tuple(len(r) for r in all_rays),
+        worst_pair=worst_pair,
+    )
 
 
 # ---------------------------------------------------------------------------

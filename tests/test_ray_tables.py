@@ -15,9 +15,9 @@ from typing import Optional
 
 import pytest
 from hypothesis import given, settings, strategies as st
-from oracles import QuasigeodesicReport, quasigeodesic_check
+from oracles import QuasigeodesicReport, all_points_certificate, quasigeodesic_check
 
-from expaction import coding, expansion, groups
+from expaction import coding, expansion, groups, zoo
 from expaction.coding import Ray, RayTable
 from expaction.groups import Alphabet, inverse, multiply, word_length
 
@@ -276,3 +276,40 @@ def test_certificates_equal_the_old_scans_field_by_field(monkeypatch, request, c
     for name in coding.Certificate._fields:
         assert getattr(fast, name) == getattr(slow, name), name
     assert fast_calls == calls and calls["fellow"] > 0
+
+
+# the certificate one point at a time against the one over all points at once
+
+
+@functools.cache
+def certificate_system(kind: str) -> tuple:
+    fb = zoo.make_free_boundary(2, 2.0)
+    swap = zoo.make_product(fb, fb, with_swap=True)
+    system, lam, net_depth = {
+        "free": (fb, 2.0, 2),
+        "cyclic": (zoo.make_cyclic_hyperbolic(2.0), 1.5, 4),
+        "schottky": (zoo.make_schottky(), 1.4, 2),
+        "zn": (zoo.make_zn_projective([[9.0, 1.0, 3.0], [9.0, 3.0, 1.0]]), 2.0, 4),
+        "product-swap": (swap, 2.0, 2),
+        "nested-product": (zoo.make_product(swap, swap, with_swap=True), 2.0, 2),
+    }[kind]
+    return system, expansion.build_expansion_datum(system, lam, net_depth=net_depth)
+
+
+@settings(max_examples=100, derandomize=True, deadline=None)
+@given(
+    kind=st.sampled_from(["free", "cyclic", "schottky", "zn", "product-swap", "nested-product"]),
+    points=st.integers(1, 3),
+    depth=st.integers(1, 12),
+    cap=st.sampled_from([1, 2, 3, 5, 200]),
+    n_max=st.integers(0, 4),
+    max_chain=st.integers(1, 3),
+)
+def test_the_streamed_certificate_equals_the_all_points_one(kind, points, depth, cap, n_max, max_chain):
+    system, datum = certificate_system(kind)
+    net = datum.net[:: max(1, len(datum.net) // points)][:points]
+    kwargs = dict(net=net, depth=depth, cap=cap, n_max=n_max, max_chain=max_chain)
+    streamed = coding.shyp_certificate(system, datum, **kwargs)
+    whole = all_points_certificate(system, datum, **kwargs)
+    for name in coding.Certificate._fields:
+        assert getattr(streamed, name) == getattr(whole, name), name

@@ -19,7 +19,7 @@ from pathlib import Path
 
 import pytest
 
-from expaction import groups, zoo
+from expaction import coding, groups, zoo
 
 ROOT = Path(__file__).resolve().parents[1]
 SPANS = ROOT / "bench" / "spans.py"
@@ -56,6 +56,33 @@ def test_the_tracer_raises_when_a_traced_name_is_gone(monkeypatch):
     monkeypatch.delattr(groups, "word_length")
     with pytest.raises(AttributeError):
         spans.Tracer()
+
+
+# the spans the benchmark's certificate workloads read off `shyp_certificate`
+CERTIFICATE_SPANS = (
+    "coding.enumerate_codes", "coding.code_ray", "coding.fellow_travel_distance",
+    "coding.n_equivalence", "coding.shyp_certificate", "groups.multiply", "groups.word_length",
+)
+
+
+@pytest.mark.parametrize(
+    "system_name, datum_name",
+    [("fb_system", "fb_datum"), ("product_system", "product_datum")],
+    ids=["free", "product-swap"],
+)
+def test_a_traced_certificate_calls_every_span_it_is_benchmarked_on(request, system_name, datum_name):
+    # the benchmark's own suite takes minutes, so a certificate that stops
+    # calling a traced function by name shows here first
+    system, datum = request.getfixturevalue(system_name), request.getfixturevalue(datum_name)
+    tracer = _spans().Tracer()
+    try:
+        coding.shyp_certificate(system, datum, net=system.limit_net(2), depth=6, n_max=8)
+    finally:
+        tracer.close()
+    counts = tracer.counters()
+    assert [name for name in CERTIFICATE_SPANS if not counts[f"{name}.calls"]] == []
+    assert counts["coding.codes_enumerated"] > 0
+    assert counts["coding.n_equivalence_found"] > 0
 
 
 def _names_used(node) -> Counter:

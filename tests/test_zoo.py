@@ -472,6 +472,33 @@ def test_bump_rejects_non_injective():
         BumpDiffeo(center=0.0, width=0.1, height=0.2)
 
 
+@pytest.mark.parametrize(
+    "center, width, height",
+    [
+        (1.0, 0.0, 1e-6),
+        (1.0, -0.5, 1e-6),
+        (1.0, math.inf, 1e-6),
+        (1.0, math.nan, 1e-6),
+        (1.0, 0.5, math.nan),
+        (1.0, 0.5, -math.inf),
+        (math.nan, 0.5, 1e-6),
+        (math.inf, 0.5, 1e-6),
+    ],
+    ids=["zero-width", "negative-width", "infinite-width", "nan-width", "nan-height",
+         "infinite-height", "nan-center", "infinite-center"],
+)
+def test_bump_rejects_bad_parameters(center, width, height):
+    # a zero width divided by zero, and a negative, infinite or NaN one
+    # passed the slope test for any height
+    with pytest.raises(ConstructionError):
+        BumpDiffeo(center, width, height)
+
+
+def test_bump_perturbation_rejects_a_zero_width(schottky_system):
+    with pytest.raises(ConstructionError):
+        zoo.perturb(schottky_system, zoo.BumpCompose(1.0, 0.0, 1e-6))
+
+
 def test_bump_inverse_round_trip(schottky_system):
     pm = zoo.perturb(schottky_system, zoo.BumpCompose(center=1.0, width=0.5, height=1e-3))
     x = schottky_system.space.point(1.1)
