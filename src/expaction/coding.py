@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from typing import NamedTuple, Optional, Sequence
+from typing import Iterable, NamedTuple, Optional, Sequence
 
 import numpy as np
 
@@ -39,27 +39,20 @@ class Ray(Value):
     """Group-element sequence c_i = s_{alpha(0)} ... s_{alpha(i)}, held as
     its letters s_i (s_0 = c_0, s_i = c_{i-1}^-1 c_i): O(depth) words where
     the prefixes c_i take O(depth^2) letters.  Reading `words` multiplies
-    the prefixes out and keeps them until `drop_words`; the length is the
+    the prefixes out once and keeps them with the ray; the length is the
     number of words."""
 
     __slots__ = ("symbols", "_words")
     _fields = ("symbols",)
 
-    def __init__(self, words: tuple):
-        self.symbols = tuple(
-            groups.multiply(groups.inverse(words[i - 1]), w) if i else w
-            for i, w in enumerate(words)
-        )
-        self._words = tuple(words)
+    def __init__(self, symbols: Iterable):
+        self.symbols, self._words = tuple(symbols), None
 
     @property
     def words(self) -> tuple:
         if self._words is None:
             self._words = tuple(itertools.accumulate(self.symbols, groups.multiply))
         return self._words
-
-    def drop_words(self) -> None:
-        self._words = None
 
     def __len__(self) -> int:
         return len(self.symbols)
@@ -165,8 +158,7 @@ def enumerate_codes(
 
 def code_ray(datum: ExpansionDatum, code: Code) -> Ray:
     entry_map = _entry_map(datum)
-    ray = object.__new__(Ray)
-    ray.symbols, ray._words = tuple(entry_map[a].symbol for a in code.alphas), None
+    ray = Ray(entry_map[a].symbol for a in code.alphas)
     lengths = [groups.word_length(w) for w in ray.words]
     # letters past the free initial one never cancel; a violation here
     # means the datum pairs a region with the wrong generator label
@@ -219,28 +211,27 @@ def _path_vertices(ray: Ray) -> list:
 
 
 class RayTable:
-    """Nearest-partner word distances between the path vertices of some rays.
+    """Nearest-partner word distances between the path vertices of some
+    rays, each ray addressed by its row: the rays' order.
 
     One `groups.distance_table` over every path vertex of every ray is
-    reduced at once, and then dropped.  For rays a, b and a vertex v of a's
+    reduced at once, and then dropped.  For rows a, b and a vertex v of a's
     path, ``whole[a, b, v]`` is the distance to the nearest vertex of b's
     path, `groups.UNKNOWN` when every distance in it is, and ``lens[a]``
     lists the word lengths along a's path.  Shorter paths are padded with
     their last vertex, which no minimum reads.
 
-    Tail closeness keeps two ints per pair: ``tail_close(a, b, n)`` holds
-    exactly when ``window[0, a, b] < n <= window[1, a, b]``
-    (`_tail_windows`).  A certificate drops the rays' prefix words once the
-    table is built, and `whole` and `lens` once the point's fellow pass is
-    done, so its chain search keeps only the rays' symbols, `window` and the
-    ray classes `first`.
+    Rows a and b are tail-close at n exactly when ``window[0, a, b] < n <=
+    window[1, a, b]`` (`_tail_windows`), and ``first[a]`` is the first row
+    with the same symbols.  The table keeps no ray: a certificate drops
+    `whole` and `lens` once the point's fellow pass is done, so its chain
+    search keeps only `window` and `first`.
     """
 
-    __slots__ = ("rays", "lens", "whole", "window", "first")
+    __slots__ = ("lens", "whole", "window", "first")
 
     def __init__(self, rays: Sequence[Ray], cap: int = 64):
-        self.rays = list(rays)
-        paths = [_path_vertices(r) for r in self.rays]
+        paths = [_path_vertices(r) for r in rays]
         self.lens = [[groups.word_length(w) for w in p] for p in paths]
         sizes = np.array([len(p) for p in paths], dtype=int)
         k, width = len(paths), int(sizes.max(initial=0))
@@ -257,25 +248,8 @@ class RayTable:
         )
         lens = [row + row[-1:] * (width - len(row)) for row in self.lens]
         self.window = _tail_windows(np.array(lens, np.int64).reshape(k, width), in_tail, tail)
-        # the first ray with the same words
         seen = {}
-        self.first = [seen.setdefault(r.symbols, i) for i, r in enumerate(self.rays)]
-
-    def index(self, ray: Ray) -> int:
-        """Row of the first ray with the same words."""
-        for i, r in enumerate(self.rays):
-            if r is ray:
-                return self.first[i]
-        for i, r in enumerate(self.rays):
-            if r == ray:
-                return i
-        raise ValueError("pool must contain both rays")
-
-    def tail_close(self, a: int, b: int, n: int) -> bool:
-        """Every tail vertex of a and of b inside the common word-length
-        window, shrunk by n at both ends, has a tail partner within n; False
-        when either window is empty."""
-        return bool(self.window[0, a, b] < n <= self.window[1, a, b])
+        self.first = [seen.setdefault(r.symbols, i) for i, r in enumerate(rays)]
 
 
 _FLOOR, _CEILING = int(np.iinfo(np.int64).min), int(np.iinfo(np.int64).max)
@@ -312,23 +286,18 @@ def _within(near: list, lens: list, top: int, n: int) -> Optional[bool]:
     return True
 
 
-def fellow_travel_distance(
-    rayA: Ray, rayB: Ray, cap: int = 64, table: RayTable | None = None
-) -> Optional[int]:
-    """Fellow-travel constant of the two edge paths (identity included).
+def fellow_travel_distance(table: RayTable, a: int, b: int) -> Optional[int]:
+    """Fellow-travel constant of the edge paths (identity included) of rows
+    a and b of the table.
 
     Finite truncations need care at the far end: the smallest N is returned
     such that every vertex of word length at most (common horizon - N) has a
     partner within N on the other path.  The N-margin keeps the extra
     progress of a longer truncation from registering as divergence; on
     genuinely fellow-traveling rays this agrees with the Hausdorff distance
-    of the full paths.  None when a needed word metric exceeds the cap.
-    Distances are read from `table`, a RayTable holding both rays; without
-    one, a table of the two rays is built.
+    of the full paths.  None when a needed word metric exceeds the table's
+    cap.
     """
-    if table is None:
-        table = RayTable((rayA, rayB), cap)
-    a, b = table.index(rayA), table.index(rayB)
     len_a, len_b = table.lens[a], table.lens[b]
     near_ab, near_ba = table.whole[a, b].tolist(), table.whole[b, a].tolist()
     horizon = min(max(len_a), max(len_b))
@@ -344,47 +313,29 @@ def fellow_travel_distance(
     return None
 
 
-def n_equivalence(
-    rayA: Ray,
-    rayB: Ray,
-    pool: Sequence[Ray],
-    n: int,
-    max_chain: int = 3,
-    cap: int = 64,
-    table: RayTable | None = None,
-) -> tuple:
-    """Chain of tail-close steps from rayA to rayB through the pool.
-
-    Returns (found, chain) where the chain lists the interpolating rays
-    inclusive of both ends.  `table` is the RayTable of the pool, built here
-    when not given.
-    """
-    pool = list(pool)
-    if table is None:
-        table = RayTable(pool, cap)
-    elif table.rays != pool:
-        raise ValueError("table must hold exactly the pool")
-    start, goal = table.index(rayA), table.first[table.index(rayB)]
-    if table.first[start] == goal:
-        return True, (rayA,)
-    frontier = [(start, (rayA,))]
-    seen = {table.first[start]}
+def _chain_reach(table: RayTable, n: int, max_chain: int) -> np.ndarray:
+    """Boolean matrix over the table's ray classes, in row order: (p, q)
+    when at most max_chain tail-close steps at n lead from class p to q.
+    Tail closeness at n is one symmetric boolean matrix T, and the chains
+    are the boolean power (I | T)^max_chain."""
+    classes = sorted(set(table.first))
+    lower, upper = table.window[:, classes][:, :, classes]
+    step = (lower < n) & (n <= upper)
+    np.fill_diagonal(step, True)
+    reach = np.eye(len(classes), dtype=bool)
     for _ in range(max_chain):
-        nxt = []
-        for current, chain in frontier:
-            for j, cand in enumerate(pool):
-                if table.first[j] in seen:
-                    continue
-                if table.tail_close(current, j, n):
-                    new_chain = chain + (cand,)
-                    if table.first[j] == goal:
-                        return True, new_chain
-                    seen.add(table.first[j])
-                    nxt.append((j, new_chain))
-        frontier = nxt
-        if not frontier:
-            break
-    return False, None
+        reach = reach @ step
+    return reach
+
+
+def n_equivalence(table: RayTable, n: int, max_chain: int = 3) -> tuple:
+    """(joined pairs, pairs) over the distinct ray classes of the table: a
+    pair joins when a chain of at most max_chain tail-close steps at n links
+    it (`_chain_reach`)."""
+    reach = _chain_reach(table, n, max_chain)
+    k = len(reach)
+    # count_nonzero, not a sum: summing bools casts through a 64 KB buffer
+    return np.count_nonzero(np.triu(reach, 1)), k * (k - 1) // 2
 
 
 # ---------------------------------------------------------------------------
@@ -397,11 +348,13 @@ class Certificate(NamedTuple):
     fellow_constant: the largest fellow-travel distance between two rays of
     one net point, reported also above n_max (`fellow_ok` compares the
     two); None only when a word metric it needs exceeds metric_cap.
-    chain_constant: the least candidate N at which every same-point ray pair
-    connects by a chain of at most chain_steps tail-close steps.  The
-    candidates are 0..fellow_constant when that is known and at most n_max,
-    else 0..n_max; None when no candidate chains every pair, which includes
-    pairs whose tail windows, shrunk by N, are empty at this depth.
+    chain_constant: the least candidate N at which every point joins all
+    pairs of its distinct rays by chains of at most chain_steps tail-close
+    steps (`n_equivalence`: the boolean power (I | T_N)^chain_steps of the
+    point's tail-close matrix).  The candidates are 0..fellow_constant when
+    that is known and at most n_max, else 0..n_max; None when no candidate
+    chains every pair, which includes pairs whose tail windows, shrunk by N,
+    are empty at this depth.
     """
 
     fellow_constant: Optional[int]
@@ -439,50 +392,35 @@ def shyp_certificate(
     net = list(datum.net if net is None else net)
     truncated, fellow, worst_pair, fellow_known = False, 0, None, True
     # one point at a time: its codes, rays and table, then its fellow pass;
-    # the chain search below reads only the rays' symbols and tail windows
+    # the rays die with their point, and the chain search below reads only
+    # each table's tail windows and ray classes
     tables = []
     for x in net:
         codes, trunc = enumerate_codes(datum, view, datum.delta, x, depth, cap)
         truncated = truncated or trunc
-        rays = [code_ray(datum, c) for c in codes]
-        table = RayTable(rays, metric_cap)
-        for ray in rays:
-            ray.drop_words()
-        for i in range(len(rays)):
-            for j in range(i + 1, len(rays)):
-                d = fellow_travel_distance(rays[i], rays[j], metric_cap, table)
+        table = RayTable([code_ray(datum, c) for c in codes], metric_cap)
+        for i in range(len(codes)):
+            for j in range(i + 1, len(codes)):
+                d = fellow_travel_distance(table, i, j)
                 if d is None:
                     fellow_known = False
-                    continue
-                if d > fellow:
+                elif d > fellow:
                     fellow, worst_pair = d, (x, i, j, d)
         table.whole = table.lens = None
         tables.append(table)
 
-    chain_constant = None
-    if fellow_known and fellow <= n_max:
-        chain_candidates = range(0, fellow + 1)
-    else:
-        chain_candidates = range(0, n_max + 1)
-    for n in chain_candidates:
-        ok = True
-        for table in tables:
-            rays = table.rays
-            for i in range(len(rays)):
-                for j in range(i + 1, len(rays)):
-                    found, _ = n_equivalence(
-                        rays[i], rays[j], rays, n, max_chain, metric_cap, table
-                    )
-                    if not found:
-                        ok = False
-                        break
-                if not ok:
-                    break
-            if not ok:
-                break
-        if ok:
-            chain_constant = n
-            break
+    top = fellow if fellow_known and fellow <= n_max else n_max
+    chain_constant = next(
+        (
+            n
+            for n in range(top + 1)
+            if all(
+                joined == pairs
+                for joined, pairs in (n_equivalence(t, n, max_chain) for t in tables)
+            )
+        ),
+        None,
+    )
 
     return Certificate(
         fellow_constant=fellow if fellow_known else None,
@@ -491,7 +429,7 @@ def shyp_certificate(
         n_max=n_max,
         truncated=truncated,
         points_checked=len(net),
-        rays_per_point=tuple(len(t.rays) for t in tables),
+        rays_per_point=tuple(len(t.first) for t in tables),
         worst_pair=worst_pair,
     )
 

@@ -236,7 +236,7 @@ def word_length(u: Word) -> int:
 # a table entry of a generic word metric beyond its cap; it exceeds every
 # distance, so a minimum over a pool is UNKNOWN only when every entry is
 UNKNOWN = int(np.iinfo(np.int32).max)
-_BLOCK_PAIRS = 1 << 12  # (row, column) pairs filled per block of rows
+_BLOCK_CELLS = 1 << 14  # (row, column, letter) cells filled per block of rows
 
 
 def _encode(alphabet: Alphabet, datas: list) -> tuple:
@@ -266,6 +266,14 @@ def _encode(alphabet: Alphabet, datas: list) -> tuple:
             np.array([d[2] for d in datas], np.int64),
         )
     raise ValueError(kind)
+
+
+def _letters(encoded) -> int:
+    """Array entries of an `_encode` result: a bound on the (column,
+    letter) cells that `_fill` compares for each row."""
+    if isinstance(encoded, tuple):
+        return sum(map(_letters, encoded))
+    return encoded.size
 
 
 def _fill(alphabet: Alphabet, us: tuple, vs: tuple) -> np.ndarray:
@@ -305,8 +313,9 @@ def distance_table(us: Sequence[Word], vs: Sequence[Word], cap: int = 12) -> np.
     """Word metric of every pair, ``table[i, j] = d(us[i], vs[j])``, as int32.
 
     Exact kinds use the closed forms of the module docstring, filled with
-    numpy over the distinct words, a block of rows at a time so that the
-    per-letter temporaries stay small.  Generic words go through
+    numpy over the distinct words, a block of rows at a time: a block holds
+    at most `_BLOCK_CELLS` (row, column, letter) cells, so the per-letter
+    temporaries stay small at any word length.  Generic words go through
     `word_metric` once per distinct pair; entries beyond `cap` hold
     `UNKNOWN`.
     """
@@ -327,7 +336,7 @@ def distance_table(us: Sequence[Word], vs: Sequence[Word], cap: int = 12) -> np.
                 table[i, j] = UNKNOWN if m is None else m
     else:
         encoded = _encode(alphabet, col_data)
-        step = max(1, _BLOCK_PAIRS // len(col_data))
+        step = max(1, _BLOCK_CELLS // _letters(encoded))
         for start in range(0, len(row_data), step):
             block = _encode(alphabet, row_data[start : start + step])
             table[start : start + step] = _fill(alphabet, block, encoded)

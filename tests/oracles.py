@@ -3,10 +3,12 @@ against: the nested-image certificate of a code, expansivity witnesses,
 recurrence of code orbits, the quasigeodesic sandwich for rays,
 independence of phi from the code, the continuity modulus of phi, and the
 finite-difference stretch.  No command reports these, so they live here and
-not in the package; `parse` inverts `groups.to_str` to write test words.
-The scalar loops that the array paths replaced (the Schottky limit net one
-angle at a time, the conjugacy one step at a time) are kept as oracles, and
-so is the certificate that held every net point's rays and tables at once.
+not in the package; `parse` inverts `groups.to_str` to write test words,
+and `ray_of_words` turns words into a ray.  The scalar loops that the array
+paths replaced (the Schottky limit net one angle at a time, the conjugacy
+one step at a time) are kept as oracles, and so are the breadth-first chain
+search that the reachability matrix replaced and the certificate that held
+every net point's rays and tables at once and searched chains pair by pair.
 The frozen dataclasses that points and spaces once were are kept as the
 reference for the equality and hash of `Point` and the `Space` kinds."""
 import math
@@ -30,7 +32,6 @@ from expaction.coding import (
     fellow_travel_distance,
     greedy_step,
     make_code,
-    n_equivalence,
     nested_images,
 )
 from expaction.expansion import SAFETY, ActionView
@@ -65,6 +66,14 @@ def parse(alphabet: Alphabet, text: str) -> Word:
             raise ValueError(f"unknown generator {name!r}")
         return Word(alphabet, int(exp or "1"))
     raise ValueError(f"parsing not defined for kind {alphabet.kind}")
+
+
+def ray_of_words(words: Sequence[Word]) -> Ray:
+    """The ray through the given prefix words c_0, c_1, ...: its symbols are
+    s_0 = c_0 and s_i = c_{i-1}^-1 c_i."""
+    return Ray(
+        groups.multiply(groups.inverse(words[i - 1]), w) if i else w for i, w in enumerate(words)
+    )
 
 
 NestedStep = namedtuple("NestedStep", "i diameter bound nesting_slack contains_x_error")
@@ -247,15 +256,44 @@ def expansion_factor_fd(system, g: Word, x, h: float = 1e-6) -> float:
 
 
 # ---------------------------------------------------------------------------
-# the certificate over all points at once
+# chains pair by pair, and the certificate over all points at once
+
+
+def tail_close(table: RayTable, a: int, b: int, n: int) -> bool:
+    """Rows a and b of the table are tail-close at n."""
+    return bool(table.window[0, a, b] < n <= table.window[1, a, b])
+
+
+def chain_search(table: RayTable, a: int, b: int, n: int, max_chain: int = 3) -> tuple:
+    """Breadth-first search for a chain of at most max_chain tail-close steps
+    from row a to row b, each step to a ray class not reached before.
+    Returns (found, chain): the rows of the chain, both ends included, or
+    None.  Rows with the same symbols are one ray."""
+    first, goal = table.first, table.first[b]
+    if first[a] == goal:
+        return True, (a,)
+    frontier, seen = [(a, (a,))], {first[a]}
+    for _ in range(max_chain):
+        nxt = []
+        for current, chain in frontier:
+            for j in range(len(first)):
+                if first[j] in seen or not tail_close(table, current, j, n):
+                    continue
+                if first[j] == goal:
+                    return True, chain + (j,)
+                seen.add(first[j])
+                nxt.append((j, chain + (j,)))
+        frontier = nxt
+    return False, None
 
 
 def all_points_certificate(
     system, datum, net=None, depth=20, cap=200, n_max=8, max_chain=3, metric_cap=64
 ) -> Certificate:
-    """`coding.shyp_certificate` before it took the net one point at a time:
-    the codes and rays of every point first, then one whole table per point,
-    kept through the fellow pass and the chain search."""
+    """`coding.shyp_certificate` before it took the net one point at a time
+    and searched chains by matrix: the codes and rays of every point first,
+    then one whole table per point, kept through the fellow pass and a
+    breadth-first chain search per ray pair."""
     view = system if isinstance(system, ActionView) else ActionView(system)
     net = list(datum.net if net is None else net)
     truncated = False
@@ -269,7 +307,7 @@ def all_points_certificate(
     for x, rays, table in zip(net, all_rays, tables):
         for i in range(len(rays)):
             for j in range(i + 1, len(rays)):
-                d = fellow_travel_distance(rays[i], rays[j], metric_cap, table)
+                d = fellow_travel_distance(table, i, j)
                 if d is None:
                     fellow_known = False
                 elif d > fellow:
@@ -280,7 +318,7 @@ def all_points_certificate(
             n
             for n in range(top + 1)
             if all(
-                n_equivalence(rays[i], rays[j], rays, n, max_chain, metric_cap, table)[0]
+                chain_search(table, i, j, n, max_chain)[0]
                 for rays, table in zip(all_rays, tables)
                 for i in range(len(rays))
                 for j in range(i + 1, len(rays))

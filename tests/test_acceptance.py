@@ -5,10 +5,17 @@ All tolerances are pinned here; nothing is deferred to later calibration.
 import math
 
 import numpy as np
-from oracles import ExpansivityWitness, expansivity_witness, nested_steps, quasigeodesic_check
+from oracles import (
+    ExpansivityWitness,
+    chain_search,
+    expansivity_witness,
+    nested_steps,
+    quasigeodesic_check,
+)
 
 from expaction import expansion, groups, stability, zoo
 from expaction.coding import (
+    RayTable,
     code_ray,
     coding_map,
     enumerate_codes,
@@ -114,8 +121,13 @@ def test_criterion_4_hyperbolicity_certificates(
     e1 = zn_system.space.point((0.0, 1.0, 0.0))
     codes, _ = enumerate_codes(zn_datum, zn_system, zn_datum.delta, e1, 20, 200)
     rays = [code_ray(zn_datum, c) for c in codes]
-    by_first = {r.words[0].data: r for r in rays}
-    found, chain = n_equivalence(by_first[(0, 1)], by_first[(0, -1)], rays, 1)
+    table = RayTable(rays)
+    # tail-close steps alone leave a pair unjoined; one interpolating ray joins all
+    joined, pairs = n_equivalence(table, 1, 1)
+    assert joined < pairs
+    assert n_equivalence(table, 1, 2) == (pairs, pairs)
+    row = {r.words[0].data: i for i, r in enumerate(rays)}
+    found, chain = chain_search(table, row[(0, 1)], row[(0, -1)], 1)
     assert found and len(chain) == 3
     _report(4, "certificates: FB N=1, cover N=1<=4, Z^2 chains at N=1")
 

@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 from oracles import (
     ExpansivityWitness,
+    chain_search,
     expansivity_witness,
     nested_steps,
     quasigeodesic_check,
@@ -286,7 +287,7 @@ def test_fellow_travel_identical(cyclic_system, cyclic_datum):
     d = cyclic_datum
     code = make_code(d, cyclic_system, d.delta, cyclic_system.space.point(0.0), 10)
     ray = code_ray(d, code)
-    assert fellow_travel_distance(ray, ray) == 0
+    assert fellow_travel_distance(RayTable((ray, ray)), 0, 1) == 0
 
 
 def test_fellow_travel_cyclic_initial_variants(cyclic_system, cyclic_datum):
@@ -294,8 +295,7 @@ def test_fellow_travel_cyclic_initial_variants(cyclic_system, cyclic_datum):
     codes, _ = enumerate_codes(
         d, cyclic_system, d.delta, cyclic_system.space.point(0.0), 12, 10
     )
-    rays = [code_ray(d, c) for c in codes]
-    ft = fellow_travel_distance(rays[0], rays[1])
+    ft = fellow_travel_distance(RayTable([code_ray(d, c) for c in codes]), 0, 1)
     assert ft is not None and ft <= 2
 
 
@@ -304,19 +304,23 @@ def test_n_equivalence_direct_and_interpolated(zn_system, zn_datum):
     e1 = zn_system.space.point((0.0, 1.0, 0.0))
     codes, _ = enumerate_codes(d, zn_system, d.delta, e1, 12, 50)
     rays = [code_ray(d, c) for c in codes]
-    by_first = {r.words[0].data: r for r in rays}
-    up, down = by_first[(0, 1)], by_first[(0, -1)]
-    middle = by_first[(-1, 0)]
+    table = RayTable(rays)
+    row = {r.words[0].data: i for i, r in enumerate(rays)}
+    up, down = row[(0, 1)], row[(0, -1)]
     # fellow-traveling rays chain directly
-    found, chain = n_equivalence(middle, by_first[(1, 0)], rays, 1)
+    found, chain = chain_search(table, row[(-1, 0)], row[(1, 0)], 1)
     assert found and len(chain) == 2
     # the opposite-side rays need one interpolating ray at N = 1
-    found, chain = n_equivalence(up, down, rays, 1)
+    found, chain = chain_search(table, up, down, 1)
     assert found and len(chain) == 3
-    assert chain[1].words[0].data in ((1, 0), (-1, 0))
+    assert rays[chain[1]].words[0].data in ((1, 0), (-1, 0))
     # and are not directly tail-close at N = 1
-    found, chain = n_equivalence(up, down, [up, down], 1)
+    found, chain = chain_search(RayTable([rays[up], rays[down]]), 0, 1, 1)
     assert not found and chain is None
+    # the matrix joins all six pairs with one interpolating ray, not without
+    assert n_equivalence(table, 1, 2) == (6, 6)
+    joined, pairs = n_equivalence(table, 1, 1)
+    assert pairs == 6 and joined < pairs
 
 
 # ---------------------------------------------------------------------------
@@ -396,9 +400,9 @@ def test_fellow_travel_unknown_beyond_cap():
     b = Ray((groups.multiply(y, y),))
     # the needed word metrics exceed the breadth-first cap, so the verdict
     # is unknown rather than a guessed constant
-    assert fellow_travel_distance(a, b, cap=1) is None
+    assert fellow_travel_distance(RayTable((a, b), cap=1), 0, 1) is None
     # with a workable cap the endpoints fall inside the truncation margin
-    assert fellow_travel_distance(a, b, cap=4) == 1
+    assert fellow_travel_distance(RayTable((a, b), cap=4), 0, 1) == 1
 
 
 def test_certificate_records_truncation(fb_system, fb_datum):
@@ -503,7 +507,8 @@ def test_nested_product_certificate_has_a_null_chain_constant():
     * the chain search tries only n <= fellow_constant (0, 1, 2);
     * at depth 8 a tail half holds four vertices spanning three word
       lengths, so from n = 2 on the window [lo + n, hi - n] is empty and
-      `RayTable.tail_close` returns False, even for a ray against itself.
+      its tail-close interval ``(window[0], window[1]]`` holds no n, even
+      for a ray against itself.
 
     The null is therefore an artefact of the truncation depth, not evidence
     against hyperbolicity; this test keeps it from changing silently.
@@ -521,9 +526,9 @@ def test_nested_product_certificate_has_a_null_chain_constant():
     assert cert.worst_pair == (datum.net[0], 4, 5, 2)
 
     codes, _ = enumerate_codes(datum, system, datum.delta, datum.net[0], 8, 200)
-    rays = [code_ray(datum, c) for c in codes]
+    table = RayTable([code_ray(datum, c) for c in codes])
     # below the fellow constant some pair does not chain ...
-    assert not n_equivalence(rays[0], rays[1], rays, 1)[0]
+    joined, pairs = n_equivalence(table, 1, cert.chain_steps)
+    assert 0 < pairs and joined < pairs
     # ... and from n = 2 on every tail window is empty
-    for n in range(2, cert.n_max + 1):
-        assert not any(RayTable((r, r)).tail_close(0, 1, n) for r in rays)
+    assert (table.window[1] < 2).all()

@@ -1,21 +1,33 @@
 """Ray distance tables against the pairwise scans they replaced.
 
 `coding.RayTable` computes the word distances between the path vertices of
-a point's rays once and keeps nearest-partner minima; fellow traveling, tail
-closeness and chain search read them, and `groups.distance_table` feeds the
+a point's rays once and keeps nearest-partner minima; fellow traveling and
+tail closeness read them, the chain search is one reachability matrix over
+the tail-close intervals, and `groups.distance_table` feeds the
 quasigeodesic oracle of `oracles.py` the same way.  The scans
 they replaced are kept below, on a reference metric built independently of
 `groups.distance_table` (the composite word ``u^-1 v`` for exact kinds, the
 breadth-first search for generic words), and every verdict must agree,
-including on rays of unequal length and generic words beyond the cap.
+including on rays of unequal length and generic words beyond the cap; the
+matrix must agree with the breadth-first chain search of `oracles.py` pair
+for pair.
 """
 import functools
+import itertools
 import math
 from typing import Optional
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
-from oracles import QuasigeodesicReport, all_points_certificate, quasigeodesic_check
+from oracles import (
+    QuasigeodesicReport,
+    all_points_certificate,
+    chain_search,
+    quasigeodesic_check,
+    ray_of_words,
+    tail_close,
+)
 
 from expaction import coding, expansion, groups, zoo
 from expaction.coding import Ray, RayTable
@@ -126,8 +138,8 @@ def old_quasigeodesic_check(datum, ray: Ray, cap: int = 64):
 
 
 # ---------------------------------------------------------------------------
-# rays: running products of generators, as code_ray builds them (a step may
-# cancel, so word lengths need not grow)
+# rays: their symbols are random generators, so a step may cancel and word
+# lengths need not grow
 
 F2 = Alphabet.free(2)
 Z2 = Alphabet.free_abelian(2)
@@ -141,10 +153,24 @@ KINDS = {"free": F2, "abelian": Z2, "cyclic": CY, "swap": F2_SWAP, "nested": NES
 
 def rays(alphabet: Alphabet, max_steps: int = 8):
     steps = st.lists(st.sampled_from(alphabet.symmetric_generators()), min_size=1, max_size=max_steps)
-    return steps.map(
-        lambda gens: Ray(tuple(functools.reduce(lambda acc, g: acc + [multiply(acc[-1], g)],
-                                                gens[1:], [gens[0]])))
-    )
+    return steps.map(Ray)
+
+
+def ray_family(alphabet: Alphabet, max_steps: int):
+    """The three rays whose words are those of one base ray times e, g and
+    g^2 for one generator g: random rays are seldom tail-close, these often
+    are, and the rays times e and g^2 chain through the one times g."""
+    gens = alphabet.symmetric_generators()
+    # positive letters only, so the base ray does not backtrack
+    positive = [alphabet.generator(i, s) for i, s in alphabet.signed_letters() if s > 0]
+
+    def family(base_and_g):
+        base, g = base_and_g
+        words = list(itertools.accumulate(base, multiply))
+        return [ray_of_words([multiply(w, o) for w in words]) for o in (alphabet.identity(), g, multiply(g, g))]
+
+    base = st.lists(st.sampled_from(positive), min_size=2, max_size=max_steps)
+    return st.tuples(base, st.sampled_from(gens)).map(family)
 
 
 def exact_and_generic(draw, max_steps=8):
@@ -162,10 +188,9 @@ def test_fellow_travel_distance_matches_the_old_scan(data):
     _, cap, ray = exact_and_generic(data.draw)
     a, b, other = data.draw(ray), data.draw(ray), data.draw(ray)
     expected = old_fellow_travel_distance(a, b, cap)
-    assert coding.fellow_travel_distance(a, b, cap) == expected
+    assert coding.fellow_travel_distance(RayTable((a, b), cap), 0, 1) == expected
     # a shared table of more rays answers the same
-    table = RayTable([other, b, a], cap)
-    assert coding.fellow_travel_distance(a, b, cap, table) == expected
+    assert coding.fellow_travel_distance(RayTable([other, b, a], cap), 2, 1) == expected
 
 
 @settings(max_examples=150, derandomize=True, deadline=None)
@@ -173,31 +198,49 @@ def test_fellow_travel_distance_matches_the_old_scan(data):
 def test_tail_close_matches_the_old_scan(data, n):
     _, cap, ray = exact_and_generic(data.draw)
     a, b = data.draw(ray), data.draw(ray)
-    assert RayTable((a, b), cap).tail_close(0, 1, n) == old_tail_close(a, b, n, cap)
+    assert tail_close(RayTable((a, b), cap), 0, 1, n) == old_tail_close(a, b, n, cap)
 
 
 def test_tail_partners_come_from_the_tail_half():
     # a's tail holds g^-1, which b passes only in its first half
-    a = Ray(tuple(groups.Word(CY, e) for e in (1, 2, 1, 0, -1, 0)))
-    b = Ray(tuple(groups.Word(CY, e) for e in (-1, 0, 1, 0, 1)))
+    a = ray_of_words([groups.Word(CY, e) for e in (1, 2, 1, 0, -1, 0)])
+    b = ray_of_words([groups.Word(CY, e) for e in (-1, 0, 1, 0, 1)])
     assert old_tail_close(a, b, 0) is False
-    assert RayTable((a, b)).tail_close(0, 1, 0) is False
-    assert RayTable((a, b)).tail_close(0, 1, 1) == old_tail_close(a, b, 1)
+    assert tail_close(RayTable((a, b)), 0, 1, 0) is False
+    assert tail_close(RayTable((a, b)), 0, 1, 1) == old_tail_close(a, b, 1)
+
+
+def as_rays(pool: list, searched: tuple) -> tuple:
+    """A chain search over rows, with the chain as the pool's rays."""
+    found, chain = searched
+    return found, chain and tuple(pool[r] for r in chain)
 
 
 @settings(max_examples=100, derandomize=True, deadline=None)
 @given(data=st.data(), n=st.integers(0, 3), max_chain=st.integers(1, 3))
 def test_n_equivalence_matches_the_old_search(data, n, max_chain):
-    _, cap, ray = exact_and_generic(data.draw, max_steps=6)
-    distinct = data.draw(st.lists(ray, min_size=2, max_size=4))
-    # repeated rays, also as equal copies, must be skipped as the old search did
-    pool = data.draw(st.lists(st.sampled_from(distinct), min_size=2, max_size=6))
-    pool.append(Ray(tuple(pool[0].words)))
+    alphabet, cap, ray = exact_and_generic(data.draw, max_steps=6)
+    steps = 4 if alphabet.kind == groups.GENERIC else 8
+    distinct = data.draw(st.lists(ray, min_size=2, max_size=4) | ray_family(alphabet, steps))
+    # repeated rays, also as equal copies, are one ray class
+    repeats = data.draw(st.lists(st.sampled_from(distinct), max_size=3))
+    pool = data.draw(st.permutations(distinct + repeats))
+    pool.append(ray_of_words(pool[0].words))
+    table = RayTable(pool, cap)
+    classes = sorted(set(table.first))
+    k = len(classes)
+    # the matrix, pair for pair, against the breadth-first search
+    for m, chain in itertools.product(range(4), range(1, 4)):
+        reach = coding._chain_reach(table, m, chain)
+        for p, a in enumerate(classes):
+            for q, b in enumerate(classes):
+                assert reach[p, q] == chain_search(table, a, b, m, chain)[0], (a, b, m, chain)
+        joined = np.count_nonzero(np.triu(reach, 1))
+        assert coding.n_equivalence(table, m, chain) == (joined, k * (k - 1) // 2)
+    # and the breadth-first search over the table against the old scans
     i, j = data.draw(st.integers(0, len(pool) - 1)), data.draw(st.integers(0, len(pool) - 1))
     expected = old_n_equivalence(pool[i], pool[j], pool, n, max_chain, cap)
-    assert coding.n_equivalence(pool[i], pool[j], pool, n, max_chain, cap) == expected
-    table = RayTable(pool, cap)
-    assert coding.n_equivalence(pool[i], pool[j], pool, n, max_chain, cap, table) == expected
+    assert as_rays(pool, chain_search(table, i, j, n, max_chain)) == expected
 
 
 @settings(max_examples=100, derandomize=True, deadline=None)
@@ -210,29 +253,62 @@ def test_quasigeodesic_check_matches_the_old_scan(data, fb_datum):
 
 def test_equal_copies_are_one_ray_in_the_chain_search():
     x, y = F2.generator(0), F2.generator(1)
-    a, b = Ray((x, multiply(x, x))), Ray((y, multiply(y, y)))
-    pool = [a, b, Ray(a.words), Ray(b.words)]
-    assert RayTable(pool).first == [0, 1, 0, 1]
-    for start in pool:
-        for goal in pool:
-            for n in range(3):
+    a, b = Ray((x, x)), Ray((y, y))
+    pool = [a, b, ray_of_words(a.words), ray_of_words(b.words)]
+    table = RayTable(pool)
+    assert table.first == [0, 1, 0, 1]
+    for n in range(3):
+        # one pair of classes, not six pairs of rows
+        assert coding.n_equivalence(table, n)[1] == 1
+        for i, start in enumerate(pool):
+            for j, goal in enumerate(pool):
                 expected = old_n_equivalence(start, goal, pool, n)
-                assert coding.n_equivalence(start, goal, pool, n) == expected
-    assert coding.n_equivalence(a, pool[2], pool, 0) == (True, (a,))
-
-
-def test_n_equivalence_needs_both_rays_in_the_pool():
-    a, b = Ray((F2.generator(0, 1),)), Ray((F2.generator(1, 1),))
-    with pytest.raises(ValueError, match="pool must contain both rays"):
-        coding.n_equivalence(a, b, [a], 0)
-    with pytest.raises(ValueError, match="pool must contain both rays"):
-        coding.fellow_travel_distance(a, b, table=RayTable([a]))
-    with pytest.raises(ValueError, match="table must hold exactly the pool"):
-        coding.n_equivalence(a, b, [a, b], 0, table=RayTable([a, b, a]))
+                assert as_rays(pool, chain_search(table, i, j, n)) == expected
+    assert chain_search(table, 0, 2, 0) == (True, (0,))
 
 
 # ---------------------------------------------------------------------------
 # whole certificates: the old scans in place of the table readers
+
+
+def old_scan_certificate(system, datum, net, depth=20, cap=200, n_max=8, max_chain=3, metric_cap=64):
+    """The certificate from the replaced scans: the rays of every point, the
+    old fellow scan and the old chain search on each same-point ray pair."""
+    points, truncated = [], False
+    for x in net:
+        codes, trunc = coding.enumerate_codes(datum, system, datum.delta, x, depth, cap)
+        truncated = truncated or trunc
+        points.append((x, [coding.code_ray(datum, c) for c in codes]))
+    pairs = [(x, rays, i, j) for x, rays in points for i in range(len(rays)) for j in range(i + 1, len(rays))]
+    fellow, worst_pair, fellow_known = 0, None, True
+    for x, rays, i, j in pairs:
+        d = old_fellow_travel_distance(rays[i], rays[j], metric_cap)
+        if d is None:
+            fellow_known = False
+        elif d > fellow:
+            fellow, worst_pair = d, (x, i, j, d)
+    top = fellow if fellow_known and fellow <= n_max else n_max
+    chain_constant = next(
+        (
+            n
+            for n in range(top + 1)
+            if all(
+                old_n_equivalence(rays[i], rays[j], rays, n, max_chain, metric_cap)[0]
+                for _, rays, i, j in pairs
+            )
+        ),
+        None,
+    )
+    return coding.Certificate(
+        fellow_constant=fellow if fellow_known else None,
+        chain_constant=chain_constant,
+        chain_steps=max_chain,
+        n_max=n_max,
+        truncated=truncated,
+        points_checked=len(net),
+        rays_per_point=tuple(len(rays) for _, rays in points),
+        worst_pair=worst_pair,
+    )
 
 
 CERTIFICATES = {
@@ -246,36 +322,19 @@ CERTIFICATES = {
 
 
 @pytest.mark.parametrize("case", list(CERTIFICATES))
-def test_certificates_equal_the_old_scans_field_by_field(monkeypatch, request, case):
+def test_certificates_equal_the_old_scans_field_by_field(request, case):
     system_name, datum_name, kwargs, net_depth = CERTIFICATES[case]
     system = request.getfixturevalue(system_name)
     if datum_name is None:
         datum = expansion.build_expansion_datum(system, 2.0, net_depth=2)
     else:
         datum = request.getfixturevalue(datum_name)
-    if net_depth is not None:
-        kwargs = dict(kwargs, net=system.limit_net(net_depth))
-    calls = {"fellow": 0, "chain": 0}
-
-    def count(name, fn):
-        def wrapped(*args, **kw):
-            calls[name] += 1
-            return fn(*args, **kw)
-        return wrapped
-
-    monkeypatch.setattr(coding, "fellow_travel_distance", count("fellow", coding.fellow_travel_distance))
-    monkeypatch.setattr(coding, "n_equivalence", count("chain", coding.n_equivalence))
-    fast, fast_calls = coding.shyp_certificate(system, datum, **kwargs), dict(calls)
-    calls.update(fellow=0, chain=0)
-    monkeypatch.setattr(coding, "fellow_travel_distance", count(
-        "fellow", lambda a, b, cap=64, table=None: old_fellow_travel_distance(a, b, cap)))
-    monkeypatch.setattr(coding, "n_equivalence", count(
-        "chain", lambda a, b, pool, n, max_chain=3, cap=64, table=None:
-        old_n_equivalence(a, b, pool, n, max_chain, cap)))
-    slow = coding.shyp_certificate(system, datum, **kwargs)
+    net = datum.net if net_depth is None else system.limit_net(net_depth)
+    fast = coding.shyp_certificate(system, datum, net=net, **kwargs)
+    slow = old_scan_certificate(system, datum, net, **kwargs)
     for name in coding.Certificate._fields:
         assert getattr(fast, name) == getattr(slow, name), name
-    assert fast_calls == calls and calls["fellow"] > 0
+    assert sum(fast.rays_per_point) > len(net)  # some point has a pair
 
 
 # the certificate one point at a time against the one over all points at once

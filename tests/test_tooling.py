@@ -85,6 +85,59 @@ def test_a_traced_certificate_calls_every_span_it_is_benchmarked_on(request, sys
     assert counts["coding.n_equivalence_found"] > 0
 
 
+@pytest.mark.parametrize(
+    "system_name, datum_name",
+    [("fb_system", "fb_datum"), ("zn_system", "zn_datum"), ("product_system", "product_datum")],
+    ids=["free", "zn", "product-swap"],
+)
+def test_a_certificate_measures_each_pair_once_and_chains_each_point_once_per_n(
+    monkeypatch, request, system_name, datum_name
+):
+    # the benchmark's per-layer counts read these calls: one fellow-travel
+    # distance per same-point ray pair, then one chain matrix per (point, n)
+    # tried, n rising from 0 and each n stopping at the first point that fails
+    system, datum = request.getfixturevalue(system_name), request.getfixturevalue(datum_name)
+    fellow, chain, calls, tables = coding.fellow_travel_distance, coding.n_equivalence, [], []
+
+    class RecordedTable(coding.RayTable):
+        __slots__ = ()
+
+        def __init__(self, *args):
+            super().__init__(*args)
+            tables.append(self)
+
+    def traced_fellow(table, a, b):
+        calls.append(("fellow", table, a, b))
+        return fellow(table, a, b)
+
+    def traced_chain(table, n, max_chain):
+        calls.append(("chain", table, n))
+        return chain(table, n, max_chain)
+
+    monkeypatch.setattr(coding, "RayTable", RecordedTable)
+    monkeypatch.setattr(coding, "fellow_travel_distance", traced_fellow)
+    monkeypatch.setattr(coding, "n_equivalence", traced_chain)
+    net = datum.net[:12]
+    cert = coding.shyp_certificate(system, datum, net=net, depth=6, n_max=8)
+    assert len(tables) == len(net)
+    expected = [
+        ("fellow", table, i, j)
+        for table, k in zip(tables, cert.rays_per_point)
+        for i in range(k)
+        for j in range(i + 1, k)
+    ]
+    top = cert.fellow_constant if cert.fellow_ok else cert.n_max
+    for n in range(top + 1):
+        for table in tables:
+            expected.append(("chain", table, n))
+            joined, pairs = chain(table, n, cert.chain_steps)
+            if joined < pairs:
+                break
+        else:
+            break
+    assert calls == expected and any(call[0] == "fellow" for call in calls)
+
+
 def _names_used(node) -> Counter:
     """How often each name is read in the tree: as a Name or an Attribute."""
     return Counter(

@@ -174,9 +174,28 @@ def test_distance_table_fills_in_row_blocks(monkeypatch, alphabet):
     rng = random.Random(5)
     us = [random_word(alphabet, rng, 12) for _ in range(25)]
     whole = groups.distance_table(us, us[:7])
-    monkeypatch.setattr(groups, "_BLOCK_PAIRS", 10)
+    monkeypatch.setattr(groups, "_BLOCK_CELLS", 200)  # 2 to 5 rows a block
     assert groups.distance_table(us, us[:7]).tolist() == whole.tolist()
     assert whole.tolist() == [[composite_metric(u, v) for v in us[:7]] for u in us]
+
+
+def test_a_block_of_deep_free_rays_stays_inside_the_cell_budget(monkeypatch, fb_system, fb_datum):
+    # the free fill compares every (row, column) pair letter by letter, so a
+    # block bounded by pairs grew with the depth of the rays
+    blocks = []
+
+    def fill(alphabet, us, vs):
+        (row_codes, _), (col_codes, _) = us, vs
+        blocks.append(len(row_codes) * len(col_codes) * min(row_codes.shape[1], col_codes.shape[1]))
+        return original(alphabet, us, vs)
+
+    original = groups._fill
+    monkeypatch.setattr(groups, "_fill", fill)
+    x = fb_datum.net[0]
+    codes, _ = coding.enumerate_codes(fb_datum, fb_system, fb_datum.delta, x, 40, 200)
+    table = coding.RayTable([coding.code_ray(fb_datum, c) for c in codes])
+    assert table.window.shape[1] == len(codes) > 1 and len(blocks) > 1
+    assert max(blocks) <= groups._BLOCK_CELLS, blocks
 
 
 def test_distance_table_checks_its_arguments():
