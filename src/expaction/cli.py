@@ -342,7 +342,7 @@ def cmd_zoo_list(cfg: dict, out: Path) -> int:
 def cmd_verify_expansion(cfg: dict, out: Path) -> int:
     system = build_system(cfg["system"])
     datum = expansion.build_expansion_datum(system, cfg["lambda_target"], cfg["net"]["depth"])
-    report_obj = expansion.verify_expansion(system, datum, tol=cfg["tolerances"]["tol"])
+    report_obj = expansion.verify_expansion(expansion.ActionView(system), datum, tol=cfg["tolerances"]["tol"])
     report = {
         "schema_version": SCHEMA_VERSION,
         "command": "verify-expansion",
@@ -499,7 +499,7 @@ def cmd_stability(cfg: dict, out: Path) -> int:
     injective = stability.check_injectivity(table, ps)
     residual = max(table.residuals.values()) if table.residuals else 0.0
     datum_p = stability.perturbed_datum(datum, ps, datum.delta / 5.0, table)
-    verify_p = expansion.verify_expansion(ps.view(), datum_p, tol=cfg["tolerances"]["tol"])
+    verify_p = expansion.verify_expansion(ps.view, datum_p, tol=cfg["tolerances"]["tol"])
     passed = (
         not table.failures
         and disp.below_eps

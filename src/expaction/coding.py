@@ -17,7 +17,7 @@ from typing import Iterable, NamedTuple, Optional, Sequence
 import numpy as np
 
 from . import groups, zoo
-from .expansion import ActionView, CoverEntry, ExpansionDatum
+from .expansion import CoverEntry, ExpansionDatum
 from .geometry import Point, Value
 from .groups import BoundaryWord, boundary_prefix
 from .zoo import ActionSystem
@@ -80,28 +80,28 @@ def _greedy_entry(datum: ExpansionDatum, x: Point, eta: float, reverse_ties: boo
     return best
 
 
-def _step(view: ActionView, entry: CoverEntry, x: Point) -> Point:
+def _step(system: ActionSystem, entry: CoverEntry, x: Point) -> Point:
     inv, letter = entry.backward
-    y = view.apply_word(inv, x)
+    y = system.apply(inv, x)
     # stabilize backward orbits on the circle: expanding steps amplify float
     # noise, so points that reached a fixed angle of the applied map are
     # pinned there
-    if view.perturbed is None and letter is not None and view.space.angular:
-        snapped = zoo.snap_angle(view.maps[letter], x.value, y.value)
+    if letter is not None and system.space.angular:
+        snapped = zoo.snap_angle(system.letter_maps[letter], x.value, y.value)
         if snapped != y.value:
-            return view.space.point(snapped)
+            return system.space.point(snapped)
     return y
 
 
-def greedy_step(datum: ExpansionDatum, view: ActionView, x: Point, eta: float) -> tuple:
+def greedy_step(datum: ExpansionDatum, system: ActionSystem, x: Point, eta: float) -> tuple:
     """One greedy code step: (chosen entry, next point)."""
     e = _greedy_entry(datum, x, eta)
-    return e, _step(view, e, x)
+    return e, _step(system, e, x)
 
 
 def make_code(
     datum: ExpansionDatum,
-    system: ActionSystem | ActionView,
+    system: ActionSystem,
     eta: float,
     x: Point,
     depth: int,
@@ -110,20 +110,19 @@ def make_code(
     """Greedy special code for x: maximal margin at every step, the initial
     label included, and the smallest entry index on ties (the largest with
     `reverse_ties`)."""
-    view = system if isinstance(system, ActionView) else ActionView(system)
     if not 0.0 < eta <= datum.delta:
         raise CodingError(f"eta must lie in (0, delta={datum.delta}], got {eta}")
     alphas, points = [], [x]
     for _ in range(depth):
         e = _greedy_entry(datum, points[-1], eta, reverse_ties)
         alphas.append(e.index)
-        points.append(_step(view, e, points[-1]))
+        points.append(_step(system, e, points[-1]))
     return Code(tuple(alphas), tuple(points), True)
 
 
 def enumerate_codes(
     datum: ExpansionDatum,
-    system: ActionSystem | ActionView,
+    system: ActionSystem,
     eta: float,
     x: Point,
     depth: int,
@@ -131,20 +130,19 @@ def enumerate_codes(
 ) -> tuple:
     """All admissible codes to the given depth, breadth-first; every entry is
     allowed as the initial label.  Returns (codes, truncated)."""
-    view = system if isinstance(system, ActionView) else ActionView(system)
     if cap < 1:
         raise ValueError("cap must be >= 1")
     if not 0.0 < eta <= datum.delta:
         raise CodingError(f"eta must lie in (0, delta={datum.delta}], got {eta}")
     truncated = False
-    branches = [([e.index], [x, _step(view, e, x)]) for e in datum.entries]
+    branches = [([e.index], [x, _step(system, e, x)]) for e in datum.entries]
     if len(branches) > cap:
         branches, truncated = branches[:cap], True
     for _ in range(depth - 1):
         nxt = []
         for alphas, points in branches:
             for e in _admissible_entries(datum, points[-1], eta):
-                nxt.append((alphas + [e.index], points + [_step(view, e, points[-1])]))
+                nxt.append((alphas + [e.index], points + [_step(system, e, points[-1])]))
         if len(nxt) > cap:
             nxt, truncated = nxt[:cap], True
         branches = nxt
@@ -172,13 +170,13 @@ def code_ray(datum: ExpansionDatum, code: Code) -> Ray:
 # nested neighborhoods
 
 
-def _word_pushers(view: ActionView, datum: ExpansionDatum, code: Code) -> list:
+def _word_pushers(system: ActionSystem, datum: ExpansionDatum, code: Code) -> list:
     """Per-depth evaluators z -> rho(c_i)(z): the prefixes of one growing
     `zoo.WordPush` where it composes the maps, so pushing many ball points
     stays cheap, and otherwise the reduced ray words."""
-    push = zoo.WordPush(view.space, view.maps)
+    push = zoo.WordPush(system.space, system.letter_maps)
     if push.matrix is None:
-        return [lambda z, w=w: view.apply_word(w, z) for w in code_ray(datum, code).words]
+        return [lambda z, w=w: system.apply(w, z) for w in code_ray(datum, code).words]
     entry_map, pushers = _entry_map(datum), []
     for a in code.alphas:
         push = push.grown(groups.letters_of(entry_map[a].symbol))
@@ -186,15 +184,12 @@ def _word_pushers(view: ActionView, datum: ExpansionDatum, code: Code) -> list:
     return pushers
 
 
-def nested_images(
-    system: ActionSystem | ActionView, datum: ExpansionDatum, code: Code, eta: float
-) -> list:
+def nested_images(system: ActionSystem, datum: ExpansionDatum, code: Code, eta: float) -> list:
     """Diameters of the image neighborhoods rho(c_i)[B_eta(p_{i+1})], one per
     step of the code."""
-    view = system if isinstance(system, ActionView) else ActionView(system)
-    space = view.space
+    space = system.space
     code_ray(datum, code)  # raises on a datum whose ray letters cancel
-    pushers = _word_pushers(view, datum, code)
+    pushers = _word_pushers(system, datum, code)
     return [
         space.set_diameter([push(z) for z in space.ball_net(p, eta)])
         for push, p in zip(pushers, code.points[1:])
@@ -317,13 +312,14 @@ def _chain_reach(table: RayTable, n: int, max_chain: int) -> np.ndarray:
     """Boolean matrix over the table's ray classes, in row order: (p, q)
     when at most max_chain tail-close steps at n lead from class p to q.
     Tail closeness at n is one symmetric boolean matrix T, and the chains
-    are the boolean power (I | T)^max_chain."""
+    are the boolean power (I | T)^max_chain.  Over k classes a chain that
+    joins two needs at most k - 1 steps, so the power stops growing there."""
     classes = sorted(set(table.first))
     lower, upper = table.window[:, classes][:, :, classes]
     step = (lower < n) & (n <= upper)
     np.fill_diagonal(step, True)
     reach = np.eye(len(classes), dtype=bool)
-    for _ in range(max_chain):
+    for _ in range(min(max_chain, len(classes) - 1)):
         reach = reach @ step
     return reach
 
@@ -376,7 +372,7 @@ class Certificate(NamedTuple):
 
 
 def shyp_certificate(
-    system: ActionSystem | ActionView,
+    system: ActionSystem,
     datum: ExpansionDatum,
     net: Sequence[Point] | None = None,
     depth: int = 20,
@@ -388,7 +384,6 @@ def shyp_certificate(
     """Enumerate all codes at each net point and certify the fellow-travel
     constant, falling back to chain equivalence when plain fellow traveling
     exceeds the requested bound."""
-    view = system if isinstance(system, ActionView) else ActionView(system)
     net = list(datum.net if net is None else net)
     truncated, fellow, worst_pair, fellow_known = False, 0, None, True
     # one point at a time: its codes, rays and table, then its fellow pass;
@@ -396,7 +391,7 @@ def shyp_certificate(
     # each table's tail windows and ray classes
     tables = []
     for x in net:
-        codes, trunc = enumerate_codes(datum, view, datum.delta, x, depth, cap)
+        codes, trunc = enumerate_codes(datum, system, datum.delta, x, depth, cap)
         truncated = truncated or trunc
         table = RayTable([code_ray(datum, c) for c in codes], metric_cap)
         for i in range(len(codes)):
@@ -439,7 +434,7 @@ def shyp_certificate(
 
 
 def coding_map(
-    system: ActionSystem | ActionView,
+    system: ActionSystem,
     datum: ExpansionDatum,
     x: Point,
     prefix_depth: int,
@@ -450,17 +445,16 @@ def coding_map(
     cross-checked against the reversed-tie greedy code and flagged
     unstabilized if the two prefixes disagree.
     """
-    view = system if isinstance(system, ActionView) else ActionView(system)
-    kind = view.alphabet.kind
+    kind = system.alphabet.kind
     if kind not in (groups.FREE, groups.CYCLIC):
         raise ValueError(
             f"coding map needs a free or cyclic presentation, not {kind}"
         )
     depth = prefix_depth + 8
-    code = make_code(datum, view, datum.delta, x, depth)
+    code = make_code(datum, system, datum.delta, x, depth)
     ray = code_ray(datum, code)
     primary = boundary_prefix(ray.words, prefix_depth)
-    alt_code = make_code(datum, view, datum.delta, x, depth, reverse_ties=True)
+    alt_code = make_code(datum, system, datum.delta, x, depth, reverse_ties=True)
     alt = boundary_prefix(code_ray(datum, alt_code).words, prefix_depth)
     if alt.prefix != primary.prefix:
         return BoundaryWord(primary.prefix, False)

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import math
 from functools import cached_property
-from typing import NamedTuple
+from typing import Mapping, NamedTuple
 
 import numpy as np
 
@@ -102,27 +102,20 @@ class ExpansionDatum(Value):
 
 
 class ActionView:
-    """Uniform evaluation surface over base or perturbed generator maps."""
+    """An action evaluated with given letter maps on its system's space: the
+    system's own maps, or perturbed ones, which enter only here.  A space
+    that takes no perturbation refuses perturbed maps."""
 
-    def __init__(self, system: ActionSystem, perturbed: "zoo.PerturbedMaps | None" = None):
-        self.system = system
-        self.perturbed = perturbed
-        self.space = system.space
-        self.alphabet = system.alphabet
-        if perturbed is not None and not self.space.perturbable:
-            raise TypeError(f"perturbations unsupported on {self.space.kind}")
-        self.maps = system.letter_maps if perturbed is None else perturbed.letter_maps
-
-    def apply_letter(self, letter, x: Point) -> Point:
-        return self.space.apply_maps((self.maps[letter],), x)
+    def __init__(self, system: ActionSystem, maps: Mapping | None = None):
+        if maps is not None and not system.space.perturbable:
+            raise TypeError(f"perturbations unsupported on {system.space.kind}")
+        self.system, self.space = system, system.space
+        self.maps = system.letter_maps if maps is None else maps
 
     def apply_word(self, g: Word, x: Point) -> Point:
-        if self.perturbed is None:
+        if self.maps is self.system.letter_maps:  # the system's own rule (a product's by component)
             return self.system.apply(g, x)
         return zoo.apply_letters(self.space, self.maps, groups.letters_of(g), x)
-
-    def letters(self) -> list:
-        return self.alphabet.signed_letters()
 
 
 # ---------------------------------------------------------------------------
@@ -351,7 +344,7 @@ def _build_product(system, lam_target, net_depth):
             CoverEntry(f"{pos:02d}:swap", label, EmptyRegion(label="swap", space=space))
         )
     net = system.limit_net(net_depth)
-    delta = min(d1.delta, d2.delta, 0.9 * space.separation)
+    delta = min(d1.delta, d2.delta, SAFETY * space.separation)
     return ExpansionDatum(
         tuple(entries),
         delta,
@@ -427,24 +420,46 @@ def strided_pairs(n: int, stride: int) -> tuple:
     return i, picked - starts[i] + i + 1
 
 
-def _sample_pairs(points: list, count: int) -> list:
-    n = len(points)
-    if n < 2:
-        return []
+def _sample_pairs(n: int, count: int) -> tuple:
+    """At most `count` index pairs of n points, every stride-th of all pairs
+    (`strided_pairs`), as the array of the i and the array of the j."""
     count = max(count, 1)
     i, j = strided_pairs(n, max(1, (n * (n - 1) // 2) // count))
-    return [(points[a], points[b]) for a, b in zip(i[:count].tolist(), j[:count].tolist())]
+    return i[:count], j[:count]
 
 
-def verify_expansion(
-    view: ActionView | ActionSystem, datum: ExpansionDatum, tol: float = 1e-9
-) -> VerificationReport:
-    """Sampled verification of the datum's defining inequalities.
+class NetPairs(NamedTuple):
+    """Point values and those of their index pairs (i[k], j[k]) whose
+    distance d0[k] is at least 1e-13: sampled once and shared by every map."""
+
+    values: object
+    i: np.ndarray
+    j: np.ndarray
+    d0: np.ndarray
+
+
+def pairs_apart(space, points: list, i: np.ndarray, j: np.ndarray) -> NetPairs:
+    """The index pairs (i[k], j[k]) of points that lie apart, as `NetPairs`."""
+    values = space.values(points)
+    d0 = space.distances(values, values, i, j)
+    apart = ~(d0 < 1e-13)
+    return NetPairs(values, i[apart], j[apart], d0[apart])
+
+
+def _first_below(slack: np.ndarray, worst: float):
+    """The place of the first least slack below `worst`, or None; a NaN
+    slack (maps that are not finite) is never below."""
+    below = np.flatnonzero(slack < worst)
+    return int(below[slack[below].argmin()]) if below.size else None
+
+
+def verify_expansion(view: ActionView, datum: ExpansionDatum, tol: float = 1e-9) -> VerificationReport:
+    """Sampled verification of the datum's defining inequalities for the
+    action the view evaluates; the Lipschitz and expansion checks read the
+    sampled pairs of `pairs_apart` as index arrays, as `stability` does.
 
     Failures are recorded as report rows, never raised.
     """
-    if isinstance(view, ActionSystem):
-        view = ActionView(view)
     space = view.space
     checks = []
 
@@ -469,42 +484,40 @@ def verify_expansion(
     samples = space.neighborhood(datum.net, datum.delta)
     for e in datum.nonempty_entries():
         samples.extend(e.region.sample(8))
-    pairs = _sample_pairs(samples, PAIR_COUNT)
+    sampled = _sample_pairs(len(samples), PAIR_COUNT)
+    pairs = pairs_apart(space, samples, *sampled)
+    letters = view.system.alphabet.signed_letters()
     worst_lip, lip_witness = math.inf, ""
-    for letter in view.letters():
-        for x, y in pairs:
-            d0 = space.raw_distance(x.value, y.value)
-            if d0 < 1e-13:
-                continue
-            fx, fy = view.apply_letter(letter, x), view.apply_letter(letter, y)
-            slack = datum.lip * d0 - space.raw_distance(fx.value, fy.value)
-            if slack < worst_lip:
-                worst_lip, lip_witness = slack, f"letter={letter} x={x.value} y={y.value}"
+    for letter in letters:
+        image = space.map_values(view.maps[letter], pairs.values)
+        slack = datum.lip * pairs.d0 - space.distances(image, image, pairs.i, pairs.j)
+        k = _first_below(slack, worst_lip)
+        if k is not None:
+            x, y = samples[pairs.i[k]], samples[pairs.j[k]]
+            worst_lip, lip_witness = float(slack[k]), f"letter={letter} x={x.value} y={y.value}"
     checks.append(
         CheckResult(
             "lipschitz",
             worst_lip >= -tol,
             worst_lip,
-            len(pairs) * len(view.letters()),
+            len(sampled[0]) * len(letters),
             witness=lip_witness if worst_lip < -tol else "",
         )
     )
 
+    # a nonempty entry's label is one letter, whose inverse's map expands
     worst_exp, exp_witness, n_exp = math.inf, "", 0
     for e in datum.nonempty_entries():
-        inv_word = groups.inverse(e.symbol)
         inside = [p for p in samples if e.region.margin(p) > 0]
         inside.extend(e.region.sample(12))
-        for x, y in _sample_pairs(inside, PAIR_COUNT // 2):
-            d0 = space.raw_distance(x.value, y.value)
-            if d0 < 1e-13:
-                continue
-            fx = view.apply_word(inv_word, x)
-            fy = view.apply_word(inv_word, y)
-            slack = space.raw_distance(fx.value, fy.value) - datum.lam * d0
-            n_exp += 1
-            if slack < worst_exp:
-                worst_exp, exp_witness = slack, f"entry={e.index} x={x.value} y={y.value}"
+        pairs = pairs_apart(space, inside, *_sample_pairs(len(inside), PAIR_COUNT // 2))
+        image = space.map_values(view.maps[e.backward[1]], pairs.values)
+        slack = space.distances(image, image, pairs.i, pairs.j) - datum.lam * pairs.d0
+        n_exp += len(slack)
+        k = _first_below(slack, worst_exp)
+        if k is not None:
+            x, y = inside[pairs.i[k]], inside[pairs.j[k]]
+            worst_exp, exp_witness = float(slack[k]), f"entry={e.index} x={x.value} y={y.value}"
     checks.append(
         CheckResult(
             "expansion",

@@ -22,11 +22,13 @@ from .expansion import (
     ActionView,
     CoverEntry,
     ExpansionDatum,
+    NetPairs,
     UncoverableError,
+    pairs_apart,
     strided_pairs,
 )
 from .geometry import ClippedRegion, Point, lebesgue_number
-from .zoo import ActionSystem, PerturbedMaps, WordPush
+from .zoo import ActionSystem, WordPush
 
 
 class AdmissibilityError(ValueError):
@@ -51,24 +53,12 @@ def perturbation_epsilon(datum: ExpansionDatum, n_const: int) -> float:
     return (lam - 1.0) / 2.0 * min(delta / ((n_const + 1) * lip**n_const), 1.0)
 
 
-class NetPairs(NamedTuple):
-    """A net's point values, its pairs (i[k], j[k]) taken by `strided_pairs`
-    and their distances d0: sampled once and shared by every letter."""
-
-    values: object
-    i: np.ndarray
-    j: np.ndarray
-    d0: np.ndarray
-
-
 def net_pairs(space, net: Sequence[Point], max_pairs: int = 10000) -> NetPairs:
+    """The net's every stride-th pair (`strided_pairs`), about max_pairs of them."""
     n = len(net)
     if n < 2:
         raise ValueError("lipschitz_distance needs at least two net points")
-    stride = max(1, (n * (n - 1) // 2) // max_pairs)
-    i, j = strided_pairs(n, stride)
-    values = space.values(net)
-    return NetPairs(values, i, j, space.distances(values, values, i, j))
+    return pairs_apart(space, net, *strided_pairs(n, max(1, (n * (n - 1) // 2) // max_pairs)))
 
 
 def lipschitz_distance(space, map_a, map_b, pairs: NetPairs) -> float:
@@ -78,31 +68,26 @@ def lipschitz_distance(space, map_a, map_b, pairs: NetPairs) -> float:
     b = space.map_values(map_b, pairs.values)
     every = np.arange(len(pairs.values))
     sup_disp = space.distances(a, b, every, every).max()
-    keep = ~(pairs.d0 < 1e-13)
-    i, j, d0 = pairs.i[keep], pairs.j[keep], pairs.d0[keep]
+    i, j, d0 = pairs.i, pairs.j, pairs.d0
     quot = np.abs(space.distances(a, a, i, j) / d0 - space.distances(b, b, i, j) / d0)
     return float(sup_disp + quot.max(initial=0.0))
 
 
 class PerturbedSystem:
-    """A perturbed action together with its admissibility bookkeeping."""
+    """A perturbed action together with its admissibility bookkeeping: the
+    base system, whose codes the conjugacy follows, and the view that
+    evaluates the perturbed maps on its space."""
 
     def __init__(
         self,
         base: ActionSystem,
         datum: ExpansionDatum,
-        maps: PerturbedMaps,
+        view: ActionView,
         realized: Mapping[str, float],
         epsilon: float,
     ):
-        self.base, self.datum, self.maps = base, datum, maps
+        self.base, self.datum, self.view = base, datum, view
         self.realized, self.epsilon = realized, epsilon
-
-    def view(self) -> ActionView:
-        return ActionView(self.base, self.maps)
-
-    def base_view(self) -> ActionView:
-        return ActionView(self.base)
 
     def violations(self) -> list:
         # a NaN distance (maps that are not finite) is no evidence of admissibility
@@ -119,19 +104,19 @@ class PerturbedSystem:
 
 
 def make_perturbed(
-    system: ActionSystem, datum: ExpansionDatum, maps: PerturbedMaps, n_const: int
+    system: ActionSystem, datum: ExpansionDatum, maps: Mapping, n_const: int
 ) -> PerturbedSystem:
-    """Wrap perturbed maps with realized Lipschitz distances over the closed
-    delta-neighborhood net K, and the admissible radius of the fellow-travel
-    constant n_const."""
-    ActionView(system, maps)  # refuses a space that takes no perturbation
+    """Wrap perturbed letter maps with realized Lipschitz distances over the
+    closed delta-neighborhood net K, and the admissible radius of the
+    fellow-travel constant n_const."""
+    view = ActionView(system, maps)  # refuses a space that takes no perturbation
     eps = perturbation_epsilon(datum, n_const)
     pairs = net_pairs(system.space, system.space.neighborhood(datum.net, datum.delta))
     realized = {}
-    for letter, m in maps.letter_maps.items():
+    for letter, m in maps.items():
         name = str(system.alphabet.generator(letter[0], letter[1]))
         realized[name] = lipschitz_distance(system.space, system.letter_maps[letter], m, pairs)
-    return PerturbedSystem(system, datum, maps, realized, eps)
+    return PerturbedSystem(system, datum, view, realized, eps)
 
 
 # ---------------------------------------------------------------------------
@@ -163,7 +148,7 @@ def conjugacy_point(
     sample resolves phi before the orbit degrades.
     """
     ps.require_admissible()
-    first = greedy_step(ps.datum, ps.base_view(), x, ps.datum.delta)
+    first = greedy_step(ps.datum, ps.base, x, ps.datum.delta)
     return _conjugacy_from(ps, x, first, tol, max_depth)
 
 
@@ -176,12 +161,11 @@ def _conjugacy_from(ps: PerturbedSystem, x: Point, first: tuple, tol: float, max
     cover member does not count: its CodingError is raised only when no
     earlier row stops."""
     datum, space = ps.datum, ps.base.space
-    base_view, pert_view = ps.base_view(), ps.view()
     eps = ps.epsilon
     lam_p, lip_p = datum.lam - eps, datum.lip + eps
     delta = datum.delta
 
-    push = WordPush(space, pert_view.maps)  # grown by the code's symbols, unreduced
+    push = WordPush(space, ps.view.maps)  # grown by the code's symbols, unreduced
     e, point = first
     i = 0
     while i < max_depth:
@@ -189,7 +173,7 @@ def _conjugacy_from(ps: PerturbedSystem, x: Point, first: tuple, tol: float, max
         while len(pushes) < min(space.push_rows, max_depth - i):
             if i + len(pushes):
                 try:
-                    e, point = greedy_step(datum, base_view, point, delta)
+                    e, point = greedy_step(datum, ps.base, point, delta)
                 except CodingError as err:
                     failed = err
                     break
@@ -291,12 +275,11 @@ def check_equivariance(table: ConjugacyTable, ps: PerturbedSystem) -> float:
     """Max over generators s and net points x of
     d(rho'(s)(phi(x)), phi(rho(s)(x)))."""
     base, space = ps.base, ps.base.space
-    pert_view = ps.view()
     worst_overall = 0.0
     for s in base.generators():
         worst = 0.0
         for e in table.entries:
-            lhs = pert_view.apply_word(s, e.phi)
+            lhs = ps.view.apply_word(s, e.phi)
             rhs = table.phi_of(base.apply(s, e.x))
             if rhs is None:
                 continue
@@ -364,7 +347,7 @@ def perturbed_datum(
     # the realized Lipschitz distance is a valid (and sharper) stand-in for
     # the admissibility threshold; an unperturbed action keeps its constants
     eps = max(ps.realized.values())
-    delta_new = SAFETY * min(leb, 0.8 * datum.delta / SAFETY)
+    delta_new = min(SAFETY * leb, 0.8 * datum.delta)
     return ExpansionDatum(
         tuple(new_entries),
         delta_new,

@@ -538,9 +538,6 @@ class ActionSystem:
         self.name, self.alphabet, self.space = name, alphabet, space
         self.letter_maps, self.net_fn, self.default_depth = letter_maps, net_fn, default_depth
 
-    def apply_letter(self, letter: Letter, x: Point) -> Point:
-        return self.space.apply_maps((self.letter_maps[letter],), x)
-
     def apply(self, g: Word, x: Point) -> Point:
         """Evaluate rho(g) at x (the rightmost letter acts first); see `apply_letters`."""
         if g.alphabet != self.alphabet:
@@ -796,9 +793,9 @@ def make_zn_projective(diagonals: Sequence[Sequence[float]]) -> ActionSystem:
 class _ProductLetterMap(Value):
     __slots__ = _fields = ("component", "inner")
 
-    def __init__(self, component: int, inner: tuple = None):
+    def __init__(self, component: int, inner=None):
         self.component = component  # 0 or 1, or -1 for the swap
-        self.inner = inner  # (component system, its letter)
+        self.inner = inner  # the component system's letter map
 
     def apply_union(self, space: DisjointUnion, x: Point) -> Point:
         idx, val = x.value
@@ -807,9 +804,7 @@ class _ProductLetterMap(Value):
         if idx != self.component or self.inner is None:
             return x
         comp = space.components[idx]
-        inner_sys, letter = self.inner
-        moved = inner_sys.apply_letter(letter, Point(comp, val))
-        return space.point((idx, moved.value))
+        return space.point((idx, comp.apply_maps((self.inner,), Point(comp, val)).value))
 
 
 def make_product(first: ActionSystem, second: ActionSystem, with_swap: bool = False) -> ActionSystem:
@@ -824,10 +819,10 @@ def make_product(first: ActionSystem, second: ActionSystem, with_swap: bool = Fa
     n1 = first.alphabet.rank
     for i in range(first.alphabet.rank):
         for s in (1, -1):
-            maps[(i, s)] = _ProductLetterMap(0, (first, (i, s)))
+            maps[(i, s)] = _ProductLetterMap(0, first.letter_maps[(i, s)])
     for i in range(second.alphabet.rank):
         for s in (1, -1):
-            maps[(n1 + i, s)] = _ProductLetterMap(1, (second, (i, s)))
+            maps[(n1 + i, s)] = _ProductLetterMap(1, second.letter_maps[(i, s)])
     if with_swap:
         maps[(alphabet.rank - 1, 1)] = _ProductLetterMap(-1)
         maps[(alphabet.rank - 1, -1)] = _ProductLetterMap(-1)
@@ -875,14 +870,10 @@ class BumpCompose(NamedTuple):
     height: float
 
 
-class PerturbedMaps(NamedTuple):
-    """Per-letter maps of a perturbed action."""
-
-    letter_maps: Mapping[Letter, object]
-
-
-def perturb(system: ActionSystem, family) -> PerturbedMaps:
-    """Perturbed generator maps for the given family.
+def perturb(system: ActionSystem, family) -> dict:
+    """The perturbed maps of the given family, one per signed letter, as
+    `ActionSystem.letter_maps` holds the system's own (`expansion.ActionView`
+    evaluates an action with them).
 
     Nonzero MatrixJitter requires a perturbable space, whose generator maps
     have a `jittered` method; BumpCompose requires a circle system.  A
@@ -891,7 +882,7 @@ def perturb(system: ActionSystem, family) -> PerturbedMaps:
     """
     if isinstance(family, MatrixJitter):
         if family.magnitude == 0.0:
-            return PerturbedMaps(dict(system.letter_maps))
+            return dict(system.letter_maps)
         if not system.space.perturbable:
             raise KindError(f"matrix jitter unsupported on {system.space.kind}")
         from .pcg64 import PCG64  # numpy's default_rng stream, without numpy.random
@@ -902,7 +893,7 @@ def perturb(system: ActionSystem, family) -> PerturbedMaps:
             fwd = system.letter_maps[(i, 1)]
             m2 = fwd.jittered(rng, family.magnitude, family.diagonal_only)
             out[(i, 1)], out[(i, -1)] = m2, m2.inverse()
-        return PerturbedMaps(out)
+        return out
     if isinstance(family, BumpCompose):
         if not system.space.angular:
             raise KindError(f"bump perturbations need a circle system, not {system.space.kind}")
@@ -911,14 +902,14 @@ def perturb(system: ActionSystem, family) -> PerturbedMaps:
         for i in range(system.alphabet.rank):
             fwd = CirclePostComposeMap(system.letter_maps[(i, 1)], bump)
             out[(i, 1)], out[(i, -1)] = fwd, fwd.inverse()
-        return PerturbedMaps(out)
+        return out
     raise ConstructionError(f"unknown perturbation family {family!r}")
 
 
-def translation_conjugate(system: ActionSystem, t: float) -> PerturbedMaps:
-    """Moebius system conjugated by the chart translation x -> x + t; on a
-    cyclic system the perturbed generator has the closed-form fixed point at
-    chart t."""
+def translation_conjugate(system: ActionSystem, t: float) -> dict:
+    """The letter maps of a Moebius system conjugated by the chart
+    translation x -> x + t; on a cyclic system the perturbed generator has
+    the closed-form fixed point at chart t."""
     if not all(isinstance(m, MoebiusMap) for m in system.letter_maps.values()):
         raise KindError(f"translation conjugation needs a Moebius system, not {system.name}")
     T = np.array([[1.0, t], [0.0, 1.0]])
@@ -928,7 +919,7 @@ def translation_conjugate(system: ActionSystem, t: float) -> PerturbedMaps:
         with np.errstate(over="ignore", invalid="ignore"):  # from_matrix refuses non-finite entries
             conj = MoebiusMap.from_matrix(T @ m @ np.linalg.inv(T))
         out[(i, 1)], out[(i, -1)] = conj, conj.inverse()
-    return PerturbedMaps(out)
+    return out
 
 
 ZOO_KINDS = {

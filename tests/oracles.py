@@ -7,8 +7,10 @@ not in the package; `parse` inverts `groups.to_str` to write test words,
 and `ray_of_words` turns words into a ray.  The scalar loops that the array
 paths replaced (the Schottky limit net one angle at a time, the conjugacy
 one step at a time) are kept as oracles, and so are the breadth-first chain
-search that the reachability matrix replaced and the certificate that held
-every net point's rays and tables at once and searched chains pair by pair.
+search that the reachability matrix replaced, the certificate that held
+every net point's rays and tables at once and searched chains pair by pair,
+and the Lipschitz and expansion checks of `verify_expansion` one sampled
+pair at a time.
 The frozen dataclasses that points and spaces once were are kept as the
 reference for the equality and hash of `Point` and the `Space` kinds."""
 import math
@@ -34,7 +36,7 @@ from expaction.coding import (
     make_code,
     nested_images,
 )
-from expaction.expansion import SAFETY, ActionView
+from expaction.expansion import PAIR_COUNT, SAFETY, CheckResult, VerificationReport, strided_pairs
 from expaction.geometry import (
     Circle,
     CoveredCircle,
@@ -84,16 +86,15 @@ def nested_steps(system, datum, code, eta: float) -> list:
     `coding.nested_images` against the contraction bound 2*lip*eta/lam**i;
     the nesting slack, how far rho(s_alpha(i))[B_eta(p_{i+1})] overshoots
     B_eta(p_i) (0 at i = 0); and the distance of rho(c_i)(p_{i+1}) from x."""
-    view = system if isinstance(system, ActionView) else ActionView(system)
-    space, entry_map = view.space, _entry_map(datum)
-    pushers = _word_pushers(view, datum, code)
+    space, entry_map = system.space, _entry_map(datum)
+    pushers = _word_pushers(system, datum, code)
     steps = []
-    for i, diameter in enumerate(nested_images(view, datum, code, eta)):
+    for i, diameter in enumerate(nested_images(system, datum, code, eta)):
         p_next, slack = code.points[i + 1], 0.0
         if i >= 1:
             sym = entry_map[code.alphas[i]].symbol
             slack = max(0.0, max(
-                space.raw_distance(view.apply_word(sym, z).value, code.points[i].value)
+                space.raw_distance(system.apply(sym, z).value, code.points[i].value)
                 for z in space.ball_net(p_next, eta)
             ) - eta)
         cx = space.raw_distance(pushers[i](p_next).value, code.points[0].value)
@@ -109,8 +110,7 @@ NotFound = namedtuple("NotFound", "depth best")
 def expansivity_witness(datum, system, x, y, max_depth: int = 200, slack: float = 1e-6):
     """Smallest number of steps along a greedy code for x after which x and y
     are delta-separated; n counts applied letters (0 = already separated)."""
-    view = system if isinstance(system, ActionView) else ActionView(system)
-    space = view.space
+    space = system.space
     threshold = datum.delta * (1.0 - slack)
     d0 = space.raw_distance(x.value, y.value)
     if d0 <= 0.0:
@@ -122,7 +122,7 @@ def expansivity_witness(datum, system, x, y, max_depth: int = 200, slack: float 
     for n in range(1, max_depth + 1):
         e = _greedy_entry(datum, xi, datum.delta)
         inv = e.backward[0]
-        xi, yi = _step(view, e, xi), view.apply_word(inv, yi)
+        xi, yi = _step(system, e, xi), system.apply(inv, yi)
         word = groups.multiply(word, inv)
         sep = space.raw_distance(xi.value, yi.value)
         best = max(best, sep)
@@ -142,11 +142,10 @@ def recurrence_witness(system, datum, x, eta: float, depth: int, max_elements: i
     """Elements h_j = c_{i_j} c_{i_1}^{-1} built from near-returns of the
     greedy code orbit of x, with residuals d(rho(h_j)(x), x); NotFound when
     the orbit does not return twice."""
-    view = system if isinstance(system, ActionView) else ActionView(system)
     if not 0.0 < eta <= datum.delta:
         raise ValueError(f"eta must lie in (0, delta={datum.delta}]")
-    space = view.space
-    code = make_code(datum, view, eta, x, depth)
+    space = system.space
+    code = make_code(datum, system, eta, x, depth)
     ray = code_ray(datum, code)
     pts = code.points
     best_pair = None
@@ -166,7 +165,7 @@ def recurrence_witness(system, datum, x, eta: float, depth: int, max_elements: i
     elements, residuals = [], []
     for j in returns[:max_elements]:
         h = groups.multiply(ray.words[j], inv_c1)
-        hx = view.apply_word(h, x)
+        hx = system.apply(h, x)
         elements.append(h)
         residuals.append(space.raw_distance(hx.value, x.value))
     return RecurrenceReport(i1, tuple(elements), tuple(residuals))
@@ -204,7 +203,7 @@ def check_code_independence(ps, x, tol: float = 1e-9) -> float:
     if not others:
         return 0.0
     alt = others[0]
-    phi_b, _ = _conjugacy_from(ps, x, (alt, _step(ps.base_view(), alt, x)), tol, 200)
+    phi_b, _ = _conjugacy_from(ps, x, (alt, _step(ps.base, alt, x)), tol, 200)
     return ps.base.space.raw_distance(phi_b.value, phi_a.value)
 
 
@@ -274,6 +273,8 @@ def chain_search(table: RayTable, a: int, b: int, n: int, max_chain: int = 3) ->
         return True, (a,)
     frontier, seen = [(a, (a,))], {first[a]}
     for _ in range(max_chain):
+        if not frontier:  # every class in reach is reached
+            break
         nxt = []
         for current, chain in frontier:
             for j in range(len(first)):
@@ -294,12 +295,11 @@ def all_points_certificate(
     and searched chains by matrix: the codes and rays of every point first,
     then one whole table per point, kept through the fellow pass and a
     breadth-first chain search per ray pair."""
-    view = system if isinstance(system, ActionView) else ActionView(system)
     net = list(datum.net if net is None else net)
     truncated = False
     all_rays = []
     for x in net:
-        codes, trunc = enumerate_codes(datum, view, datum.delta, x, depth, cap)
+        codes, trunc = enumerate_codes(datum, system, datum.delta, x, depth, cap)
         truncated = truncated or trunc
         all_rays.append([code_ray(datum, c) for c in codes])
     tables = [RayTable(rays, metric_cap) for rays in all_rays]
@@ -363,15 +363,14 @@ def conjugacy_steps(ps, x, first, tol: float, max_depth: int) -> tuple:
     pushed ball net pushed on its own: `stability._conjugacy_from` before it
     pushed blocks of rows."""
     datum, space = ps.datum, ps.base.space
-    base_view, pert_view = ps.base_view(), ps.view()
     eps = ps.epsilon
     lam_p, lip_p = datum.lam - eps, datum.lip + eps
     delta = datum.delta
-    push = WordPush(space, pert_view.maps)
+    push = WordPush(space, ps.view.maps)
     e, point = first
     for i in range(max_depth):
         if i:
-            e, point = greedy_step(datum, base_view, point, delta)
+            e, point = greedy_step(datum, ps.base, point, delta)
         push = push.grown(groups.letters_of(e.symbol))
         z = push(point)
         probes = [push(q) for q in space.ball_net(point, delta, 6)]
@@ -443,3 +442,63 @@ def old_space(space):
 
 def old_point(p):
     return OldPoint(old_space(p.space), p.value)
+
+
+# ---------------------------------------------------------------------------
+# the verification checks one sampled pair at a time
+
+
+def _point_pairs(points: list, count: int) -> list:
+    """`expansion._sample_pairs` as the pairs of points it indexes."""
+    n = len(points)
+    if n < 2:
+        return []
+    count = max(count, 1)
+    i, j = strided_pairs(n, max(1, (n * (n - 1) // 2) // count))
+    return [(points[a], points[b]) for a, b in zip(i[:count].tolist(), j[:count].tolist())]
+
+
+def pair_check_rows(view, datum, tol: float = 1e-9) -> list:
+    """The `lipschitz` and `expansion` rows of `expansion.verify_expansion`
+    from its loops before they read pairs as index arrays: every image point
+    on its own, each letter map by `Space.apply_maps` and each expanding
+    inverse label by the view's `apply_word`."""
+    space = view.space
+    samples = space.neighborhood(datum.net, datum.delta)
+    for e in datum.nonempty_entries():
+        samples.extend(e.region.sample(8))
+    pairs = _point_pairs(samples, PAIR_COUNT)
+    letters = view.system.alphabet.signed_letters()
+    worst_lip, lip_witness = math.inf, ""
+    for letter in letters:
+        for x, y in pairs:
+            d0 = space.raw_distance(x.value, y.value)
+            if d0 < 1e-13:
+                continue
+            fx, fy = (space.apply_maps((view.maps[letter],), p) for p in (x, y))
+            slack = datum.lip * d0 - space.raw_distance(fx.value, fy.value)
+            if slack < worst_lip:
+                worst_lip, lip_witness = slack, f"letter={letter} x={x.value} y={y.value}"
+    checks = [CheckResult(
+        "lipschitz", worst_lip >= -tol, worst_lip, len(pairs) * len(letters),
+        witness=lip_witness if worst_lip < -tol else "",
+    )]
+    worst_exp, exp_witness, n_exp = math.inf, "", 0
+    for e in datum.nonempty_entries():
+        inv_word = groups.inverse(e.symbol)
+        inside = [p for p in samples if e.region.margin(p) > 0]
+        inside.extend(e.region.sample(12))
+        for x, y in _point_pairs(inside, PAIR_COUNT // 2):
+            d0 = space.raw_distance(x.value, y.value)
+            if d0 < 1e-13:
+                continue
+            fx, fy = view.apply_word(inv_word, x), view.apply_word(inv_word, y)
+            slack = space.raw_distance(fx.value, fy.value) - datum.lam * d0
+            n_exp += 1
+            if slack < worst_exp:
+                worst_exp, exp_witness = slack, f"entry={e.index} x={x.value} y={y.value}"
+    checks.append(CheckResult(
+        "expansion", worst_exp >= -tol, worst_exp if n_exp else 0.0, n_exp,
+        witness=exp_witness if worst_exp < -tol else "",
+    ))
+    return VerificationReport(tuple(checks)).rows()

@@ -154,7 +154,7 @@ def test_criterion_5_stability_suite(schottky_system, schottky_datum):
         assert disp.below_eps and disp.below_delta_fifth, label
         assert stability.check_injectivity(table, ps), label
         dp = stability.perturbed_datum(d, ps, d.delta / 5.0, table)
-        assert expansion.verify_expansion(ps.view(), dp).passed, label
+        assert expansion.verify_expansion(ps.view, dp).passed, label
         return table
 
     run_checks(zoo.perturb(schottky_system, zoo.MatrixJitter(3e-6, seed=7)), "jitter")

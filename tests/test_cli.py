@@ -48,6 +48,19 @@ def test_certify_shyp_free_boundary(tmp_path):
     assert report["passed"] is True
 
 
+def test_a_huge_max_chain_certifies_as_a_long_one(tmp_path):
+    # the chain power stops at the number of ray classes, so a bound of 10**9
+    # ends as quickly as one of 50 and certifies the same constants
+    certificates = {}
+    for max_chain in (50, 10**9):
+        cfg = write_config(tmp_path, f"fb{max_chain}.json", {**FB_CONFIG, "max_chain": max_chain})
+        out = tmp_path / f"out{max_chain}"
+        assert run(["certify-shyp", "--config", cfg, "--out", out]) == 0
+        certificates[max_chain] = json.loads((out / "report.json").read_text())["certificate"]
+        assert certificates[max_chain].pop("chain_steps") == max_chain
+    assert certificates[10**9] == certificates[50]
+
+
 def test_stability_zero_magnitude_identity(tmp_path):
     cfg = write_config(
         tmp_path,

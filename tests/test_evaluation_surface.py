@@ -221,7 +221,7 @@ def _three_routes(system, g, x):
     """rho(g)(x) through the system, through a perturbed view whose maps
     equal the base maps, and through the composer."""
     pm = zoo.perturb(system, zoo.MatrixJitter(0.0))
-    assert pm.letter_maps == system.letter_maps
+    assert pm == system.letter_maps
     letters = groups.letters_of(g)
     composed = zoo.compose_moebius(np.eye(2), [system.letter_maps[l] for l in letters])
     return (

@@ -59,7 +59,7 @@ def test_uncoverable_reports_witness(cyclic_system):
 
 
 def test_verify_passes_all(cyclic_system, cyclic_datum):
-    rep = verify_expansion(cyclic_system, cyclic_datum)
+    rep = verify_expansion(ActionView(cyclic_system), cyclic_datum)
     assert rep.passed
     exp = [c for c in rep.checks if c.name == "expansion"][0]
     assert exp.worst_slack >= -1e-9
@@ -68,14 +68,14 @@ def test_verify_passes_all(cyclic_system, cyclic_datum):
 def test_verify_catches_oversized_delta(cyclic_system, cyclic_datum):
     d = cyclic_datum
     bad = ExpansionDatum(d.entries, d.delta * 2.5, d.lam, d.lip, d.net)
-    rep = verify_expansion(cyclic_system, bad)
+    rep = verify_expansion(ActionView(cyclic_system), bad)
     leb = [c for c in rep.checks if c.name == "lebesgue"][0]
     assert not leb.passed
     assert leb.witness  # the ball that fits in no cover member
 
 
 def test_free_boundary_ball_condition_checked(fb_system, fb_datum):
-    rep = verify_expansion(fb_system, fb_datum)
+    rep = verify_expansion(ActionView(fb_system), fb_datum)
     assert rep.passed
     ball = [c for c in rep.checks if c.name == "ball-condition"][0]
     assert ball.samples > 0  # non-geodesic space: really tested
@@ -83,7 +83,7 @@ def test_free_boundary_ball_condition_checked(fb_system, fb_datum):
 
 
 def test_geodesic_ball_condition_cited(cyclic_datum, cyclic_system):
-    rep = verify_expansion(cyclic_system, cyclic_datum)
+    rep = verify_expansion(ActionView(cyclic_system), cyclic_datum)
     ball = [c for c in rep.checks if c.name == "ball-condition"][0]
     assert "geodesic" in ball.note
 
@@ -146,7 +146,7 @@ def test_zn_datum_empty_region_is_first_class(zn_datum):
 
 
 def test_product_datum_builds_and_verifies(product_system, product_datum):
-    rep = verify_expansion(product_system, product_datum)
+    rep = verify_expansion(ActionView(product_system), product_datum)
     assert rep.passed
     swap_entries = [e for e in product_datum.entries if e.index.endswith("swap")]
     assert len(swap_entries) == 1 and swap_entries[0].region.is_empty()

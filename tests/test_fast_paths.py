@@ -10,7 +10,7 @@ import math
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
-from oracles import conjugacy_steps, schottky_net_values
+from oracles import conjugacy_steps, pair_check_rows, schottky_net_values
 
 from expaction import groups, zoo
 from expaction.coding import CodingError, greedy_step
@@ -18,9 +18,11 @@ from expaction.expansion import (
     LIP_SAFETY,
     SAFETY,
     ActionView,
+    ExpansionDatum,
     _sample_pairs,
     build_expansion_datum,
     strided_pairs,
+    verify_expansion,
 )
 from expaction.geometry import (
     LEBESGUE_CHUNK,
@@ -208,8 +210,53 @@ def _old_sample_pairs(points, count):
 @settings(max_examples=100, derandomize=True, deadline=None)
 @given(n=st.integers(0, 80), count=st.integers(0, 500))
 def test_sample_pairs_equal_the_all_pairs_enumeration(n, count):
-    points = list(range(n))
-    assert _sample_pairs(points, count) == _old_sample_pairs(points, count)
+    i, j = _sample_pairs(n, count)
+    assert list(zip(i.tolist(), j.tolist())) == _old_sample_pairs(list(range(n)), count)
+
+
+# views of every zoo kind's own maps, and perturbed ones of each family
+VERIFY_VIEWS = {
+    "cyclic": ("cyclic_system", "cyclic_datum", None),
+    "covered": ("covered_system", "covered_datum", None),
+    "schottky": ("schottky_system", "schottky_datum", None),
+    "free": ("fb_system", "fb_datum", None),
+    "zn": ("zn_system", "zn_datum", None),
+    "product-swap": ("product_system", "product_datum", None),
+    "schottky-bump": (
+        "schottky_system", "schottky_datum", lambda s: zoo.perturb(s, zoo.BumpCompose(1.0, 0.6, 5e-3))
+    ),
+    "schottky-jitter": (
+        "schottky_system", "schottky_datum", lambda s: zoo.perturb(s, zoo.MatrixJitter(1e-3, seed=2))
+    ),
+    "zn-jitter": ("zn_system", "zn_datum", lambda s: zoo.perturb(s, zoo.MatrixJitter(1e-3, seed=4))),
+    "cyclic-translation": ("cyclic_system", "cyclic_datum", lambda s: zoo.translation_conjugate(s, 1e-3)),
+}
+# the datum as built, one whose expansion rate no entry reaches, and one
+# whose Lipschitz constant no letter keeps: the last two fail with witnesses
+DATUM_EDITS = {
+    "built": lambda d: d,
+    "lam-tripled": lambda d: ExpansionDatum(d.entries, d.delta, 3 * d.lam, max(d.lip, 3 * d.lam), d.net),
+    "lip-near-1": lambda d: ExpansionDatum(d.entries, d.delta, 1.0 + 1e-9, 1.0 + 2e-9, d.net),
+}
+
+
+def _row_bits(row: dict) -> dict:
+    return {k: v.hex() if isinstance(v, float) else v for k, v in row.items()}
+
+
+@pytest.mark.parametrize("edit", sorted(DATUM_EDITS))
+@pytest.mark.parametrize("name", sorted(VERIFY_VIEWS))
+def test_verify_pair_checks_equal_the_pair_by_pair_loops(request, name, edit):
+    system_name, datum_name, perturb = VERIFY_VIEWS[name]
+    system = request.getfixturevalue(system_name)
+    datum = DATUM_EDITS[edit](request.getfixturevalue(datum_name))
+    view = ActionView(system, None if perturb is None else perturb(system))
+    rows = {r["check"]: r for r in verify_expansion(view, datum).rows()}
+    slow = pair_check_rows(view, datum)
+    assert [_row_bits(rows[r["check"]]) for r in slow] == [_row_bits(r) for r in slow]
+    failing = {"lam-tripled": "expansion", "lip-near-1": "lipschitz"}.get(edit)
+    if failing:
+        assert rows[failing]["witness"]
 
 
 def _old_lipschitz_distance(space, map_a, map_b, net, max_pairs=10000):
@@ -267,7 +314,7 @@ def test_lipschitz_distance_on_projective_nets_equals_all_pairs_walk(zn_system, 
     # the generic path: the space's points, one raw distance at a time
     space = zn_system.space
     net = space.neighborhood(zn_datum.net, zn_datum.delta) + [zn_datum.net[0]]
-    pert = zoo.perturb(zn_system, zoo.MatrixJitter(1e-3, seed=4)).letter_maps
+    pert = zoo.perturb(zn_system, zoo.MatrixJitter(1e-3, seed=4))
     pairs = net_pairs(space, net, 40)
     for letter, m in pert.items():
         base = zn_system.letter_maps[letter]
@@ -301,7 +348,7 @@ VIEWS = {"bump_compose": _bump_view(), "lifted_jitter": _lifted_jitter_view()}
 def _per_letter_points(view, letters, x):
     # one Point per letter, as the letter-by-letter path built them
     for letter in reversed(letters):
-        m = view.perturbed.letter_maps[letter]
+        m = view.maps[letter]
         x = view.space.point(m.apply_angle(x.value))
     return x
 
@@ -314,7 +361,7 @@ def _per_letter_points(view, letters, x):
 )
 def test_apply_letters_equals_per_letter_points(name, picks, theta):
     view = VIEWS[name]
-    alphabet = view.letters()
+    alphabet = view.system.alphabet.signed_letters()
     letters = [alphabet[k % len(alphabet)] for k in picks]
     x = view.space.point(theta)
     fast = zoo.apply_letters(view.space, view.maps, letters, x)
@@ -329,14 +376,14 @@ def test_apply_letters_on_projective_points_renormalizes_per_letter(zn_system):
     x = zn_system.space.point((0.3, -0.5, 0.8))
     slow = x
     for letter in reversed(letters):
-        m = view.perturbed.letter_maps[letter]
+        m = view.maps[letter]
         slow = zn_system.space.point(m.apply_vec(slow.value))
     assert zoo.apply_letters(view.space, view.maps, letters, x) == slow
 
 
 def test_apply_word_takes_the_letter_by_letter_path():
     view = VIEWS["bump_compose"]
-    a, b = view.alphabet.generator(0, 1), view.alphabet.generator(1, -1)
+    a, b = view.system.alphabet.generator(0, 1), view.system.alphabet.generator(1, -1)
     g = groups.multiply(groups.multiply(a, b), groups.multiply(a, a))
     x = view.space.point(0.4)
     assert view.apply_word(g, x) == _per_letter_points(view, groups.letters_of(g), x)
@@ -734,7 +781,7 @@ PERTURBED_KEYS = [
 def _conjugacy_outcome(run, ps, x, tol, max_depth):
     """What a conjugacy iteration gives, in bits: phi(x) and its diagnostics,
     or the error it raises."""
-    first = greedy_step(ps.datum, ps.base_view(), x, ps.datum.delta)
+    first = greedy_step(ps.datum, ps.base, x, ps.datum.delta)
     try:
         z, diag = run(ps, x, first, tol, max_depth)
     except (CodingError, ConvergenceError) as err:
@@ -754,7 +801,7 @@ def test_row_conjugacy_equals_the_step_loop(key, tol, max_depth, data):
     space = ps.base.space
     x = data.draw(st.one_of(st.sampled_from(list(ps.datum.net)), ANGLES.map(space.point)))
     try:
-        greedy_step(ps.datum, ps.base_view(), x, ps.datum.delta)
+        greedy_step(ps.datum, ps.base, x, ps.datum.delta)
     except CodingError:
         return  # no first step: neither loop starts
     assert _conjugacy_outcome(_conjugacy_from, ps, x, tol, max_depth) == _conjugacy_outcome(
@@ -764,11 +811,11 @@ def test_row_conjugacy_equals_the_step_loop(key, tol, max_depth, data):
 
 def _failing_step(ps, x) -> int:
     """The first code step from x that finds no cover member."""
-    view, datum = ps.base_view(), ps.datum
-    e, point = greedy_step(datum, view, x, datum.delta)
+    base, datum = ps.base, ps.datum
+    e, point = greedy_step(datum, base, x, datum.delta)
     for k in range(1, 200):
         try:
-            e, point = greedy_step(datum, view, point, datum.delta)
+            e, point = greedy_step(datum, base, point, datum.delta)
         except CodingError:
             return k
     raise AssertionError("the code of x never fails")

@@ -229,8 +229,10 @@ def test_n_equivalence_matches_the_old_search(data, n, max_chain):
     table = RayTable(pool, cap)
     classes = sorted(set(table.first))
     k = len(classes)
-    # the matrix, pair for pair, against the breadth-first search
-    for m, chain in itertools.product(range(4), range(1, 4)):
+    # the matrix, pair for pair, against the breadth-first search, also at
+    # chain bounds far past the number of classes
+    long_chain = data.draw(st.integers(4, 10**9))
+    for m, chain in itertools.product(range(4), (1, 2, 3, long_chain)):
         reach = coding._chain_reach(table, m, chain)
         for p, a in enumerate(classes):
             for q, b in enumerate(classes):

@@ -10,7 +10,7 @@ from oracles import (
 )
 
 from expaction import zoo
-from expaction.expansion import ExpansionDatum, verify_expansion
+from expaction.expansion import ActionView, ExpansionDatum, verify_expansion
 from expaction.geometry import Circle, circle_dist
 from expaction.stability import (
     AdmissibilityError,
@@ -148,8 +148,8 @@ def test_admissibility_gate_names_generator(schottky_system, schottky_datum):
 def test_a_nan_distance_is_a_violation(schottky_system, schottky_datum):
     # maps that are not finite have no Lipschitz distance to the action
     realized = {"a": float("nan"), "A": 0.0}
-    maps = zoo.PerturbedMaps(dict(schottky_system.letter_maps))
-    ps = PerturbedSystem(schottky_system, schottky_datum, maps, realized, 1e-3)
+    view = ActionView(schottky_system, dict(schottky_system.letter_maps))
+    ps = PerturbedSystem(schottky_system, schottky_datum, view, realized, 1e-3)
     assert ps.violations() == ["a"]
     with pytest.raises(AdmissibilityError, match="perturbation of a reaches"):
         ps.require_admissible()
@@ -250,7 +250,7 @@ def test_perturbed_datum_degenerate(schottky_system, schottky_datum):
     for e_old, e_new in zip(d.nonempty_entries(), dp.nonempty_entries()):
         for p in d.net[:20]:
             assert e_new.region.margin(p) <= e_old.region.margin(p) - d.delta / 5 + 1e-12
-    assert verify_expansion(ps.view(), dp).passed
+    assert verify_expansion(ps.view, dp).passed
 
 
 def test_perturbed_datum_jitter_verifies(schottky_system, schottky_datum):
@@ -262,7 +262,7 @@ def test_perturbed_datum_jitter_verifies(schottky_system, schottky_datum):
     realized = max(ps.realized.values())
     assert dp.lam == pytest.approx(schottky_datum.lam - realized)
     assert dp.lip == pytest.approx(schottky_datum.lip + realized)
-    assert verify_expansion(ps.view(), dp).passed
+    assert verify_expansion(ps.view, dp).passed
 
 
 def test_perturbed_datum_rejects_large_r(schottky_system, schottky_datum):

@@ -7,7 +7,9 @@ src/ holds only what the package reaches: a definition that only tests use
 belongs under tests/.  Every CLI job pays the package import again, so what
 that import declares is pinned here, by a count, not a timing; so are the
 modules a job loads and the points the Schottky datum makes.  A NamedTuple
-field under src/ that no code there reads is a value no command reports."""
+field under src/ that no code there reads is a value no command reports.
+Coding reads the base action, and perturbed maps enter only through
+`expansion.ActionView`, so no code asks which of the two it was given."""
 import ast
 import importlib.util
 import json
@@ -159,6 +161,21 @@ def test_every_definition_under_src_is_used_elsewhere_in_src():
         and used[node.name] == _names_used(node)[node.name]  # only inside itself
     ]
     assert not unused, f"defined in src/ but used only by tests, or not at all: {unused}"
+
+
+def test_action_types_are_never_tested_and_coding_reads_only_the_base_system():
+    # coding takes the `ActionSystem`; perturbed maps enter only through
+    # `expansion.ActionView`, which no function converts to by `isinstance`
+    trees = {path.name: ast.parse(path.read_text()) for path in sorted(PACKAGE.glob("*.py"))}
+    tests = [
+        f"{module}:{node.lineno}"
+        for module, tree in trees.items()
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "isinstance"
+        and {"ActionView", "ActionSystem"} & set(_names_used(node.args[1]))
+    ]
+    assert not tests, f"isinstance on an action type: {tests}"
+    assert not _names_used(trees["coding.py"])["ActionView"]
 
 
 def test_every_named_tuple_field_under_src_is_read_in_src():
