@@ -472,13 +472,14 @@ def cmd_coding_map(cfg: dict, out: Path) -> int:
 
 def cmd_stability(cfg: dict, out: Path) -> int:
     system = build_system(cfg["system"])
-    maps = build_perturbation(cfg, system)
+    # refuses a space that takes no perturbation before any datum is built
+    view = expansion.ActionView(system, build_perturbation(cfg, system))
     datum = expansion.build_expansion_datum(system, cfg["lambda_target"], cfg["net"]["depth"])
     cert = coding.shyp_certificate(system, datum, depth=min(cfg["codes"]["depth"], 12),
                                    cap=cfg["codes"]["cap"], n_max=cfg["n_max"])
     n_const = cert.fellow_constant if cert.fellow_constant else cert.chain_constant
     n_const = max(1, n_const or 1)
-    ps = stability.make_perturbed(system, datum, maps, n_const)
+    ps = stability.make_perturbed(view, datum, n_const)
     try:
         ps.require_admissible()
     except stability.AdmissibilityError as err:

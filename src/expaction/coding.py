@@ -170,30 +170,19 @@ def code_ray(datum: ExpansionDatum, code: Code) -> Ray:
 # nested neighborhoods
 
 
-def _word_pushers(system: ActionSystem, datum: ExpansionDatum, code: Code) -> list:
-    """Per-depth evaluators z -> rho(c_i)(z): the prefixes of one growing
-    `zoo.WordPush` where it composes the maps, so pushing many ball points
-    stays cheap, and otherwise the reduced ray words."""
-    push = zoo.WordPush(system.space, system.letter_maps)
-    if push.matrix is None:
-        return [lambda z, w=w: system.apply(w, z) for w in code_ray(datum, code).words]
-    entry_map, pushers = _entry_map(datum), []
-    for a in code.alphas:
-        push = push.grown(groups.letters_of(entry_map[a].symbol))
-        pushers.append(push)
-    return pushers
-
-
 def nested_images(system: ActionSystem, datum: ExpansionDatum, code: Code, eta: float) -> list:
     """Diameters of the image neighborhoods rho(c_i)[B_eta(p_{i+1})], one per
-    step of the code."""
-    space = system.space
+    step of the code: one `zoo.WordPush` grown by each entry symbol's
+    letters, as the conjugacy grows its own, pushes the balls of every step
+    through `space.push_balls`."""
     code_ray(datum, code)  # raises on a datum whose ray letters cancel
-    pushers = _word_pushers(system, datum, code)
-    return [
-        space.set_diameter([push(z) for z in space.ball_net(p, eta)])
-        for push, p in zip(pushers, code.points[1:])
-    ]
+    if not code.alphas:
+        return []
+    entry_map, push, pushes = _entry_map(datum), zoo.WordPush(system.space, system.letter_maps), []
+    for a in code.alphas:
+        push = push.grown(groups.letters_of(entry_map[a].symbol))
+        pushes.append(push)
+    return [diam for _, diam in system.space.push_balls(pushes, code.points[1:], eta, 64)]
 
 
 # ---------------------------------------------------------------------------

@@ -41,15 +41,14 @@ PAIR_COUNT = 400  # point pairs `verify_expansion` samples (half as many per exp
 
 
 class UncoverableError(ValueError):
-    """A net point admits no expanding generator at the requested rate."""
+    """A net point that no cover member takes, and why: no generator expands
+    there at the requested rate, and `best_factor` is the best expansion
+    factor there; or the point lies outside every member of a given cover,
+    whose Lebesgue number is not positive, and `best_factor` is None."""
 
-    def __init__(self, witness: Point, best_factor: float, lam_target: float):
-        self.witness = witness
-        self.best_factor = best_factor
-        super().__init__(
-            f"no cover member for {witness}: best expansion factor "
-            f"{best_factor:.6g} < target {lam_target:.6g}"
-        )
+    def __init__(self, witness: Point, reason: str, best_factor: float | None = None):
+        self.witness, self.best_factor = witness, best_factor
+        super().__init__(f"no cover member for {witness}: {reason}")
 
 
 class CoverEntry(Value):
@@ -142,17 +141,15 @@ def build_expansion_datum(
 
 
 def _fail_uncoverable(system, net, lam_target):
-    # witness = net point with the weakest best expansion factor
-    witness, best_factor = None, math.inf
-    for x in net:
-        best = max(
-            zoo.expansion_factor(system, system.alphabet.generator(i, s), x)
-            for i in range(system.alphabet.rank)
-            for s in (1, -1)
-        )
-        if best < best_factor:
-            witness, best_factor = x, best
-    raise UncoverableError(witness, best_factor, lam_target)
+    # witness = the first net point with the weakest best expansion factor
+    space = system.space
+    values = space.values(net)
+    best = np.maximum.reduce([space.stretches(m, values)[0] for m in system.letter_maps.values()])
+    at = int(np.argmin(best))
+    factor = float(best[at])
+    raise UncoverableError(
+        net[at], f"best expansion factor {factor:.6g} < target {lam_target:.6g}", factor
+    )
 
 
 def _circular_runs(mask: np.ndarray) -> list:
@@ -177,15 +174,16 @@ def _circular_runs(mask: np.ndarray) -> list:
     return runs
 
 
-def _certified_datum(system, entries, lam_target, net, leb, lip_of):
+def _certified_datum(system, entries, lam_target, net, leb):
     """The datum of a cover: delta is SAFETY times its Lebesgue number leb
-    over a probe net, lip the largest `lip_of(map, values)` of a generator
-    map, its largest stretch at the values of the delta-neighborhood of the net."""
+    over a probe net, lip the largest stretch of a generator map at the
+    points of the delta-neighborhood of the net."""
     if leb <= 0:
         _fail_uncoverable(system, net, lam_target)
+    space = system.space
     delta = float(SAFETY * leb)
-    values = system.space.values(system.space.neighborhood(net, delta))
-    lip_raw = max(lip_of(m, values) for m in system.letter_maps.values())
+    values = space.values(space.neighborhood(net, delta))
+    lip_raw = max(float(space.stretches(m, values)[1].max()) for m in system.letter_maps.values())
     lip = float(LIP_SAFETY * max(lip_raw, lam_target))
     return ExpansionDatum(tuple(entries), delta, lam_target, lip, tuple(net))
 
@@ -201,8 +199,7 @@ def _build_circle(system, lam_target, net_depth):
         for s in (1, -1):
             label = system.alphabet.generator(i, s)
             expanding = system.letter_maps[(i, -s)]  # rho(label^-1)
-            derivs = expanding.deriv_angles(thetas)
-            mask = derivs > lam_target
+            mask = space.stretches(expanding, thetas)[0] > lam_target
             made = 0
             for start, length in _circular_runs(mask):
                 half = float((length - 1) * step / 2.0 - step)
@@ -232,10 +229,7 @@ def _build_circle(system, lam_target, net_depth):
     angles = space.values(net)
     probe = system.limit_values(min(system.default_depth + 5, 10)) if len(net) > 2 else angles
     leb, _ = space.lebesgue_angles([e.region for e in entries], np.concatenate([angles, probe]))
-    return _certified_datum(
-        system, entries, lam_target, net, leb,
-        lambda m, ts: float(m.deriv_angles(ts).max()),
-    )
+    return _certified_datum(system, entries, lam_target, net, leb)
 
 
 def _build_cylinders(system, lam_target, net_depth):
@@ -273,13 +267,13 @@ def _build_projective(system, lam_target, net_depth):
     r_cap = 0.45 * min_sep
 
     def ball_for(expanding_letter, center: Point, label: Word, pos: int):
-        A = system.letter_maps[expanding_letter].np_matrix
+        m = system.letter_maps[expanding_letter]
         v = np.asarray(center.value)
         directions = space.ring_directions(v, 24)
 
         def ok(r: float) -> bool:
             rows = [space.ring_rows(v, directions, s) for s in (r, r / 2)]
-            return bool((space.stretch_rows(A, np.vstack([*rows, v]))[0] > lam_target).all())
+            return bool((space.stretches(m, np.vstack([*rows, v]))[0] > lam_target).all())
 
         if not ok(r_cap * 1e-3):
             _fail_uncoverable(system, net, lam_target)
@@ -311,10 +305,8 @@ def _build_projective(system, lam_target, net_depth):
             CoverEntry(f"{pos:02d}:{label}", label, EmptyRegion(label=str(label), space=space))
         )
         pos += 1
-    return _certified_datum(
-        system, entries, lam_target, net, lebesgue_number([e.region for e in entries], net)[0],
-        lambda m, vs: float(space.stretch_rows(m.np_matrix, np.array(vs))[1].max()),
-    )
+    leb = lebesgue_number([e.region for e in entries], net)[0]
+    return _certified_datum(system, entries, lam_target, net, leb)
 
 
 def _build_product(system, lam_target, net_depth):

@@ -173,7 +173,8 @@ class Space(Value):
     def push_balls(self, pushes: Sequence, centers: Sequence[Point], eta: float, k: int) -> list:
         """Per row r, (pushes[r] of centers[r], the diameter of the pushed
         `ball_net` of radius eta and size k about it); the center is the
-        first point of its ball net and is pushed once."""
+        first point of its ball net and is pushed once.  The conjugacy and
+        `coding.nested_images` push their balls through here."""
         out = []
         for push, center in zip(pushes, centers):
             probes = [push(q) for q in self.ball_net(center, eta, k)]
@@ -184,9 +185,11 @@ class Space(Value):
         """Image of x under a sequence of self-maps, maps[0] acting first."""
         raise NotImplementedError
 
-    def stretch(self, maps: Sequence, x: Point) -> float:
-        """Least factor by which the composed maps (maps[0] acting first)
-        stretch distances at x, in the limit of nearby points."""
+    def stretches(self, m, values) -> tuple:
+        """Arrays of the least and the largest factor by which the self-map
+        m stretches distances at the points with the given values (as
+        `values` gives them), in the limit of nearby points: every expansion
+        and Lipschitz constant of a datum is read from here."""
         raise TypeError(f"stretch undefined on {self.kind}")
 
     def neighborhood(self, net: Sequence[Point], delta: float) -> list:
@@ -274,13 +277,10 @@ class Circle(Space):
             t = m.apply_angle(t)
         return self.point(t)
 
-    def stretch(self, maps: Sequence, x: Point) -> float:
-        # the chain rule over the orbit of x
-        factor, t = 1.0, x.value
-        for m in maps:
-            factor *= m.deriv_angle(t)
-            t = m.apply_angle(t)
-        return factor
+    def stretches(self, m, values: np.ndarray) -> tuple:
+        # one direction: the least and the largest stretch are the derivative
+        d = m.deriv_angles(values)
+        return d, d
 
     def ball_net(self, center: Point, eta: float, k: int = 64) -> list:
         """Deterministic net of the open eta-ball at the center (center
@@ -428,18 +428,8 @@ class ProjectiveSpace(Space):
             x = self.point(m.apply_vec(x.value))
         return x
 
-    def stretch(self, maps: Sequence, x: Point) -> float:
-        mat = np.eye(self.n + 1)
-        for m in maps:
-            mat = m.np_matrix @ mat
-        return self.stretches(mat, x.value)[0]
-
-    @staticmethod
-    def stretches(A: np.ndarray, v: Sequence[float]) -> tuple:
-        """(min, max) directional stretch of the projective action of the
-        matrix A at the line [v]: the one-row case of `stretch_rows`."""
-        lo, hi = ProjectiveSpace.stretch_rows(A, np.asarray(v, dtype=float)[None])
-        return float(lo[0]), float(hi[0])
+    def stretches(self, m, values) -> tuple:
+        return self.stretch_rows(m.np_matrix, np.array(values, dtype=float))
 
     @staticmethod
     def stretch_rows(A: np.ndarray, V: np.ndarray) -> tuple:
@@ -607,15 +597,13 @@ class FreeBoundary(Space):
             w = m.apply_word(w)
         return self.point(w)
 
-    def stretch(self, maps: Sequence, x: Point) -> float:
-        # a letter that cancels the first letter of the word brings its first
+    def stretches(self, m, values: Sequence[str]) -> tuple:
+        # a letter that cancels the first letter of a word brings its first
         # difference from every nearby point one place nearer the front, so
         # distances grow by a; any other letter is prepended and they shrink by a
-        factor, w = 1.0, x.value
-        for m in maps:
-            factor *= self.a if w[:1] == letter_inverse(m.letter) else 1.0 / self.a
-            w = m.apply_word(w)
-        return factor
+        inv = letter_inverse(m.letter)
+        factor = np.where([w[:1] == inv for w in values], self.a, 1.0 / self.a)
+        return factor, factor
 
     def random_point(self, rng) -> Point:
         # one letter short of the depth, so that a generator moves it without

@@ -103,17 +103,17 @@ class PerturbedSystem:
             )
 
 
-def make_perturbed(
-    system: ActionSystem, datum: ExpansionDatum, maps: Mapping, n_const: int
-) -> PerturbedSystem:
-    """Wrap perturbed letter maps with realized Lipschitz distances over the
-    closed delta-neighborhood net K, and the admissible radius of the
-    fellow-travel constant n_const."""
-    view = ActionView(system, maps)  # refuses a space that takes no perturbation
+def make_perturbed(view: ActionView, datum: ExpansionDatum, n_const: int) -> PerturbedSystem:
+    """Wrap the view's perturbed letter maps with their realized Lipschitz
+    distances from its system's maps over the closed delta-neighborhood net
+    K, and the admissible radius of the fellow-travel constant n_const.  The
+    view was made first, so a space that takes no perturbation was refused
+    before any datum was built for it."""
+    system = view.system
     eps = perturbation_epsilon(datum, n_const)
     pairs = net_pairs(system.space, system.space.neighborhood(datum.net, datum.delta))
     realized = {}
-    for letter, m in maps.items():
+    for letter, m in view.maps.items():
         name = str(system.alphabet.generator(letter[0], letter[1]))
         realized[name] = lipschitz_distance(system.space, system.letter_maps[letter], m, pairs)
     return PerturbedSystem(system, datum, view, realized, eps)
@@ -343,7 +343,7 @@ def perturbed_datum(
     regions = [e.region for e in new_entries]
     leb, witness = lebesgue_number(regions, net_p)
     if leb <= 0:
-        raise UncoverableError(witness, leb, datum.lam)
+        raise UncoverableError(witness, f"Lebesgue number {leb:.6g} <= 0 over the perturbed net")
     # the realized Lipschitz distance is a valid (and sharper) stand-in for
     # the admissibility threshold; an unperturbed action keeps its constants
     eps = max(ps.realized.values())

@@ -112,12 +112,6 @@ class MoebiusMap(Value):
         (a, b), (c, d) = self.matrix
         return _moebius_angles(a, b, c, d, thetas)
 
-    def deriv_angle(self, theta: float) -> float:
-        u, v = math.sin(theta / 2.0), math.cos(theta / 2.0)
-        (a, b), (c, d) = self.matrix
-        u2, v2 = a * u + b * v, c * u + d * v
-        return 1.0 / (u2 * u2 + v2 * v2)
-
     def deriv_angles(self, thetas: np.ndarray) -> np.ndarray:
         u, v = np.sin(thetas / 2.0), np.cos(thetas / 2.0)
         (a, b), (c, d) = self.matrix
@@ -230,14 +224,6 @@ class LiftedCircleMap(Value):
         lifted = np.array(list(map(self._lift, y0.ravel().tolist()))).reshape(y0.shape)
         return wrap_angles((lifted + TAU * j) / self.degree)
 
-    def deriv_angle(self, theta: float) -> float:
-        y = self.degree * theta
-        j = math.floor((y + math.pi) / TAU)
-        y0 = y - TAU * j
-        m = self.multiplier
-        u, v = math.sin(y0 / 2.0), math.cos(y0 / 2.0)
-        return m / (m * m * u * u + v * v)
-
     def deriv_angles(self, thetas: np.ndarray) -> np.ndarray:
         y = self.degree * np.asarray(thetas)
         y0 = y - TAU * np.floor((y + math.pi) / TAU)
@@ -279,8 +265,8 @@ class BoundaryShiftMap(Value):
 
 
 class ProjectiveMap(Value):
-    """Projectivized invertible linear map; `ProjectiveSpace.stretches` gives
-    its stretch factors."""
+    """Projectivized invertible linear map; `ProjectiveSpace.stretches` reads
+    its stretch factors off `np_matrix`, many lines at once."""
 
     _fields = ("matrix",)
 
@@ -574,12 +560,6 @@ class ProductSystem(ActionSystem):
         comp_sys = self.components[idx]
         inner = comp_sys.apply((w1, w2)[idx], Point(comp_sys.space, val))
         return self.space.point((idx, inner.value))
-
-
-def expansion_factor(system: ActionSystem, g: Word, x: Point) -> float:
-    """Infimum directional stretch of rho(g) at x; the space computes it."""
-    letters = groups.letters_of(g)
-    return system.space.stretch([system.letter_maps[l] for l in reversed(letters)], x)
 
 
 def validate_inverses(system: ActionSystem, samples: Sequence[Point], tol: float = 1e-9) -> float:

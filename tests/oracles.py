@@ -1,9 +1,9 @@
 """Slow oracles for the paper's lemmas, which the tests check the package
 against: the nested-image certificate of a code, expansivity witnesses,
 recurrence of code orbits, the quasigeodesic sandwich for rays,
-independence of phi from the code, the continuity modulus of phi, and the
-finite-difference stretch.  No command reports these, so they live here and
-not in the package; `parse` inverts `groups.to_str` to write test words,
+independence of phi from the code, the continuity modulus of phi, the
+chain-rule expansion factor of a word, and the finite-difference stretch.
+No command reports these, so they live here and not in the package; `parse` inverts `groups.to_str` to write test words,
 and `ray_of_words` turns words into a ray.  The scalar loops that the array
 paths replaced (the Schottky limit net one angle at a time, the conjugacy
 one step at a time) are kept as oracles, and so are the breadth-first chain
@@ -28,7 +28,6 @@ from expaction.coding import (
     _entry_map,
     _greedy_entry,
     _step,
-    _word_pushers,
     code_ray,
     enumerate_codes,
     fellow_travel_distance,
@@ -87,7 +86,10 @@ def nested_steps(system, datum, code, eta: float) -> list:
     the nesting slack, how far rho(s_alpha(i))[B_eta(p_{i+1})] overshoots
     B_eta(p_i) (0 at i = 0); and the distance of rho(c_i)(p_{i+1}) from x."""
     space, entry_map = system.space, _entry_map(datum)
-    pushers = _word_pushers(system, datum, code)
+    push, pushers = WordPush(space, system.letter_maps), []
+    for a in code.alphas:
+        push = push.grown(groups.letters_of(entry_map[a].symbol))
+        pushers.append(push)
     steps = []
     for i, diameter in enumerate(nested_images(system, datum, code, eta)):
         p_next, slack = code.points[i + 1], 0.0
@@ -229,6 +231,21 @@ def check_continuity_modulus(table, ps, ks: Sequence[int] = (5, 10)) -> list:
             {"k": k, "pairs": pairs, "modulus": eps_k, "worst": worst, "ok": worst < eps_k}
         )
     return rows
+
+
+def expansion_factor(system, g: Word, x) -> float:
+    """Least stretch of rho(g) at x by the chain rule: the product of each
+    letter's least `space.stretches` along the orbit of x, the last letter
+    acting first.  On the circle and the free boundary, where one direction
+    is stretched, it is the stretch of g; on projective space it is the
+    composed map's least stretch for one letter, and a lower bound of it for
+    more."""
+    space, factor = system.space, 1.0
+    for letter in reversed(groups.letters_of(g)):
+        m = system.letter_maps[letter]
+        factor *= float(space.stretches(m, space.values([x]))[0][0])
+        x = space.apply_maps([m], x)
+    return factor
 
 
 def expansion_factor_fd(system, g: Word, x, h: float = 1e-6) -> float:

@@ -143,7 +143,7 @@ def test_criterion_5_stability_suite(schottky_system, schottky_datum):
     assert len(net) == 200
 
     def run_checks(maps, label):
-        ps = stability.make_perturbed(schottky_system, d, maps, 1)
+        ps = stability.make_perturbed(expansion.ActionView(schottky_system, maps), d, 1)
         assert max(ps.realized.values()) < ps.epsilon / 10.0, label
         table = stability.conjugacy_map(ps, net=net, tol=1e-9)
         assert not table.failures, label
@@ -166,7 +166,7 @@ def test_criterion_5_stability_suite(schottky_system, schottky_datum):
     assert bump_table.displacement > 1e-9  # the image net genuinely moved
 
     pm0 = zoo.perturb(schottky_system, zoo.MatrixJitter(0.0, seed=1))
-    ps0 = stability.make_perturbed(schottky_system, d, pm0, 1)
+    ps0 = stability.make_perturbed(expansion.ActionView(schottky_system, pm0), d, 1)
     t0 = stability.conjugacy_map(ps0, net=net[:60], tol=1e-12)
     assert t0.displacement <= 1e-12
     _report(5, "stability suite (jitter, bump, identity)")
@@ -178,7 +178,7 @@ def test_criterion_6_continuity_in_the_perturbation(cyclic_system, cyclic_datum)
     disps = []
     for mag in (1e-4, 1e-5, 1e-6):
         pm = zoo.perturb(cyclic_system, zoo.MatrixJitter(mag, seed=11))
-        ps = stability.make_perturbed(cyclic_system, cyclic_datum, pm, 1)
+        ps = stability.make_perturbed(expansion.ActionView(cyclic_system, pm), cyclic_datum, 1)
         ps.require_admissible()
         table = stability.conjugacy_map(ps, with_images=False)
         disps.append(table.displacement)
@@ -224,7 +224,7 @@ def test_criterion_8_closed_form_oracle(cyclic_system, cyclic_datum):
     fixed point (chart coordinate t) to 1e-9 for t in {1e-3, 1e-4}."""
     for t in (1e-3, 1e-4):
         pm = zoo.translation_conjugate(cyclic_system, t)
-        ps = stability.make_perturbed(cyclic_system, cyclic_datum, pm, 1)
+        ps = stability.make_perturbed(expansion.ActionView(cyclic_system, pm), cyclic_datum, 1)
         ps.require_admissible()
         phi0, diag = stability.conjugacy_point(ps, cyclic_system.space.point(0.0), tol=1e-9)
         analytic = cyclic_system.space.point(2.0 * math.atan(t))

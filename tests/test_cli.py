@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from expaction import cli, zoo
+from expaction import cli, expansion, stability, zoo
 
 
 def run(args):
@@ -77,6 +77,37 @@ def test_stability_zero_magnitude_identity(tmp_path):
     assert report["displacement"]["max"] <= 1e-12
     assert (out / "conjugacy.csv").exists()
     assert (out / "lambda_vs_image.svg").exists()
+
+
+@pytest.mark.parametrize("kind, space", [("free_boundary", "FreeBoundary"), ("product", "DisjointUnion")])
+def test_stability_refuses_an_unperturbable_space_before_the_datum(tmp_path, monkeypatch, kind, space):
+    def no_datum(*args):
+        raise AssertionError("the datum was built")
+
+    monkeypatch.setattr(expansion, "build_expansion_datum", no_datum)
+    cfg = write_config(tmp_path, "c.json", {"system": {"kind": kind}})
+    with pytest.raises(TypeError, match=f"perturbations unsupported on {space}"):
+        run(["stability", "--config", cfg, "--out", tmp_path / "o"])
+
+
+def test_an_uncovered_perturbed_net_exits_2_naming_its_lebesgue_number(tmp_path, monkeypatch, capsys):
+    # the first phi moved to 0.509 from the net (delta 0.205), outside every
+    # shrunk region: the perturbed datum has no cover, and no expansion
+    # factor is at fault
+    conjugacy_map = stability.conjugacy_map
+
+    def moved_first_phi(ps, **kwargs):
+        table = conjugacy_map(ps, **kwargs)
+        table.entries[0] = table.entries[0]._replace(phi=ps.base.space.point(0.7853927))
+        return table
+
+    monkeypatch.setattr(stability, "conjugacy_map", moved_first_phi)
+    cfg = write_config(tmp_path, "c.json", _perturbed("matrix_jitter", magnitude=0.0))
+    assert run(["stability", "--config", cfg, "--out", tmp_path / "o"]) == 2
+    assert capsys.readouterr().err == (
+        "error: no cover member for Point(Circle, 0.7853927): "
+        "Lebesgue number -0.345331 <= 0 over the perturbed net\n"
+    )
 
 
 def test_malformed_config_schema_diagnostic(tmp_path, capsys):

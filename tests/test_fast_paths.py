@@ -517,7 +517,6 @@ def test_stretch_rows_equal_the_one_line_routine(data, d, source):
     for i, v in enumerate(V):
         old = _old_stretches(A, v)
         assert (lo[i], hi[i]) == old
-        assert ProjectiveSpace.stretches(A, v) == old
 
 
 def test_stretch_rows_hand_near_axis_rows_to_the_loop(monkeypatch):
@@ -723,14 +722,31 @@ def test_bumped_maps_apply_angles_equal_apply_angle(base, bump, data):
         assert _hexes(m.apply_angles(thetas)) == _hexes([m.apply_angle(t) for t in thetas.tolist()])
 
 
+def _deriv_angle(m, theta: float) -> float:
+    """The arc-length derivative of a Moebius or lifted circle map at one
+    angle, by the scalar `math` formulas that `deriv_angles` computes on
+    arrays."""
+    if isinstance(m, zoo.MoebiusMap):
+        u, v = math.sin(theta / 2.0), math.cos(theta / 2.0)
+        (a, b), (c, d) = m.matrix
+        u2, v2 = a * u + b * v, c * u + d * v
+        return 1.0 / (u2 * u2 + v2 * v2)
+    y = m.degree * theta
+    j = math.floor((y + math.pi) / TAU)
+    y0 = y - TAU * j
+    mu = m.multiplier
+    u, v = math.sin(y0 / 2.0), math.cos(y0 / 2.0)
+    return mu / (mu * mu * u * u + v * v)
+
+
 @settings(max_examples=150, derandomize=True, deadline=None)
 @given(m=st.one_of(moebius_maps(), st.builds(zoo.LiftedCircleMap, st.floats(1.01, 30.0), st.integers(2, 5))),
        invert=st.booleans(), data=st.data())
 def test_deriv_angles_equal_deriv_angle(m, invert, data):
-    # `expansion._build_circle` takes its Lipschitz constant from the array
+    # `Circle.stretches` reads the array, for the datum's covers and constants
     m = m.inverse() if invert else m
     thetas = _angle_cases(data.draw, list(m.pinned_angles) + [0.0, math.pi, TAU])
-    assert _hexes(m.deriv_angles(thetas)) == _hexes([m.deriv_angle(t) for t in thetas.tolist()])
+    assert _hexes(m.deriv_angles(thetas)) == _hexes([_deriv_angle(m, t) for t in thetas.tolist()])
 
 
 # ---------------------------------------------------------------------------
@@ -766,7 +782,7 @@ def _perturbed_systems() -> dict:
         if all(isinstance(m, zoo.MoebiusMap) for m in system.letter_maps.values()):
             families["translation_conjugate"] = zoo.translation_conjugate(system, 1e-3)
         for family, maps in families.items():
-            out[name, family] = make_perturbed(system, datum, maps, 1)
+            out[name, family] = make_perturbed(ActionView(system, maps), datum, 1)
     return out
 
 

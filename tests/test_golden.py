@@ -5,9 +5,11 @@ jitterable map (Moebius, projective and lifted circle maps).
 
 Each run's exit status, stdout and output files (report.json, CSVs, SVGs)
 are compared by SHA-256 with the hashes in GOLDEN, so a refactor of the
-evaluation code must keep every float it writes.  The hashes were recorded
+evaluation code must keep every float it writes.  Runs that fail, the
+unsupported pairs and expansion rates that no cover reaches, are compared
+by exit status and last stderr line with FAILED.  The hashes were recorded
 with numpy NUMPY_VERSION; a different numpy may round differently, and the
-test still fails rather than skips.  Print fresh hashes with
+test still fails rather than skips.  Print fresh hashes and failures with
 
     PYTHONPATH=src python tests/test_golden.py
 """
@@ -17,6 +19,7 @@ import io
 import json
 import sys
 import tempfile
+import traceback
 from pathlib import Path
 
 import numpy as np
@@ -90,6 +93,31 @@ RUNS["schottky.stability.bump"] = (
      "perturbation": {"family": "bump_compose", "center": 1.0, "width": 0.6, "height": 5e-6}},
 )
 
+# runs that fail: each unsupported pair, and verify-expansion at expansion
+# rates that no cover reaches, at the systems' default net depths
+FAILING = {
+    f"{kind}.{command}": (command, {**SHARED, **SYSTEMS[kind]})
+    for kind, command in sorted(UNSUPPORTED)
+}
+# the systems by name, and the expansion rates at which no cover reaches them
+NAMED_SYSTEMS = {kind: config["system"] for kind, config in SYSTEMS.items()}
+NAMED_SYSTEMS["product_of_schottky"] = {
+    "kind": "product", "params": {"with_swap": True, "component": {"kind": "schottky", "params": {}}},
+}
+UNCOVERABLE = {
+    "cyclic_hyperbolic": (100,),
+    "covered_cyclic": (50,),
+    "schottky": (60, 9.5),
+    "free_boundary": (2.5,),
+    "zn_projective": (40, 3.5),
+    "product_of_schottky": (60,),
+    "product": (3,),
+}
+for kind, rates in UNCOVERABLE.items():
+    for rate in rates:
+        FAILING[f"{kind}.verify-expansion.lambda-{rate}"] = (
+            "verify-expansion", {"system": NAMED_SYSTEMS[kind], "lambda_target": rate},
+        )
 
 def _sha(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
@@ -107,6 +135,22 @@ def run_hashes(name: str, workdir: Path, config: dict | None = None) -> dict:
         status = cli.main([command, "--config", str(path), "--out", str(out)])
     hashes = {f.name: _sha(f.read_bytes()) for f in sorted(out.iterdir())}
     return {"status": status, "stdout": _sha(stdout.getvalue().encode()), **hashes}
+
+
+def run_failure(name: str, workdir: Path) -> tuple:
+    """(exit status, last stderr line) of a failing run; an exception that
+    escapes `cli.main` exits the interpreter with 1 and ends its traceback
+    with the line `format_exception_only` gives."""
+    command, config = FAILING[name]
+    path = workdir / f"{name}.json"
+    path.write_text(json.dumps(config))
+    stderr = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(stderr):
+        try:
+            status = cli.main([command, "--config", str(path), "--out", str(workdir / name)])
+        except Exception as err:
+            return 1, traceback.format_exception_only(err)[-1].strip()
+    return status, stderr.getvalue().strip().splitlines()[-1]
 
 
 GOLDEN = {
@@ -298,6 +342,40 @@ GOLDEN = {
     },
 }
 
+FAILED = {
+    "covered_cyclic.verify-expansion.lambda-50": (
+        2, "error: no cover member for Point(CoveredCircle, 0.0): best expansion factor 4 < target 50"),
+    "cyclic_hyperbolic.verify-expansion.lambda-100": (
+        2, "error: no cover member for Point(Circle, 0.0): best expansion factor 4 < target 100"),
+    "free_boundary.stability": (1, "TypeError: perturbations unsupported on FreeBoundary"),
+    "free_boundary.verify-expansion.lambda-2.5": (
+        2, "error: no cover member for Point(FreeBoundary, 'aaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaa'): "
+        "best expansion factor 2 < target 2.5"),
+    "product.coding-map": (
+        1, "ValueError: coding map needs a free or cyclic presentation, not product_swap"),
+    "product.stability": (1, "TypeError: perturbations unsupported on DisjointUnion"),
+    "product.verify-expansion.lambda-3": (
+        2, "error: no cover member for Point(FreeBoundary, 'aaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaa'): "
+        "best expansion factor 2 < target 3"),
+    "product_of_schottky.verify-expansion.lambda-60": (
+        2, "error: no cover member for Point(Circle, 5.991367168807175): "
+        "best expansion factor 3.34435 < target 60"),
+    "schottky.verify-expansion.lambda-60": (
+        2, "error: no cover member for Point(Circle, 5.991367168807175): "
+        "best expansion factor 3.34435 < target 60"),
+    "schottky.verify-expansion.lambda-9.5": (
+        2, "error: no cover member for Point(Circle, 5.991367168807175): "
+        "best expansion factor 3.34435 < target 9.5"),
+    "zn_projective.coding-map": (
+        1, "ValueError: coding map needs a free or cyclic presentation, not free_abelian"),
+    "zn_projective.verify-expansion.lambda-3.5": (
+        2, "error: no cover member for Point(ProjectiveSpace, (1.0, 0.0, 0.0)): "
+        "best expansion factor 3 < target 3.5"),
+    "zn_projective.verify-expansion.lambda-40": (
+        2, "error: no cover member for Point(ProjectiveSpace, (1.0, 0.0, 0.0)): "
+        "best expansion factor 3 < target 40"),
+}
+
 
 def test_the_run_matrix_covers_every_supported_pair():
     assert len([n for n in RUNS if n.count(".") == 1]) == 26
@@ -309,6 +387,15 @@ def test_outputs_match_the_golden_hashes(name, tmp_path):
     assert run_hashes(name, tmp_path) == GOLDEN[name], (
         f"recorded with numpy {NUMPY_VERSION}, running {np.__version__}"
     )
+
+
+def test_the_failing_runs_are_each_pinned():
+    assert len(FAILING) == 13 and set(FAILING) == set(FAILED)
+
+
+@pytest.mark.parametrize("name", sorted(FAILING))
+def test_failing_runs_match_their_exit_status_and_last_stderr_line(name, tmp_path):
+    assert run_failure(name, tmp_path) == FAILED[name]
 
 
 @pytest.mark.parametrize(
@@ -328,6 +415,11 @@ def test_a_reports_config_block_runs_again_to_the_same_outputs(name, tmp_path):
 if __name__ == "__main__":
     with tempfile.TemporaryDirectory() as tmp:
         table = {name: run_hashes(name, Path(tmp)) for name in sorted(RUNS)}
+        failed = {name: run_failure(name, Path(tmp)) for name in sorted(FAILING)}
     print(f"# numpy {np.__version__}")
     json.dump(table, sys.stdout, indent=4, sort_keys=True)
     print()
+    print("FAILED = {")
+    for name, outcome in failed.items():
+        print(f"    {name!r}: {outcome!r},")
+    print("}")

@@ -10,7 +10,13 @@ from oracles import (
 )
 
 from expaction import zoo
-from expaction.expansion import ActionView, ExpansionDatum, verify_expansion
+from expaction.expansion import (
+    ActionView,
+    ExpansionDatum,
+    UncoverableError,
+    build_expansion_datum,
+    verify_expansion,
+)
 from expaction.geometry import Circle, circle_dist
 from expaction.stability import (
     AdmissibilityError,
@@ -84,7 +90,7 @@ def test_lipschitz_distance_conjugated_cyclic(cyclic_system, cyclic_datum):
     realized = {}
     for t in (1e-3, 1e-4):
         pm = zoo.translation_conjugate(cyclic_system, t)
-        ps = make_perturbed(cyclic_system, cyclic_datum, pm, 1)
+        ps = make_perturbed(ActionView(cyclic_system, pm), cyclic_datum, 1)
         realized[t] = max(ps.realized.values())
         assert realized[t] < ps.epsilon
     assert realized[1e-4] == pytest.approx(realized[1e-3] / 10.0, rel=0.1)
@@ -94,7 +100,7 @@ def test_jitter_realized_distance_scales_linearly(schottky_system, schottky_datu
     realized = {}
     for mag in (1e-4, 1e-5):
         pm = zoo.perturb(schottky_system, zoo.MatrixJitter(mag, seed=7))
-        ps = make_perturbed(schottky_system, schottky_datum, pm, 1)
+        ps = make_perturbed(ActionView(schottky_system, pm), schottky_datum, 1)
         realized[mag] = max(ps.realized.values())
     assert realized[1e-5] < 1e-3
     assert realized[1e-4] == pytest.approx(10 * realized[1e-5], rel=0.2)
@@ -112,7 +118,7 @@ def test_lipschitz_distance_rejects_singleton():
 
 def test_identity_perturbation_gives_identity(cyclic_system, cyclic_datum):
     pm = zoo.perturb(cyclic_system, zoo.MatrixJitter(0.0, seed=1))
-    ps = make_perturbed(cyclic_system, cyclic_datum, pm, 1)
+    ps = make_perturbed(ActionView(cyclic_system, pm), cyclic_datum, 1)
     assert not ps.violations() and max(ps.realized.values()) == 0.0
     table = conjugacy_map(ps, tol=1e-12)
     assert table.displacement <= 1e-12
@@ -122,7 +128,7 @@ def test_identity_perturbation_gives_identity(cyclic_system, cyclic_datum):
 def test_conjugacy_matches_closed_form_fixed_point(cyclic_system, cyclic_datum):
     for t in (1e-3, 1e-4):
         pm = zoo.translation_conjugate(cyclic_system, t)
-        ps = make_perturbed(cyclic_system, cyclic_datum, pm, 1)
+        ps = make_perturbed(ActionView(cyclic_system, pm), cyclic_datum, 1)
         ps.require_admissible()
         phi0, diag = conjugacy_point(ps, cyclic_system.space.point(0.0))
         expected = cyclic_system.space.point(2.0 * math.atan(t))
@@ -132,14 +138,14 @@ def test_conjugacy_matches_closed_form_fixed_point(cyclic_system, cyclic_datum):
 
 def test_diagonal_jitter_preserves_cyclic_fixed_points(cyclic_system, cyclic_datum):
     pm = zoo.perturb(cyclic_system, zoo.MatrixJitter(1e-5, seed=4, diagonal_only=True))
-    ps = make_perturbed(cyclic_system, cyclic_datum, pm, 1)
+    ps = make_perturbed(ActionView(cyclic_system, pm), cyclic_datum, 1)
     table = conjugacy_map(ps)
     assert table.displacement <= 1e-10  # fixed points unmoved, phi = id on them
 
 
 def test_admissibility_gate_names_generator(schottky_system, schottky_datum):
     pm = zoo.perturb(schottky_system, zoo.MatrixJitter(0.05, seed=1))
-    ps = make_perturbed(schottky_system, schottky_datum, pm, 1)
+    ps = make_perturbed(ActionView(schottky_system, pm), schottky_datum, 1)
     with pytest.raises(AdmissibilityError) as err:
         conjugacy_point(ps, schottky_datum.net[0])
     assert any(name in str(err.value) for name in ("a", "b", "A", "B"))
@@ -158,7 +164,7 @@ def test_a_nan_distance_is_a_violation(schottky_system, schottky_datum):
 def test_schottky_jitter_full_table(schottky_system, schottky_datum):
     net = schottky_system.limit_net(4)[:40]
     pm = zoo.perturb(schottky_system, zoo.MatrixJitter(3e-6, seed=7))
-    ps = make_perturbed(schottky_system, schottky_datum, pm, 1)
+    ps = make_perturbed(ActionView(schottky_system, pm), schottky_datum, 1)
     assert max(ps.realized.values()) < ps.epsilon / 10
     table = conjugacy_map(ps, net=net)
     assert not table.failures
@@ -172,7 +178,7 @@ def test_schottky_jitter_full_table(schottky_system, schottky_datum):
 def test_conjugacy_is_bit_stable(schottky_system, schottky_datum):
     net = schottky_system.limit_net(3)[:10]
     pm = zoo.perturb(schottky_system, zoo.MatrixJitter(3e-6, seed=7))
-    ps = make_perturbed(schottky_system, schottky_datum, pm, 1)
+    ps = make_perturbed(ActionView(schottky_system, pm), schottky_datum, 1)
     t1 = conjugacy_map(ps, net=net, with_images=False)
     t2 = conjugacy_map(ps, net=net, with_images=False)
     assert [e.phi.value for e in t1.entries] == [e.phi.value for e in t2.entries]
@@ -180,7 +186,7 @@ def test_conjugacy_is_bit_stable(schottky_system, schottky_datum):
 
 def test_convergence_rate_bound(schottky_system, schottky_datum):
     pm = zoo.perturb(schottky_system, zoo.MatrixJitter(3e-6, seed=7))
-    ps = make_perturbed(schottky_system, schottky_datum, pm, 1)
+    ps = make_perturbed(ActionView(schottky_system, pm), schottky_datum, 1)
     _, diag = conjugacy_point(ps, schottky_datum.net[5], tol=1e-9)
     lam_p = schottky_datum.lam - ps.epsilon
     lip_p = schottky_datum.lip + ps.epsilon
@@ -190,14 +196,14 @@ def test_convergence_rate_bound(schottky_system, schottky_datum):
 
 def test_code_independence(schottky_system, schottky_datum):
     pm = zoo.perturb(schottky_system, zoo.MatrixJitter(3e-6, seed=7))
-    ps = make_perturbed(schottky_system, schottky_datum, pm, 1)
+    ps = make_perturbed(ActionView(schottky_system, pm), schottky_datum, 1)
     for x in schottky_datum.net[::40]:
         assert check_code_independence(ps, x, tol=1e-9) <= 2e-9
 
 
 def test_injectivity_flags_collapsed_table(schottky_system, schottky_datum):
     pm = zoo.perturb(schottky_system, zoo.MatrixJitter(0.0, seed=1))
-    ps = make_perturbed(schottky_system, schottky_datum, pm, 1)
+    ps = make_perturbed(ActionView(schottky_system, pm), schottky_datum, 1)
     net = schottky_datum.net
     phi = net[0]
     table = ConjugacyTable(
@@ -227,7 +233,7 @@ def test_phi_of_repeated_point_keeps_first_entry(schottky_datum):
 
 def test_continuity_modulus_rows(schottky_system, schottky_datum):
     pm = zoo.perturb(schottky_system, zoo.MatrixJitter(3e-6, seed=7))
-    ps = make_perturbed(schottky_system, schottky_datum, pm, 1)
+    ps = make_perturbed(ActionView(schottky_system, pm), schottky_datum, 1)
     table = conjugacy_map(ps, net=schottky_system.limit_net(3), with_images=False)
     rows = check_continuity_modulus(table, ps, ks=(5, 10))
     assert [r["k"] for r in rows] == [5, 10]
@@ -240,7 +246,7 @@ def test_continuity_modulus_rows(schottky_system, schottky_datum):
 
 def test_perturbed_datum_degenerate(schottky_system, schottky_datum):
     pm = zoo.perturb(schottky_system, zoo.MatrixJitter(0.0, seed=1))
-    ps = make_perturbed(schottky_system, schottky_datum, pm, 1)
+    ps = make_perturbed(ActionView(schottky_system, pm), schottky_datum, 1)
     d = schottky_datum
     identity = ConjugacyTable([TableEntry(x, x, 1, 0.0) for x in d.net], {}, 0.0)
     dp = perturbed_datum(d, ps, d.delta / 5.0, identity)
@@ -256,7 +262,7 @@ def test_perturbed_datum_degenerate(schottky_system, schottky_datum):
 def test_perturbed_datum_jitter_verifies(schottky_system, schottky_datum):
     net = schottky_system.limit_net(4)[:40]
     pm = zoo.perturb(schottky_system, zoo.MatrixJitter(3e-6, seed=7))
-    ps = make_perturbed(schottky_system, schottky_datum, pm, 1)
+    ps = make_perturbed(ActionView(schottky_system, pm), schottky_datum, 1)
     table = conjugacy_map(ps, net=net, with_images=False)
     dp = perturbed_datum(schottky_datum, ps, schottky_datum.delta / 5.0, table)
     realized = max(ps.realized.values())
@@ -265,8 +271,24 @@ def test_perturbed_datum_jitter_verifies(schottky_system, schottky_datum):
     assert verify_expansion(ps.view, dp).passed
 
 
+def test_an_uncovered_perturbed_net_reports_no_expansion_factor(schottky_system):
+    # zero jitter at net depth 3, with the first phi moved to 0.509 from the
+    # net (delta 0.205): the shrunk cover misses it, and the Lebesgue
+    # number, a margin, is no expansion factor
+    d = build_expansion_datum(schottky_system, 1.4, 3)
+    pm = zoo.perturb(schottky_system, zoo.MatrixJitter(0.0, seed=1))
+    ps = make_perturbed(ActionView(schottky_system, pm), d, 1)
+    table = conjugacy_map(ps, with_images=False)
+    moved = schottky_system.space.point(0.7853927)
+    table.entries[0] = table.entries[0]._replace(phi=moved)
+    with pytest.raises(UncoverableError) as err:
+        perturbed_datum(d, ps, d.delta / 5.0, table)
+    assert err.value.witness == moved and err.value.best_factor is None
+    assert str(err.value).endswith(": Lebesgue number -0.345331 <= 0 over the perturbed net")
+
+
 def test_perturbed_datum_rejects_large_r(schottky_system, schottky_datum):
     pm = zoo.perturb(schottky_system, zoo.MatrixJitter(0.0, seed=1))
-    ps = make_perturbed(schottky_system, schottky_datum, pm, 1)
+    ps = make_perturbed(ActionView(schottky_system, pm), schottky_datum, 1)
     with pytest.raises(ValueError):
         perturbed_datum(schottky_datum, ps, 0.9 * schottky_datum.delta, ConjugacyTable([], {}, 0.0))

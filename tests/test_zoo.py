@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
-from oracles import expansion_factor_fd, parse
+from oracles import expansion_factor, expansion_factor_fd, parse
 
 from expaction import groups, zoo
 from expaction.expansion import ActionView
@@ -13,7 +13,6 @@ from expaction.zoo import (
     ConstructionError,
     MatrixJitter,
     MoebiusMap,
-    expansion_factor,
     validate_inverses,
 )
 
