@@ -447,6 +447,7 @@ def cmd_certify_shyp(cfg: dict, out: Path) -> int:
 
 def cmd_coding_map(cfg: dict, out: Path) -> int:
     system = build_system(cfg["system"])
+    coding.require_boundary(system)  # before any datum is built
     datum = expansion.build_expansion_datum(system, cfg["lambda_target"], cfg["net"]["depth"])
     rows, prefixes = [], {}
     for x in datum.net:

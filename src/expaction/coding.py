@@ -18,7 +18,7 @@ import numpy as np
 
 from . import groups, zoo
 from .expansion import CoverEntry, ExpansionDatum
-from .geometry import Point, Value
+from .geometry import Point, Value, margin_matrix
 from .groups import BoundaryWord, boundary_prefix
 from .zoo import ActionSystem
 
@@ -62,22 +62,20 @@ def _entry_map(datum: ExpansionDatum) -> dict:
     return {e.index: e for e in datum.entries}
 
 
-def _admissible_entries(datum: ExpansionDatum, x: Point, eta: float) -> list:
-    return [e for e in datum.entries if e.region.margin(x) >= eta]
-
-
-def _greedy_entry(datum: ExpansionDatum, x: Point, eta: float, reverse_ties: bool = False):
+def _greedy_choice(datum: ExpansionDatum, x: Point, eta: float, reverse_ties: bool = False):
+    """The greedy entry at x: scanning the entries' margins there in entry
+    order (backwards with `reverse_ties`), an entry replaces the best only
+    when its margin is more than 1e-15 above the best's."""
+    row = margin_matrix([e.region for e in datum.entries], [x])[0].tolist()
     best, best_margin = None, -math.inf
-    entries = datum.entries if not reverse_ties else tuple(reversed(datum.entries))
-    for e in entries:
-        m = e.region.margin(x)
-        if m > best_margin + 1e-15:
-            best, best_margin = e, m
+    for k in range(len(row) - 1, -1, -1) if reverse_ties else range(len(row)):
+        if row[k] > best_margin + 1e-15:
+            best, best_margin = k, row[k]
     if best is None or best_margin < eta:
         raise CodingError(
             f"no cover member admits an eta-ball at {x} (best margin {best_margin:.3e}, eta {eta:.3e})"
         )
-    return best
+    return datum.entries[best]
 
 
 def _step(system: ActionSystem, entry: CoverEntry, x: Point) -> Point:
@@ -95,7 +93,7 @@ def _step(system: ActionSystem, entry: CoverEntry, x: Point) -> Point:
 
 def greedy_step(datum: ExpansionDatum, system: ActionSystem, x: Point, eta: float) -> tuple:
     """One greedy code step: (chosen entry, next point)."""
-    e = _greedy_entry(datum, x, eta)
+    e = _greedy_choice(datum, x, eta)
     return e, _step(system, e, x)
 
 
@@ -114,7 +112,7 @@ def make_code(
         raise CodingError(f"eta must lie in (0, delta={datum.delta}], got {eta}")
     alphas, points = [], [x]
     for _ in range(depth):
-        e = _greedy_entry(datum, points[-1], eta, reverse_ties)
+        e = _greedy_choice(datum, points[-1], eta, reverse_ties)
         alphas.append(e.index)
         points.append(_step(system, e, points[-1]))
     return Code(tuple(alphas), tuple(points), True)
@@ -140,17 +138,19 @@ def enumerate_codes(
         branches, truncated = branches[:cap], True
     for _ in range(depth - 1):
         nxt = []
-        for alphas, points in branches:
-            for e in _admissible_entries(datum, points[-1], eta):
-                nxt.append((alphas + [e.index], points + [_step(system, e, points[-1])]))
+        # an entry admits the eta-ball at a point where its margin is at least eta
+        rows = margin_matrix([e.region for e in datum.entries], [points[-1] for _, points in branches])
+        for (alphas, points), row in zip(branches, rows.tolist()):
+            for e, m in zip(datum.entries, row):
+                if m >= eta:
+                    nxt.append((alphas + [e.index], points + [_step(system, e, points[-1])]))
         if len(nxt) > cap:
             nxt, truncated = nxt[:cap], True
         branches = nxt
+    # a code is special when its free initial label is admissible at x
     entry_map = _entry_map(datum)
-    codes = [
-        Code(tuple(a), tuple(p), entry_map[a[0]].region.margin(x) >= eta)
-        for a, p in branches
-    ]
+    special = {a[0]: entry_map[a[0]].region.margin(x) >= eta for a, _ in branches}
+    codes = [Code(tuple(a), tuple(p), special[a[0]]) for a, p in branches]
     return codes, truncated
 
 
@@ -422,6 +422,12 @@ def shyp_certificate(
 # the coding map
 
 
+def require_boundary(system: ActionSystem) -> None:
+    """Refuse a presentation that carries no boundary here: only free and cyclic ones do."""
+    if system.alphabet.kind not in (groups.FREE, groups.CYCLIC):
+        raise ValueError(f"coding map needs a free or cyclic presentation, not {system.alphabet.kind}")
+
+
 def coding_map(
     system: ActionSystem,
     datum: ExpansionDatum,
@@ -434,11 +440,7 @@ def coding_map(
     cross-checked against the reversed-tie greedy code and flagged
     unstabilized if the two prefixes disagree.
     """
-    kind = system.alphabet.kind
-    if kind not in (groups.FREE, groups.CYCLIC):
-        raise ValueError(
-            f"coding map needs a free or cyclic presentation, not {kind}"
-        )
+    require_boundary(system)
     depth = prefix_depth + 8
     code = make_code(datum, system, datum.delta, x, depth)
     ray = code_ray(datum, code)

@@ -30,6 +30,9 @@ from .geometry import (
     Region,
     Value,
     lebesgue_number,
+    lebesgue_values,
+    margin_matrix,
+    margin_values,
 )
 from .groups import Word
 from .zoo import ActionSystem
@@ -41,10 +44,10 @@ PAIR_COUNT = 400  # point pairs `verify_expansion` samples (half as many per exp
 
 
 class UncoverableError(ValueError):
-    """A net point that no cover member takes, and why: no generator expands
+    """A point that no cover member takes, and why: no generator expands
     there at the requested rate, and `best_factor` is the best expansion
-    factor there; or the point lies outside every member of a given cover,
-    whose Lebesgue number is not positive, and `best_factor` is None."""
+    factor there; or another test of the cover failed there (its Lebesgue
+    number, or the smallest ball tried), and `best_factor` is None."""
 
     def __init__(self, witness: Point, reason: str, best_factor: float | None = None):
         self.witness, self.best_factor = witness, best_factor
@@ -140,16 +143,18 @@ def build_expansion_datum(
     raise ValueError(f"no cover builder for {system.space.kind}")
 
 
-def _fail_uncoverable(system, net, lam_target):
-    # witness = the first net point with the weakest best expansion factor
+def _fail_uncoverable(system, net, lam_target, witness, reason):
+    # a test of the cover failed at the witness, unless a net point expands too little
     space = system.space
     values = space.values(net)
     best = np.maximum.reduce([space.stretches(m, values)[0] for m in system.letter_maps.values()])
     at = int(np.argmin(best))
     factor = float(best[at])
-    raise UncoverableError(
-        net[at], f"best expansion factor {factor:.6g} < target {lam_target:.6g}", factor
-    )
+    if factor < lam_target:
+        raise UncoverableError(
+            net[at], f"best expansion factor {factor:.6g} < target {lam_target:.6g}", factor
+        )
+    raise UncoverableError(witness, reason)
 
 
 def _circular_runs(mask: np.ndarray) -> list:
@@ -157,29 +162,19 @@ def _circular_runs(mask: np.ndarray) -> list:
     n = len(mask)
     if mask.all():
         return [(0, n)]
-    if not mask.any():
-        return []
-    # rotate so index 0 is False, then split linearly
+    # rotated to start at a False, every run lies between a rise and a fall
     off = int(np.argmin(mask))
-    rolled = np.roll(mask, -off)
-    runs, start = [], None
-    for i, m in enumerate(rolled):
-        if m and start is None:
-            start = i
-        elif not m and start is not None:
-            runs.append(((start + off) % n, i - start))
-            start = None
-    if start is not None:
-        runs.append(((start + off) % n, n - start))
-    return runs
+    edges = np.diff(np.concatenate([[0], np.roll(mask, -off).astype(int), [0]]))
+    starts, ends = np.flatnonzero(edges == 1), np.flatnonzero(edges == -1)
+    return [((a + off) % n, b - a) for a, b in zip(starts.tolist(), ends.tolist())]
 
 
-def _certified_datum(system, entries, lam_target, net, leb):
+def _certified_datum(system, entries, lam_target, net, leb, witness):
     """The datum of a cover: delta is SAFETY times its Lebesgue number leb
-    over a probe net, lip the largest stretch of a generator map at the
-    points of the delta-neighborhood of the net."""
+    over a probe net (worst at the witness), lip the largest stretch of a
+    generator map at the points of the delta-neighborhood of the net."""
     if leb <= 0:
-        _fail_uncoverable(system, net, lam_target)
+        _fail_uncoverable(system, net, lam_target, witness, f"Lebesgue number {leb:.6g} <= 0 over the probe net")
     space = system.space
     delta = float(SAFETY * leb)
     values = space.values(space.neighborhood(net, delta))
@@ -191,6 +186,7 @@ def _certified_datum(system, entries, lam_target, net, leb):
 def _build_circle(system, lam_target, net_depth):
     space = system.space
     net = system.limit_net(net_depth)
+    angles = space.values(net)
     step = TAU / GRID_SIZE
     thetas = np.arange(GRID_SIZE) * step
     entries = []
@@ -200,36 +196,27 @@ def _build_circle(system, lam_target, net_depth):
             label = system.alphabet.generator(i, s)
             expanding = system.letter_maps[(i, -s)]  # rho(label^-1)
             mask = space.stretches(expanding, thetas)[0] > lam_target
-            made = 0
+            arcs = []
             for start, length in _circular_runs(mask):
                 half = float((length - 1) * step / 2.0 - step)
                 if half <= 0:
                     continue
                 center = float((thetas[start] + (length - 1) * step / 2.0) % TAU)
-                region = ArcRegion(
-                    label=str(label), space=space, center=center, half_width=half
-                )
-                if not any(region.margin(x) > 0 for x in net):
-                    continue
+                arcs.append(ArcRegion(label=str(label), space=space, center=center, half_width=half))
+            # an arc is kept when some net point lies inside it
+            hit = (margin_values(arcs, angles) > 0).any(axis=0).tolist()
+            kept = [arc for arc, keep in zip(arcs, hit) if keep]
+            for region in kept or [EmptyRegion(label=str(label), space=space)]:
                 entries.append(CoverEntry(f"{pos:02d}:{label}", label, region))
-                pos += 1
-                made += 1
-            if made == 0:
-                entries.append(
-                    CoverEntry(
-                        f"{pos:02d}:{label}",
-                        label,
-                        EmptyRegion(label=str(label), space=space),
-                    )
-                )
                 pos += 1
     # probe a deeper net than the working one: the working net under-samples
     # fractal limit sets whose extreme points pin the true Lebesgue number;
-    # its angles go to the array margins without becoming points
-    angles = space.values(net)
+    # its angles go to the margin matrices without becoming points
     probe = system.limit_values(min(system.default_depth + 5, 10)) if len(net) > 2 else angles
-    leb, _ = space.lebesgue_angles([e.region for e in entries], np.concatenate([angles, probe]))
-    return _certified_datum(system, entries, lam_target, net, leb)
+    values = np.concatenate([angles, probe])
+    leb, at = lebesgue_values([e.region for e in entries], values)
+    witness = space.point(values[at]) if leb <= 0 else None
+    return _certified_datum(system, entries, lam_target, net, leb, witness)
 
 
 def _build_cylinders(system, lam_target, net_depth):
@@ -237,7 +224,7 @@ def _build_cylinders(system, lam_target, net_depth):
     net = system.limit_net(net_depth)
     a = space.a
     if lam_target > a:
-        _fail_uncoverable(system, net, lam_target)
+        _fail_uncoverable(system, net, lam_target, net[0], f"cylinders expand by a = {a:.6g} only")
     entries = []
     chars = space.letters + space.letters.upper()
     for pos, ch in enumerate(chars):
@@ -271,19 +258,24 @@ def _build_projective(system, lam_target, net_depth):
         v = np.asarray(center.value)
         directions = space.ring_directions(v, 24)
 
-        def ok(r: float) -> bool:
+        def least(r: float) -> float:
+            # the least stretch at the center and on its rings of radius r and r/2
             rows = [space.ring_rows(v, directions, s) for s in (r, r / 2)]
-            return bool((space.stretches(m, np.vstack([*rows, v]))[0] > lam_target).all())
+            return float(space.stretches(m, np.vstack([*rows, v]))[0].min())
 
-        if not ok(r_cap * 1e-3):
-            _fail_uncoverable(system, net, lam_target)
         lo, hi = r_cap * 1e-3, r_cap
-        if ok(hi):
+        if not least(lo) > lam_target:
+            _fail_uncoverable(
+                system, net, lam_target, center,
+                f"least expansion factor {least(lo):.6g} <= target {lam_target:.6g} "
+                f"within radius {lo:.6g} of this fixed point",
+            )
+        if least(hi) > lam_target:
             lo = hi
         else:
             for _ in range(48):
                 mid = (lo + hi) / 2.0
-                if ok(mid):
+                if least(mid) > lam_target:
                     lo = mid
                 else:
                     hi = mid
@@ -305,8 +297,8 @@ def _build_projective(system, lam_target, net_depth):
             CoverEntry(f"{pos:02d}:{label}", label, EmptyRegion(label=str(label), space=space))
         )
         pos += 1
-    leb = lebesgue_number([e.region for e in entries], net)[0]
-    return _certified_datum(system, entries, lam_target, net, leb)
+    leb, witness = lebesgue_number([e.region for e in entries], net)
+    return _certified_datum(system, entries, lam_target, net, leb, witness)
 
 
 def _build_product(system, lam_target, net_depth):
@@ -498,9 +490,11 @@ def verify_expansion(view: ActionView, datum: ExpansionDatum, tol: float = 1e-9)
     )
 
     # a nonempty entry's label is one letter, whose inverse's map expands
+    nonempty = datum.nonempty_entries()
+    in_samples = (margin_matrix([e.region for e in nonempty], samples) > 0).T.tolist()
     worst_exp, exp_witness, n_exp = math.inf, "", 0
-    for e in datum.nonempty_entries():
-        inside = [p for p in samples if e.region.margin(p) > 0]
+    for e, mask in zip(nonempty, in_samples):
+        inside = [p for p, keep in zip(samples, mask) if keep]
         inside.extend(e.region.sample(12))
         pairs = pairs_apart(space, inside, *_sample_pairs(len(inside), PAIR_COUNT // 2))
         image = space.map_values(view.maps[e.backward[1]], pairs.values)
@@ -532,10 +526,11 @@ def verify_expansion(view: ActionView, datum: ExpansionDatum, tol: float = 1e-9)
         )
     else:
         worst_ball, ball_witness, n_ball = math.inf, "", 0
+        net_margins = margin_matrix([e.region for e in nonempty], datum.net).T
         for eta in (datum.delta, datum.delta / 2, datum.delta / 4):
-            for e in datum.nonempty_entries():
+            for e, column in zip(nonempty, (net_margins >= eta).tolist()):
                 inv_word = groups.inverse(e.symbol)
-                centers = [p for p in datum.net if e.region.margin(p) >= eta][:10]
+                centers = [p for p, keep in zip(datum.net, column) if keep][:10]
                 for x in centers:
                     fx = view.apply_word(inv_word, x)
                     for z in samples:

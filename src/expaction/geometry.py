@@ -16,9 +16,7 @@ that the open r-ball at x is contained in the region.
 from __future__ import annotations
 
 import math
-from bisect import bisect_left
-from functools import cached_property
-from typing import Any, Callable, Sequence
+from typing import Any, Sequence
 
 import numpy as np
 
@@ -204,25 +202,6 @@ class Space(Value):
                 best = max(best, self.raw_distance(pts[i].value, pts[j].value))
         return best
 
-    def distance_to_net(self, net: Sequence[Point]) -> Callable[[Point], float]:
-        """Function giving the distance from a point to the nearest point of
-        a finite nonempty net."""
-        net = tuple(net)
-        return lambda x: min(distance(self, x, p) for p in net)
-
-    def lebesgue_number(self, regions: Sequence["Region"], net: Sequence[Point]) -> tuple:
-        """See `lebesgue_number`: the worst best margin over the net."""
-        worst, witness = math.inf, None
-        for x in net:
-            best = max((reg.margin(x) for reg in regions), default=-math.inf)
-            if best < worst:
-                worst, witness = best, x
-        return worst, witness
-
-
-# nets longer than this are evaluated in array chunks of this many angles
-LEBESGUE_CHUNK = 4096
-
 
 class Circle(Space):
     """Circle of circumference 2*pi with the arc-length (geodesic) metric."""
@@ -252,7 +231,7 @@ class Circle(Space):
     push_rows = 12
 
     def values(self, pts: Sequence[Point]) -> np.ndarray:
-        return np.fromiter((p.value for p in pts), dtype=float, count=len(pts))
+        return np.array([p.value for p in pts], dtype=float)
 
     def map_values(self, m, values: np.ndarray) -> np.ndarray:
         return m.apply_angles(values)
@@ -312,56 +291,6 @@ class Circle(Space):
         s = np.sort(rows, axis=1)
         gaps = np.diff(s, axis=1).max(axis=1, initial=-math.inf)
         return TAU - np.maximum(gaps, (s[:, 0] + TAU) - s[:, -1])
-
-    def distance_to_net(self, net: Sequence[Point]) -> Callable[[Point], float]:
-        # On [0, TAU) the correctly rounded |x - a| grows with a on each side
-        # of x and TAU - |x - a| falls, so the nearest net point is the
-        # successor or the predecessor of x or one of the two extreme angles:
-        # the min over these four is the min of the full scan, float for float.
-        for p in net:
-            if p.space != self:
-                raise SpaceMismatchError(f"net point tagged {p.space.kind} on {self.kind}")
-        angles = sorted(p.value for p in net)
-        if not angles:
-            return super().distance_to_net(net)
-        first, last, n = angles[0], angles[-1], len(angles)
-
-        def near(x: Point) -> float:
-            if x.space != self:
-                raise SpaceMismatchError(f"point tagged {x.space.kind} on {self.kind}")
-            t = x.value
-            i = bisect_left(angles, t)
-            d = min(circle_dist(t, first), circle_dist(t, last))
-            if i < n:
-                d = min(d, circle_dist(t, angles[i]))
-            if i > 0:
-                d = min(d, circle_dist(t, angles[i - 1]))
-            return d
-
-        return near
-
-    def lebesgue_number(self, regions: Sequence["Region"], net: Sequence[Point]) -> tuple:
-        if not regions or not all(hasattr(reg, "margin_array") for reg in regions):
-            return super().lebesgue_number(regions, net)
-        worst, at = self.lebesgue_angles(regions, self.values(net))
-        return worst, None if at is None else net[at]
-
-    @staticmethod
-    def lebesgue_angles(regions: Sequence["Region"], thetas: np.ndarray) -> tuple:
-        """(worst best margin, index of its first angle) over an angle array,
-        for regions with array margins (arcs and empty regions): the running
-        max over the regions and the first argmin, chunk by chunk, which pick
-        the value and witness of the scalar loop."""
-        worst, at = math.inf, None
-        for start in range(0, len(thetas), LEBESGUE_CHUNK):
-            chunk = thetas[start : start + LEBESGUE_CHUNK]
-            best = regions[0].margin_array(chunk)
-            for reg in regions[1:]:
-                best = np.maximum(best, reg.margin_array(chunk))
-            i = int(np.argmin(best))
-            if best[i] < worst:
-                worst, at = float(best[i]), start + i
-        return worst, at
 
 
 class CoveredCircle(Circle):
@@ -692,7 +621,8 @@ class Region(Value):
     margin(x) >= r guarantees B_r(x) is inside the region; margin is
     nonpositive outside and 1-Lipschitz.  `offset` accumulates shrinking, so
     repeated shrinks compose exactly.  A region is built from keyword
-    arguments: its fields, each with the default `_fields` gives it.
+    arguments: its fields, each with the default `_fields` gives it.  Each
+    kind's margins come from one routine, its `margins` (see `margin_values`).
     """
 
     __slots__ = ("label", "offset")
@@ -704,11 +634,8 @@ class Region(Value):
         if values:
             raise TypeError(f"{type(self).__name__} has no field {min(values)!r}")
 
-    def base_margin(self, x: Point) -> float:
-        raise NotImplementedError
-
     def margin(self, x: Point) -> float:
-        return self.base_margin(x) - self.offset
+        return float(margin_matrix([self], [x])[0, 0])
 
     @property
     def peak(self) -> float:
@@ -729,19 +656,28 @@ class Region(Value):
         return []
 
 
+def _offsets(regions: Sequence[Region]) -> np.ndarray:
+    return np.array([reg.offset for reg in regions], dtype=float)
+
+
+def _matrix(rows: list, regions: Sequence[Region]) -> np.ndarray:
+    """Rows of margins before the offsets, one per value, less the offsets."""
+    return np.array(rows, dtype=float).reshape(len(rows), len(regions)) - _offsets(regions)
+
+
 class ArcRegion(Region):
     """Open circular arc (center - half_width, center + half_width)."""
 
     __slots__ = ("space", "center", "half_width")
     _fields = {**Region._fields, "space": None, "center": 0.0, "half_width": 0.0}
 
-    def base_margin(self, x: Point) -> float:
-        return self.half_width - circle_dist(x.value, self.center)
-
-    def margin_array(self, thetas: np.ndarray) -> np.ndarray:
-        """margin() at each angle of the array, with the same float operations."""
-        d = np.abs(thetas - self.center) % TAU
-        return (self.half_width - np.minimum(d, TAU - d)) - self.offset
+    @classmethod
+    def margins(cls, regions, values) -> np.ndarray:
+        # the half-width less the arc-length distance to the center, by
+        # circle_dist's float operations, broadcast over angles and arcs
+        center, half_width, offset = np.array([(reg.center, reg.half_width, reg.offset) for reg in regions]).T
+        d = np.abs(np.asarray(values, dtype=float)[:, None] - center) % TAU
+        return (half_width - np.minimum(d, TAU - d)) - offset
 
     @property
     def peak(self) -> float:
@@ -763,8 +699,10 @@ class BallRegion(Region):
     __slots__ = ("space", "center", "radius")
     _fields = {**Region._fields, "space": None, "center": None, "radius": 0.0}
 
-    def base_margin(self, x: Point) -> float:
-        return self.radius - distance(self.space, x, self.center)
+    @classmethod
+    def margins(cls, regions, values) -> np.ndarray:
+        rows = [[reg.radius - reg.space.raw_distance(v, reg.center.value) for reg in regions] for v in values]
+        return _matrix(rows, regions)
 
     @property
     def peak(self) -> float:
@@ -787,13 +725,13 @@ class CylinderRegion(Region):
         if not is_reduced(self.prefix):
             raise ValueError(f"prefix {self.prefix!r} is not reduced")
 
-    def base_margin(self, x: Point) -> float:
-        m = len(self.prefix)
-        inner = self.space.a ** (-m)
-        c = common_prefix_len(x.value, self.prefix)
-        if c == m:
-            return inner
-        return inner - self.space.a ** (-c)
+    @classmethod
+    def margins(cls, regions, values) -> np.ndarray:
+        # the diameter a**(-m) inside, less a**(-c) outside for the c letters
+        # a word shares with the prefix, by Python powers
+        cyls = [(reg.prefix, reg.space.a, reg.space.a ** (-len(reg.prefix))) for reg in regions]
+        rows = [[d if w.startswith(p) else d - a ** (-common_prefix_len(w, p)) for p, a, d in cyls] for w in values]
+        return _matrix(rows, regions)
 
     @property
     def peak(self) -> float:
@@ -819,11 +757,9 @@ class EmptyRegion(Region):
     __slots__ = ("space",)
     _fields = {**Region._fields, "space": None}
 
-    def base_margin(self, x: Point) -> float:
-        return -self.space.diameter
-
-    def margin_array(self, thetas: np.ndarray) -> np.ndarray:
-        return np.full(len(thetas), -self.space.diameter - self.offset)
+    @classmethod
+    def margins(cls, regions, values) -> np.ndarray:
+        return np.full((len(values), len(regions)), [reg.peak for reg in regions])
 
     @property
     def peak(self) -> float:
@@ -840,12 +776,17 @@ class ComponentRegion(Region):
     __slots__ = ("space", "component", "inner")
     _fields = {**Region._fields, "space": None, "component": 0, "inner": None}
 
-    def base_margin(self, x: Point) -> float:
-        idx, val = x.value
-        if idx == self.component:
-            comp = self.space.components[idx]
-            return self.inner.margin(Point(comp, val))
-        return self.inner.peak - self.space.separation
+    @classmethod
+    def margins(cls, regions, values) -> np.ndarray:
+        # off its component, a region's margin is constant; on it, the inner one
+        out = np.full((len(values), len(regions)), [reg.inner.peak - reg.space.separation for reg in regions])
+        on = np.array([v[0] for v in values], dtype=int)
+        for idx in {reg.component for reg in regions}:
+            cols = [k for k, reg in enumerate(regions) if reg.component == idx]
+            rows = np.flatnonzero(on == idx)
+            inner = [regions[k].inner for k in cols]
+            out[rows[:, None], cols] = margin_values(inner, [values[i][1] for i in rows.tolist()])
+        return out - _offsets(regions)
 
     @property
     def peak(self) -> float:
@@ -858,23 +799,80 @@ class ComponentRegion(Region):
 class ClippedRegion(Region):
     """Intersection of a region with the open radius-neighborhood of a net."""
 
-    # an instance dict as well, where the cached distance function lives
-    __slots__ = ("space", "inner", "net", "radius", "__dict__")
+    __slots__ = ("space", "inner", "net", "radius")
     _fields = {**Region._fields, "space": None, "inner": None, "net": (), "radius": 0.0}
 
-    @cached_property
-    def _distance_to_net(self) -> Callable[[Point], float]:
-        return self.space.distance_to_net(self.net)
-
-    def base_margin(self, x: Point) -> float:
-        return min(self.inner.margin(x), self.radius - self._distance_to_net(x))
+    @classmethod
+    def margins(cls, regions, values) -> np.ndarray:
+        # the radius less the least of each value's distances to the net,
+        # one net point at a time
+        every, nearest = np.arange(len(values)), {}
+        for reg in regions:
+            if id(reg.net) not in nearest:
+                net, d = reg.space.values(reg.net), np.full(len(values), math.inf)
+                for j in range(len(net)):
+                    d = np.minimum(d, reg.space.distances(values, net, every, np.full(len(values), j)))
+                nearest[id(reg.net)] = d
+        clip = np.column_stack([reg.radius - nearest[id(reg.net)] for reg in regions])
+        inner = margin_values([reg.inner for reg in regions], values)
+        # the inner margin unless the clip is below it, as `min` picks
+        return np.where(clip < inner, clip, inner) - _offsets(regions)
 
     @property
     def peak(self) -> float:
         return min(self.inner.peak, self.radius) - self.offset
 
     def sample(self, k: int) -> list:
-        return [p for p in self.inner.sample(k) if self.margin(p) > 0]
+        pts = self.inner.sample(k)
+        inside = margin_matrix([self], pts)[:, 0] > 0
+        return [p for p, keep in zip(pts, inside.tolist()) if keep]
+
+
+def margin_values(regions: Sequence[Region], values) -> np.ndarray:
+    """The (values × regions) margin matrix at the points with the values
+    (as their space's `values` gives them): each kind's columns from one
+    call of its `margins`."""
+    if regions and all(type(reg) is type(regions[0]) for reg in regions):
+        return type(regions[0]).margins(regions, values)
+    kinds = {}
+    for k, reg in enumerate(regions):
+        kinds.setdefault(type(reg), []).append(k)
+    out = np.empty((len(values), len(regions)))
+    for kind, cols in kinds.items():
+        out[:, cols] = kind.margins([regions[k] for k in cols], values)
+    return out
+
+
+def _values_on(regions: Sequence[Region], points: Sequence[Point]):
+    """The values of points of the regions' space; another's are refused."""
+    if not regions:
+        return [p.value for p in points]
+    space = regions[0].space
+    for p in points:
+        if p.space is not space and p.space != space:
+            raise SpaceMismatchError(f"point tagged {p.space.kind} on {space.kind}")
+    return space.values(points)
+
+
+def margin_matrix(regions: Sequence[Region], points: Sequence[Point]) -> np.ndarray:
+    """`margin_values` at points of the regions' space."""
+    return margin_values(regions, _values_on(regions, points))
+
+
+# values past this many are evaluated in chunks of this many
+LEBESGUE_CHUNK = 4096
+
+
+def lebesgue_values(regions: Sequence[Region], values) -> tuple:
+    """(worst best margin, index of its first value) over the values, chunk
+    by chunk; (inf, None) for no values."""
+    worst, at = math.inf, None
+    for start in range(0, len(values), LEBESGUE_CHUNK):
+        best = margin_values(regions, values[start : start + LEBESGUE_CHUNK]).max(axis=1, initial=-math.inf)
+        i = int(np.argmin(best))
+        if best[i] < worst:
+            worst, at = float(best[i]), start + i
+    return worst, at
 
 
 def lebesgue_number(regions: Sequence[Region], net: Sequence[Point]) -> tuple[float, Point | None]:
@@ -882,8 +880,7 @@ def lebesgue_number(regions: Sequence[Region], net: Sequence[Point]) -> tuple[fl
 
     Returns (value, witness) where witness is a worst point (the first one
     on ties); value <= 0 means some net point is not certified inside any
-    region.  The net's space evaluates it.
+    region.  A net point of another space than the regions' is refused.
     """
-    if not net:
-        return math.inf, None
-    return net[0].space.lebesgue_number(regions, net)
+    worst, at = lebesgue_values(regions, _values_on(regions, net))
+    return worst, None if at is None else net[at]

@@ -27,7 +27,7 @@ from .expansion import (
     pairs_apart,
     strided_pairs,
 )
-from .geometry import ClippedRegion, Point, lebesgue_number
+from .geometry import ClippedRegion, Point, distance, lebesgue_number
 from .zoo import ActionSystem, WordPush
 
 
@@ -250,10 +250,7 @@ def conjugacy_map(
             entries.append(TableEntry(x, phi, diag.iterations, diag.stop_bound))
         except (ConvergenceError, CodingError) as err:  # per-point granularity
             failures.append((x, str(err)))
-    space = base.space
-    displacement = max(
-        (space.raw_distance(e.x.value, e.phi.value) for e in entries), default=0.0
-    )
+    displacement = max((distance(base.space, e.x, e.phi) for e in entries), default=0.0)
     table = ConjugacyTable(entries, {}, displacement, failures=failures)
     if with_images:
         for s in base.generators():

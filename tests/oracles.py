@@ -12,7 +12,10 @@ every net point's rays and tables at once and searched chains pair by pair,
 and the Lipschitz and expansion checks of `verify_expansion` one sampled
 pair at a time.
 The frozen dataclasses that points and spaces once were are kept as the
-reference for the equality and hash of `Point` and the `Space` kinds."""
+reference for the equality and hash of `Point` and the `Space` kinds, and
+the margins one region and one point at a time as the reference for the
+margin matrices, the Lebesgue number and the code steps that read them;
+so is the loop that found the circle cover's arcs one grid angle at a time."""
 import math
 from collections import namedtuple
 from dataclasses import dataclass
@@ -23,10 +26,11 @@ import numpy as np
 from expaction import groups
 from expaction.coding import (
     Certificate,
+    Code,
+    CodingError,
     Ray,
     RayTable,
     _entry_map,
-    _greedy_entry,
     _step,
     code_ray,
     enumerate_codes,
@@ -37,12 +41,21 @@ from expaction.coding import (
 )
 from expaction.expansion import PAIR_COUNT, SAFETY, CheckResult, VerificationReport, strided_pairs
 from expaction.geometry import (
+    ArcRegion,
+    BallRegion,
     Circle,
+    ClippedRegion,
+    ComponentRegion,
     CoveredCircle,
+    CylinderRegion,
     DisjointUnion,
+    EmptyRegion,
     FreeBoundary,
+    Point,
     ProjectiveSpace,
     circle_dist,
+    common_prefix_len,
+    distance,
 )
 from expaction.groups import CYCLIC, FREE, GENERIC, Alphabet, Word
 from expaction.stability import ConvergenceError, PointDiagnostics, _conjugacy_from, conjugacy_point
@@ -122,7 +135,7 @@ def expansivity_witness(datum, system, x, y, max_depth: int = 200, slack: float 
         return ExpansivityWitness(0, d0, word)
     xi, yi, best = x, y, d0
     for n in range(1, max_depth + 1):
-        e = _greedy_entry(datum, xi, datum.delta)
+        e = greedy_entry(datum, xi, datum.delta)
         inv = e.backward[0]
         xi, yi = _step(system, e, xi), system.apply(inv, yi)
         word = groups.multiply(word, inv)
@@ -200,7 +213,7 @@ def check_code_independence(ps, x, tol: float = 1e-9) -> float:
     two limits must agree within 2*tol."""
     phi_a, _ = conjugacy_point(ps, x, tol)
     datum = ps.datum
-    first = _greedy_entry(datum, x, datum.delta)
+    first = greedy_entry(datum, x, datum.delta)
     others = [e for e in datum.entries if e.index != first.index]
     if not others:
         return 0.0
@@ -519,3 +532,114 @@ def pair_check_rows(view, datum, tol: float = 1e-9) -> list:
         witness=exp_witness if worst_exp < -tol else "",
     ))
     return VerificationReport(tuple(checks)).rows()
+
+
+# ---------------------------------------------------------------------------
+# margins one region and one point at a time, and the code steps on them
+
+
+def _cylinder_margin(region, x) -> float:
+    m = len(region.prefix)
+    inner = region.space.a ** (-m)
+    c = common_prefix_len(x.value, region.prefix)
+    if c == m:
+        return inner
+    return inner - region.space.a ** (-c)
+
+
+def _component_margin(region, x) -> float:
+    idx, val = x.value
+    if idx == region.component:
+        return scalar_margin(region.inner, Point(region.space.components[idx], val))
+    return region.inner.peak - region.space.separation
+
+
+# each kind's margin before the offset, as each computed it one point at a time
+BASE_MARGINS = {
+    ArcRegion: lambda region, x: region.half_width - circle_dist(x.value, region.center),
+    BallRegion: lambda region, x: region.radius - distance(region.space, x, region.center),
+    CylinderRegion: _cylinder_margin,
+    EmptyRegion: lambda region, x: -region.space.diameter,
+    ComponentRegion: _component_margin,
+    ClippedRegion: lambda region, x: min(
+        scalar_margin(region.inner, x), region.radius - min(distance(region.space, x, p) for p in region.net)
+    ),
+}
+
+
+def scalar_margin(region, x) -> float:
+    """The margin of one region at one point by its kind's scalar formula."""
+    return BASE_MARGINS[type(region)](region, x) - region.offset
+
+
+def scalar_lebesgue(regions, net) -> tuple:
+    """The Lebesgue number and its first worst point, one net point at a time."""
+    worst, witness = math.inf, None
+    for x in net:
+        best = max((scalar_margin(reg, x) for reg in regions), default=-math.inf)
+        if best < worst:
+            worst, witness = best, x
+    return worst, witness
+
+
+def admissible_entries(datum, x, eta: float) -> list:
+    return [e for e in datum.entries if scalar_margin(e.region, x) >= eta]
+
+
+def greedy_entry(datum, x, eta: float, reverse_ties: bool = False):
+    """The greedy entry at x, each entry's margin asked on its own."""
+    best, best_margin = None, -math.inf
+    entries = datum.entries if not reverse_ties else tuple(reversed(datum.entries))
+    for e in entries:
+        m = scalar_margin(e.region, x)
+        if m > best_margin + 1e-15:
+            best, best_margin = e, m
+    if best is None or best_margin < eta:
+        raise CodingError(
+            f"no cover member admits an eta-ball at {x} (best margin {best_margin:.3e}, eta {eta:.3e})"
+        )
+    return best
+
+
+def enumerate_codes_loop(datum, system, eta: float, x, depth: int, cap: int) -> tuple:
+    """`coding.enumerate_codes` branch by branch, each branch's admissible
+    entries asked one entry at a time."""
+    truncated = False
+    branches = [([e.index], [x, _step(system, e, x)]) for e in datum.entries]
+    if len(branches) > cap:
+        branches, truncated = branches[:cap], True
+    for _ in range(depth - 1):
+        nxt = []
+        for alphas, points in branches:
+            for e in admissible_entries(datum, points[-1], eta):
+                nxt.append((alphas + [e.index], points + [_step(system, e, points[-1])]))
+        if len(nxt) > cap:
+            nxt, truncated = nxt[:cap], True
+        branches = nxt
+    entry_map = _entry_map(datum)
+    codes = [
+        Code(tuple(a), tuple(p), scalar_margin(entry_map[a[0]].region, x) >= eta)
+        for a, p in branches
+    ]
+    return codes, truncated
+
+
+def circular_runs_loop(mask) -> list:
+    """`expansion._circular_runs` one mask entry at a time."""
+    n = len(mask)
+    if mask.all():
+        return [(0, n)]
+    if not mask.any():
+        return []
+    off = int(np.argmin(mask))
+    rolled = np.roll(mask, -off)
+    runs, start = [], None
+    for i, m in enumerate(rolled):
+        if m and start is None:
+            start = i
+        elif not m and start is not None:
+            runs.append(((start + off) % n, i - start))
+            start = None
+    if start is not None:
+        runs.append(((start + off) % n, n - start))
+    return runs

@@ -90,6 +90,36 @@ def test_stability_refuses_an_unperturbable_space_before_the_datum(tmp_path, mon
         run(["stability", "--config", cfg, "--out", tmp_path / "o"])
 
 
+@pytest.mark.parametrize("kind, presentation", [("zn_projective", "free_abelian"), ("product", "product_swap")])
+def test_coding_map_refuses_a_presentation_without_boundary_before_the_datum(
+    tmp_path, monkeypatch, kind, presentation
+):
+    def no_datum(*args):
+        raise AssertionError("the datum was built")
+
+    monkeypatch.setattr(expansion, "build_expansion_datum", no_datum)
+    cfg = write_config(tmp_path, "c.json", {"system": {"kind": kind}})
+    with pytest.raises(ValueError, match=f"coding map needs a free or cyclic presentation, not {presentation}$"):
+        run(["coding-map", "--config", cfg, "--out", tmp_path / "o"])
+
+
+@pytest.mark.parametrize(
+    "kind, rate, line",
+    [
+        ("schottky", 3.3, "error: no cover member for Point(Circle, 1.2721120533456087): "
+         "Lebesgue number -0.00431704 <= 0 over the probe net"),
+        ("zn_projective", 2.99999, "error: no cover member for Point(ProjectiveSpace, (1.0, 0.0, 0.0)): "
+         "least expansion factor 2.99994 <= target 2.99999 within radius 0.000706858 of this fixed point"),
+    ],
+)
+def test_an_uncoverable_rate_exits_2_naming_the_test_that_failed(tmp_path, capsys, kind, rate, line):
+    # each rate lies below the net's best expansion factor (3.34435 and 3),
+    # so the message names the failing test, not a factor above the target
+    cfg = write_config(tmp_path, "c.json", {"system": {"kind": kind}, "lambda_target": rate})
+    assert run(["verify-expansion", "--config", cfg, "--out", tmp_path / "o"]) == 2
+    assert capsys.readouterr().err == line + "\n"
+
+
 def test_an_uncovered_perturbed_net_exits_2_naming_its_lebesgue_number(tmp_path, monkeypatch, capsys):
     # the first phi moved to 0.509 from the net (delta 0.205), outside every
     # shrunk region: the perturbed datum has no cover, and no expansion

@@ -58,6 +58,30 @@ def test_uncoverable_reports_witness(cyclic_system):
     assert err.value.witness is not None
 
 
+@pytest.mark.parametrize(
+    "system_name, rate, witness, reason",
+    [
+        # every net point has a generator expanding by 3.34435 or more, but
+        # the depth-9 probe net reaches outside the arcs of rate 3.3
+        ("schottky_system", 3.3, (1.2721120533456087,),
+         "Lebesgue number -0.00431704 <= 0 over the probe net"),
+        # the net's best factor is 3, but the ring of the smallest ball tried
+        # about (1, 0, 0) expands by less than 2.99999
+        ("zn_system", 2.99999, ((1.0, 0.0, 0.0),),
+         "least expansion factor 2.99994 <= target 2.99999 within radius 0.000706858 of this fixed point"),
+    ],
+)
+def test_an_uncoverable_rate_below_every_best_factor_names_the_test_that_failed(
+    request, system_name, rate, witness, reason
+):
+    system = request.getfixturevalue(system_name)
+    with pytest.raises(UncoverableError) as err:
+        build_expansion_datum(system, rate)
+    assert (err.value.witness.value,) == witness
+    assert str(err.value) == f"no cover member for {err.value.witness}: {reason}"
+    assert err.value.best_factor is None  # no expansion factor is at fault
+
+
 def test_verify_passes_all(cyclic_system, cyclic_datum):
     rep = verify_expansion(ActionView(cyclic_system), cyclic_datum)
     assert rep.passed

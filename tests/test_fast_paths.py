@@ -6,19 +6,31 @@ patterns or object identity), never approximate.
 """
 import functools
 import math
+import re
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
-from oracles import conjugacy_steps, pair_check_rows, schottky_net_values
+from oracles import (
+    circular_runs_loop,
+    conjugacy_steps,
+    enumerate_codes_loop,
+    greedy_entry,
+    pair_check_rows,
+    scalar_lebesgue,
+    scalar_margin,
+    schottky_net_values,
+)
 
-from expaction import groups, zoo
+from expaction import coding, groups, zoo
 from expaction.coding import CodingError, greedy_step
 from expaction.expansion import (
     LIP_SAFETY,
     SAFETY,
     ActionView,
+    CoverEntry,
     ExpansionDatum,
+    _circular_runs,
     _sample_pairs,
     build_expansion_datum,
     strided_pairs,
@@ -31,7 +43,10 @@ from expaction.geometry import (
     BallRegion,
     Circle,
     ClippedRegion,
+    ComponentRegion,
     CoveredCircle,
+    CylinderRegion,
+    DisjointUnion,
     EmptyRegion,
     FreeBoundary,
     Point,
@@ -41,6 +56,8 @@ from expaction.geometry import (
     is_reduced,
     lebesgue_number,
     letter_inverse,
+    margin_matrix,
+    margin_values,
 )
 from expaction.stability import (
     ConvergenceError,
@@ -69,12 +86,15 @@ def _scan_nearest(space, x, net):
     queries=st.lists(ANGLES, min_size=1, max_size=20),
 )
 def test_circle_nearest_net_point_equals_linear_scan(space, values, repeats, queries):
+    # a zero-radius clip of the whole circle has margin minus the distance
+    # to the nearest net point: the clip is never above the inner margin
     net = [space.point(v) for v in values]
     net += net[:repeats]  # duplicate net angles
-    near = space.distance_to_net(net)
-    for q in queries + values:
-        x = space.point(q)
-        assert near(x) == _scan_nearest(space, x, net)
+    whole = ArcRegion(space=space, center=0.0, half_width=math.pi)
+    region = ClippedRegion(space=space, inner=whole, net=tuple(net), radius=0.0)
+    xs = [space.point(q) for q in queries + values]
+    near = -margin_matrix([region], xs)[:, 0]
+    assert near.tolist() == [_scan_nearest(space, x, net) for x in xs]
 
 
 @settings(max_examples=100, derandomize=True, deadline=None)
@@ -86,28 +106,23 @@ def test_circle_nearest_net_point_equals_linear_scan(space, values, repeats, que
     radius=st.floats(1e-6, 1.0),
     shrink=st.floats(0.0, 0.5),
     queries=st.lists(ANGLES, min_size=1, max_size=20),
+    repeats=st.integers(0, 5),
 )
 def test_clipped_margin_equals_linear_scan(
-    space, values, center, half_width, radius, shrink, queries
+    space, values, center, half_width, radius, shrink, queries, repeats
 ):
+    # the clip takes the least distance to the net: queries at the ends of
+    # [0, TAU), at net points, and nets with repeated angles
     net = tuple(space.point(v) for v in values)
+    net += net[:repeats]
     inner = ArcRegion(space=space, center=space.point(center).value, half_width=half_width)
     region = ClippedRegion(space=space, inner=inner, net=net, radius=radius)
     if shrink:
         region = region.shrunk(shrink)
-    for q in queries:
+    for q in queries + values:
         x = space.point(q)
         expected = min(inner.margin(x), radius - _scan_nearest(space, x, net)) - region.offset
         assert region.margin(x) == expected
-
-
-def _scalar_lebesgue(regions, net):
-    worst, witness = math.inf, None
-    for x in net:
-        best = max((reg.margin(x) for reg in regions), default=-math.inf)
-        if best < worst:
-            worst, witness = best, x
-    return worst, witness
 
 
 @st.composite
@@ -146,7 +161,7 @@ def test_chunked_lebesgue_number_equals_scalar_loop(cover, seed, size, grid):
     # equal points as distinct objects, so the witness is told apart by identity
     net = [Point(space, space.normalize(v)) for v in values]
     value, witness = lebesgue_number(regions, net)
-    ref_value, ref_witness = _scalar_lebesgue(regions, net)
+    ref_value, ref_witness = scalar_lebesgue(regions, net)
     assert type(value) is float
     assert value == ref_value
     assert witness is ref_witness
@@ -159,11 +174,11 @@ def test_chunked_lebesgue_number_keeps_first_tied_witness_across_chunks():
     first, second = Point(space, 4.0), Point(space, 4.0)  # equal worst points
     net = [inside] * (LEBESGUE_CHUNK - 1) + [first] + [inside] * 5 + [second]
     value, witness = lebesgue_number(regions, net)
-    assert (value, witness) == _scalar_lebesgue(regions, net)
+    assert (value, witness) == scalar_lebesgue(regions, net)
     assert witness is first
 
 
-def test_lebesgue_number_without_array_margins_takes_the_scalar_loop():
+def test_lebesgue_number_of_mixed_region_kinds_equals_the_scalar_loop():
     space = Circle()
     net = tuple(space.point(v) for v in np.linspace(0.0, 6.0, 50))
     clipped = ClippedRegion(
@@ -172,7 +187,7 @@ def test_lebesgue_number_without_array_margins_takes_the_scalar_loop():
     )
     regions = [clipped, ArcRegion(space=space, center=5.0, half_width=1.5)]
     value, witness = lebesgue_number(regions, net)
-    ref_value, ref_witness = _scalar_lebesgue(regions, net)
+    ref_value, ref_witness = scalar_lebesgue(regions, net)
     assert value == ref_value and witness is ref_witness
     assert lebesgue_number(regions, []) == (math.inf, None)
 
@@ -387,12 +402,6 @@ def test_apply_word_takes_the_letter_by_letter_path():
     g = groups.multiply(groups.multiply(a, b), groups.multiply(a, a))
     x = view.space.point(0.4)
     assert view.apply_word(g, x) == _per_letter_points(view, groups.letters_of(g), x)
-
-
-def test_circle_nearest_rejects_foreign_points():
-    near = Circle().distance_to_net([Circle().point(1.0)])
-    with pytest.raises(SpaceMismatchError):
-        near(CoveredCircle(degree=2).point(1.0))
 
 
 # ---------------------------------------------------------------------------
@@ -856,3 +865,289 @@ def test_row_conjugacy_reaches_max_depth_as_the_step_loop(max_depth):
     fast = _conjugacy_outcome(_conjugacy_from, ps, x, 0.0, max_depth)
     assert fast[0] == "ConvergenceError"
     assert fast == _conjugacy_outcome(conjugacy_steps, ps, x, 0.0, max_depth)
+
+
+# ---------------------------------------------------------------------------
+# margin matrices against each kind's scalar formula, and the code steps
+# that read them against the loops that asked one region at a time
+
+
+def _assert_margins_equal_the_scalar_formula(regions, points):
+    matrix = margin_matrix(regions, points)
+    assert matrix.shape == (len(points), len(regions))
+    slow = [[scalar_margin(reg, x) for reg in regions] for x in points]
+    assert _bits(matrix) == _bits(np.reshape(slow, matrix.shape))
+    space = regions[0].space
+    assert _bits(margin_values(regions, space.values(points))) == _bits(matrix)
+    for x in points[:3]:
+        assert [reg.margin(x) for reg in regions] == slow[points.index(x)]
+
+
+def _shrunk(region, offsets):
+    for r in offsets:
+        region = region.shrunk(r)
+    return region
+
+
+OFFSETS = st.lists(st.sampled_from([0.0, 1e-3, 0.1, 0.25, 1.0 / 3.0]), max_size=2)
+
+
+@settings(max_examples=200, derandomize=True, deadline=None)
+@given(
+    space=st.sampled_from(CIRCLES),
+    arcs=st.lists(st.tuples(ANGLES, st.floats(1e-6, math.pi), OFFSETS), min_size=1, max_size=6),
+    values=st.lists(ANGLES, max_size=30),
+)
+def test_arc_margins_equal_the_scalar_formula(space, arcs, values):
+    # centers and angles at and around 0 and TAU, centers off [0, TAU) too,
+    # and shrunk arcs
+    regions = [
+        _shrunk(ArcRegion(space=space, center=c, half_width=hw), offsets) for c, hw, offsets in arcs
+    ]
+    _assert_margins_equal_the_scalar_formula(regions, [space.point(v) for v in values])
+
+
+@st.composite
+def _reduced_words(draw, rank: int, max_size: int):
+    chars = "abcdefghijklmnopqrstuvwxyz"[:rank]
+    chars += chars.upper()
+    word = ""
+    for k in draw(st.lists(st.integers(0, len(chars) - 1), max_size=max_size)):
+        ch = chars[k]
+        if not word or ch != letter_inverse(word[-1]):
+            word += ch
+    return word
+
+
+@settings(max_examples=200, derandomize=True, deadline=None)
+@given(
+    rank=st.integers(1, 3),
+    a=st.sampled_from([2.0, 3.0, 1.5, 1.1, math.e]),
+    data=st.data(),
+)
+def test_cylinder_margins_equal_the_scalar_formula(rank, a, data):
+    # prefixes of length 0 to 3, and words that share 0 to all of their letters
+    space = FreeBoundary(rank=rank, a=a, depth=6)
+    prefixes = data.draw(st.lists(_reduced_words(rank, 3), min_size=1, max_size=5))
+    regions = [
+        _shrunk(CylinderRegion(space=space, prefix=w), data.draw(OFFSETS)) for w in prefixes
+    ]
+    words = data.draw(st.lists(_reduced_words(rank, 8), max_size=25))
+    tails = data.draw(st.lists(_reduced_words(rank, 3), max_size=3))
+    words += [w + t for w in prefixes for t in tails if is_reduced(w + t)]
+    _assert_margins_equal_the_scalar_formula(regions, [space.point(w) for w in words])
+
+
+def _projective_points(space, rng, k: int) -> list:
+    # generic lines, and lines at and near the coordinate axes
+    rows = list(rng.normal(size=(k, space.n + 1)))
+    rows += [np.eye(space.n + 1)[i % (space.n + 1)] + 1e-9 * rng.normal(size=space.n + 1) for i in range(2)]
+    return [space.point(row) for row in rows] + [space.point(np.eye(space.n + 1)[0])]
+
+
+@settings(max_examples=100, derandomize=True, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    balls=st.lists(st.tuples(st.floats(1e-6, 1.5), OFFSETS), min_size=1, max_size=4),
+    size=st.integers(0, 20),
+)
+def test_ball_margins_on_the_projective_plane_equal_the_scalar_formula(seed, balls, size):
+    space = ProjectiveSpace(2)
+    rng = np.random.default_rng(seed)
+    centers = _projective_points(space, rng, len(balls))
+    regions = [
+        _shrunk(BallRegion(space=space, center=c, radius=r), offsets)
+        for c, (r, offsets) in zip(centers, balls)
+    ]
+    points = _projective_points(space, rng, size) + centers[:2]
+    _assert_margins_equal_the_scalar_formula(regions, points)
+
+
+@settings(max_examples=100, derandomize=True, deadline=None)
+@given(
+    space=st.sampled_from([Circle(), ProjectiveSpace(2), FreeBoundary(), DisjointUnion.of([Circle(), Circle()])]),
+    offsets=st.lists(OFFSETS, min_size=1, max_size=3),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_empty_margins_equal_the_scalar_formula(space, offsets, seed):
+    regions = [_shrunk(EmptyRegion(space=space, label=k), o) for k, o in enumerate(offsets)]
+    rng = np.random.default_rng(seed)
+    _assert_margins_equal_the_scalar_formula(regions, [space.random_point(rng) for _ in range(seed % 7)])
+
+
+@settings(max_examples=100, derandomize=True, deadline=None)
+@given(
+    copies=st.sampled_from(["circle", "free"]),
+    picks=st.lists(st.tuples(st.integers(0, 1), st.integers(0, 5), OFFSETS), min_size=1, max_size=6),
+    seed=st.integers(0, 2**32 - 1),
+    size=st.integers(0, 25),
+)
+def test_component_margins_on_both_copies_equal_the_scalar_formula(copies, picks, seed, size):
+    inner_space = Circle() if copies == "circle" else FreeBoundary(rank=2, a=2.0, depth=6)
+    union = DisjointUnion.of([inner_space, inner_space])
+    if copies == "circle":
+        inners = [ArcRegion(space=inner_space, center=0.7 * k, half_width=0.3 + 0.2 * k) for k in range(5)]
+    else:
+        inners = [CylinderRegion(space=inner_space, prefix=w) for w in ("a", "A", "ab", "Ba", "")]
+    inners.append(EmptyRegion(space=inner_space))
+    regions = [
+        _shrunk(ComponentRegion(space=union, component=idx, inner=_shrunk(inners[k], offsets)), offsets[:1])
+        for idx, k, offsets in picks
+    ]
+    rng = np.random.default_rng(seed)
+    _assert_margins_equal_the_scalar_formula(regions, [union.random_point(rng) for _ in range(size)])
+
+
+@settings(max_examples=100, derandomize=True, deadline=None)
+@given(
+    on=st.sampled_from(["circle", "projective"]),
+    seed=st.integers(0, 2**32 - 1),
+    radius=st.floats(1e-3, 1.0),
+    offsets=OFFSETS,
+    size=st.integers(0, 25),
+)
+def test_clipped_margins_on_circle_and_projective_nets_equal_the_scalar_formula(on, seed, radius, offsets, size):
+    rng = np.random.default_rng(seed)
+    if on == "circle":
+        space = Circle()
+        net = tuple(space.point(t) for t in rng.uniform(0.0, TAU, 1 + seed % 12))
+        inner = ArcRegion(space=space, center=float(rng.uniform(0.0, TAU)), half_width=1.0)
+        points = [space.point(t) for t in rng.uniform(-0.5, TAU + 0.5, size)] + list(net[:2])
+    else:
+        space = ProjectiveSpace(2)
+        net = tuple(_projective_points(space, rng, 1 + seed % 12))
+        inner = BallRegion(space=space, center=net[0], radius=0.8)
+        points = _projective_points(space, rng, size) + list(net[:2])
+    clipped = ClippedRegion(space=space, inner=inner.shrunk(0.05), net=net, radius=radius)
+    # a cover of one kind, and one that mixes the clipped region with others
+    _assert_margins_equal_the_scalar_formula([_shrunk(clipped, offsets)], points)
+    _assert_margins_equal_the_scalar_formula([inner, _shrunk(clipped, offsets), EmptyRegion(space=space)], points)
+
+
+def test_a_margin_refuses_a_point_of_another_space():
+    # arcs and the nearest net point of a clipped region, whose clip refused
+    # foreign points on its own before margins were matrices
+    space, foreign = Circle(), CoveredCircle(degree=2).point(1.0)
+    arc = ArcRegion(space=space, center=1.0, half_width=0.5)
+    clipped = ClippedRegion(space=space, inner=arc, net=(space.point(1.0),), radius=0.3)
+    for region in (arc, clipped):
+        with pytest.raises(SpaceMismatchError):
+            region.margin(foreign)
+        with pytest.raises(SpaceMismatchError):
+            lebesgue_number([region], [space.point(1.0), foreign])
+        with pytest.raises(SpaceMismatchError):
+            margin_matrix([EmptyRegion(space=space), region], [foreign])
+
+
+# margins within 1e-15 of each other, about the greedy scan's tie tolerance
+NEAR_TIES = [0.0, 3e-16, -3e-16, 1e-15, -1e-15, 1.2e-15, -2e-15, 5e-15]
+
+
+@settings(max_examples=300, derandomize=True, deadline=None)
+@given(
+    base=st.sampled_from([0.01, 0.125, 0.3, 1.0]),
+    steps=st.lists(st.sampled_from(NEAR_TIES + ["empty"]), min_size=1, max_size=7),
+    reverse_ties=st.booleans(),
+    eta=st.sampled_from([1e-3, 0.125, 0.125 + 1e-15, 0.3, 2.0]),
+)
+def test_the_greedy_choice_and_admissible_row_equal_the_scalar_scans(base, steps, reverse_ties, eta):
+    # at the arcs' common center each margin is its half-width
+    space = Circle()
+    regions = [
+        EmptyRegion(space=space) if step == "empty" else ArcRegion(space=space, center=1.0, half_width=base + step)
+        for step in steps
+    ]
+    entries = tuple(CoverEntry(f"{k:02d}", None, reg) for k, reg in enumerate(regions))
+    datum = ExpansionDatum(entries, 1.0, 2.0, 2.0, ())
+    x = space.point(1.0)
+    row = margin_matrix(regions, [x])[0].tolist()
+
+    def outcome(choose):
+        try:
+            return choose().index
+        except CodingError as err:
+            return str(err)
+
+    fast = outcome(lambda: coding._greedy_choice(datum, x, eta, reverse_ties))
+    assert fast == outcome(lambda: greedy_entry(datum, x, eta, reverse_ties))
+    admissible = [e.index for e, m in zip(datum.entries, row) if m >= eta]
+    assert admissible == [e.index for e in datum.entries if scalar_margin(e.region, x) >= eta]
+
+
+@functools.lru_cache(maxsize=None)
+def _coded_systems() -> dict:
+    free = zoo.make_free_boundary(2, 2.0)
+    out = {}
+    for name, system, lam, depth in (
+        ("schottky", zoo.make_schottky(), 1.4, None),
+        ("cyclic", zoo.make_cyclic_hyperbolic(2.0), 1.5, None),
+        ("covered", zoo.make_covered_cyclic(2.0, 3), 1.5, None),
+        ("free", free, 2.0, None),
+        ("zn", zoo.make_zn_projective(ZN_DIAGONALS[2]), 2.0, None),
+        ("product", zoo.make_product(free, free, with_swap=True), 2.0, 3),
+    ):
+        out[name] = system, build_expansion_datum(system, lam, depth)
+    # arcs widened until they overlap: codes branch, and truncation at cap
+    # happens at every level, not only the first
+    system, datum = out["schottky"]
+    wide = tuple(CoverEntry(e.index, e.symbol, e.region.shrunk(-1.5)) for e in datum.entries)
+    out["schottky-wide"] = system, ExpansionDatum(wide, datum.delta, datum.lam, datum.lip, datum.net)
+    return out
+
+
+def _code_bits(code) -> tuple:
+    return code.alphas, [repr(p.value) for p in code.points], [p.space for p in code.points], code.special
+
+
+@settings(max_examples=150, derandomize=True, deadline=None)
+@given(
+    name=st.sampled_from(["schottky", "cyclic", "covered", "free", "zn", "product", "schottky-wide"]),
+    depth=st.integers(1, 7),
+    cap=st.sampled_from([1, 2, 3, 5, 8, 13, 40, 200]),
+    eta_frac=st.sampled_from([1.0, 0.5, 0.1]),
+    data=st.data(),
+)
+def test_enumerate_codes_equals_the_branch_loop(name, depth, cap, eta_frac, data):
+    # small caps truncate at the first level, larger ones deeper down
+    system, datum = _coded_systems()[name]
+    x = data.draw(st.sampled_from(list(datum.net)))
+    eta = datum.delta * eta_frac
+    codes, truncated = coding.enumerate_codes(datum, system, eta, x, depth, cap)
+    slow, slow_truncated = enumerate_codes_loop(datum, system, eta, x, depth, cap)
+    assert truncated == slow_truncated
+    assert [_code_bits(c) for c in codes] == [_code_bits(c) for c in slow]
+
+
+@settings(max_examples=60, derandomize=True, deadline=None)
+@given(
+    name=st.sampled_from(["schottky", "cyclic", "covered", "free", "zn", "product"]),
+    reverse_ties=st.booleans(),
+    data=st.data(),
+)
+def test_make_code_equals_the_scalar_greedy_loop(name, reverse_ties, data):
+    system, datum = _coded_systems()[name]
+    x = data.draw(st.sampled_from(list(datum.net)))
+    points, alphas = [x], []
+    try:
+        for _ in range(12):
+            e = greedy_entry(datum, points[-1], datum.delta, reverse_ties)
+            alphas.append(e.index)
+            points.append(coding._step(system, e, points[-1]))
+    except CodingError as err:
+        with pytest.raises(CodingError, match=re.escape(str(err))):
+            coding.make_code(datum, system, datum.delta, x, 12, reverse_ties)
+        return
+    code = coding.make_code(datum, system, datum.delta, x, 12, reverse_ties)
+    assert _code_bits(code) == (tuple(alphas), [repr(p.value) for p in points], [p.space for p in points], True)
+
+
+@settings(max_examples=300, derandomize=True, deadline=None)
+@given(mask=st.lists(st.booleans(), min_size=1, max_size=40), shift=st.integers(0, 39))
+def test_circular_runs_equal_the_entry_loop(mask, shift):
+    # the arcs of a circle cover: runs across the end of the grid, and grids
+    # all True or all False
+    mask = np.roll(np.array(mask), shift)
+    assert _circular_runs(mask) == circular_runs_loop(mask)
+    for fill in (True, False):
+        full = np.full(len(mask), fill)
+        assert _circular_runs(full) == circular_runs_loop(full)

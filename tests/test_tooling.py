@@ -163,6 +163,33 @@ def test_every_definition_under_src_is_used_elsewhere_in_src():
     assert not unused, f"defined in src/ but used only by tests, or not at all: {unused}"
 
 
+def test_no_attribute_probe_and_regions_have_margins_only_as_matrices():
+    # which path a value takes is decided by its type, never by a probe for
+    # an attribute; each region kind computes its margins in one routine,
+    # the (values × regions) matrix, and every margin is read off it
+    from expaction import geometry
+
+    probes = [
+        f"{path.name}:{node.lineno}"
+        for path in sorted(PACKAGE.glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text()))
+        if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "hasattr"
+    ]
+    assert not probes, f"hasattr under src/: {probes}"
+    kinds, todo = [], [geometry.Region]
+    while todo:
+        kinds.append(todo.pop())
+        todo.extend(kinds[-1].__subclasses__())
+    scalar = [
+        f"{kind.__name__}.{name}"
+        for kind in kinds
+        for name in ("base_margin", "margin_array")
+        if name in vars(kind)
+    ]
+    assert not scalar, f"margins outside the matrix routine: {scalar}"
+    assert all("margins" in vars(kind) for kind in kinds if kind is not geometry.Region)
+
+
 def test_action_types_are_never_tested_and_coding_reads_only_the_base_system():
     # coding takes the `ActionSystem`; perturbed maps enter only through
     # `expansion.ActionView`, which no function converts to by `isinstance`
