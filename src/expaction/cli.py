@@ -450,8 +450,7 @@ def cmd_coding_map(cfg: dict, out: Path) -> int:
     coding.require_boundary(system)  # before any datum is built
     datum = expansion.build_expansion_datum(system, cfg["lambda_target"], cfg["net"]["depth"])
     rows, prefixes = [], {}
-    for x in datum.net:
-        bw = coding.coding_map(system, datum, x, cfg["prefix_depth"])
+    for x, bw in zip(datum.net, coding.coding_map(system, datum, datum.net, cfg["prefix_depth"])):
         key = str(bw.prefix)
         prefixes.setdefault(key, []).append(x)
         rows.append({"point": repr(x.value), "prefix": key, "stabilized": bw.stabilized})

@@ -6,7 +6,9 @@ step the inverse of the chosen label is applied, p_{i+1} = rho(s^-1)(p_i),
 and for i >= 1 the eta-ball at p_i must sit inside the chosen region.  The
 initial label is free, so rays for the same point may disagree in their
 first letter.  Rays are read as edge paths in the Cayley graph starting at
-the identity; fellow-travel distances compare those vertex sets.
+the identity; fellow-travel distances compare those vertex sets.  The greedy
+codes of many points are stepped together, one margin matrix per depth
+(`make_codes`).
 """
 from __future__ import annotations
 
@@ -17,8 +19,8 @@ from typing import Iterable, NamedTuple, Optional, Sequence
 import numpy as np
 
 from . import groups, zoo
-from .expansion import CoverEntry, ExpansionDatum
-from .geometry import Point, Value, margin_matrix
+from .expansion import ExpansionDatum
+from .geometry import Point, Value, margin_matrix, margin_values
 from .groups import BoundaryWord, boundary_prefix
 from .zoo import ActionSystem
 
@@ -62,39 +64,136 @@ def _entry_map(datum: ExpansionDatum) -> dict:
     return {e.index: e for e in datum.entries}
 
 
-def _greedy_choice(datum: ExpansionDatum, x: Point, eta: float, reverse_ties: bool = False):
-    """The greedy entry at x: scanning the entries' margins there in entry
-    order (backwards with `reverse_ties`), an entry replaces the best only
-    when its margin is more than 1e-15 above the best's."""
-    row = margin_matrix([e.region for e in datum.entries], [x])[0].tolist()
-    best, best_margin = None, -math.inf
-    for k in range(len(row) - 1, -1, -1) if reverse_ties else range(len(row)):
-        if row[k] > best_margin + 1e-15:
-            best, best_margin = k, row[k]
-    if best is None or best_margin < eta:
-        raise CodingError(
-            f"no cover member admits an eta-ball at {x} (best margin {best_margin:.3e}, eta {eta:.3e})"
-        )
-    return datum.entries[best]
+class CodeSteps(NamedTuple):
+    """A block of greedy code steps from a point: the chosen entries, the
+    points p_1..p_k they lead to, and the CodingError of the step after
+    them when no cover member admitted it (else None)."""
+
+    entries: list
+    points: list
+    error: Optional[CodingError]
 
 
-def _step(system: ActionSystem, entry: CoverEntry, x: Point) -> Point:
-    inv, letter = entry.backward
-    y = system.apply(inv, x)
-    # stabilize backward orbits on the circle: expanding steps amplify float
-    # noise, so points that reached a fixed angle of the applied map are
-    # pinned there
+def _take(values, rows: np.ndarray):
+    """The values at the given rows: angle arrays index at once, the lists of
+    other spaces one row at a time."""
+    return values[rows] if isinstance(values, np.ndarray) else [values[r] for r in rows.tolist()]
+
+
+def _listed(values) -> list:
+    return values.tolist() if isinstance(values, np.ndarray) else values
+
+
+def _moved(datum: ExpansionDatum, system: ActionSystem, k: int, values):
+    """The values under the backward word of entry k (`system.apply_values`).
+    On the circle a value that started within SNAP_TOL of a fixed angle of a
+    one-letter word's map is pinned there (`zoo.snap_angles`): expanding
+    steps amplify float noise, and the pin keeps the orbits of fixed angles
+    constant."""
+    inv, letter = datum.entries[k].backward
+    images = system.apply_values(inv, values)
     if letter is not None and system.space.angular:
-        snapped = zoo.snap_angle(system.letter_maps[letter], x.value, y.value)
-        if snapped != y.value:
-            return system.space.point(snapped)
-    return y
+        images = zoo.snap_angles(system.letter_maps[letter], values, images)
+    return images
 
 
-def greedy_step(datum: ExpansionDatum, system: ActionSystem, x: Point, eta: float) -> tuple:
-    """One greedy code step: (chosen entry, next point)."""
-    e = _greedy_choice(datum, x, eta)
-    return e, _step(system, e, x)
+def _stepped(datum: ExpansionDatum, system: ActionSystem, chosen: np.ndarray, values):
+    """The values one code step on: row r's value moved by entry chosen[r],
+    each entry's word applied once to the values of every row that chose it."""
+    keys = sorted(set(chosen.tolist()))
+    if len(keys) == 1:
+        return _moved(datum, system, keys[0], values)
+    members = [np.flatnonzero(chosen == k) for k in keys]
+    moved = [_moved(datum, system, k, _take(values, rows)) for k, rows in zip(keys, members)]
+    if isinstance(values, np.ndarray):
+        out = np.empty(len(chosen))
+        for rows, images in zip(members, moved):
+            out[rows] = images
+        return out
+    out = [None] * len(chosen)
+    for rows, images in zip(members, moved):
+        for r, v in zip(rows.tolist(), images):
+            out[r] = v
+    return out
+
+
+class Codes:
+    """Greedy special codes of many points (`make_codes`), read one row, that
+    is one point, at a time.  A row keeps its chosen entry positions and the
+    values of its backward orbit as plain lists, and the text of the
+    CodingError of the step that found no cover member, which reading its
+    code raises; points and errors are made only when a row is read."""
+
+    __slots__ = ("datum", "space", "points", "alphas", "orbits", "errors")
+
+    def __init__(self, datum, space, points, alphas, orbits, errors):
+        self.datum, self.space, self.points = datum, space, points
+        self.alphas, self.orbits, self.errors = alphas, orbits, errors
+
+    def steps(self, row: int) -> CodeSteps:
+        entries = [self.datum.entries[k] for k in self.alphas[row]]
+        error = self.errors.get(row)
+        return CodeSteps(
+            entries, [Point(self.space, v) for v in self.orbits[row]], None if error is None else CodingError(error)
+        )
+
+    def code(self, row: int) -> Code:
+        entries, points, error = self.steps(row)
+        if error is not None:
+            raise error
+        return Code(tuple(e.index for e in entries), (self.points[row], *points), True)
+
+
+def make_codes(
+    datum: ExpansionDatum,
+    system: ActionSystem,
+    eta: float,
+    points: Sequence[Point],
+    depth: int,
+    reverse_ties: bool = False,
+) -> Codes:
+    """Greedy special codes of the points to the given depth, stepped
+    together: maximal margin at every step, the initial label included, and
+    the smallest entry index on ties (the largest with `reverse_ties`).
+
+    Each depth takes one margin matrix over the rows still live.  Its
+    columns are scanned in entry order (backwards with `reverse_ties`): an
+    entry replaces a row's best only when its margin is more than 1e-15
+    above the best's, which is the scan of one row at a time.  Each chosen
+    entry's backward word is then applied once (`_stepped`).  A row whose
+    best margin is below eta leaves with the text of its CodingError."""
+    if not 0.0 < eta <= datum.delta:
+        raise CodingError(f"eta must lie in (0, delta={datum.delta}], got {eta}")
+    space, regions = system.space, [e.region for e in datum.entries]
+    order = range(len(regions) - 1, -1, -1) if reverse_ties else range(len(regions))
+    live, values, levels, errors = np.arange(len(points)), space.values(points), [], {}
+    for d in range(depth):
+        if not len(live):
+            break
+        # the first matrix takes the points, which refuses a point of another space
+        margins = margin_matrix(regions, points) if d == 0 else margin_values(regions, values)
+        best, top = np.full(len(live), -1), np.full(len(live), -math.inf)
+        for k in order:
+            take = margins[:, k] > top + 1e-15
+            best[take], top[take] = k, margins[take, k]
+        failed = np.flatnonzero(top < eta).tolist()
+        if failed:
+            at = _listed(values)
+            for i in failed:
+                x = points[live[i]] if d == 0 else Point(space, at[i])
+                errors[int(live[i])] = (
+                    f"no cover member admits an eta-ball at {x} (best margin {top[i]:.3e}, eta {eta:.3e})"
+                )
+            kept = np.flatnonzero(top >= eta)
+            live, best, values = live[kept], best[kept], _take(values, kept)
+        values = _stepped(datum, system, best, values)
+        levels.append((live, best, values))
+    alphas, orbits = [[] for _ in points], [[] for _ in points]
+    for rows, chosen, stepped in levels:
+        for r, k, v in zip(rows.tolist(), chosen.tolist(), _listed(stepped)):
+            alphas[r].append(k)
+            orbits[r].append(v)
+    return Codes(datum, space, points, alphas, orbits, errors)
 
 
 def make_code(
@@ -105,17 +204,8 @@ def make_code(
     depth: int,
     reverse_ties: bool = False,
 ) -> Code:
-    """Greedy special code for x: maximal margin at every step, the initial
-    label included, and the smallest entry index on ties (the largest with
-    `reverse_ties`)."""
-    if not 0.0 < eta <= datum.delta:
-        raise CodingError(f"eta must lie in (0, delta={datum.delta}], got {eta}")
-    alphas, points = [], [x]
-    for _ in range(depth):
-        e = _greedy_choice(datum, points[-1], eta, reverse_ties)
-        alphas.append(e.index)
-        points.append(_step(system, e, points[-1]))
-    return Code(tuple(alphas), tuple(points), True)
+    """The greedy special code of one point (`make_codes`)."""
+    return make_codes(datum, system, eta, [x], depth, reverse_ties).code(0)
 
 
 def enumerate_codes(
@@ -132,25 +222,27 @@ def enumerate_codes(
         raise ValueError("cap must be >= 1")
     if not 0.0 < eta <= datum.delta:
         raise CodingError(f"eta must lie in (0, delta={datum.delta}], got {eta}")
-    truncated = False
-    branches = [([e.index], [x, _step(system, e, x)]) for e in datum.entries]
-    if len(branches) > cap:
-        branches, truncated = branches[:cap], True
-    for _ in range(depth - 1):
-        nxt = []
-        # an entry admits the eta-ball at a point where its margin is at least eta
-        rows = margin_matrix([e.region for e in datum.entries], [points[-1] for _, points in branches])
-        for (alphas, points), row in zip(branches, rows.tolist()):
-            for e, m in zip(datum.entries, row):
-                if m >= eta:
-                    nxt.append((alphas + [e.index], points + [_step(system, e, points[-1])]))
-        if len(nxt) > cap:
-            nxt, truncated = nxt[:cap], True
-        branches = nxt
+    space, regions, truncated = system.space, [e.region for e in datum.entries], False
+    # an entry admits the eta-ball at a point where its margin is at least
+    # eta; the first level takes every entry at x
+    branches, values = [([], [x])], space.values([x])
+    parent, chosen = np.zeros(len(regions), dtype=int), np.arange(len(regions))
+    for level in range(max(depth, 1)):
+        if level:
+            # (branch, entry position) of each new branch, in branch order and then entry order
+            parent, chosen = np.nonzero(margin_values(regions, values) >= eta)
+        if len(parent) > cap:
+            parent, chosen, truncated = parent[:cap], chosen[:cap], True
+        values = _stepped(datum, system, chosen, _take(values, parent))
+        branches = [
+            (branches[b][0] + [k], branches[b][1] + [Point(space, v)])
+            for b, k, v in zip(parent.tolist(), chosen.tolist(), _listed(values))
+        ]
     # a code is special when its free initial label is admissible at x
-    entry_map = _entry_map(datum)
-    special = {a[0]: entry_map[a[0]].region.margin(x) >= eta for a, _ in branches}
-    codes = [Code(tuple(a), tuple(p), special[a[0]]) for a, p in branches]
+    special = {k: regions[k].margin(x) >= eta for k in {a[0] for a, _ in branches}}
+    codes = [
+        Code(tuple(datum.entries[k].index for k in a), tuple(p), special[a[0]]) for a, p in branches
+    ]
     return codes, truncated
 
 
@@ -431,22 +523,26 @@ def require_boundary(system: ActionSystem) -> None:
 def coding_map(
     system: ActionSystem,
     datum: ExpansionDatum,
-    x: Point,
+    points: Sequence[Point],
     prefix_depth: int,
-) -> BoundaryWord:
-    """Boundary point of the greedy special ray for x, as a reduced prefix.
+) -> list:
+    """Boundary point of the greedy special ray of each point, as a reduced
+    prefix.
 
-    Only free and cyclic presentations carry a boundary here; the result is
-    cross-checked against the reversed-tie greedy code and flagged
-    unstabilized if the two prefixes disagree.
+    Only free and cyclic presentations carry a boundary here.  Each result
+    is cross-checked against the reversed-tie greedy code and flagged
+    unstabilized if the two prefixes disagree; the codes of all the points
+    are stepped together, one `make_codes` call per tie order.  A point
+    whose code fails raises its CodingError when its turn comes.
     """
     require_boundary(system)
     depth = prefix_depth + 8
-    code = make_code(datum, system, datum.delta, x, depth)
-    ray = code_ray(datum, code)
-    primary = boundary_prefix(ray.words, prefix_depth)
-    alt_code = make_code(datum, system, datum.delta, x, depth, reverse_ties=True)
-    alt = boundary_prefix(code_ray(datum, alt_code).words, prefix_depth)
-    if alt.prefix != primary.prefix:
-        return BoundaryWord(primary.prefix, False)
-    return primary
+    greedy, reversed_ties = (
+        make_codes(datum, system, datum.delta, points, depth, reverse_ties) for reverse_ties in (False, True)
+    )
+    out = []
+    for row in range(len(points)):
+        primary = boundary_prefix(code_ray(datum, greedy.code(row)).words, prefix_depth)
+        alt = boundary_prefix(code_ray(datum, reversed_ties.code(row)).words, prefix_depth)
+        out.append(primary if alt.prefix == primary.prefix else BoundaryWord(primary.prefix, False))
+    return out

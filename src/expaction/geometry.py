@@ -203,6 +203,10 @@ class Space(Value):
         return best
 
 
+# fewer angles than this are mapped one by one (`Circle.map_values`)
+SCALAR_ANGLES = 16
+
+
 class Circle(Space):
     """Circle of circumference 2*pi with the arc-length (geodesic) metric."""
 
@@ -234,6 +238,10 @@ class Circle(Space):
         return np.array([p.value for p in pts], dtype=float)
 
     def map_values(self, m, values: np.ndarray) -> np.ndarray:
+        # one `apply_angles` call costs about what 16 angles through
+        # `apply_angle` do, so fewer go one by one, to the same floats
+        if len(values) < SCALAR_ANGLES:
+            return np.array([m.apply_angle(t) for t in values.tolist()], dtype=float)
         return m.apply_angles(values)
 
     def distances(self, a: np.ndarray, b: np.ndarray, i: np.ndarray, j: np.ndarray) -> np.ndarray:

@@ -16,7 +16,7 @@ from typing import Mapping, NamedTuple, Optional, Sequence
 import numpy as np
 
 from . import groups
-from .coding import CodingError, greedy_step
+from .coding import CodeSteps, CodingError, make_codes
 from .expansion import (
     SAFETY,
     ActionView,
@@ -133,6 +133,7 @@ def conjugacy_point(
     x: Point,
     tol: float = 1e-9,
     max_depth: int = 200,
+    steps: Optional[CodeSteps] = None,
 ) -> tuple:
     """phi(x): limit of z_i = rho'(c_i)(p_{i+1}) along a special delta-code.
 
@@ -146,47 +147,42 @@ def conjugacy_point(
     contraction is usually much faster than lam-eps, and the backward orbit
     loses float accuracy at about the sampled rate, so stopping on the
     sample resolves phi before the orbit degrades.
+
+    The code steps come in blocks of up to `space.push_rows`, and the space
+    pushes the balls of a block as rows at once; the rows are then read in
+    order, up to the first that stops.  `steps` is the first block, the
+    point's row of a `coding.make_codes` frontier over many points (see
+    `conjugacy_map`); without it the point takes its own.  Each later block
+    is `make_codes` from the last point reached.  A step past the stopping
+    row that finds no cover member does not count: its CodingError is
+    raised only when no earlier row stops.
     """
     ps.require_admissible()
-    first = greedy_step(ps.datum, ps.base, x, ps.datum.delta)
-    return _conjugacy_from(ps, x, first, tol, max_depth)
-
-
-def _conjugacy_from(ps: PerturbedSystem, x: Point, first: tuple, tol: float, max_depth: int) -> tuple:
-    """The iteration of `conjugacy_point` from a given first step (entry, p_1).
-
-    The code steps are taken a block of `space.push_rows` at a time, and the
-    space pushes the balls of a block as rows at once; the rows are then read
-    in order, up to the first that stops.  A step past that row that finds no
-    cover member does not count: its CodingError is raised only when no
-    earlier row stops."""
     datum, space = ps.datum, ps.base.space
     eps = ps.epsilon
     lam_p, lip_p = datum.lam - eps, datum.lip + eps
     delta = datum.delta
 
+    def block(start: Point, i: int) -> CodeSteps:
+        return make_codes(datum, ps.base, delta, [start], min(space.push_rows, max_depth - i)).steps(0)
+
     push = WordPush(space, ps.view.maps)  # grown by the code's symbols, unreduced
-    e, point = first
+    steps = block(x, 0) if steps is None else steps
     i = 0
     while i < max_depth:
-        pushes, centers, failed = [], [], None
-        while len(pushes) < min(space.push_rows, max_depth - i):
-            if i + len(pushes):
-                try:
-                    e, point = greedy_step(datum, ps.base, point, delta)
-                except CodingError as err:
-                    failed = err
-                    break
+        pushes = []
+        for e in steps.entries:
             push = push.grown(groups.letters_of(e.symbol))
             pushes.append(push)
-            centers.append(point)
-        for z, diam in space.push_balls(pushes, centers, delta, 6) if pushes else ():
+        for z, diam in space.push_balls(pushes, steps.points, delta, 6) if pushes else ():
             bound = 2.0 * delta * lip_p / lam_p**i
             if diam < tol or bound < tol:
                 return z, PointDiagnostics(i + 1, min(diam, bound))
             i += 1
-        if failed is not None:
-            raise failed
+        if steps.error is not None:
+            raise steps.error
+        if i < max_depth:
+            steps = block(steps.points[-1], i)
     raise ConvergenceError(x, 2.0 * delta * lip_p / lam_p**max_depth, max_depth)
 
 
@@ -243,26 +239,28 @@ def conjugacy_map(
     ps.require_admissible()
     base = ps.base
     net = list(ps.datum.net if net is None else net)
+    images = [base.apply(s, x) for s in base.generators() for x in net] if with_images else []
+    # the first block of code steps of every point tabulated below, stepped
+    # together; each point's row is read when its turn comes
+    rows = {x: row for row, x in enumerate(dict.fromkeys(net + images))}
+    codes = make_codes(ps.datum, base, ps.datum.delta, list(rows), min(base.space.push_rows, max_depth))
     entries, failures = [], []
     for x in net:
         try:
-            phi, diag = conjugacy_point(ps, x, tol, max_depth)
+            phi, diag = conjugacy_point(ps, x, tol, max_depth, codes.steps(rows[x]))
             entries.append(TableEntry(x, phi, diag.iterations, diag.stop_bound))
         except (ConvergenceError, CodingError) as err:  # per-point granularity
             failures.append((x, str(err)))
     displacement = max((distance(base.space, e.x, e.phi) for e in entries), default=0.0)
     table = ConjugacyTable(entries, {}, displacement, failures=failures)
-    if with_images:
-        for s in base.generators():
-            for x in net:
-                y = base.apply(s, x)
-                if table.phi_of(y) is not None:
-                    continue
-                try:
-                    phi, _ = conjugacy_point(ps, y, tol, max_depth)
-                    table.extra[y] = phi
-                except (ConvergenceError, CodingError) as err:
-                    failures.append((y, str(err)))
+    for y in images:
+        if table.phi_of(y) is not None:
+            continue
+        try:
+            phi, _ = conjugacy_point(ps, y, tol, max_depth, codes.steps(rows[y]))
+            table.extra[y] = phi
+        except (ConvergenceError, CodingError) as err:
+            failures.append((y, str(err)))
     if not failures:
         check_equivariance(table, ps)
     return table

@@ -7,7 +7,6 @@ no special casing and derivatives stay finite everywhere.
 """
 from __future__ import annotations
 
-import copy
 import math
 import random
 from bisect import bisect_right
@@ -35,7 +34,7 @@ from .geometry import (
 from .groups import Alphabet, Word
 
 Letter = tuple  # (generator index, +1 | -1)
-SNAP_TOL = 5e-13  # how near a fixed angle `snap_angle` pins an orbit to it
+SNAP_TOL = 5e-13  # how near a fixed angle `snap_angles` pins an orbit to it
 
 
 class ConstructionError(ValueError):
@@ -57,7 +56,8 @@ def _moebius_angles(a, b, c, d, thetas: np.ndarray) -> np.ndarray:
     the floats of `MoebiusMap.apply_angle`: numpy computes sin, cos and the
     products as `math` does, but not atan2, which runs per element.  The
     entries may be arrays that broadcast against the angles."""
-    u, v = np.sin(thetas / 2.0), np.cos(thetas / 2.0)
+    half = thetas / 2.0
+    u, v = np.sin(half), np.cos(half)
     u2, v2 = a * u + b * v, c * u + d * v
     doubled = np.fromiter(map(math.atan2, u2.ravel().tolist(), v2.ravel().tolist()), float, u2.size)
     return wrap_angles(2.0 * doubled.reshape(u2.shape))
@@ -139,7 +139,7 @@ class MoebiusMap(Value):
 
     @cached_property
     def pinned_angles(self) -> tuple:
-        """The fixed angles `snap_angle` pins orbits to: both fixed angles of
+        """The fixed angles `snap_angles` pins orbits to: both fixed angles of
         a hyperbolic map, none otherwise."""
         try:
             return self.fixed_angles()
@@ -236,7 +236,7 @@ class LiftedCircleMap(Value):
 
     @cached_property
     def pinned_angles(self) -> tuple:
-        """The fixed angles `snap_angle` pins orbits to: the lifts of the
+        """The fixed angles `snap_angles` pins orbits to: the lifts of the
         base fixed points 0 and pi."""
         k = self.degree
         return tuple(wrap_angle((base + TAU * j) / k) for base in (0.0, math.pi) for j in range(k))
@@ -420,7 +420,7 @@ def compose_moebius(mat: np.ndarray, maps: Iterable[MoebiusMap]) -> np.ndarray:
     unchanged and keeps long words finite."""
     for m in maps:
         mat = mat @ m.np_matrix
-        scale = np.max(np.abs(mat))
+        scale = np.abs(mat).max()
         if scale > 1e100:
             mat = mat / scale
     return mat
@@ -436,6 +436,8 @@ class WordPush:
     is kept as its letters, whose maps the space applies one by one.
     """
 
+    __slots__ = ("space", "maps", "letters", "matrix")
+
     def __init__(self, space: Space, maps: Mapping):
         self.space, self.maps, self.letters = space, maps, ()
         moebius = all(isinstance(m, MoebiusMap) for m in maps.values())
@@ -443,10 +445,9 @@ class WordPush:
 
     def grown(self, letters: Sequence) -> "WordPush":
         """The push of w followed by `letters`; this one is left as it is."""
-        out = copy.copy(self)
-        out.letters = self.letters + tuple(letters)
-        if self.matrix is not None:
-            out.matrix = compose_moebius(self.matrix, [self.maps[l] for l in letters])
+        out = object.__new__(WordPush)
+        out.space, out.maps, out.letters = self.space, self.maps, self.letters + tuple(letters)
+        out.matrix = None if self.matrix is None else compose_moebius(self.matrix, [self.maps[l] for l in letters])
         return out
 
     def __call__(self, x: Point) -> Point:
@@ -485,19 +486,23 @@ def apply_letters(space: Space, maps: Mapping, letters: Sequence, x: Point) -> P
     return space.apply_maps([maps[letter] for letter in letters], x)
 
 
-def snap_angle(map_obj, theta_in: float, theta_out: float) -> float:
-    """Pin an orbit to a fixed point of the applied circle map (one of its
-    `pinned_angles`).
+def snap_angles(map_obj, thetas_in: np.ndarray, thetas_out: np.ndarray) -> np.ndarray:
+    """Pin orbits to the fixed points of the applied circle map (its
+    `pinned_angles`): each image whose input angle lies within SNAP_TOL of a
+    pinned angle becomes the first such angle.
 
     Backward orbits amplify float noise by the derivative at every step; a
     point within SNAP_TOL of a fixed angle is treated as exactly fixed so
     constant tails stay constant.  The perturbation of the code relation is
     at most the derivative times SNAP_TOL, far below the code tolerance.
     """
-    for f in map_obj.pinned_angles:
-        if circle_dist(theta_in, f) < SNAP_TOL:
-            return f
-    return theta_out
+    pinned = np.array(map_obj.pinned_angles)
+    # circle_dist of every input and pinned angle, by its float operations
+    d = np.abs(thetas_in[:, None] - pinned) % TAU
+    near = np.minimum(d, TAU - d) < SNAP_TOL
+    if not np.count_nonzero(near):  # faster than `any` on the few rows of a step
+        return thetas_out
+    return np.where(near.any(axis=1), pinned[near.argmax(axis=1)], thetas_out)
 
 
 # ---------------------------------------------------------------------------
@@ -530,6 +535,16 @@ class ActionSystem:
             raise groups.AlphabetMismatchError("word over a different alphabet")
         return apply_letters(self.space, self.letter_maps, groups.letters_of(g), x)
 
+    def apply_values(self, g: Word, values):
+        """The values of rho(g) at the points with the given values (as
+        `space.values` gives them), to the floats of `apply`: one letter by
+        `space.map_values` on all of them at once, a longer word point by
+        point through `apply`."""
+        letters = groups.letters_of(g)
+        if len(letters) == 1 and g.alphabet == self.alphabet:
+            return self.space.map_values(self.letter_maps[letters[0]], values)
+        return self.space.values([self.apply(g, Point(self.space, v)) for v in values])
+
     def limit_values(self, depth: int | None = None):
         """The values of the limit net's points (an angle array on circles)."""
         return self.net_fn(self.default_depth if depth is None else depth)
@@ -560,6 +575,9 @@ class ProductSystem(ActionSystem):
         comp_sys = self.components[idx]
         inner = comp_sys.apply((w1, w2)[idx], Point(comp_sys.space, val))
         return self.space.point((idx, inner.value))
+
+    def apply_values(self, g: Word, values) -> list:
+        return [self.apply(g, Point(self.space, v)).value for v in values]
 
 
 def validate_inverses(system: ActionSystem, samples: Sequence[Point], tol: float = 1e-9) -> float:

@@ -15,7 +15,11 @@ The frozen dataclasses that points and spaces once were are kept as the
 reference for the equality and hash of `Point` and the `Space` kinds, and
 the margins one region and one point at a time as the reference for the
 margin matrices, the Lebesgue number and the code steps that read them;
-so is the loop that found the circle cover's arcs one grid angle at a time."""
+so is the loop that found the circle cover's arcs one grid angle at a time.
+The code steps one point and one step at a time (`code_step`,
+`greedy_step`) are the reference for the frontier of `coding.make_codes`,
+and the conjugacy map one point at a time (`conjugacy_map_steps`) for the
+one that takes every point's first block of steps together."""
 import math
 from collections import namedtuple
 from dataclasses import dataclass
@@ -30,12 +34,11 @@ from expaction.coding import (
     CodingError,
     Ray,
     RayTable,
+    CodeSteps,
     _entry_map,
-    _step,
     code_ray,
     enumerate_codes,
     fellow_travel_distance,
-    greedy_step,
     make_code,
     nested_images,
 )
@@ -58,8 +61,8 @@ from expaction.geometry import (
     distance,
 )
 from expaction.groups import CYCLIC, FREE, GENERIC, Alphabet, Word
-from expaction.stability import ConvergenceError, PointDiagnostics, _conjugacy_from, conjugacy_point
-from expaction.zoo import WordPush
+from expaction.stability import ConvergenceError, PointDiagnostics, conjugacy_point
+from expaction.zoo import SNAP_TOL, WordPush
 
 
 def parse(alphabet: Alphabet, text: str) -> Word:
@@ -137,7 +140,7 @@ def expansivity_witness(datum, system, x, y, max_depth: int = 200, slack: float 
     for n in range(1, max_depth + 1):
         e = greedy_entry(datum, xi, datum.delta)
         inv = e.backward[0]
-        xi, yi = _step(system, e, xi), system.apply(inv, yi)
+        xi, yi = code_step(system, e, xi), system.apply(inv, yi)
         word = groups.multiply(word, inv)
         sep = space.raw_distance(xi.value, yi.value)
         best = max(best, sep)
@@ -218,7 +221,7 @@ def check_code_independence(ps, x, tol: float = 1e-9) -> float:
     if not others:
         return 0.0
     alt = others[0]
-    phi_b, _ = _conjugacy_from(ps, x, (alt, _step(ps.base, alt, x)), tol, 200)
+    phi_b, _ = conjugacy_point(ps, x, tol, 200, CodeSteps([alt], [code_step(ps.base, alt, x)], None))
     return ps.base.space.raw_distance(phi_b.value, phi_a.value)
 
 
@@ -390,8 +393,8 @@ def schottky_net_values(system, depth: int) -> list:
 
 def conjugacy_steps(ps, x, first, tol: float, max_depth: int) -> tuple:
     """The conjugacy iteration one code step at a time, every point of the
-    pushed ball net pushed on its own: `stability._conjugacy_from` before it
-    pushed blocks of rows."""
+    pushed ball net pushed on its own: `stability.conjugacy_point` before it
+    pushed blocks of rows, from a given first step (entry, p_1)."""
     datum, space = ps.datum, ps.base.space
     eps = ps.epsilon
     lam_p, lip_p = datum.lam - eps, datum.lip + eps
@@ -409,6 +412,40 @@ def conjugacy_steps(ps, x, first, tol: float, max_depth: int) -> tuple:
         if diam < tol or bound < tol:
             return z, PointDiagnostics(i + 1, min(diam, bound))
     raise ConvergenceError(x, 2.0 * delta * lip_p / lam_p**max_depth, max_depth)
+
+
+def conjugacy_map_steps(ps, net, tol: float, max_depth: int) -> tuple:
+    """`stability.conjugacy_map` before its points' code steps were taken
+    together: phi at each net point, then at each generator image whose phi
+    is not known yet, each by `conjugacy_steps` from its own greedy first
+    step.  Returns (entries, extra, failures): entries as (x, phi,
+    iterations, stop bound), extra as {image: phi} and failures as
+    (point, message), in the order the table records them."""
+    base, delta = ps.base, ps.datum.delta
+    entries, extra, failures, known = [], {}, [], {}
+
+    def phi(x):
+        try:
+            first = greedy_step(ps.datum, base, x, delta)
+            return conjugacy_steps(ps, x, first, tol, max_depth)
+        except (ConvergenceError, CodingError) as err:
+            failures.append((x, str(err)))
+            return None
+
+    for x in net:
+        result = phi(x)
+        if result is not None:
+            entries.append((x, result[0], result[1].iterations, result[1].stop_bound))
+            known.setdefault(x, result[0])
+    for s in base.generators():
+        for x in net:
+            y = base.apply(s, x)
+            if y in known:
+                continue
+            result = phi(y)
+            if result is not None:
+                extra[y] = known[y] = result[0]
+    return entries, extra, failures
 
 
 # ---------------------------------------------------------------------------
@@ -601,18 +638,45 @@ def greedy_entry(datum, x, eta: float, reverse_ties: bool = False):
     return best
 
 
+def snap_angle(map_obj, theta_in: float, theta_out: float) -> float:
+    """`zoo.snap_angles` of one angle: the first pinned angle of the map
+    within SNAP_TOL of the input, else the output."""
+    for f in map_obj.pinned_angles:
+        if circle_dist(theta_in, f) < SNAP_TOL:
+            return f
+    return theta_out
+
+
+def code_step(system, entry, x):
+    """One code step from x by the entry's backward word, one point at a
+    time: the point a `coding.make_codes` row reaches."""
+    inv, letter = entry.backward
+    y = system.apply(inv, x)
+    if letter is not None and system.space.angular:
+        snapped = snap_angle(system.letter_maps[letter], x.value, y.value)
+        if snapped != y.value:
+            return system.space.point(snapped)
+    return y
+
+
+def greedy_step(datum, system, x, eta: float) -> tuple:
+    """One greedy code step: (chosen entry, next point)."""
+    e = greedy_entry(datum, x, eta)
+    return e, code_step(system, e, x)
+
+
 def enumerate_codes_loop(datum, system, eta: float, x, depth: int, cap: int) -> tuple:
     """`coding.enumerate_codes` branch by branch, each branch's admissible
     entries asked one entry at a time."""
     truncated = False
-    branches = [([e.index], [x, _step(system, e, x)]) for e in datum.entries]
+    branches = [([e.index], [x, code_step(system, e, x)]) for e in datum.entries]
     if len(branches) > cap:
         branches, truncated = branches[:cap], True
     for _ in range(depth - 1):
         nxt = []
         for alphas, points in branches:
             for e in admissible_entries(datum, points[-1], eta):
-                nxt.append((alphas + [e.index], points + [_step(system, e, points[-1])]))
+                nxt.append((alphas + [e.index], points + [code_step(system, e, points[-1])]))
         if len(nxt) > cap:
             nxt, truncated = nxt[:cap], True
         branches = nxt

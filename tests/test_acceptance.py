@@ -195,24 +195,23 @@ def test_criterion_7_coding_map(
     generator equivariance holds up to prefix truncation."""
     net = schottky_system.limit_net(4)
     prefixes = {}
-    for x in net:
-        bw = coding_map(schottky_system, schottky_datum, x, 20)
+    for x, bw in zip(net, coding_map(schottky_system, schottky_datum, net, 20)):
         prefixes[groups.to_str(bw.prefix)] = x
     assert len(prefixes) == len(net)
 
     fibers = {}
-    for x in covered_system.limit_net():
-        bw = coding_map(covered_system, covered_datum, x, 20)
+    covered_net = covered_system.limit_net()
+    for x, bw in zip(covered_net, coding_map(covered_system, covered_datum, covered_net, 20)):
         fibers.setdefault(bw.prefix.data, []).append(x)
     assert sorted(fibers) == [-20, 20]
     assert all(len(v) == covered_system.space.degree for v in fibers.values())
 
     depth = 20
     for x in net[::12]:
-        px = coding_map(schottky_system, schottky_datum, x, depth).prefix
-        for s in schottky_system.generators():
-            y = schottky_system.apply(s, x)
-            py = coding_map(schottky_system, schottky_datum, y, depth).prefix
+        (px,) = (bw.prefix for bw in coding_map(schottky_system, schottky_datum, [x], depth))
+        ys = [schottky_system.apply(s, x) for s in schottky_system.generators()]
+        for s, bw in zip(schottky_system.generators(), coding_map(schottky_system, schottky_datum, ys, depth)):
+            py = bw.prefix
             expected = groups.multiply(s, px)
             m = min(depth - 2, groups.word_length(expected), groups.word_length(py))
             assert py.data[:m] == expected.data[:m]

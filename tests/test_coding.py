@@ -459,17 +459,14 @@ def test_certificate_product_of_schottky_pairs(schottky_system, schottky_datum):
 
 def test_coding_map_schottky_injective(schottky_system, schottky_datum):
     net = schottky_system.limit_net(3)
-    prefixes = {
-        groups.to_str(coding_map(schottky_system, schottky_datum, x, 12).prefix)
-        for x in net
-    }
+    prefixes = {groups.to_str(bw.prefix) for bw in coding_map(schottky_system, schottky_datum, net, 12)}
     assert len(prefixes) == len(net)
 
 
 def test_coding_map_covered_k_to_one(covered_system, covered_datum):
     fibers = {}
-    for x in covered_system.limit_net():
-        bw = coding_map(covered_system, covered_datum, x, 10)
+    net = covered_system.limit_net()
+    for x, bw in zip(net, coding_map(covered_system, covered_datum, net, 10)):
         fibers.setdefault(bw.prefix.data, []).append(x)
     assert sorted(fibers) == [-10, 10]
     assert all(len(v) == 3 for v in fibers.values())
@@ -479,10 +476,10 @@ def test_coding_map_equivariance(schottky_system, schottky_datum):
     d = schottky_datum
     depth = 12
     for x in schottky_system.limit_net(3)[::6]:
-        px = coding_map(schottky_system, d, x, depth).prefix
-        for s in schottky_system.generators():
-            y = schottky_system.apply(s, x)
-            py = coding_map(schottky_system, d, y, depth).prefix
+        (px,) = (bw.prefix for bw in coding_map(schottky_system, d, [x], depth))
+        ys = [schottky_system.apply(s, x) for s in schottky_system.generators()]
+        for s, bw in zip(schottky_system.generators(), coding_map(schottky_system, d, ys, depth)):
+            py = bw.prefix
             expected = groups.multiply(s, px)
             m = min(depth - 2, groups.word_length(expected), groups.word_length(py))
             assert py.data[:m] == expected.data[:m]
@@ -490,13 +487,13 @@ def test_coding_map_equivariance(schottky_system, schottky_datum):
 
 def test_coding_map_determinism_under_tie_reversal(fb_system, fb_datum):
     x = fb_system.space.point("abAb" + "b" * 30)
-    bw = coding_map(fb_system, fb_datum, x, 10)
+    (bw,) = coding_map(fb_system, fb_datum, [x], 10)
     assert bw.stabilized  # reversed-tie greedy agrees
 
 
 def test_coding_map_rejects_abelian(zn_system, zn_datum):
     with pytest.raises(ValueError):
-        coding_map(zn_system, zn_datum, zn_system.space.point((1.0, 0, 0)), 5)
+        coding_map(zn_system, zn_datum, [zn_system.space.point((1.0, 0, 0))], 5)
 
 
 def test_nested_product_certificate_has_a_null_chain_constant():

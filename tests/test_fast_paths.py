@@ -6,6 +6,7 @@ patterns or object identity), never approximate.
 """
 import functools
 import math
+import random
 import re
 
 import numpy as np
@@ -13,17 +14,21 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from oracles import (
     circular_runs_loop,
+    code_step,
+    conjugacy_map_steps,
     conjugacy_steps,
     enumerate_codes_loop,
     greedy_entry,
+    greedy_step,
     pair_check_rows,
     scalar_lebesgue,
     scalar_margin,
     schottky_net_values,
+    snap_angle,
 )
 
 from expaction import coding, groups, zoo
-from expaction.coding import CodingError, greedy_step
+from expaction.coding import CodingError, make_codes
 from expaction.expansion import (
     LIP_SAFETY,
     SAFETY,
@@ -38,6 +43,7 @@ from expaction.expansion import (
 )
 from expaction.geometry import (
     LEBESGUE_CHUNK,
+    SCALAR_ANGLES,
     TAU,
     ArcRegion,
     BallRegion,
@@ -61,7 +67,9 @@ from expaction.geometry import (
 )
 from expaction.stability import (
     ConvergenceError,
-    _conjugacy_from,
+    PerturbedSystem,
+    conjugacy_map,
+    conjugacy_point,
     lipschitz_distance,
     make_perturbed,
     net_pairs,
@@ -731,6 +739,38 @@ def test_bumped_maps_apply_angles_equal_apply_angle(base, bump, data):
         assert _hexes(m.apply_angles(thetas)) == _hexes([m.apply_angle(t) for t in thetas.tolist()])
 
 
+CIRCLE_MAPS = st.one_of(
+    moebius_maps(),
+    st.builds(zoo.LiftedCircleMap, st.floats(1.01, 9.0), st.integers(2, 4)),
+    st.builds(zoo.CirclePostComposeMap, moebius_maps(), bumps()),
+)
+
+
+@settings(max_examples=150, derandomize=True, deadline=None)
+@given(m=CIRCLE_MAPS, size=st.integers(0, 2 * SCALAR_ANGLES + 2), data=st.data())
+def test_circle_map_values_equal_apply_angles_on_both_sides_of_the_scalar_cut(m, size, data):
+    # fewer than SCALAR_ANGLES angles go through `apply_angle` one by one
+    thetas = np.array(data.draw(st.lists(ANGLES, min_size=size, max_size=size)), dtype=float)
+    out = Circle().map_values(m, thetas)
+    assert out.dtype == np.float64 and out.shape == thetas.shape
+    assert _hexes(out) == _hexes(m.apply_angles(thetas))
+
+
+@settings(max_examples=150, derandomize=True, deadline=None)
+@given(
+    m=st.one_of(moebius_maps(), st.builds(zoo.LiftedCircleMap, st.floats(1.01, 9.0), st.integers(2, 4))),
+    data=st.data(),
+)
+def test_snap_angles_equal_the_scalar_pin(m, data):
+    # inputs at and around SNAP_TOL from each pinned angle, and elliptic
+    # Moebius maps, which pin nothing
+    near = [f + k * zoo.SNAP_TOL for f in m.pinned_angles for k in (-1.0, -0.999, -0.5, 0.0, 0.5, 0.999, 1.0)]
+    thetas = np.array([Circle().normalize(t) for t in near + data.draw(st.lists(ANGLES, max_size=10))], dtype=float)
+    images = m.apply_angles(thetas)
+    fast = zoo.snap_angles(m, thetas, images)
+    assert _hexes(fast) == _hexes([snap_angle(m, t, y) for t, y in zip(thetas.tolist(), images.tolist())])
+
+
 def _deriv_angle(m, theta: float) -> float:
     """The arc-length derivative of a Moebius or lifted circle map at one
     angle, by the scalar `math` formulas that `deriv_angles` computes on
@@ -791,7 +831,11 @@ def _perturbed_systems() -> dict:
         if all(isinstance(m, zoo.MoebiusMap) for m in system.letter_maps.values()):
             families["translation_conjugate"] = zoo.translation_conjugate(system, 1e-3)
         for family, maps in families.items():
-            out[name, family] = make_perturbed(ActionView(system, maps), datum, 1)
+            ps = make_perturbed(ActionView(system, maps), datum, 1)
+            # the iteration is compared past the admissible radius too (the
+            # bump of 5e-4 exceeds it): no realized distance is recorded, so
+            # the admissibility check that opens the conjugacy passes
+            out[name, family] = PerturbedSystem(ps.base, ps.datum, ps.view, {}, ps.epsilon)
     return out
 
 
@@ -803,15 +847,28 @@ PERTURBED_KEYS = [
 ]
 
 
-def _conjugacy_outcome(run, ps, x, tol, max_depth):
+def _conjugacy_outcome(run):
     """What a conjugacy iteration gives, in bits: phi(x) and its diagnostics,
     or the error it raises."""
-    first = greedy_step(ps.datum, ps.base, x, ps.datum.delta)
     try:
-        z, diag = run(ps, x, first, tol, max_depth)
+        z, diag = run()
     except (CodingError, ConvergenceError) as err:
         return type(err).__name__, str(err)
     return z.space, z.value.hex(), diag.iterations, diag.stop_bound.hex()
+
+
+def _row_conjugacy(ps, x, tol, max_depth):
+    """phi(x) from x's row of a frontier over x and some other points, as
+    `conjugacy_map` hands each point its first block of code steps."""
+    space, delta = ps.base.space, ps.datum.delta
+    others = [p for p in ps.datum.net[:5] if p != x]
+    codes = make_codes(ps.datum, ps.base, delta, [*others[:2], x, *others[2:]], min(space.push_rows, max_depth))
+    return _conjugacy_outcome(lambda: conjugacy_point(ps, x, tol, max_depth, codes.steps(min(2, len(others)))))
+
+
+def _step_loop(ps, x, tol, max_depth):
+    first = greedy_step(ps.datum, ps.base, x, ps.datum.delta)
+    return _conjugacy_outcome(lambda: conjugacy_steps(ps, x, first, tol, max_depth))
 
 
 @settings(max_examples=150, derandomize=True, deadline=None)
@@ -827,11 +884,12 @@ def test_row_conjugacy_equals_the_step_loop(key, tol, max_depth, data):
     x = data.draw(st.one_of(st.sampled_from(list(ps.datum.net)), ANGLES.map(space.point)))
     try:
         greedy_step(ps.datum, ps.base, x, ps.datum.delta)
-    except CodingError:
-        return  # no first step: neither loop starts
-    assert _conjugacy_outcome(_conjugacy_from, ps, x, tol, max_depth) == _conjugacy_outcome(
-        conjugacy_steps, ps, x, tol, max_depth
-    )
+    except CodingError as err:
+        # no first step: the step loop does not start, and the row raises its error
+        assert _row_conjugacy(ps, x, tol, max_depth) == ("CodingError", str(err))
+        return
+    assert _row_conjugacy(ps, x, tol, max_depth) == _step_loop(ps, x, tol, max_depth)
+    assert _conjugacy_outcome(lambda: conjugacy_point(ps, x, tol, max_depth)) == _step_loop(ps, x, tol, max_depth)
 
 
 def _failing_step(ps, x) -> int:
@@ -852,9 +910,9 @@ def test_row_conjugacy_hides_a_coding_error_past_the_stop():
     ps = _perturbed_systems()["schottky", "matrix_jitter"]
     x = ps.base.space.point(19 * TAU / 400)
     assert _failing_step(ps, x) == 7 < ps.base.space.push_rows
-    fast = _conjugacy_outcome(_conjugacy_from, ps, x, 0.1, 200)
+    fast = _row_conjugacy(ps, x, 0.1, 200)
     assert fast[2] == 2
-    assert fast == _conjugacy_outcome(conjugacy_steps, ps, x, 0.1, 200)
+    assert fast == _step_loop(ps, x, 0.1, 200)
 
 
 @pytest.mark.parametrize("max_depth", [5, 12, 13, 30])
@@ -862,9 +920,9 @@ def test_row_conjugacy_reaches_max_depth_as_the_step_loop(max_depth):
     # at tol 0 no row stops: both loops run out of depth at the same step
     ps = _perturbed_systems()["schottky", "bump_compose"]
     x = ps.datum.net[5]
-    fast = _conjugacy_outcome(_conjugacy_from, ps, x, 0.0, max_depth)
+    fast = _row_conjugacy(ps, x, 0.0, max_depth)
     assert fast[0] == "ConvergenceError"
-    assert fast == _conjugacy_outcome(conjugacy_steps, ps, x, 0.0, max_depth)
+    assert fast == _step_loop(ps, x, 0.0, max_depth)
 
 
 # ---------------------------------------------------------------------------
@@ -1051,14 +1109,16 @@ NEAR_TIES = [0.0, 3e-16, -3e-16, 1e-15, -1e-15, 1.2e-15, -2e-15, 5e-15]
     eta=st.sampled_from([1e-3, 0.125, 0.125 + 1e-15, 0.3, 2.0]),
 )
 def test_the_greedy_choice_and_admissible_row_equal_the_scalar_scans(base, steps, reverse_ties, eta):
-    # at the arcs' common center each margin is its half-width
-    space = Circle()
+    # at the arcs' common center each margin is its half-width; the greedy
+    # choice is the first code step of a one-point frontier
+    system = zoo.make_cyclic_hyperbolic(2.0)
+    space, symbol = system.space, system.alphabet.generator(0, 1)
     regions = [
         EmptyRegion(space=space) if step == "empty" else ArcRegion(space=space, center=1.0, half_width=base + step)
         for step in steps
     ]
-    entries = tuple(CoverEntry(f"{k:02d}", None, reg) for k, reg in enumerate(regions))
-    datum = ExpansionDatum(entries, 1.0, 2.0, 2.0, ())
+    entries = tuple(CoverEntry(f"{k:02d}", symbol, reg) for k, reg in enumerate(regions))
+    datum = ExpansionDatum(entries, 2.0, 2.0, 2.0, ())
     x = space.point(1.0)
     row = margin_matrix(regions, [x])[0].tolist()
 
@@ -1068,7 +1128,13 @@ def test_the_greedy_choice_and_admissible_row_equal_the_scalar_scans(base, steps
         except CodingError as err:
             return str(err)
 
-    fast = outcome(lambda: coding._greedy_choice(datum, x, eta, reverse_ties))
+    def first_step():
+        steps = make_codes(datum, system, eta, [x], 1, reverse_ties).steps(0)
+        if steps.error is not None:
+            raise steps.error
+        return steps.entries[0]
+
+    fast = outcome(first_step)
     assert fast == outcome(lambda: greedy_entry(datum, x, eta, reverse_ties))
     admissible = [e.index for e, m in zip(datum.entries, row) if m >= eta]
     assert admissible == [e.index for e in datum.entries if scalar_margin(e.region, x) >= eta]
@@ -1132,13 +1198,132 @@ def test_make_code_equals_the_scalar_greedy_loop(name, reverse_ties, data):
         for _ in range(12):
             e = greedy_entry(datum, points[-1], datum.delta, reverse_ties)
             alphas.append(e.index)
-            points.append(coding._step(system, e, points[-1]))
+            points.append(code_step(system, e, points[-1]))
     except CodingError as err:
         with pytest.raises(CodingError, match=re.escape(str(err))):
             coding.make_code(datum, system, datum.delta, x, 12, reverse_ties)
         return
     code = coding.make_code(datum, system, datum.delta, x, 12, reverse_ties)
     assert _code_bits(code) == (tuple(alphas), [repr(p.value) for p in points], [p.space for p in points], True)
+
+
+@functools.lru_cache(maxsize=None)
+def _squared_systems() -> dict:
+    # entry symbols of two letters: their backward words are composed
+    # matrices on Schottky, letter by letter on the covered circle
+    out = {}
+    for name in ("schottky", "covered"):
+        system, datum = _coded_systems()[name]
+        square = tuple(CoverEntry(e.index, groups.multiply(e.symbol, e.symbol), e.region) for e in datum.entries)
+        out[name + "-squared"] = system, ExpansionDatum(square, datum.delta, datum.lam, datum.lip, datum.net)
+    return out
+
+
+def _step_rows(datum, system, eta, points, depth, reverse_ties) -> list:
+    """Per point, the scalar loop's entry indices, the reprs and spaces of
+    its points, and its error text (None when every step was taken)."""
+    rows = []
+    for x in points:
+        alphas, orbit, error = [], [x], None
+        for _ in range(depth):
+            try:
+                e = greedy_entry(datum, orbit[-1], eta, reverse_ties)
+            except CodingError as err:
+                error = str(err)
+                break
+            alphas.append(e.index)
+            orbit.append(code_step(system, e, orbit[-1]))
+        rows.append((alphas, [repr(p.value) for p in orbit], [p.space for p in orbit], error))
+    return rows
+
+
+@settings(max_examples=150, derandomize=True, deadline=None)
+@given(
+    name=st.sampled_from(
+        ["schottky", "cyclic", "covered", "free", "zn", "product", "schottky-wide",
+         "schottky-squared", "covered-squared"]
+    ),
+    depth=st.sampled_from([0, 1, 2, 5, 12, 20]),
+    reverse_ties=st.booleans(),
+    eta_frac=st.sampled_from([1.0, 0.5]),
+    seeds=st.lists(st.integers(0, 2**32 - 1), max_size=4),
+    data=st.data(),
+)
+def test_make_codes_equals_the_scalar_greedy_loop_row_by_row(name, depth, reverse_ties, eta_frac, seeds, data):
+    # net points, repeated ones, and random points off the limit set whose
+    # codes fail at different depths: each row is its own scalar loop, with
+    # the same error text, whatever the other rows do
+    system, datum = {**_coded_systems(), **_squared_systems()}[name]
+    net = list(datum.net)
+    points = data.draw(st.lists(st.sampled_from(net), min_size=0, max_size=6))
+    points += [system.space.random_point(random.Random(seed)) for seed in seeds]
+    points = data.draw(st.permutations(points))
+    eta = datum.delta * eta_frac
+    codes = make_codes(datum, system, eta, points, depth, reverse_ties)
+    for row, slow in enumerate(_step_rows(datum, system, eta, points, depth, reverse_ties)):
+        entries, orbit, error = codes.steps(row)
+        orbit = [points[row], *orbit]
+        fast = ([e.index for e in entries], [repr(p.value) for p in orbit], [p.space for p in orbit],
+                None if error is None else str(error))
+        assert fast == slow
+        if error is None:
+            assert _code_bits(codes.code(row)) == (tuple(slow[0]), slow[1], slow[2], True)
+        else:
+            with pytest.raises(CodingError, match=re.escape(slow[3])):
+                codes.code(row)
+
+
+def test_make_codes_pins_an_orbit_to_the_first_fixed_angle_within_reach():
+    # a point at a fixed angle of the applied letter stays there; the snap
+    # tolerance is far below the distance between two fixed angles, so the
+    # first pinned angle within it is the only one
+    system, datum = _coded_systems()["schottky"]
+    pinned = [(e, system.letter_maps[e.backward[1]].pinned_angles) for e in datum.entries]
+    points = [system.space.point(f + off) for _, angles in pinned for f in angles for off in (0.0, 1e-13, -4e-13)]
+    codes = make_codes(datum, system, datum.delta, points, 3)
+    for row, slow in enumerate(_step_rows(datum, system, datum.delta, points, 3, False)):
+        entries, orbit, error = codes.steps(row)
+        assert ([e.index for e in entries], [repr(p.value) for p in [points[row], *orbit]]) == tuple(slow[:2])
+
+
+@functools.lru_cache(maxsize=None)
+def _zn_jitter():
+    system = zoo.make_zn_projective(ZN_DIAGONALS[2])
+    datum = build_expansion_datum(system, 1.4)
+    ps = make_perturbed(ActionView(system, zoo.perturb(system, zoo.MatrixJitter(1e-6, seed=7))), datum, 1)
+    return PerturbedSystem(ps.base, ps.datum, ps.view, {}, ps.epsilon)
+
+
+def _table_bits(entries, extra, failures) -> tuple:
+    return (
+        [(x, phi.value if isinstance(phi.value, tuple) else phi.value.hex(), n, bound.hex())
+         for x, phi, n, bound in entries],
+        {y: phi.value if isinstance(phi.value, tuple) else phi.value.hex() for y, phi in extra.items()},
+        failures,
+    )
+
+
+@pytest.mark.parametrize("tol, max_depth", [(1e-9, 200), (1e-12, 200), (0.0, 13), (1e-3, 5)])
+@pytest.mark.parametrize("key", PERTURBED_KEYS + [("zn", "matrix_jitter")])
+def test_conjugacy_map_equals_the_step_loop_point_by_point(key, tol, max_depth):
+    # a slice of the net, a repeated point, points near the net and points
+    # off the limit set, whose codes fail at different steps.  Schottky points
+    # stop past their first block of 12 at tol 1e-12, and at tol 0 every point
+    # runs out of depth past it; on P^2 (push_rows = 1) every step past the
+    # first continues on its own, and the points near the axes fail at step 2
+    ps = _zn_jitter() if key[0] == "zn" else _perturbed_systems()[key]
+    space = ps.base.space
+    net = list(ps.datum.net)
+    net = net[: len(net) // 4 or None] + net[:1]
+    if key[0] == "zn":
+        net += [space.point((1.0, 1e-3, 2e-3)), space.point((2e-3, 1e-3, 1.0))]
+    else:
+        net += [space.point(x.value + 1e-4) for x in net[:2]]
+    net += [space.random_point(random.Random(seed)) for seed in range(3)]
+    table = conjugacy_map(ps, net, tol, max_depth)
+    entries = [(e.x, e.phi, e.iterations, e.stop_diameter) for e in table.entries]
+    assert _table_bits(entries, table.extra, table.failures) == _table_bits(*conjugacy_map_steps(ps, net, tol, max_depth))
+    assert table.failures or max_depth < 200  # off-limit points fail at tol 1e-9
 
 
 @settings(max_examples=300, derandomize=True, deadline=None)

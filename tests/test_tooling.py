@@ -307,3 +307,34 @@ def test_the_schottky_datum_builds_no_point_of_its_probe_net(monkeypatch):
     datum = expansion.build_expansion_datum(system, 1.4)
     assert len(datum.net) == 108
     assert len(made) <= SCHOTTKY_DATUM_POINTS < 26244
+
+
+def test_the_schottky_conjugacy_takes_one_margin_matrix_per_code_depth(monkeypatch):
+    # every tabulated point's first block of code steps comes from one
+    # frontier, one margin matrix per depth; a point that ran past its block
+    # would take a frontier of its own, each block up to push_rows matrices
+    # more.  The default job's points all stop within the first block.
+    from expaction import expansion, geometry, stability
+
+    system = zoo.make_schottky()
+    datum = expansion.build_expansion_datum(system, 1.4)
+    view = expansion.ActionView(system, zoo.perturb(system, zoo.MatrixJitter(3e-6, seed=7)))
+    ps = stability.make_perturbed(view, datum, 1)
+    counts, margin_values, make_codes, point = Counter(), geometry.margin_values, coding.make_codes, stability.conjugacy_point
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            counts[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    for module in (geometry, coding):
+        monkeypatch.setattr(module, "margin_values", counted("margins", margin_values))
+    for module in (coding, stability):
+        monkeypatch.setattr(module, "make_codes", counted("blocks", make_codes))
+    monkeypatch.setattr(stability, "conjugacy_point", counted("points", point))
+    table = stability.conjugacy_map(ps)
+    assert not table.failures
+    assert counts["points"] == len(table.entries) + len(table.extra) == 403
+    assert counts["margins"] <= system.space.push_rows * counts["blocks"]
+    assert counts["blocks"] == 1
