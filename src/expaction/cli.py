@@ -156,10 +156,11 @@ def _product(component: dict, with_swap: bool) -> zoo.ActionSystem:
 # installed on the module (a tracer, a mock) sees the call.
 SYSTEMS = {  # kind -> (constructor taking the params in order, params)
     "cyclic_hyperbolic": (
-        lambda *p: zoo.make_cyclic_hyperbolic(*p), {"multiplier": Field(float, 2.0, 1.0)}
+        lambda *p: _constructed("multiplier", zoo.make_cyclic_hyperbolic, *p),
+        {"multiplier": Field(float, 2.0, 1.0)},
     ),
     "covered_cyclic": (
-        lambda *p: zoo.make_covered_cyclic(*p),
+        lambda *p: _constructed("multiplier", zoo.make_covered_cyclic, *p),
         {"multiplier": Field(float, 2.0, 1.0), "degree": Field(int, 3, 2)},
     ),
     "schottky": (_schottky, {"multiplier": Field(float, 3.0), "matrices": Field("matrices")}),
@@ -449,8 +450,12 @@ def cmd_coding_map(cfg: dict, out: Path) -> int:
     system = build_system(cfg["system"])
     coding.require_boundary(system)  # before any datum is built
     datum = expansion.build_expansion_datum(system, cfg["lambda_target"], cfg["net"]["depth"])
+    try:
+        boundary = coding.coding_map(system, datum, datum.net, cfg["prefix_depth"])
+    except coding.CodingError as err:  # its codes run prefix_depth + 8 steps deep
+        raise ConfigError("prefix_depth", f"codes {cfg['prefix_depth'] + 8} steps deep fail: {err}") from None
     rows, prefixes = [], {}
-    for x, bw in zip(datum.net, coding.coding_map(system, datum, datum.net, cfg["prefix_depth"])):
+    for x, bw in zip(datum.net, boundary):
         key = str(bw.prefix)
         prefixes.setdefault(key, []).append(x)
         rows.append({"point": repr(x.value), "prefix": key, "stabilized": bw.stabilized})

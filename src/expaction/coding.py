@@ -431,7 +431,8 @@ class Certificate(NamedTuple):
     point's tail-close matrix).  The candidates are 0..fellow_constant when
     that is known and at most n_max, else 0..n_max; None when no candidate
     chains every pair, which includes pairs whose tail windows, shrunk by N,
-    are empty at this depth.
+    are empty at this depth.  `fellow_ok` and `chain_ok` are both false when
+    a net point has no ray: a bound over no rays certifies nothing.
     """
 
     fellow_constant: Optional[int]
@@ -445,11 +446,11 @@ class Certificate(NamedTuple):
 
     @property
     def fellow_ok(self) -> bool:
-        return self.fellow_constant is not None and self.fellow_constant <= self.n_max
+        return all(self.rays_per_point) and self.fellow_constant is not None and self.fellow_constant <= self.n_max
 
     @property
     def chain_ok(self) -> bool:
-        return self.chain_constant is not None
+        return all(self.rays_per_point) and self.chain_constant is not None
 
 
 def shyp_certificate(

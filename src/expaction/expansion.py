@@ -115,8 +115,8 @@ class ActionView:
         self.maps = system.letter_maps if maps is None else maps
 
     def apply_word(self, g: Word, x: Point) -> Point:
-        if self.maps is self.system.letter_maps:  # the system's own rule (a product's by component)
-            return self.system.apply(g, x)
+        if g.alphabet != self.system.alphabet:
+            raise groups.AlphabetMismatchError("word over a different alphabet")
         return zoo.apply_letters(self.space, self.maps, groups.letters_of(g), x)
 
 

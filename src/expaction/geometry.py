@@ -33,6 +33,13 @@ def circle_dist(a: float, b: float) -> float:
     return min(d, TAU - d)
 
 
+def circle_dists(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """`circle_dist` of the angles of two arrays that broadcast together, by
+    its float operations: the one array form of the circle's metric."""
+    d = np.abs(a - b) % TAU
+    return np.minimum(d, TAU - d)
+
+
 def wrap_angle(theta: float) -> float:
     t = theta % TAU
     if t >= TAU:  # guards the t == TAU float edge case
@@ -245,9 +252,7 @@ class Circle(Space):
         return m.apply_angles(values)
 
     def distances(self, a: np.ndarray, b: np.ndarray, i: np.ndarray, j: np.ndarray) -> np.ndarray:
-        # circle_dist with the same float operations
-        d = np.abs(a[i] - b[j]) % TAU
-        return np.minimum(d, TAU - d)
+        return circle_dists(a[i], b[j])
 
     def push_balls(self, pushes: Sequence, centers: Sequence[Point], eta: float, k: int) -> list:
         # the ball nets as rows of angles, pushed at once by the pushes'
@@ -318,6 +323,29 @@ def _row_dots(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return (a[:, None, :] @ b[:, :, None])[:, 0, 0]
 
 
+def _axis_gram_schmidt(V: np.ndarray, passes: int) -> tuple:
+    """Gram-Schmidt of the coordinate axes against each unit row of V, every
+    axis projected `passes` times onto the complement of the row and of the
+    vectors kept before it; an axis is kept when its residual's norm exceeds
+    1e-9.  Per row, its kept vectors in axis order (a (rows, n+1, n+1)
+    array, zero past the last kept) and how many it kept."""
+    k, d = V.shape
+    basis = np.zeros((k, d, d))
+    kept = np.zeros(k, dtype=int)
+    for i, e in enumerate(np.eye(d)):
+        u = np.broadcast_to(e, V.shape)
+        for _ in range(passes):
+            u = u - _row_dots(u, V)[:, None] * V
+            for j in range(i):
+                b = basis[:, j]
+                u = np.where((kept > j)[:, None], u - _row_dots(u, b)[:, None] * b, u)
+        norm = np.sqrt(_row_dots(u, u))
+        take = np.flatnonzero(norm > 1e-9)
+        basis[take, kept[take]] = u[take] / norm[take, None]
+        kept[take] += 1
+    return basis, kept
+
+
 class ProjectiveSpace(Space):
     """P^n(R) with the angle metric between lines; geodesic, diameter pi/2."""
 
@@ -385,54 +413,23 @@ class ProjectiveSpace(Space):
         return sv[:, -1], sv[:, 0]
 
     @staticmethod
-    def tangent_basis(v: np.ndarray) -> list:
-        """Orthonormal basis of the tangent space at the unit vector v (its
-        orthogonal complement), by Gram-Schmidt over the coordinate axes."""
-        for passes in (1, 2):
-            basis = []
-            for e in np.eye(len(v)):
-                u = e
-                for _ in range(passes):
-                    u = u - (u @ v) * v
-                    for b in basis:
-                        u = u - (u @ b) * b
-                norm = np.linalg.norm(u)
-                if norm > 1e-9:
-                    basis.append(u / norm)
-            # near an axis one pass leaves rounding residuals that are far from
-            # orthogonal, or even a vector along v: project twice there
-            frame = np.array([v, *basis])
-            if len(basis) == len(v) - 1 and np.abs(frame @ frame.T - np.eye(len(v))).max() < 1e-9:
-                return basis
-        return basis
-
-    @staticmethod
     def tangent_frames(V: np.ndarray) -> np.ndarray:
-        """`tangent_basis` of each unit row of V, as the columns of a stacked
-        (rows, n+1, n) array.  The first pass runs on all rows at once, each
-        row keeping the axes the loop keeps; a row whose pass fails the
-        orthonormality check takes the loop itself."""
-        k, d = V.shape
-        eye = np.eye(d)
-        basis = np.zeros((k, d, d))  # per row, its kept vectors in axis order
-        kept = np.zeros(k, dtype=int)
-        for i, e in enumerate(eye):
-            u = e - _row_dots(np.broadcast_to(e, V.shape), V)[:, None] * V
-            for j in range(i):
-                b = basis[:, j]
-                u = np.where((kept > j)[:, None], u - _row_dots(u, b)[:, None] * b, u)
-            norm = np.sqrt(_row_dots(u, u))
-            take = np.flatnonzero(norm > 1e-9)
-            basis[take, kept[take]] = u[take] / norm[take, None]
-            kept[take] += 1
+        """An orthonormal basis of the tangent space at each unit row of V
+        (its orthogonal complement), by Gram-Schmidt over the coordinate
+        axes, as the columns of a stacked (rows, n+1, n) array.  Near an axis
+        one pass leaves rounding residuals that are far from orthogonal, or
+        even keeps a vector along the row: a row whose one-pass frame fails
+        the orthonormality check is projected twice instead."""
+        d = V.shape[1]
+        basis, kept = _axis_gram_schmidt(V, 1)
         frame = np.concatenate([V[:, None, :], basis[:, : d - 1]], axis=1)
         good = (kept == d - 1) & (
-            np.abs(frame @ frame.transpose(0, 2, 1) - eye).max(axis=(1, 2)) < 1e-9
+            np.abs(frame @ frame.transpose(0, 2, 1) - np.eye(d)).max(axis=(1, 2)) < 1e-9
         )
-        frames = np.ascontiguousarray(basis[:, : d - 1].transpose(0, 2, 1))
-        for i in np.flatnonzero(~good):
-            frames[i] = np.column_stack(ProjectiveSpace.tangent_basis(V[i]))
-        return frames
+        retry = np.flatnonzero(~good)
+        if retry.size:
+            basis[retry] = _axis_gram_schmidt(V[retry], 2)[0]
+        return np.ascontiguousarray(basis[:, : d - 1].transpose(0, 2, 1))
 
     @staticmethod
     def unit_rows(X: np.ndarray) -> np.ndarray:
@@ -452,7 +449,7 @@ class ProjectiveSpace(Space):
         """The k unit tangent vectors at the unit vector v at equal angles in
         the plane of its first two tangent directions; on P^1, whose one
         tangent direction spans no plane, that direction and its negative."""
-        basis = self.tangent_basis(v)
+        basis = self.tangent_frames(v[None])[0].T
         if len(basis) == 1:
             return np.array([basis[0], -basis[0]])
         return np.array([
@@ -481,9 +478,9 @@ class ProjectiveSpace(Space):
 
     def neighborhood(self, net: Sequence[Point], delta: float) -> list:
         pts = list(net)
-        for x in net:
-            v = np.asarray(x.value)
-            for w in self.tangent_basis(v):
+        V = np.array(self.values(net), dtype=float).reshape(len(pts), self.n + 1)
+        for v, frame in zip(V, self.tangent_frames(V)):
+            for w in frame.T:
                 for f in (-1.0, -0.5, 0.5, 1.0):
                     r = f * delta
                     pts.append(self.point(tuple(math.cos(r) * v + math.sin(r) * w)))
@@ -681,11 +678,10 @@ class ArcRegion(Region):
 
     @classmethod
     def margins(cls, regions, values) -> np.ndarray:
-        # the half-width less the arc-length distance to the center, by
-        # circle_dist's float operations, broadcast over angles and arcs
+        # the half-width less the arc-length distance to the center,
+        # broadcast over angles and arcs
         center, half_width, offset = np.array([(reg.center, reg.half_width, reg.offset) for reg in regions]).T
-        d = np.abs(np.asarray(values, dtype=float)[:, None] - center) % TAU
-        return (half_width - np.minimum(d, TAU - d)) - offset
+        return (half_width - circle_dists(np.asarray(values, dtype=float)[:, None], center)) - offset
 
     @property
     def peak(self) -> float:

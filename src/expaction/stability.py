@@ -54,7 +54,11 @@ def perturbation_epsilon(datum: ExpansionDatum, n_const: int) -> float:
 
 
 def net_pairs(space, net: Sequence[Point], max_pairs: int = 10000) -> NetPairs:
-    """The net's every stride-th pair (`strided_pairs`), about max_pairs of them."""
+    """The net's every stride-th pair (`strided_pairs`) that lies apart
+    (`pairs_apart`), the stride being total // max_pairs of the net's total
+    pairs: ceil(total / stride) pairs are taken, all of them when there are
+    fewer than max_pairs, else at least max_pairs and up to nearly twice as
+    many."""
     n = len(net)
     if n < 2:
         raise ValueError("lipschitz_distance needs at least two net points")

@@ -27,6 +27,7 @@ from .geometry import (
     Space,
     Value,
     circle_dist,
+    circle_dists,
     letter_inverse,
     wrap_angle,
     wrap_angles,
@@ -103,10 +104,7 @@ class MoebiusMap(Value):
         return _read_only(self.matrix)
 
     def apply_angle(self, theta: float) -> float:
-        u, v = math.sin(theta / 2.0), math.cos(theta / 2.0)
-        (a, b), (c, d) = self.matrix
-        u2, v2 = a * u + b * v, c * u + d * v
-        return wrap_angle(2.0 * math.atan2(u2, v2))
+        return self.apply_matrix_angle(self.matrix, theta)
 
     def apply_angles(self, thetas: np.ndarray) -> np.ndarray:
         (a, b), (c, d) = self.matrix
@@ -308,7 +306,7 @@ class BumpDiffeo(Value):
 
     __slots__ = _fields = ("center", "width", "height")
 
-    MAX_SLOPE = 1.2910  # sup |bump'| of exp(1 - 1/(1-t^2))
+    MAX_SLOPE = 2.1704  # sup |bump'| of exp(1 - 1/(1-t^2)), 2.17035708... at |t| = 0.7598, rounded up
 
     def __init__(self, center: float, width: float, height: float):
         if not all(map(math.isfinite, (center, width, height))):
@@ -497,9 +495,7 @@ def snap_angles(map_obj, thetas_in: np.ndarray, thetas_out: np.ndarray) -> np.nd
     at most the derivative times SNAP_TOL, far below the code tolerance.
     """
     pinned = np.array(map_obj.pinned_angles)
-    # circle_dist of every input and pinned angle, by its float operations
-    d = np.abs(thetas_in[:, None] - pinned) % TAU
-    near = np.minimum(d, TAU - d) < SNAP_TOL
+    near = circle_dists(thetas_in[:, None], pinned) < SNAP_TOL
     if not np.count_nonzero(near):  # faster than `any` on the few rows of a step
         return thetas_out
     return np.where(near.any(axis=1), pinned[near.argmax(axis=1)], thetas_out)
@@ -557,27 +553,12 @@ class ActionSystem:
 
 
 class ProductSystem(ActionSystem):
-    """Two systems acting on the two copies of a disjoint union."""
+    """Two systems acting on the two copies of a disjoint union; a word acts
+    by its letters, as on every other system."""
 
     def __init__(self, *args, components: tuple = (), **kwargs):
         super().__init__(*args, **kwargs)
         self.components = components
-
-    def apply(self, g: Word, x: Point) -> Point:
-        """(w1, w2, b) applies the component word of the copy the point ends
-        on, after the swap when b is set."""
-        if g.alphabet != self.alphabet:
-            raise groups.AlphabetMismatchError("word over a different alphabet")
-        w1, w2, bit = g.data
-        idx, val = x.value
-        if bit:
-            idx = 1 - idx
-        comp_sys = self.components[idx]
-        inner = comp_sys.apply((w1, w2)[idx], Point(comp_sys.space, val))
-        return self.space.point((idx, inner.value))
-
-    def apply_values(self, g: Word, values) -> list:
-        return [self.apply(g, Point(self.space, v)).value for v in values]
 
 
 def validate_inverses(system: ActionSystem, samples: Sequence[Point], tol: float = 1e-9) -> float:
@@ -638,15 +619,16 @@ def make_covered_cyclic(multiplier: float, k: int) -> ActionSystem:
         raise ConstructionError("multiplier must exceed 1")
     if k < 2:
         raise ConstructionError("covering degree must be >= 2")
+    if not math.isfinite(multiplier * multiplier):
+        raise ConstructionError("multiplier squared must be finite")
     m2 = multiplier**2
     space = CoveredCircle(degree=k)
     alphabet = Alphabet.cyclic("g")
     lifted = LiftedCircleMap(m2, k)
     maps = {(0, 1): lifted, (0, -1): lifted.inverse()}
-    fixed = [wrap_angle((base_angle + TAU * j) / k) for base_angle in (0.0, math.pi) for j in range(k)]
 
     def net_fn(depth: int) -> np.ndarray:
-        return np.array(fixed)
+        return np.array(lifted.pinned_angles)
 
     return _construction_check(ActionSystem(
         name=f"covered_cyclic(k={k})",

@@ -19,7 +19,10 @@ so is the loop that found the circle cover's arcs one grid angle at a time.
 The code steps one point and one step at a time (`code_step`,
 `greedy_step`) are the reference for the frontier of `coding.make_codes`,
 and the conjugacy map one point at a time (`conjugacy_map_steps`) for the
-one that takes every point's first block of steps together."""
+one that takes every point's first block of steps together.  The tangent
+basis one vector at a time (`tangent_basis`) is the reference for the
+projective tangent frames, and the component rule of a product word
+(`product_apply`) for the word acting by its letters."""
 import math
 from collections import namedtuple
 from dataclasses import dataclass
@@ -273,7 +276,7 @@ def expansion_factor_fd(system, g: Word, x, h: float = 1e-6) -> float:
         return num / (2.0 * h)
     if isinstance(space, ProjectiveSpace):
         v = np.asarray(x.value)
-        basis = ProjectiveSpace.tangent_basis(v)[:2]
+        basis = tangent_basis(v)[:2]
         best = math.inf
         for k in range(16):
             ang = 2 * math.pi * k / 16
@@ -707,3 +710,44 @@ def circular_runs_loop(mask) -> list:
     if start is not None:
         runs.append(((start + off) % n, n - start))
     return runs
+
+
+# ---------------------------------------------------------------------------
+# evaluation one vector and one component at a time
+
+
+def tangent_basis(v: np.ndarray) -> list:
+    """Orthonormal basis of the tangent space at the unit vector v (its
+    orthogonal complement), by Gram-Schmidt over the coordinate axes, one
+    vector at a time; near an axis, where one pass is not orthonormal, every
+    axis is projected twice.  The reference for
+    `ProjectiveSpace.tangent_frames`."""
+    for passes in (1, 2):
+        basis = []
+        for e in np.eye(len(v)):
+            u = e
+            for _ in range(passes):
+                u = u - (u @ v) * v
+                for b in basis:
+                    u = u - (u @ b) * b
+            norm = np.linalg.norm(u)
+            if norm > 1e-9:
+                basis.append(u / norm)
+        frame = np.array([v, *basis])
+        if len(basis) == len(v) - 1 and np.abs(frame @ frame.T - np.eye(len(v))).max() < 1e-9:
+            return basis
+    return basis
+
+
+def product_apply(system, g: Word, x: Point) -> Point:
+    """The component rule of a product word: (w1, w2, b) applies the
+    component word of the copy the point ends on, through that component
+    system, after the swap when b is set.  The reference for a product word
+    acting by its letters."""
+    w1, w2, bit = g.data
+    idx, val = x.value
+    if bit:
+        idx = 1 - idx
+    component = system.components[idx]
+    inner = component.apply((w1, w2)[idx], Point(component.space, val))
+    return system.space.point((idx, inner.value))

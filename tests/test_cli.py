@@ -327,6 +327,22 @@ BAD_FIELDS = [
     ("bump-too-steep", _perturbed("bump_compose", width=0.1, height=0.2),
      "error: config field 'perturbation.height': bump too steep: composed map not injective\n",
      "stability"),
+    # height/width 0.6 is below the slope bound 1/1.2910 once used, but the
+    # bump's true steepness 2.1704 makes the map fold back
+    ("bump-too-steep-for-the-true-slope", _perturbed("bump_compose", width=1.0, height=0.6),
+     "error: config field 'perturbation.height': bump too steep: composed map not injective\n",
+     "stability"),
+    # a multiplier the constructors cannot use names its field
+    ("cyclic-multiplier-huge", _system("cyclic_hyperbolic", multiplier=1e200),
+     "error: config field 'system.params.multiplier': inverse consistency violated", "certify-shyp"),
+    ("covered-multiplier-square-overflows", _system("covered_cyclic", multiplier=1e200),
+     "error: config field 'system.params.multiplier': multiplier squared must be finite\n",
+     "certify-shyp"),
+    # the coding map's codes, prefix_depth + 8 steps deep, run past the
+    # free boundary's 40 letters
+    ("prefix_depth-past-the-boundary", {**_system("free_boundary"), "prefix_depth": 33},
+     "error: config field 'prefix_depth': codes 41 steps deep fail: no cover member admits",
+     "coding-map"),
     # the perturbation is checked on every command, not only by stability
     ("perturbation-on-certify-shyp", {"perturbation": {"magnitude": "big"}},
      "'perturbation.magnitude'", "certify-shyp"),

@@ -413,6 +413,19 @@ def test_certificate_records_truncation(fb_system, fb_datum):
     assert all(n <= 2 for n in cert.rays_per_point)
 
 
+def test_a_certificate_over_no_rays_does_not_pass(fb_system, fb_datum):
+    # codes 45 steps deep run past the boundary's 40 letters: no point keeps
+    # a ray, and the constants of no pairs read 0
+    cert = shyp_certificate(fb_system, fb_datum, net=fb_system.limit_net(1), depth=45, cap=50, n_max=8)
+    assert cert.rays_per_point == (0, 0, 0, 0)
+    assert (cert.fellow_constant, cert.chain_constant) == (0, 0)
+    assert not cert.fellow_ok and not cert.chain_ok
+    one_short = cert._replace(rays_per_point=(4, 4, 0, 4))
+    assert not one_short.fellow_ok and not one_short.chain_ok
+    every = cert._replace(rays_per_point=(4, 4, 4, 4))
+    assert every.fellow_ok and every.chain_ok
+
+
 def test_certificate_product_stays_bounded(product_system, product_datum, fb_system, fb_datum):
     comp = shyp_certificate(
         fb_system, fb_datum, net=fb_system.limit_net(2), depth=8, cap=40, n_max=8

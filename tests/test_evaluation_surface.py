@@ -8,6 +8,7 @@ import math
 
 import numpy as np
 from hypothesis import given, settings, strategies as st
+from oracles import product_apply, tangent_basis
 
 from expaction import groups, zoo
 from expaction.expansion import ActionView
@@ -191,7 +192,8 @@ def test_tangent_basis_equals_the_loop_and_is_orthonormal(coords, axis):
     if not any(coords):
         coords[0] = 1.0
     v = np.asarray(ProjectiveSpace(n=len(coords) - 1).point(coords).value)
-    basis = ProjectiveSpace.tangent_basis(v)
+    basis = list(ProjectiveSpace.tangent_frames(v[None])[0].T)
+    assert [b.tobytes() for b in basis] == [b.tobytes() for b in tangent_basis(v)]
     assert len(basis) == len(v) - 1
     assert _frame_error(v, basis) < 1e-9
     old = _old_tangent_basis(v)
@@ -205,7 +207,7 @@ def test_tangent_basis_near_an_axis_is_orthonormal():
     # them along v
     v = np.asarray(ProjectiveSpace(n=1).point((4.0, 1e-6)).value)
     assert max(abs(b @ v) for b in _old_tangent_basis(v)) > 0.5
-    (b,) = ProjectiveSpace.tangent_basis(v)
+    (b,) = ProjectiveSpace.tangent_frames(v[None])[0].T
     assert abs(b @ v) < 1e-15
 
 
@@ -293,3 +295,39 @@ def test_the_empty_word_push_is_the_identity_bit_for_bit():
     push = zoo.WordPush(SCHOTTKY.space, SCHOTTKY.letter_maps)
     for x in _points(SCHOTTKY.space, 5, 1000):
         assert push(x).value.hex() == x.value.hex()
+
+
+# ---------------------------------------------------------------------------
+# product words, which act by their letters
+
+
+PRODUCTS = {
+    "free-swap": zoo.make_product(PUSH_SYSTEMS["free"], PUSH_SYSTEMS["free"], with_swap=True),
+    "free-schottky": zoo.make_product(PUSH_SYSTEMS["free"], SCHOTTKY),
+    "schottky-swap": zoo.make_product(SCHOTTKY, SCHOTTKY, with_swap=True),
+    "covered-zn": zoo.make_product(PUSH_SYSTEMS["covered"], PUSH_SYSTEMS["zn"]),
+    "zn-swap": zoo.make_product(PUSH_SYSTEMS["zn"], PUSH_SYSTEMS["zn"], with_swap=True),
+}
+
+
+def _product_word(system, letters):
+    g = system.alphabet.identity()
+    for i, s in letters:
+        g = groups.multiply(g, system.alphabet.generator(i, s))
+    return g
+
+
+@settings(max_examples=300, derandomize=True, deadline=None)
+@given(name=st.sampled_from(sorted(PRODUCTS)), data=st.data())
+def test_a_product_word_acts_by_its_letters_as_by_its_components(name, data):
+    # one letter: the same map on the same value, bit for bit; on free
+    # components any word, whose letters act exactly
+    system = PRODUCTS[name]
+    picks = st.sampled_from(system.alphabet.signed_letters())
+    free = name == "free-swap"
+    g = _product_word(system, data.draw(st.lists(picks, min_size=1, max_size=12 if free else 1)))
+    x = system.space.random_point(np.random.default_rng(data.draw(st.integers(0, 2**32 - 1))))
+    by_letters, by_components = system.apply(g, x), product_apply(system, g, x)
+    assert repr(by_letters.value) == repr(by_components.value)
+    assert repr(ActionView(system).apply_word(g, x).value) == repr(by_letters.value)
+    assert system.apply_values(g, [x.value]) == [by_letters.value]

@@ -182,3 +182,13 @@ def test_perturbed_view_verifies(schottky_system, schottky_datum):
     rep = verify_expansion(ActionView(schottky_system, pm), schottky_datum, tol=1e-5)
     # tiny perturbations still satisfy the datum inequalities at loose slack
     assert rep.passed
+
+
+def test_a_view_refuses_a_word_over_another_alphabet(schottky_system):
+    # the cyclic generator's one letter is also a Schottky letter: only the
+    # alphabet tells the two apart, with the system's own maps or perturbed ones
+    g = zoo.make_cyclic_hyperbolic(2.0).alphabet.generator(0, 1)
+    x = schottky_system.space.point(1.0)
+    for maps in (None, zoo.perturb(schottky_system, zoo.MatrixJitter(1e-6, seed=2))):
+        with pytest.raises(groups.AlphabetMismatchError):
+            ActionView(schottky_system, maps).apply_word(g, x)

@@ -25,9 +25,10 @@ from oracles import (
     scalar_margin,
     schottky_net_values,
     snap_angle,
+    tangent_basis,
 )
 
-from expaction import coding, groups, zoo
+from expaction import coding, geometry, groups, zoo
 from expaction.coding import CodingError, make_codes
 from expaction.expansion import (
     LIP_SAFETY,
@@ -471,7 +472,7 @@ def _old_stretches(A, v):
     Av = A @ v
     n = np.linalg.norm(Av)
     w = Av / n
-    W = np.column_stack(ProjectiveSpace.tangent_basis(v))
+    W = np.column_stack(tangent_basis(v))
     M = (np.eye(len(v)) - np.outer(w, w)) @ A @ W / n
     sv = np.linalg.svd(M, compute_uv=False)
     return float(sv[-1]), float(sv[0])
@@ -479,7 +480,7 @@ def _old_stretches(A, v):
 
 def _old_rings(space, center, radii, k):
     v = np.asarray(center.value)
-    basis = ProjectiveSpace.tangent_basis(v)
+    basis = tangent_basis(v)
     if len(basis) == 1:
         directions = [basis[0], -basis[0]]
     else:
@@ -537,22 +538,36 @@ def test_stretch_rows_equal_the_one_line_routine(data, d, source):
 
 
 def test_stretch_rows_hand_near_axis_rows_to_the_loop(monkeypatch):
-    # (4, 1e-6) is where one pass of the loop loses orthogonality
+    # (4, 1e-6) is where one pass of the loop loses orthogonality: only that
+    # row is projected a second time
     calls = []
-    loop = ProjectiveSpace.tangent_basis
+    once = geometry._axis_gram_schmidt
     monkeypatch.setattr(
-        ProjectiveSpace, "tangent_basis", staticmethod(lambda v: calls.append(v) or loop(v))
+        geometry, "_axis_gram_schmidt", lambda V, passes: calls.append((V, passes)) or once(V, passes)
     )
     A = np.diag([3.0, 1.0])
     V = np.array([[4.0, 1e-6], [1.0, 2.0], [1.0, 0.0]])
     lo, hi = ProjectiveSpace.stretch_rows(A, V)
-    assert len(calls) == 1 and calls[0][1] > 0  # only the near-axis row
+    assert [(len(rows), passes) for rows, passes in calls] == [(3, 1), (1, 2)]
+    assert calls[1][0][0, 1] > 0  # the near-axis row
     monkeypatch.undo()
     assert [(lo[i], hi[i]) for i in range(3)] == [_old_stretches(A, v) for v in V]
 
 
 def _bits(rows):
     return np.asarray(rows, dtype=float).tobytes()
+
+
+@settings(max_examples=300, derandomize=True, deadline=None)
+@given(data=st.data(), d=st.sampled_from([2, 3, 4, 5]))
+def test_tangent_frames_equal_the_two_pass_loop_bit_for_bit(data, d):
+    # generic rows, exact axes and rows near an axis, where the loop projects twice
+    V = data.draw(_lines(d))
+    V = V / np.sqrt((V * V).sum(axis=1))[:, None]
+    frames = ProjectiveSpace.tangent_frames(V)
+    assert frames.shape == (len(V), d, d - 1)
+    for v, frame in zip(V, frames):
+        assert _bits(frame.T) == _bits(tangent_basis(v))
 
 
 @settings(max_examples=200, derandomize=True, deadline=None)

@@ -205,6 +205,32 @@ def test_action_types_are_never_tested_and_coding_reads_only_the_base_system():
     assert not _names_used(trees["coding.py"])["ActionView"]
 
 
+def test_one_copy_of_each_evaluation_kernel():
+    # every system's word acts by its letters (a product's too), the
+    # projective tangent frames are the one Gram-Schmidt, and the array
+    # circle distance, `np.abs(a - b) % TAU`, is written only in `circle_dists`
+    from expaction import geometry
+
+    systems, todo = [], [zoo.ActionSystem]
+    while todo:
+        systems.append(todo.pop())
+        todo.extend(systems[-1].__subclasses__())
+    own = [f"{cls.__name__}.{name}" for cls in systems[1:] for name in ("apply", "apply_values") if name in vars(cls)]
+    assert not own, f"a second rule for words: {own}"
+    assert not hasattr(geometry.ProjectiveSpace, "tangent_basis")
+    writers = [
+        f"{path.name}:{fn.name}"
+        for path in sorted(PACKAGE.glob("*.py"))
+        for fn in ast.walk(ast.parse(path.read_text()))
+        if isinstance(fn, ast.FunctionDef)
+        for node in ast.walk(fn)
+        if isinstance(node, ast.BinOp) and isinstance(node.op, ast.Mod)
+        and getattr(node.right, "id", None) == "TAU"
+        and isinstance(node.left, ast.Call) and getattr(node.left.func, "attr", None) == "abs"
+    ]
+    assert writers == ["geometry.py:circle_dists"], writers
+
+
 def test_every_named_tuple_field_under_src_is_read_in_src():
     nodes = [node for path in PACKAGE.glob("*.py") for node in ast.walk(ast.parse(path.read_text()))]
     read = {n.attr for n in nodes if isinstance(n, ast.Attribute) and isinstance(n.ctx, ast.Load)}

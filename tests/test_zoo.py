@@ -472,6 +472,22 @@ def test_bump_rejects_non_injective():
         BumpDiffeo(center=0.0, width=0.1, height=0.2)
 
 
+def test_bump_max_slope_bounds_the_bump_derivative():
+    # sup |bump'| is 2.17035708... at |t| = 0.7598; a bound below it let
+    # non-injective bumps through
+    bump = BumpDiffeo(0.0, 1.0, 0.0)
+    grid = np.linspace(-1.0, 1.0, 200001)
+    slopes = [abs(bump._bump_deriv(t)) for t in grid.tolist()]
+    assert max(slopes) <= BumpDiffeo.MAX_SLOPE < max(slopes) + 1e-4
+
+
+def test_bump_of_slope_between_the_old_and_the_true_bound_is_refused():
+    # height/width 0.6 passed the old bound 1.2910, though the map's least
+    # derivative is about -0.302: invert_angle(apply_angle(0.76)) gave 0.907
+    with pytest.raises(ConstructionError, match="too steep"):
+        BumpDiffeo(0.0, 1.0, 0.6)
+
+
 @pytest.mark.parametrize(
     "center, width, height",
     [
