@@ -364,16 +364,21 @@ def cmd_verify_expansion(cfg: dict, out: Path) -> int:
     return 0 if report_obj.passed else 1
 
 
+def _codes_depth(cfg: dict, system: zoo.ActionSystem) -> int:
+    """`codes.depth`, refused past the deepest code the space's points carry."""
+    deepest = Field(int, None, 1, high=system.space.max_code_depth)
+    return _check(deepest, cfg["codes"]["depth"], "codes.depth", cfg)
+
+
 def cmd_codes(cfg: dict, out: Path) -> int:
     system = build_system(cfg["system"])
+    depth = _codes_depth(cfg, system)
     datum = expansion.build_expansion_datum(system, cfg["lambda_target"], cfg["net"]["depth"])
     rows = []
     sample = list(datum.net)[: min(len(datum.net), 8)]
     truncated_any = False
     for x in sample:
-        codes, truncated = coding.enumerate_codes(
-            datum, system, datum.delta, x, cfg["codes"]["depth"], cfg["codes"]["cap"]
-        )
+        codes, truncated = coding.enumerate_codes(datum, system, datum.delta, x, depth, cfg["codes"]["cap"])
         truncated_any = truncated_any or truncated
         for k, c in enumerate(codes):
             ray = coding.code_ray(datum, c)
@@ -399,7 +404,7 @@ def cmd_codes(cfg: dict, out: Path) -> int:
     write_csv(out / "codes.csv", rows)
     if system.space.angular and sample:
         x = sample[0]
-        code = coding.make_code(datum, system, datum.delta, x, cfg["codes"]["depth"])
+        code = coding.make_code(datum, system, datum.delta, x, depth)
         diameters = coding.nested_images(system, datum, code, datum.delta)
         arcs = [(x.value, diam / 2.0, f"step {i}") for i, diam in enumerate(diameters[:6])]
         write_circle_svg(out / "nested.svg", arcs, [x.value for x in datum.net])
@@ -410,11 +415,12 @@ def cmd_codes(cfg: dict, out: Path) -> int:
 
 def cmd_certify_shyp(cfg: dict, out: Path) -> int:
     system = build_system(cfg["system"])
+    depth = _codes_depth(cfg, system)
     datum = expansion.build_expansion_datum(system, cfg["lambda_target"], cfg["net"]["depth"])
     cert = coding.shyp_certificate(
         system,
         datum,
-        depth=cfg["codes"]["depth"],
+        depth=depth,
         cap=cfg["codes"]["cap"],
         n_max=cfg["n_max"],
         max_chain=cfg["max_chain"],
@@ -511,7 +517,7 @@ def cmd_stability(cfg: dict, out: Path) -> int:
         and disp.below_eps
         and disp.below_delta_fifth
         and injective
-        and residual < 1e-6
+        and residual < stability.EQUIVARIANCE_TOL
         and verify_p.passed
     )
     report = {

@@ -9,7 +9,7 @@ the delta-neighborhood of the limit set.
 from __future__ import annotations
 
 import math
-from functools import cached_property
+from functools import cache, cached_property
 from typing import Mapping, NamedTuple
 
 import numpy as np
@@ -92,11 +92,7 @@ class ExpansionDatum(Value):
         return [e for e in self.entries if not e.region.is_empty()]
 
     def symbols(self) -> list:
-        out = []
-        for e in self.entries:
-            if e.symbol not in out:
-                out.append(e.symbol)
-        return out
+        return list(dict.fromkeys(e.symbol for e in self.entries))
 
 
 # ---------------------------------------------------------------------------
@@ -157,6 +153,14 @@ def _fail_uncoverable(system, net, lam_target, witness, reason):
     raise UncoverableError(witness, reason)
 
 
+def _numbered(labeled: list) -> list:
+    """The cover entries of (label, region) pairs, each indexed by its place
+    and its region's label."""
+    return [
+        CoverEntry(f"{pos:02d}:{region.label}", label, region) for pos, (label, region) in enumerate(labeled)
+    ]
+
+
 def _circular_runs(mask: np.ndarray) -> list:
     """Maximal runs of True in circular order, as (start, length) pairs."""
     n = len(mask)
@@ -189,8 +193,7 @@ def _build_circle(system, lam_target, net_depth):
     angles = space.values(net)
     step = TAU / GRID_SIZE
     thetas = np.arange(GRID_SIZE) * step
-    entries = []
-    pos = 0
+    labeled = []
     for i in range(system.alphabet.rank):
         for s in (1, -1):
             label = system.alphabet.generator(i, s)
@@ -206,9 +209,8 @@ def _build_circle(system, lam_target, net_depth):
             # an arc is kept when some net point lies inside it
             hit = (margin_values(arcs, angles) > 0).any(axis=0).tolist()
             kept = [arc for arc, keep in zip(arcs, hit) if keep]
-            for region in kept or [EmptyRegion(label=str(label), space=space)]:
-                entries.append(CoverEntry(f"{pos:02d}:{label}", label, region))
-                pos += 1
+            labeled.extend((label, region) for region in kept or [EmptyRegion(label=str(label), space=space)])
+    entries = _numbered(labeled)
     # probe a deeper net than the working one: the working net under-samples
     # fractal limit sets whose extreme points pin the true Lebesgue number;
     # its angles go to the margin matrices without becoming points
@@ -225,16 +227,14 @@ def _build_cylinders(system, lam_target, net_depth):
     a = space.a
     if lam_target > a:
         _fail_uncoverable(system, net, lam_target, net[0], f"cylinders expand by a = {a:.6g} only")
-    entries = []
-    chars = space.letters + space.letters.upper()
-    for pos, ch in enumerate(chars):
+    labeled = []
+    for ch in space.letters + space.letters.upper():
         idx = space.letters.index(ch.lower())
         sign = 1 if ch.islower() else -1
         label = system.alphabet.generator(idx, sign)
-        region = CylinderRegion(label=str(label), space=space, prefix=ch)
-        entries.append(CoverEntry(f"{pos:02d}:{label}", label, region))
-    regions = [e.region for e in entries]
-    leb, _ = lebesgue_number(regions, net)
+        labeled.append((label, CylinderRegion(label=str(label), space=space, prefix=ch)))
+    entries = _numbered(labeled)
+    leb, _ = lebesgue_number([e.region for e in entries], net)
     # distances are quantized by powers of a, so ball images match ball
     # targets only one scale down: the usable delta gains a factor 1/lam
     delta = SAFETY * leb / a
@@ -253,7 +253,7 @@ def _build_projective(system, lam_target, net_depth):
     )
     r_cap = 0.45 * min_sep
 
-    def ball_for(expanding_letter, center: Point, label: Word, pos: int):
+    def ball_for(expanding_letter, center: Point, label: Word) -> tuple:
         m = system.letter_maps[expanding_letter]
         v = np.asarray(center.value)
         directions = space.ring_directions(v, 24)
@@ -280,23 +280,14 @@ def _build_projective(system, lam_target, net_depth):
                 else:
                     hi = mid
         radius = 0.98 * lo
-        region = BallRegion(label=str(label), space=space, center=center, radius=radius)
-        return CoverEntry(f"{pos:02d}:{label}", label, region)
+        return label, BallRegion(label=str(label), space=space, center=center, radius=radius)
 
-    entries = []
-    pos = 0
+    generator = system.alphabet.generator
     # e_0 is expanded by g_1^-1, so its ball is labeled g_1
-    entries.append(ball_for((0, -1), e[0], system.alphabet.generator(0, 1), pos))
-    pos += 1
-    for j in range(n):
-        entries.append(ball_for((j, 1), e[j + 1], system.alphabet.generator(j, -1), pos))
-        pos += 1
-    for j in range(1, n):
-        label = system.alphabet.generator(j, 1)
-        entries.append(
-            CoverEntry(f"{pos:02d}:{label}", label, EmptyRegion(label=str(label), space=space))
-        )
-        pos += 1
+    labeled = [ball_for((0, -1), e[0], generator(0, 1))]
+    labeled += [ball_for((j, 1), e[j + 1], generator(j, -1)) for j in range(n)]
+    labeled += [(generator(j, 1), EmptyRegion(label=str(generator(j, 1)), space=space)) for j in range(1, n)]
+    entries = _numbered(labeled)
     leb, witness = lebesgue_number([e.region for e in entries], net)
     return _certified_datum(system, entries, lam_target, net, leb, witness)
 
@@ -308,25 +299,15 @@ def _build_product(system, lam_target, net_depth):
     space = system.space
     alphabet = system.alphabet
     id1, id2 = first.alphabet.identity(), second.alphabet.identity()
-    entries = []
-    pos = 0
-    for comp, datum, ident_other in ((0, d1, id2), (1, d2, id1)):
+    labeled = []
+    for comp, datum in enumerate((d1, d2)):
         for entry in datum.entries:
-            inner_label = entry.symbol
-            if comp == 0:
-                label = groups.Word(alphabet, (inner_label, id2, 0))
-            else:
-                label = groups.Word(alphabet, (id1, inner_label, 0))
-            region = ComponentRegion(
-                label=str(label), space=space, component=comp, inner=entry.region
-            )
-            entries.append(CoverEntry(f"{pos:02d}:{label}", label, region))
-            pos += 1
+            label = groups.Word(alphabet, (entry.symbol, id2, 0) if comp == 0 else (id1, entry.symbol, 0))
+            region = ComponentRegion(label=str(label), space=space, component=comp, inner=entry.region)
+            labeled.append((label, region))
     if alphabet.has_swap:
-        label = alphabet.generator(alphabet.rank - 1, 1)
-        entries.append(
-            CoverEntry(f"{pos:02d}:swap", label, EmptyRegion(label="swap", space=space))
-        )
+        labeled.append((alphabet.generator(alphabet.rank - 1, 1), EmptyRegion(label="swap", space=space)))
+    entries = _numbered(labeled)
     net = system.limit_net(net_depth)
     delta = min(d1.delta, d2.delta, SAFETY * space.separation)
     return ExpansionDatum(
@@ -368,17 +349,8 @@ class VerificationReport(NamedTuple):
         return all(c.passed for c in self.checks)
 
     def rows(self) -> list:
-        return [
-            {
-                "check": c.name,
-                "passed": c.passed,
-                "worst_slack": c.worst_slack,
-                "samples": c.samples,
-                "witness": c.witness,
-                "note": c.note,
-            }
-            for c in self.checks
-        ]
+        # the fields in order, the name under the column "check"
+        return [dict(zip(("check", *CheckResult._fields[1:]), c)) for c in self.checks]
 
     def summary(self) -> str:
         lines = []
@@ -430,126 +402,98 @@ def pairs_apart(space, points: list, i: np.ndarray, j: np.ndarray) -> NetPairs:
     return NetPairs(values, i[apart], j[apart], d0[apart])
 
 
-def _first_below(slack: np.ndarray, worst: float):
-    """The place of the first least slack below `worst`, or None; a NaN
-    slack (maps that are not finite) is never below."""
-    below = np.flatnonzero(slack < worst)
-    return int(below[slack[below].argmin()]) if below.size else None
+def _least_slack(name: str, blocks, tol: float, samples: int | None = None) -> CheckResult:
+    """The check over blocks of (slack array, witness of a place in it): the
+    first least slack in block order, where a NaN (maps that are not finite)
+    is never least, fails below -tol with its witness.  A check over no
+    slack reports 0.0 and passes; `samples` defaults to the slacks scanned."""
+    worst, witness, scanned = math.inf, "", 0
+    for slack, witness_at in blocks:
+        scanned += len(slack)
+        below = np.flatnonzero(slack < worst)
+        if below.size:
+            k = int(below[slack[below].argmin()])
+            worst, witness = float(slack[k]), witness_at(k)
+    worst = worst if scanned else 0.0
+    passed = worst >= -tol
+    samples = scanned if samples is None else samples
+    return CheckResult(name, passed, worst, samples, "" if passed else witness)
+
+
+def _points_at(head: str, xs: list, i: np.ndarray, ys: list, j: np.ndarray, y_name: str = "y"):
+    """The witness of place k of slacks over the point pairs (xs[i[k]], ys[j[k]])."""
+    return lambda k: f"{head} x={xs[i[k]].value} {y_name}={ys[j[k]].value}"
+
+
+def _ball_blocks(view: ActionView, datum: ExpansionDatum, nonempty: list, samples: list):
+    """The ball condition's blocks, one per (eta, entry) for eta = delta,
+    delta/2, delta/4: for each of the first ten net points x with margin at
+    least eta in the entry's region, each sample z within lam * eta of
+    rho(s^-1) x has the slack eta - d(rho(s) z, x), in (x, z) order."""
+    space, net, n = view.space, datum.net, len(samples)
+    values, net_values = space.values(samples), space.values(net)
+    margins = margin_matrix([e.region for e in nonempty], net).T
+    # the image under a word of the point of a value, each taken once
+    image = cache(lambda word, v: view.apply_word(word, Point(space, v)).value)
+    for eta in (datum.delta, datum.delta / 2, datum.delta / 4):
+        for e, row in zip(nonempty, margins):
+            centers = np.flatnonzero(row >= eta)[:10]
+            c, z = np.divmod(np.arange(len(centers) * n), n)  # c indexes the centers
+            fx = [image(e.backward[0], net_values[x]) for x in centers]
+            near = space.distances(values, fx, z, c) < datum.lam * eta
+            c, z = centers[c[near]], z[near]
+            back = [image(e.symbol, values[k]) for k in z]
+            slack = eta - space.distances(back, net_values, np.arange(len(z)), c)
+            yield slack, _points_at(f"entry={e.index}", net, c, samples, z, "z")
 
 
 def verify_expansion(view: ActionView, datum: ExpansionDatum, tol: float = 1e-9) -> VerificationReport:
     """Sampled verification of the datum's defining inequalities for the
-    action the view evaluates; the Lipschitz and expansion checks read the
-    sampled pairs of `pairs_apart` as index arrays, as `stability` does.
+    action the view evaluates: the Lipschitz, expansion and ball-condition
+    checks are each one `_least_slack` scan over index pairs of points.
 
     Failures are recorded as report rows, never raised.
     """
     space = view.space
-    checks = []
-
     syms = datum.symbols()
     sym_ok = all(groups.inverse(s) in syms for s in syms)
-    checks.append(
-        CheckResult("generator-symmetry", sym_ok, 0.0, len(syms))
-    )
+    checks = [CheckResult("generator-symmetry", sym_ok, 0.0, len(syms))]
 
-    regions = [e.region for e in datum.entries]
-    leb, witness = lebesgue_number(regions, datum.net)
-    checks.append(
-        CheckResult(
-            "lebesgue",
-            leb >= datum.delta - tol,
-            leb - datum.delta,
-            len(datum.net),
-            witness=str(witness) if leb < datum.delta - tol else "",
-        )
-    )
+    leb, witness = lebesgue_number([e.region for e in datum.entries], datum.net)
+    ok = leb >= datum.delta - tol
+    witness = str(witness) if leb < datum.delta - tol else ""  # a NaN number fails with none
+    checks.append(CheckResult("lebesgue", ok, leb - datum.delta, len(datum.net), witness))
 
+    nonempty = datum.nonempty_entries()
     samples = space.neighborhood(datum.net, datum.delta)
-    for e in datum.nonempty_entries():
+    for e in nonempty:
         samples.extend(e.region.sample(8))
     sampled = _sample_pairs(len(samples), PAIR_COUNT)
     pairs = pairs_apart(space, samples, *sampled)
     letters = view.system.alphabet.signed_letters()
-    worst_lip, lip_witness = math.inf, ""
+    lip = []
     for letter in letters:
         image = space.map_values(view.maps[letter], pairs.values)
         slack = datum.lip * pairs.d0 - space.distances(image, image, pairs.i, pairs.j)
-        k = _first_below(slack, worst_lip)
-        if k is not None:
-            x, y = samples[pairs.i[k]], samples[pairs.j[k]]
-            worst_lip, lip_witness = float(slack[k]), f"letter={letter} x={x.value} y={y.value}"
-    checks.append(
-        CheckResult(
-            "lipschitz",
-            worst_lip >= -tol,
-            worst_lip,
-            len(sampled[0]) * len(letters),
-            witness=lip_witness if worst_lip < -tol else "",
-        )
-    )
+        lip.append((slack, _points_at(f"letter={letter}", samples, pairs.i, samples, pairs.j)))
+    # every sampled pair counts, also those too near to stretch
+    checks.append(_least_slack("lipschitz", lip, tol, len(sampled[0]) * len(letters)))
 
     # a nonempty entry's label is one letter, whose inverse's map expands
-    nonempty = datum.nonempty_entries()
     in_samples = (margin_matrix([e.region for e in nonempty], samples) > 0).T.tolist()
-    worst_exp, exp_witness, n_exp = math.inf, "", 0
+    expanding = []
     for e, mask in zip(nonempty, in_samples):
         inside = [p for p, keep in zip(samples, mask) if keep]
         inside.extend(e.region.sample(12))
         pairs = pairs_apart(space, inside, *_sample_pairs(len(inside), PAIR_COUNT // 2))
         image = space.map_values(view.maps[e.backward[1]], pairs.values)
         slack = space.distances(image, image, pairs.i, pairs.j) - datum.lam * pairs.d0
-        n_exp += len(slack)
-        k = _first_below(slack, worst_exp)
-        if k is not None:
-            x, y = inside[pairs.i[k]], inside[pairs.j[k]]
-            worst_exp, exp_witness = float(slack[k]), f"entry={e.index} x={x.value} y={y.value}"
-    checks.append(
-        CheckResult(
-            "expansion",
-            worst_exp >= -tol,
-            worst_exp if n_exp else 0.0,
-            n_exp,
-            witness=exp_witness if worst_exp < -tol else "",
-        )
-    )
+        expanding.append((slack, _points_at(f"entry={e.index}", inside, pairs.i, inside, pairs.j)))
+    checks.append(_least_slack("expansion", expanding, tol))
 
     if space.is_geodesic():
-        checks.append(
-            CheckResult(
-                "ball-condition",
-                True,
-                0.0,
-                0,
-                note="geodesic space: distance expansion implies the ball condition",
-            )
-        )
+        note = "geodesic space: distance expansion implies the ball condition"
+        checks.append(CheckResult("ball-condition", True, 0.0, 0, note=note))
     else:
-        worst_ball, ball_witness, n_ball = math.inf, "", 0
-        net_margins = margin_matrix([e.region for e in nonempty], datum.net).T
-        for eta in (datum.delta, datum.delta / 2, datum.delta / 4):
-            for e, column in zip(nonempty, (net_margins >= eta).tolist()):
-                inv_word = groups.inverse(e.symbol)
-                centers = [p for p, keep in zip(datum.net, column) if keep][:10]
-                for x in centers:
-                    fx = view.apply_word(inv_word, x)
-                    for z in samples:
-                        dz = space.raw_distance(z.value, fx.value)
-                        if dz >= datum.lam * eta:
-                            continue
-                        back = view.apply_word(e.symbol, z)
-                        slack = eta - space.raw_distance(back.value, x.value)
-                        n_ball += 1
-                        if slack < worst_ball:
-                            worst_ball, ball_witness = slack, f"entry={e.index} x={x.value} z={z.value}"
-        checks.append(
-            CheckResult(
-                "ball-condition",
-                worst_ball >= -tol if n_ball else True,
-                worst_ball if n_ball else 0.0,
-                n_ball,
-                witness=ball_witness if n_ball and worst_ball < -tol else "",
-            )
-        )
-
+        checks.append(_least_slack("ball-condition", _ball_blocks(view, datum, nonempty, samples), tol))
     return VerificationReport(tuple(checks))

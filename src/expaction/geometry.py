@@ -161,6 +161,9 @@ class Space(Value):
     angular = False
     # code steps the conjugacy pushes at once, as rows (see `push_balls`)
     push_rows = 1
+    # the deepest code whose steps the points resolve: each step takes a
+    # letter off a free-group boundary's `depth`
+    max_code_depth = math.inf
 
     def values(self, pts: Sequence[Point]):
         """The values of the points, as `map_values` and `distances` take them."""
@@ -511,6 +514,10 @@ class FreeBoundary(Space):
     def letters(self) -> str:
         return "abcdefghijklmnopqrstuvwxyz"[: self.rank]
 
+    @property
+    def max_code_depth(self) -> int:
+        return self.depth
+
     def normalize(self, value: Any) -> str:
         w = str(value)
         if not set(w.lower()).issubset(self.letters):
@@ -568,6 +575,10 @@ class DisjointUnion(Space):
     @property
     def diameter(self) -> float:
         return max(self.separation, max(c.diameter for c in self.components))
+
+    @property
+    def max_code_depth(self) -> float:
+        return min(c.max_code_depth for c in self.components)
 
     def normalize(self, value: Any) -> tuple:
         idx, inner = value

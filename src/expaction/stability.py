@@ -270,6 +270,9 @@ def conjugacy_map(
     return table
 
 
+EQUIVARIANCE_TOL = 1e-6  # a stability run passes with a `check_equivariance` residual below this
+
+
 def check_equivariance(table: ConjugacyTable, ps: PerturbedSystem) -> float:
     """Max over generators s and net points x of
     d(rho'(s)(phi(x)), phi(rho(s)(x)))."""

@@ -9,8 +9,8 @@ paths replaced (the Schottky limit net one angle at a time, the conjugacy
 one step at a time) are kept as oracles, and so are the breadth-first chain
 search that the reachability matrix replaced, the certificate that held
 every net point's rays and tables at once and searched chains pair by pair,
-and the Lipschitz and expansion checks of `verify_expansion` one sampled
-pair at a time.
+and the Lipschitz, expansion and ball-condition checks of
+`verify_expansion` one sampled pair at a time.
 The frozen dataclasses that points and spaces once were are kept as the
 reference for the equality and hash of `Point` and the `Space` kinds, and
 the margins one region and one point at a time as the reference for the
@@ -572,6 +572,36 @@ def pair_check_rows(view, datum, tol: float = 1e-9) -> list:
         witness=exp_witness if worst_exp < -tol else "",
     ))
     return VerificationReport(tuple(checks)).rows()
+
+
+def ball_condition_rows(view, datum, tol: float = 1e-9) -> list:
+    """The `ball-condition` row of `expansion.verify_expansion` on a space
+    that is not geodesic, from its loop before it read index arrays: for
+    each eta, entry, center x and sample z, one image of x and one of z by
+    the view's `apply_word`, taken anew each time."""
+    space = view.space
+    samples = space.neighborhood(datum.net, datum.delta)
+    for e in datum.nonempty_entries():
+        samples.extend(e.region.sample(8))
+    worst, witness, n = math.inf, "", 0
+    for eta in (datum.delta, datum.delta / 2, datum.delta / 4):
+        for e in datum.nonempty_entries():
+            inv_word = groups.inverse(e.symbol)
+            centers = [x for x in datum.net if scalar_margin(e.region, x) >= eta][:10]
+            for x in centers:
+                fx = view.apply_word(inv_word, x)
+                for z in samples:
+                    if space.raw_distance(z.value, fx.value) >= datum.lam * eta:
+                        continue
+                    back = view.apply_word(e.symbol, z)
+                    slack = eta - space.raw_distance(back.value, x.value)
+                    n += 1
+                    if slack < worst:
+                        worst, witness = slack, f"entry={e.index} x={x.value} z={z.value}"
+    return VerificationReport((CheckResult(
+        "ball-condition", worst >= -tol if n else True, worst if n else 0.0, n,
+        witness=witness if n and worst < -tol else "",
+    ),)).rows()
 
 
 # ---------------------------------------------------------------------------

@@ -343,6 +343,14 @@ BAD_FIELDS = [
     ("prefix_depth-past-the-boundary", {**_system("free_boundary"), "prefix_depth": 33},
      "error: config field 'prefix_depth': codes 41 steps deep fail: no cover member admits",
      "coding-map"),
+    # each code step takes a letter off a free-group boundary's 40, so a code
+    # past them is refused before any is enumerated, on the product too
+    *[(f"codes.depth-{depth}-{name}-{command}", {**system, "codes": {"depth": depth}},
+       "error: config field 'codes.depth': must be <= 40\n", command)
+      for name, system in (("free-boundary", _system("free_boundary")),
+                           ("product-swap", _system("product", with_swap=True)))
+      for depth in (41, 45)
+      for command in ("codes", "certify-shyp")],
     # the perturbation is checked on every command, not only by stability
     ("perturbation-on-certify-shyp", {"perturbation": {"magnitude": "big"}},
      "'perturbation.magnitude'", "certify-shyp"),
@@ -376,6 +384,14 @@ def test_bad_config_field_exits_2_naming_the_field(
     assert field in err
     assert err.count("\n") == 1, err  # one line: no traceback and no numpy warning
     assert not (tmp_path / "o").exists()
+
+
+def test_codes_as_deep_as_the_boundary_letters_are_all_kept(tmp_path):
+    # at depth 40 each of the 8 sampled points keeps its 4 codes
+    payload = {**_system("free_boundary"), "codes": {"depth": 40}}
+    assert run(["codes", "--config", write_config(tmp_path, "c.json", payload), "--out", tmp_path / "o"]) == 0
+    report = json.loads((tmp_path / "o" / "report.json").read_text())
+    assert (report["points"], report["codes"], report["truncated"]) == (8, 32, False)
 
 
 def test_unparseable_config(tmp_path, capsys):

@@ -13,6 +13,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 from oracles import (
+    ball_condition_rows,
     circular_runs_loop,
     code_step,
     conjugacy_map_steps,
@@ -34,8 +35,10 @@ from expaction.expansion import (
     LIP_SAFETY,
     SAFETY,
     ActionView,
+    CheckResult,
     CoverEntry,
     ExpansionDatum,
+    VerificationReport,
     _circular_runs,
     _sample_pairs,
     build_expansion_datum,
@@ -281,6 +284,48 @@ def test_verify_pair_checks_equal_the_pair_by_pair_loops(request, name, edit):
     failing = {"lam-tripled": "expansion", "lip-near-1": "lipschitz"}.get(edit)
     if failing:
         assert rows[failing]["witness"]
+
+
+def _labels_swapped(datum):
+    """The datum with its first two entries' labels exchanged: their regions
+    are then expanded by the wrong inverses, and the ball condition fails."""
+    a, b, *rest = datum.entries
+    entries = (CoverEntry(a.index, b.symbol, a.region), CoverEntry(b.index, a.symbol, b.region), *rest)
+    return ExpansionDatum(tuple(entries), datum.delta, datum.lam, datum.lip, datum.net)
+
+
+@functools.cache
+def _free_rank_3():
+    system = zoo.make_free_boundary(3, 1.5)
+    return system, build_expansion_datum(system, 1.5)
+
+
+# the data on which the ball condition runs: spaces that are not geodesic
+BALL_DATA = {
+    "free": lambda r: (r.getfixturevalue("fb_system"), r.getfixturevalue("fb_datum")),
+    "free-rank-3": lambda r: _free_rank_3(),
+    "product-swap": lambda r: (r.getfixturevalue("product_system"), r.getfixturevalue("product_datum")),
+    "free-labels-swapped": lambda r: (
+        r.getfixturevalue("fb_system"), _labels_swapped(r.getfixturevalue("fb_datum"))
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(BALL_DATA))
+def test_verify_sampled_checks_equal_the_scalar_loops(request, name):
+    # all four sampled rows bit for bit, the swapped labels' failing rows
+    # with their witnesses and the first of their tied least slacks (180
+    # ball slacks tie at the least)
+    system, datum = BALL_DATA[name](request)
+    view = ActionView(system)
+    rows = {r["check"]: r for r in verify_expansion(view, datum).rows()}
+    leb, witness = scalar_lebesgue([e.region for e in datum.entries], datum.net)
+    short = leb < datum.delta - 1e-9
+    lebesgue = CheckResult("lebesgue", not short, leb - datum.delta, len(datum.net), str(witness) if short else "")
+    slow = [*VerificationReport((lebesgue,)).rows(), *pair_check_rows(view, datum), *ball_condition_rows(view, datum)]
+    assert [_row_bits(rows[r["check"]]) for r in slow] == [_row_bits(r) for r in slow]
+    assert rows["ball-condition"]["samples"] > 0
+    assert rows["ball-condition"]["passed"] == (name != "free-labels-swapped")
 
 
 def _old_lipschitz_distance(space, map_a, map_b, net, max_pairs=10000):

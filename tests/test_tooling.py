@@ -9,7 +9,8 @@ that import declares is pinned here, by a count, not a timing; so are the
 modules a job loads and the points the Schottky datum makes.  A NamedTuple
 field under src/ that no code there reads is a value no command reports.
 Coding reads the base action, and perturbed maps enter only through
-`expansion.ActionView`, so no code asks which of the two it was given."""
+`expansion.ActionView`, so no code asks which of the two it was given.
+`verify_expansion` takes each image of a point under a label once."""
 import ast
 import importlib.util
 import json
@@ -364,3 +365,27 @@ def test_the_schottky_conjugacy_takes_one_margin_matrix_per_code_depth(monkeypat
     assert counts["points"] == len(table.entries) + len(table.extra) == 403
     assert counts["margins"] <= system.space.push_rows * counts["blocks"]
     assert counts["blocks"] == 1
+
+
+@pytest.mark.parametrize(
+    "system_name, datum_name",
+    [("fb_system", "fb_datum"), ("product_system", "product_datum")],
+    ids=["free", "product-swap"],
+)
+def test_verify_expansion_takes_each_label_image_of_a_point_once(monkeypatch, request, system_name, datum_name):
+    # the ball condition, which runs on these spaces, asks for the image of
+    # each center under an inverse label and of each sample under a label;
+    # no eta and no other center asks for the same image again
+    from expaction import expansion
+
+    system, datum = request.getfixturevalue(system_name), request.getfixturevalue(datum_name)
+    calls, apply_word = Counter(), expansion.ActionView.apply_word
+
+    def counted(self, word, x):
+        calls[word, x] += 1
+        return apply_word(self, word, x)
+
+    monkeypatch.setattr(expansion.ActionView, "apply_word", counted)
+    report = expansion.verify_expansion(expansion.ActionView(system), datum)
+    assert report.passed and calls
+    assert max(calls.values()) == 1
